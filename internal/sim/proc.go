@@ -20,6 +20,7 @@ type Proc struct {
 	name   string
 	resume chan error    // engine -> proc: run (non-nil error = killed)
 	yield  chan struct{} // proc -> engine: parked or finished
+	wake   func()        // resumes the process; built once, posted per park
 	killed bool
 	done   bool
 }
@@ -33,9 +34,8 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		resume: make(chan error),
 		yield:  make(chan struct{}),
 	}
-	started := false
-	e.Schedule(0, func() {
-		started = true
+	p.wake = func() { p.transfer(nil) }
+	e.post(0, func() {
 		go func() {
 			err := <-p.resume
 			if err == nil {
@@ -55,7 +55,6 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		}()
 		p.transfer(nil)
 	})
-	_ = started
 	return p
 }
 
@@ -94,10 +93,7 @@ func (p *Proc) Now() time.Time { return p.eng.Now() }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.eng.Schedule(d, func() { p.transfer(nil) })
+	p.eng.post(d, p.wake)
 	_ = p.park()
 }
 
@@ -105,7 +101,7 @@ func (p *Proc) Sleep(d time.Duration) {
 // Waits never return; the process unwinds. Safe to call from event handlers
 // or other processes. Killing a finished process is a no-op.
 func (p *Proc) Kill() {
-	p.eng.Schedule(0, func() {
+	p.eng.post(0, func() {
 		if p.done {
 			return
 		}
@@ -120,11 +116,17 @@ func (p *Proc) Done() bool { return p.done }
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
 
 // Signal is a one-shot broadcast synchronization point in virtual time.
-// Processes Wait on it; Fire wakes all current and future waiters.
+// Processes Wait on it; Fire wakes all current and future waiters. Reset
+// re-arms a fired signal, so one Signal can serve a loop that parks over
+// and over.
 type Signal struct {
-	eng     *Engine
-	fired   bool
-	waiters []func()
+	eng   *Engine
+	fired bool
+	// first is the earliest registered waiter, held inline: most signals
+	// have exactly one, and it then costs no slice. rest holds the others
+	// in registration order.
+	first func()
+	rest  []func()
 }
 
 // NewSignal returns an unfired signal bound to e.
@@ -140,20 +142,32 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	for _, fn := range s.waiters {
-		s.eng.Schedule(0, fn)
+	if s.first == nil {
+		return
 	}
-	s.waiters = nil
+	s.eng.post(0, s.first)
+	for _, fn := range s.rest {
+		s.eng.post(0, fn)
+	}
+	s.first, s.rest = nil, nil
 }
+
+// Reset re-arms a fired signal so it can fire again. The waiters of the
+// earlier firing were all woken by it; only waiters registered after the
+// reset wait for the next Fire. Resetting an unfired signal is a no-op.
+func (s *Signal) Reset() { s.fired = false }
 
 // OnFire registers fn to run when the signal fires (immediately, as a new
 // event, if it already has).
 func (s *Signal) OnFire(fn func()) {
-	if s.fired {
-		s.eng.Schedule(0, fn)
-		return
+	switch {
+	case s.fired:
+		s.eng.post(0, fn)
+	case s.first == nil:
+		s.first = fn
+	default:
+		s.rest = append(s.rest, fn)
 	}
-	s.waiters = append(s.waiters, fn)
 }
 
 // Wait suspends the process until the signal fires.
@@ -161,7 +175,7 @@ func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.OnFire(func() { p.transfer(nil) })
+	s.OnFire(p.wake)
 	_ = p.park()
 }
 
@@ -181,7 +195,7 @@ func (p *Proc) WaitTimeout(s *Signal, d time.Duration) bool {
 		fired = true
 		p.transfer(nil)
 	})
-	p.eng.Schedule(d, func() {
+	p.eng.post(d, func() {
 		if woken {
 			return
 		}
@@ -231,14 +245,13 @@ func Await[T any](p *Proc, f *Future[T]) (T, error) {
 // Group tracks a set of processes or tasks and fires when all are done,
 // analogous to sync.WaitGroup in virtual time.
 type Group struct {
-	eng  *Engine
 	n    int
-	done *Signal
+	done Signal
 }
 
 // NewGroup returns an empty group (already satisfied).
 func (e *Engine) NewGroup() *Group {
-	return &Group{eng: e, done: e.NewSignal()}
+	return &Group{done: Signal{eng: e}}
 }
 
 // Add registers n more outstanding tasks.
@@ -260,14 +273,12 @@ func (g *Group) Finish() {
 //
 // A group may legitimately drain to zero and refill (an open-loop driver
 // whose in-flight set empties between arrivals), and the underlying Signal
-// is one-shot — so WaitAll re-arms a fresh signal and keeps waiting until
-// the count is zero at wake time, rather than returning on a stale fire
-// with work still outstanding.
+// is one-shot — so WaitAll resets a stale fire and keeps waiting until the
+// count is zero at wake time, rather than returning with work still
+// outstanding.
 func (g *Group) WaitAll(p *Proc) {
 	for g.n > 0 {
-		if g.done.Fired() {
-			g.done = g.eng.NewSignal()
-		}
-		p.Wait(g.done)
+		g.done.Reset()
+		p.Wait(&g.done)
 	}
 }

@@ -11,10 +11,14 @@
 // virtual time (used by tests and benchmark harnesses), while RunRealtime maps
 // virtual durations onto scaled wall-clock time so the simulated services can
 // be exposed over real sockets (used by cmd/sitesim and the examples).
+//
+// Events are queued by value. Only Schedule and At allocate a handle (a
+// stoppable *Timer); Sleep, Signal.Fire and OnFire, Inject, Go, Kill and
+// WaitTimeout post events no caller can cancel, so a process parking and
+// waking again allocates nothing in the engine.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -25,19 +29,18 @@ import (
 // date is arbitrary; a fixed epoch keeps logs and golden files stable.
 var Epoch = time.Date(2025, 6, 2, 8, 0, 0, 0, time.UTC)
 
-// Timer is a handle to a scheduled event. It may be stopped before it fires.
+// Timer is a handle to an event scheduled through Schedule or At. It may be
+// stopped before it fires.
 type Timer struct {
 	at      time.Time
-	seq     uint64
-	fn      func()
 	stopped bool
-	index   int // heap index, -1 once popped
+	popped  bool // left the queue: fired, or collected after Stop
 }
 
 // Stop cancels the timer. It is a no-op if the timer already fired.
 // It reports whether the call prevented the timer from firing.
 func (t *Timer) Stop() bool {
-	if t == nil || t.stopped || t.index == -1 {
+	if t == nil || t.stopped || t.popped {
 		return false
 	}
 	t.stopped = true
@@ -47,34 +50,80 @@ func (t *Timer) Stop() bool {
 // When returns the virtual time at which the timer fires.
 func (t *Timer) When() time.Time { return t.at }
 
-type eventQueue []*Timer
+// event is one queued callback, held in the queue by value. Only events
+// posted through Schedule or At carry a Timer; the engine's own postings
+// (Sleep, Signal wake-ups, Inject, Go, Kill) cannot be stopped and carry
+// none, so they cost no allocation.
+type event struct {
+	at  time.Time
+	seq uint64
+	fn  func()
+	tm  *Timer
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+// before orders events by (at, seq): time first, posting order within a
+// tick. seq is unique, so the order is total and the queue's pop sequence
+// does not depend on how the heap is laid out.
+func (a *event) before(b *event) bool {
+	if a.at.Equal(b.at) {
+		return a.seq < b.seq
 	}
-	return q[i].seq < q[j].seq
+	return a.at.Before(b.at)
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// eventQueue is a binary min-heap of events ordered by before.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	*q = h
 }
-func (q *eventQueue) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*q)
-	*q = append(*q, t)
+
+// pop removes and returns the earliest event; the queue must be non-empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callback reference
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && h[r].before(&h[child]) {
+				child = r
+			}
+			if !h[child].before(&last) {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = last
+	}
+	*q = h
+	if top.tm != nil {
+		top.tm.popped = true
+	}
+	return top
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*q = old[:n-1]
-	return t
-}
+
+// stopped reports whether ev was cancelled through its Timer.
+func (ev *event) stopped() bool { return ev.tm != nil && ev.tm.stopped }
 
 // Engine is a discrete-event simulator with a virtual clock.
 // The zero value is not usable; call NewEngine.
@@ -119,14 +168,17 @@ func (e *Engine) Since(t time.Time) time.Duration { return e.Now().Sub(t) }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Schedule runs fn after d of virtual time. Negative durations are clamped
-// to zero. fn executes on the engine's event loop.
+// to zero. fn executes on the engine's event loop. The returned Timer can
+// cancel the event.
 func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
 	if d < 0 {
 		d = 0
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.scheduleLocked(e.now.Add(d), fn)
+	tm := &Timer{at: e.now.Add(d)}
+	e.pushLocked(tm.at, fn, tm)
+	return tm
 }
 
 // At runs fn at virtual time t (clamped to now if t is in the past).
@@ -136,24 +188,35 @@ func (e *Engine) At(t time.Time, fn func()) *Timer {
 	if t.Before(e.now) {
 		t = e.now
 	}
-	return e.scheduleLocked(t, fn)
+	tm := &Timer{at: t}
+	e.pushLocked(t, fn, tm)
+	return tm
 }
 
-func (e *Engine) scheduleLocked(t time.Time, fn func()) *Timer {
+// post runs fn after d of virtual time, like Schedule, but returns no
+// handle, so queueing it allocates nothing.
+func (e *Engine) post(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.pushLocked(e.now.Add(d), fn, nil)
+}
+
+func (e *Engine) pushLocked(t time.Time, fn func(), tm *Timer) {
 	e.seq++
-	tm := &Timer{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, tm)
+	e.queue.push(event{at: t, seq: e.seq, fn: fn, tm: tm})
 	select {
 	case e.injectCh <- struct{}{}:
 	default:
 	}
-	return tm
 }
 
 // Inject schedules fn at the current virtual time from any goroutine.
 // It is the only safe way for code outside the engine loop (for example a
 // real HTTP handler in realtime mode) to interact with simulated state.
-func (e *Engine) Inject(fn func()) { e.Schedule(0, fn) }
+func (e *Engine) Inject(fn func()) { e.post(0, fn) }
 
 // Stop makes Run and RunRealtime return after the current event completes.
 func (e *Engine) Stop() {
@@ -167,19 +230,19 @@ func (e *Engine) Stop() {
 }
 
 // pop removes and returns the next runnable event, skipping stopped timers.
-// It returns nil when the queue is empty.
-func (e *Engine) pop() *Timer {
+// It reports false when the queue is empty.
+func (e *Engine) pop() (event, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for len(e.queue) > 0 {
-		tm := heap.Pop(&e.queue).(*Timer)
-		if tm.stopped {
+		ev := e.queue.pop()
+		if ev.stopped() {
 			continue
 		}
-		e.now = tm.at
-		return tm
+		e.now = ev.at
+		return ev, true
 	}
-	return nil
+	return event{}, false
 }
 
 // peekTime returns the time of the next pending event.
@@ -187,8 +250,8 @@ func (e *Engine) peekTime() (time.Time, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for len(e.queue) > 0 {
-		if e.queue[0].stopped {
-			heap.Pop(&e.queue)
+		if e.queue[0].stopped() {
+			e.queue.pop()
 			continue
 		}
 		return e.queue[0].at, true
@@ -199,14 +262,14 @@ func (e *Engine) peekTime() (time.Time, bool) {
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	tm := e.pop()
-	if tm == nil {
+	ev, ok := e.pop()
+	if !ok {
 		return false
 	}
 	if e.Trace != nil {
-		e.Trace(tm.at, fmt.Sprintf("event #%d", tm.seq))
+		e.Trace(ev.at, fmt.Sprintf("event #%d", ev.seq))
 	}
-	tm.fn()
+	ev.fn()
 	return true
 }
 

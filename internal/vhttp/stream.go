@@ -40,8 +40,13 @@ type ChunkReader interface {
 // pulls them in virtual time. Push and Close never block, so they are safe
 // to call from event callbacks (a token callback on the engine loop).
 type BodyStream struct {
-	queue  []Chunk
-	wake   *sim.Signal // armed by a parked reader, fired by producer events
+	// queue[head:] are the chunks not yet read. Once the reader drains it
+	// the queue rewinds, so a steady stream reuses one backing array.
+	queue []Chunk
+	head  int
+	// wake is fired by the producer and reset by the reader before each
+	// park; created at the first park and kept for the stream's life.
+	wake   *sim.Signal
 	closed bool
 	err    error
 }
@@ -78,35 +83,41 @@ func (s *BodyStream) Fail(err error) {
 	}
 	s.closed = true
 	s.err = err
-	s.queue = nil
+	s.queue, s.head = nil, 0
 	s.fireWake()
 }
 
 // Closed reports whether the producer has finished (cleanly or not).
 func (s *BodyStream) Closed() bool { return s.closed }
 
+// fireWake wakes a parked reader. Without one it only marks the signal
+// fired, which queues no event: the reader resets it before parking.
 func (s *BodyStream) fireWake() {
 	if s.wake != nil {
-		w := s.wake
-		s.wake = nil
-		w.Fire()
+		s.wake.Fire()
 	}
 }
 
 // Next implements ChunkReader.
 func (s *BodyStream) Next(p *sim.Proc) (Chunk, bool) {
 	for {
-		if len(s.queue) > 0 {
-			c := s.queue[0]
-			s.queue = s.queue[1:]
+		if s.head < len(s.queue) {
+			c := s.queue[s.head]
+			s.queue[s.head] = Chunk{}
+			s.head++
+			if s.head == len(s.queue) {
+				s.queue, s.head = s.queue[:0], 0
+			}
 			return c, true
 		}
 		if s.closed {
 			return Chunk{}, false
 		}
-		sig := p.Engine().NewSignal()
-		s.wake = sig
-		p.Wait(sig)
+		if s.wake == nil {
+			s.wake = p.Engine().NewSignal()
+		}
+		s.wake.Reset()
+		p.Wait(s.wake)
 	}
 }
 

@@ -47,6 +47,42 @@ func TestStreamOrderingAndClose(t *testing.T) {
 	}
 }
 
+// TestStreamSteadyStateDoesNotAllocate: once a stream's queue and wake
+// signal exist, pushing a chunk and waking the parked reader for it
+// allocates nothing: the reader resets one signal for every park and the
+// drained queue rewinds onto its backing array.
+func TestStreamSteadyStateDoesNotAllocate(t *testing.T) {
+	e, _ := newTestNet(t)
+	s := NewBodyStream()
+	chunk := Chunk{Data: []byte("data: x\n\n")}
+	e.Go("producer", func(p *sim.Proc) {
+		for !s.Closed() {
+			s.Push(chunk)
+			s.Push(chunk)
+			p.Sleep(time.Millisecond)
+		}
+	})
+	n := 0
+	e.Go("consumer", func(p *sim.Proc) {
+		for {
+			if _, ok := s.Next(p); !ok {
+				return
+			}
+			n++
+		}
+	})
+	e.RunFor(time.Second)
+	allocs := testing.AllocsPerRun(100, func() { e.RunFor(10 * time.Millisecond) })
+	s.Close()
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per 20 streamed chunks, want 0", allocs)
+	}
+	if n < 2000 {
+		t.Fatalf("consumer read %d chunks", n)
+	}
+}
+
 // TestStreamChunksMetered: each chunk pulled through Client.Do is charged
 // against the route, so a streamed body takes bandwidth-bound virtual time.
 func TestStreamChunksMetered(t *testing.T) {

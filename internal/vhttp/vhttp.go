@@ -17,6 +17,7 @@ package vhttp
 import (
 	"fmt"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -199,13 +200,19 @@ func SplitHostPort(rawurl string) (host string, port int, err error) {
 	if err != nil {
 		return "", 0, fmt.Errorf("vhttp: bad url %q: %v", rawurl, err)
 	}
+	return hostPort(u, rawurl)
+}
+
+// hostPort takes the virtual host and port (default 80) from a parsed URL;
+// rawurl names it in errors.
+func hostPort(u *url.URL, rawurl string) (host string, port int, err error) {
 	host = u.Hostname()
 	if host == "" {
 		return "", 0, fmt.Errorf("vhttp: url %q has no host", rawurl)
 	}
 	port = 80
-	if ps := u.Port(); ps != "" {
-		fmt.Sscanf(ps, "%d", &port)
+	if n, err := strconv.Atoi(u.Port()); err == nil {
+		port = n
 	}
 	return host, port, nil
 }
@@ -228,7 +235,7 @@ func (c *Client) Do(p *sim.Proc, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vhttp: bad url %q: %v", req.URL, err)
 	}
-	host, port, err := SplitHostPort(req.URL)
+	host, port, err := hostPort(u, req.URL)
 	if err != nil {
 		return nil, err
 	}

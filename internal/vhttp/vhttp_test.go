@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,5 +195,60 @@ func TestStdHandlerBridge(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if string(body) != "outer->GET /inner from=gateway" {
 		t.Fatalf("body = %q", body)
+	}
+}
+
+// TestHostAndPortFromURL: SplitHostPort and Client.Do read the host and
+// port the same way: the port defaults to 80, and a URL without a host is
+// an error.
+func TestHostAndPortFromURL(t *testing.T) {
+	for _, tc := range []struct {
+		url  string
+		host string
+		port int
+		err  string
+	}{
+		{url: "http://hops03:8000", host: "hops03", port: 8000},
+		{url: "http://hops03:8000/v1/models?x=1", host: "hops03", port: 8000},
+		{url: "http://gw/v1", host: "gw", port: 80},
+		{url: "http://gw:/v1", host: "gw", port: 80},
+		{url: "http:///v1", err: "has no host"},
+		{url: "http://gw:port/", err: "bad url"},
+	} {
+		host, port, err := SplitHostPort(tc.url)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("SplitHostPort(%q) err = %v, want %q", tc.url, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || host != tc.host || port != tc.port {
+			t.Errorf("SplitHostPort(%q) = %q, %d, %v; want %q, %d", tc.url, host, port, err, tc.host, tc.port)
+		}
+	}
+
+	e, n := newTestNet(t)
+	var got *Request
+	n.Listen("gw", 80, ServiceFunc(func(p *sim.Proc, req *Request) *Response {
+		got = req
+		return Text(200, "ok")
+	}), ListenOptions{})
+	var errs []error
+	e.Go("client", func(p *sim.Proc) {
+		c := &Client{Net: n}
+		for _, u := range []string{"http://gw?q=1", "http:///v1", "http://gw:port/"} {
+			_, err := c.Get(p, u)
+			errs = append(errs, err)
+		}
+	})
+	e.Run()
+	if errs[0] != nil || got == nil || got.Host != "gw" || got.Path != "/" || got.Query.Get("q") != "1" {
+		t.Fatalf("request to the default port: err %v, req %+v", errs[0], got)
+	}
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "has no host") {
+		t.Fatalf("hostless URL: err = %v", errs[1])
+	}
+	if errs[2] == nil || !strings.Contains(errs[2].Error(), "bad url") {
+		t.Fatalf("malformed port: err = %v", errs[2])
 	}
 }

@@ -171,16 +171,16 @@ func SynthesizeText(n int) string {
 
 const synthWords = "the model generated this simulated completion token stream for benchmarking purposes only "
 
+// synthRing is synthWords followed by its own start, so every token's four
+// bytes are one substring even where the text wraps around.
+var synthRing = synthWords + synthWords[:3]
+
 // TokenText returns the n-th (1-based) token's text of the synthesized
 // completion, so a streamed response concatenates to the same body a
-// buffered SynthesizeText(total) call would produce.
+// buffered SynthesizeText(total) call would produce. It does not allocate.
 func TokenText(n int) string {
 	start := ((n - 1) * 4) % len(synthWords)
-	end := start + 4
-	if end <= len(synthWords) {
-		return synthWords[start:end]
-	}
-	return synthWords[start:] + synthWords[:end-len(synthWords)]
+	return synthRing[start : start+4]
 }
 
 // APIServer exposes an Engine over the OpenAI-compatible HTTP surface.
@@ -351,23 +351,16 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 	stream := vhttp.NewBodyStream()
 	ready := p.Engine().NewSignal()
 	served := a.servedName()
-	id := ""
+	var enc deltaEncoder
 	opts.OnToken = func(r *Request, n int) {
-		chunk := ChatChunk{
-			ID: id, Object: "chat.completion.chunk", Model: served,
-			Choices: []ChatChunkChoice{{Delta: ChatDelta{Content: TokenText(n)}}},
-		}
-		if n == 1 {
-			// The first delta also names the assistant role, per OpenAI.
-			chunk.Choices[0].Delta.Role = "assistant"
-		}
-		stream.Push(vhttp.Chunk{Data: SSEEvent(chunk)})
+		stream.Push(vhttp.Chunk{Data: enc.event(n)})
 		if n == 1 {
 			ready.Fire()
 		}
 	}
 	r := a.Engine.SubmitOpts(opts)
-	id = "chatcmpl-" + r.ID
+	id := "chatcmpl-" + r.ID
+	enc = newDeltaEncoder(id, served)
 	r.Done().OnFire(func() {
 		if r.Err != nil {
 			stream.Fail(r.Err)
@@ -398,6 +391,54 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 		resp.Trace = et
 	}
 	return resp
+}
+
+// deltaEncoder writes the content-delta events of one stream straight into
+// bytes: the JSON up to the delta, which every event of the stream shares,
+// is built once, so an event costs one exact-size slice instead of a
+// reflective json.Marshal of a ChatChunk. The output is byte-identical to
+// SSEEvent(ChatChunk{...}) with the same fields (TestDeltaEncoderMatchesSSEEvent).
+type deltaEncoder struct {
+	head []byte // `data: {"id":…,"model":…,"choices":[{"index":0,"delta":{`
+}
+
+const (
+	deltaID      = SSEData + `{"id":`
+	deltaModel   = `,"object":"chat.completion.chunk","model":`
+	deltaOpen    = `,"choices":[{"index":0,"delta":{`
+	deltaRole    = `"role":"assistant",`
+	deltaContent = `"content":"`
+	deltaTail    = `"}}]}` + "\n\n"
+)
+
+func newDeltaEncoder(id, model string) deltaEncoder {
+	qid, _ := json.Marshal(id)
+	qmodel, _ := json.Marshal(model)
+	head := make([]byte, 0, len(deltaID)+len(qid)+len(deltaModel)+len(qmodel)+len(deltaOpen))
+	head = append(head, deltaID...)
+	head = append(head, qid...)
+	head = append(head, deltaModel...)
+	head = append(head, qmodel...)
+	return deltaEncoder{head: append(head, deltaOpen...)}
+}
+
+// event returns the SSE event carrying token n (1-based). The first delta
+// also names the assistant role, per OpenAI. Token text needs no JSON
+// escaping: the synthesized words are lowercase letters and spaces.
+func (d *deltaEncoder) event(n int) []byte {
+	text := TokenText(n)
+	size := len(d.head) + len(deltaContent) + len(text) + len(deltaTail)
+	if n == 1 {
+		size += len(deltaRole)
+	}
+	out := make([]byte, 0, size)
+	out = append(out, d.head...)
+	if n == 1 {
+		out = append(out, deltaRole...)
+	}
+	out = append(out, deltaContent...)
+	out = append(out, text...)
+	return append(out, deltaTail...)
 }
 
 // completionRequest is the body of POST /v1/completions.
@@ -473,27 +514,4 @@ func (a *APIServer) renderMetrics() string {
 	fmt.Fprintf(&b, "vllm:cpu_cache_demotions_total %d\n", st.TierDemotions)
 	fmt.Fprintf(&b, "vllm:cpu_cache_promotions_total %d\n", st.TierPromotions)
 	return b.String()
-}
-
-// ParseMetric extracts one gauge from a Prometheus-flavored text exposition
-// (the /metrics surface above). External observability tooling reads the
-// text surface; the serving stack itself consumes the typed
-// telemetry.Snapshot from /telemetry instead — the gateway's steady-state
-// load path no longer string-parses metrics.
-func ParseMetric(text, name string) (float64, bool) {
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := strings.TrimPrefix(line, name)
-		if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
-			continue // a longer metric name sharing the prefix
-		}
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%g", &v); err == nil {
-			return v, true
-		}
-	}
-	return 0, false
 }

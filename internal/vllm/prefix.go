@@ -2,6 +2,7 @@ package vllm
 
 import (
 	"container/list"
+	"slices"
 )
 
 // Automatic prefix caching, vLLM-style: every full block of a prompt is
@@ -304,18 +305,57 @@ func (x *PrefixIndex) EnsureFree(n int) bool {
 // stays trivial.
 const maxSketch = 128
 
-// AppendSketch appends up to max available depth-0 chain keys (GPU- or
-// host-tier-resident) to dst and returns it — the replica's
-// prefix-membership sketch. Order is unspecified; consumers test
-// membership only.
+// AppendSketch appends the max smallest available depth-0 chain keys (GPU-
+// or host-tier-resident) to dst in ascending order and returns it — the
+// replica's prefix-membership sketch. The choice depends only on the set
+// of heads, never on map iteration order, so two indexes holding the same
+// heads publish the same sketch and sketch routing stays reproducible.
+// The selection runs inside dst (a bounded max-heap of the smallest keys
+// seen), so nothing is allocated beyond growing dst once.
 func (x *PrefixIndex) AppendSketch(dst []uint64, max int) []uint64 {
-	for h := range x.heads {
-		if len(dst) >= max {
-			break
-		}
-		dst = append(dst, h)
+	if max <= 0 {
+		return dst
 	}
+	dst = slices.Grow(dst, min(max, len(x.heads)))
+	base := len(dst)
+	heaped := false
+	for h := range x.heads {
+		if len(dst)-base < max {
+			dst = append(dst, h)
+			continue
+		}
+		sel := dst[base:]
+		if !heaped {
+			for i := len(sel)/2 - 1; i >= 0; i-- {
+				siftDownMax(sel, i)
+			}
+			heaped = true
+		}
+		if h < sel[0] {
+			sel[0] = h
+			siftDownMax(sel, 0)
+		}
+	}
+	slices.Sort(dst[base:])
 	return dst
+}
+
+// siftDownMax restores the max-heap order of h below position i.
+func siftDownMax(h []uint64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r] > h[c] {
+			c = r
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // noteCachedTokens records prefill tokens skipped via cache hits.

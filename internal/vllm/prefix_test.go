@@ -3,6 +3,7 @@ package vllm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -384,5 +385,56 @@ func BenchmarkChatPromptHashes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ChatPromptHashes(16, msgs)
+	}
+}
+
+// TestSketchIsTheSmallestHeadsWhateverTheOrder: an index holding more heads
+// than the sketch publishes picks the same ones, the smallest keys in
+// ascending order, however the heads arrived; and publishing into a buffer
+// with room allocates nothing.
+func TestSketchIsTheSmallestHeadsWhateverTheOrder(t *testing.T) {
+	const heads = 300
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]uint64, heads)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	build := func(order []int) *PrefixIndex {
+		kv := NewKVCache(heads, 16)
+		idx := NewPrefixIndex(kv)
+		for _, i := range order {
+			seq := fmt.Sprintf("s%d", i)
+			if err := kv.Allocate(seq, 1); err != nil {
+				t.Fatal(err)
+			}
+			idx.Register(seq, keys[i:i+1], 0)
+			idx.Release(seq)
+		}
+		return idx
+	}
+	a, b := build(rng.Perm(heads)), build(rng.Perm(heads))
+
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	want = want[:maxSketch]
+	for _, idx := range []*PrefixIndex{a, b} {
+		if got := idx.AppendSketch(nil, maxSketch); !slices.Equal(got, want) {
+			t.Fatalf("sketch = %v\nwant the %d smallest heads %v", got, maxSketch, want)
+		}
+	}
+	// Appending keeps dst's prefix; a bound past the head count publishes
+	// every head.
+	if got := a.AppendSketch([]uint64{42}, 3); !slices.Equal(got, append([]uint64{42}, want[:3]...)) {
+		t.Fatalf("AppendSketch onto a prefix = %v", got)
+	}
+	if got := a.AppendSketch(nil, 2*heads); len(got) != heads || !slices.IsSorted(got) {
+		t.Fatalf("unbounded sketch: %d heads, sorted %v", len(got), slices.IsSorted(got))
+	}
+	if raceEnabled {
+		return // alloc counts are distorted by -race instrumentation
+	}
+	buf := make([]uint64, 0, maxSketch)
+	if allocs := testing.AllocsPerRun(20, func() { buf = a.AppendSketch(buf[:0], maxSketch) }); allocs != 0 {
+		t.Fatalf("AppendSketch into a sized buffer: %.1f allocs/op, want 0", allocs)
 	}
 }

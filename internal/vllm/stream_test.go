@@ -1,11 +1,13 @@
 package vllm
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/llm"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/vhttp"
@@ -327,5 +329,95 @@ func TestTokenTextMatchesSynthesize(t *testing.T) {
 		if b.String() != SynthesizeText(n) {
 			t.Fatalf("divergence at %d tokens", n)
 		}
+	}
+}
+
+// TestTokenTextWrapDoesNotAllocate: token text is a substring of the
+// synthesized words even where a token spans the wrap-around.
+func TestTokenTextWrapDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are distorted by -race instrumentation")
+	}
+	n := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		n++
+		_ = TokenText(n)
+	}); allocs != 0 {
+		t.Fatalf("TokenText: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestDeltaEncoderMatchesSSEEvent: the stream's direct event encoder writes
+// exactly the bytes SSEEvent(ChatChunk) would, for every token position
+// across two laps of the synthesized words and a model name JSON must
+// escape.
+func TestDeltaEncoderMatchesSSEEvent(t *testing.T) {
+	for _, model := range []string{llm.Scout.Name, `org/"quoted" <b>&amp;\tab\u2028`} {
+		enc := newDeltaEncoder("chatcmpl-req-7", model)
+		for n := 1; n <= 2*len(synthWords); n++ {
+			chunk := ChatChunk{
+				ID: "chatcmpl-req-7", Object: "chat.completion.chunk", Model: model,
+				Choices: []ChatChunkChoice{{Delta: ChatDelta{Content: TokenText(n)}}},
+			}
+			if n == 1 {
+				chunk.Choices[0].Delta.Role = "assistant"
+			}
+			want := SSEEvent(chunk)
+			got := enc.event(n)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("model %q token %d:\n got %q\nwant %q", model, n, got, want)
+			}
+			if len(got) != cap(got) {
+				t.Fatalf("token %d: event len %d cap %d, want an exact-size slice", n, len(got), cap(got))
+			}
+		}
+	}
+}
+
+// TestStreamTokenAllocBudget: a streamed token costs at most one heap
+// allocation from engine decode to the client's read (the event's bytes).
+// The engine step parks and wakes, the body stream queues and wakes its
+// reader, and the client hop passes the chunk through, all without
+// allocating. Per-request costs cancel in the difference between a
+// 2,001-token and a 1-token stream drained through vhttp.Client and the
+// APIServer. The budget carries 1% of slack: the long streams allocate
+// enough to run a GC cycle, which empties the sync.Pools that json and fmt
+// draw on, so a few per-request allocations recur.
+func TestStreamTokenAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are distorted by -race instrumentation")
+	}
+	se, net, _ := apiFixture(t)
+	drain := func(maxNew int) func() {
+		body, _ := json.Marshal(ChatRequest{
+			Messages:  []ChatMessage{{Role: "user", Content: "Count to a thousand."}},
+			MaxTokens: maxNew,
+			Stream:    true,
+		})
+		return func() {
+			se.Go("client", func(p *sim.Proc) {
+				c := vhttp.Client{Net: net}
+				resp, err := c.Do(p, &vhttp.Request{
+					Method: "POST", URL: "http://hops15:8000/v1/chat/completions", Body: body,
+				})
+				if err != nil || resp.Stream == nil {
+					t.Errorf("no stream: %v %+v", err, resp)
+					return
+				}
+				for {
+					if _, ok := resp.Stream.Next(p); !ok {
+						break
+					}
+				}
+			})
+			se.Run()
+		}
+	}
+	const extra = 2000
+	short := testing.AllocsPerRun(10, drain(1))
+	long := testing.AllocsPerRun(10, drain(1+extra))
+	if perToken := (long - short) / extra; perToken > 1.01 {
+		t.Fatalf("%.2f allocs per streamed token (1-token stream %.0f, %d-token %.0f), budget 1",
+			perToken, short, 1+extra, long)
 	}
 }
