@@ -219,7 +219,7 @@ func main() {
 				st.Requests, st.Retries, st.Rejected, st.Errors, gw.HealthyBackends(), len(gw.Backends()))
 			if slo, ok := gw.SLO(); ok {
 				fmt.Printf("# slo: p95 objective %s, %d batch sheds (breaker engaged: %v)\n",
-					slo.Target, slo.Sheds, slo.Engaged)
+					gw.SLOTargetP95, slo.Sheds, slo.Engaged)
 			}
 			if spills := gw.SessionSpills(); spills > 0 {
 				fmt.Printf("# session routing: %d saturation spills off the affine replica\n", spills)

@@ -239,7 +239,7 @@ func main() {
 		fmt.Printf("  %-18s sent %3d, shed %d (503 + Retry-After)\n", chat+"/batch", sent[chat+"/batch"], shed)
 		fmt.Printf("  %-18s sent %3d, failed %d\n", bulk, sent[bulk+"/"], failed[bulk+"/"])
 		fmt.Printf("  slo: objective %s, breaker sheds %d, p95 now %.1fs\n\n",
-			sloP95, slo.Sheds, slo.P95M/1000)
+			sloP95, slo.Sheds, slo.P95Millis/1000)
 
 		// End-of-run engine telemetry: what the gateway's typed probes saw
 		// last on each replica — the prefix-cache payoff of session

@@ -1,11 +1,12 @@
 // Package autoscale is the elastic replica controller: a control loop
 // (running as a sim.Proc) that watches a replica set's gateway load signals
-// — requests held at the gateway, per-replica queue depths scraped from
-// vLLM's /metrics, and EWMA-smoothed request rate and p95 latency (read
-// from the gateway's log-bucketed latency histogram, the same distribution
-// /gateway/metrics exposes) — and
-// resizes the deployment between MinReplicas and MaxReplicas, including
-// scale-to-zero with cold-start queuing at the gateway.
+// — requests held at the gateway, per-replica queue depths from each
+// replica's typed /telemetry snapshot, the request rate (the exact arrival
+// count since the previous tick) and the p95 latency (read from the
+// gateway's log-bucketed latency histogram, the same distribution
+// /gateway/metrics exposes), both EWMA-smoothed — and resizes the
+// deployment between MinReplicas and MaxReplicas, including scale-to-zero
+// with cold-start queuing at the gateway.
 //
 // The shape follows the related work: Chat AI (Doosthosseini et al.) spawns
 // and retires Slurm-backed LLM services with demand, and the CSCS Cray EX
@@ -130,7 +131,7 @@ type Scaler interface {
 }
 
 // Status is the controller's observable state, rendered into the gateway's
-// /gateway/status JSON.
+// /observe document as the model's "autoscale" entry.
 type Status struct {
 	Current    int     `json:"current"`
 	Target     int     `json:"target"`
@@ -173,7 +174,8 @@ type Autoscaler struct {
 	status       Status
 	rate         metrics.EWMA
 	p95          metrics.EWMA
-	prevRequests int // gateway request counter at the previous tick
+	prevRequests int       // gateway request counter at the previous tick
+	prevTick     time.Time // when prevRequests was sampled
 	idleSince    time.Time
 	lastUp       time.Time
 	lastDown     time.Time
@@ -198,7 +200,7 @@ func (a *Autoscaler) Start(eng *sim.Engine) error {
 	a.pol = a.Policy.WithDefaults()
 	a.rate.Halflife = a.pol.RateHalflife
 	a.p95.Halflife = a.pol.RateHalflife
-	a.prevRequests = a.Gateway.Stats().Requests
+	a.prevRequests, a.prevTick = a.Gateway.Stats().Requests, eng.Now()
 	a.started = true
 	eng.Go("autoscale-"+a.Name, func(p *sim.Proc) {
 		for !a.stopped {
@@ -224,14 +226,16 @@ func (a *Autoscaler) tick(p *sim.Proc) {
 	cur := a.Scaler.CurrentReplicas()
 	load := a.Gateway.Load()
 	holding := a.Gateway.Holding()
-	rate := a.rate.Observe(now, a.Gateway.RequestRate(now))
 	p95 := a.p95.Observe(now, float64(a.Gateway.LatencyQuantile(now, 0.95))/float64(time.Millisecond))
-	// Idleness is judged on exact arrival counts, not the smoothed rate: an
-	// EWMA of a windowed rate takes many halflives to decay below any
-	// threshold, which would push scale-to-zero far past ScaleToZeroAfter.
+	// The rate is the exact arrival count since the previous sample over
+	// the time elapsed (longer than Interval after a blocking ScaleTo).
+	// Idleness is judged on the count itself, not the smoothed rate, which
+	// takes many halflives to decay below any threshold and would push
+	// scale-to-zero far past ScaleToZeroAfter.
 	reqs := a.Gateway.Stats().Requests
 	newArrivals := reqs - a.prevRequests
-	a.prevRequests = reqs
+	rate := a.rate.Observe(now, float64(newArrivals)/now.Sub(a.prevTick).Seconds())
+	a.prevRequests, a.prevTick = reqs, now
 
 	// The objective counts as breached while the smoothed p95 is past it OR
 	// the gateway's admission breaker is actively shedding: shed traffic

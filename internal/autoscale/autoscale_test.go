@@ -126,6 +126,30 @@ func TestPolicyDefaults(t *testing.T) {
 	}
 }
 
+// TestRateIsTheArrivalCountSinceTheLastTick: the reported request rate
+// is the exact arrival count since the previous tick over the time
+// elapsed, so a steady 10 req/s load reads 10 req/s at the first tick
+// rather than a count diluted over a window the load has not yet filled.
+func TestRateIsTheArrivalCountSinceTheLastTick(t *testing.T) {
+	pol := Policy{MinReplicas: 1, MaxReplicas: 2} // default 30 s interval
+	eng, net, _, _, as := fixture(t, pol, 1)
+	eng.Go("steady-load", func(p *sim.Proc) {
+		// Half a period off the tick grid, so no arrival lands on a tick.
+		p.Sleep(50 * time.Millisecond)
+		for i := 0; i < 310; i++ {
+			eng.Go("request", func(rp *sim.Proc) {
+				c := &vhttp.Client{Net: net, From: "user"}
+				c.Get(rp, "http://gw:8000/v1/chat/completions")
+			})
+			p.Sleep(100 * time.Millisecond)
+		}
+	})
+	eng.RunFor(pol.WithDefaults().Interval + time.Second)
+	if got := as.Status().RatePerSec; got < 9.9 || got > 10.1 {
+		t.Fatalf("rate after the first tick = %.3f req/s, want 10 ± 1%%", got)
+	}
+}
+
 func TestScaleUpOnQueueDepth(t *testing.T) {
 	pol := Policy{MinReplicas: 1, MaxReplicas: 4, TargetQueueDepth: 8, Interval: 10 * time.Second}
 	eng, _, _, sc, as := fixture(t, pol, 1)

@@ -3,6 +3,7 @@ package ingress
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"strconv"
 	"time"
 
@@ -69,9 +70,7 @@ type Backend struct {
 	inflight int // requests the gateway currently has outstanding here
 	// snap is the replica's typed engine snapshot from the last probe —
 	// the structured load signal that replaced the Prometheus text scrape.
-	snap    telemetry.Snapshot
-	waiting int // snap.Waiting at the last scrape
-	running int // snap.Running at the last scrape
+	snap telemetry.Snapshot
 	// scrapeInflight records inflight at the last scrape: requests the
 	// gateway already had outstanding then are part of the scraped queue
 	// depths, so admission must not count them twice.
@@ -92,22 +91,18 @@ func (b *Backend) Draining() bool { return b.draining }
 // Requests returns how many requests the gateway has sent this backend.
 func (b *Backend) Requests() int { return b.requests }
 
-// QueueDepth returns the waiting/running depths from the last telemetry
-// scrape.
-func (b *Backend) QueueDepth() (waiting, running int) { return b.waiting, b.running }
-
 // Telemetry returns the replica's last typed engine snapshot (the zero
 // value before the first successful probe).
 func (b *Backend) Telemetry() telemetry.Snapshot { return b.snap }
 
 // load is the least-loaded routing score.
-func (b *Backend) load() int { return b.inflight + b.waiting + b.running }
+func (b *Backend) load() int { return b.inflight + b.snap.Waiting + b.snap.Running }
 
 // queueEstimate is the backend's current demand: the scraped queue depths
 // plus requests forwarded since that scrape (inflight growth), without
 // double-counting requests that were already queued when scraped.
 func (b *Backend) queueEstimate() int {
-	est := b.waiting + b.running + b.inflight - b.scrapeInflight
+	est := b.snap.Waiting + b.snap.Running + b.inflight - b.scrapeInflight
 	if est < 0 {
 		est = 0
 	}
@@ -132,7 +127,7 @@ func (v backendView) Score() int { return v.b.load() }
 // below its scrape-time level, and a negative pressure would make the
 // replica look emptier than idle to admission and spill decisions.
 func (v backendView) Pressure() int {
-	p := v.b.waiting + v.b.inflight - v.b.scrapeInflight
+	p := v.b.snap.Waiting + v.b.inflight - v.b.scrapeInflight
 	if p < 0 {
 		p = 0
 	}
@@ -141,29 +136,6 @@ func (v backendView) Pressure() int {
 
 // Telemetry implements sched.Backend.
 func (v backendView) Telemetry() telemetry.Snapshot { return v.b.snap }
-
-// GatewayStats counts gateway-level outcomes.
-type GatewayStats struct {
-	Requests int // forwarded client requests (excludes health/status)
-	Retries  int // second attempts after a first-choice replica failed
-	Rejected int // 503s from admission control (queue-depth and SLO sheds)
-	Errors   int // requests that failed on every attempted replica
-	Held     int // requests queued at the gateway waiting for a replica (cold start)
-
-	Streams          int // streamed (SSE) responses proxied through unbuffered
-	StreamsTruncated int // streams whose replica died mid-body (no retry: first byte was out)
-
-	Warmups int // async prefix warm-up submits fired after spills and drains
-}
-
-// SLOStatus is the SLO admission breaker's observable state.
-type SLOStatus struct {
-	Target  time.Duration `json:"-"`
-	TargetM float64       `json:"target_ms"`
-	P95M    float64       `json:"p95_ms"`
-	Engaged bool          `json:"engaged"`
-	Sheds   int           `json:"sheds"`
-}
 
 // Gateway is the load-balancing front door for a replica set: one virtual
 // endpoint that routes across healthy replicas, health-checks them, retries
@@ -249,8 +221,9 @@ type Gateway struct {
 	// before giving up with 503 (default 30 minutes — a replica cold start
 	// is dominated by weight loading).
 	ColdStartWait time.Duration
-	// AutoscaleStatus, when non-nil, is rendered into /gateway/status under
-	// "autoscale" so operators can observe the controller's current target.
+	// AutoscaleStatus, when non-nil, is rendered into the /observe document
+	// (also served on /gateway/status) as the model's "autoscale" entry, so
+	// operators can observe the controller's current target.
 	AutoscaleStatus func() any
 	// Tracer is the per-gateway trace recorder (created on first use when
 	// nil). Requests carrying an X-Trace-Id header are always traced;
@@ -265,11 +238,10 @@ type Gateway struct {
 
 	eng      *sim.Engine
 	backends []*Backend
-	stats    GatewayStats
-	// shedByClass counts admission rejections per priority class name.
-	// Kept out of GatewayStats so that struct stays comparable.
-	shedByClass map[string]int
-	holdq       sched.Queue // requests parked waiting for a routable replica
+	// stats holds the outcome counters the gateway increments itself;
+	// Stats adds the picker-owned spill and sketch-route counts.
+	stats telemetry.GatewayCounters
+	holdq sched.Queue // requests parked waiting for a routable replica
 	// client is the pooled transport shared by the probe loop and every
 	// forward; vhttp.Client carries no per-request state, so one instance
 	// replaces the old per-call allocation.
@@ -294,7 +266,6 @@ type Gateway struct {
 	// on its new owner before the next turn arrives (bounded LRU).
 	notes sessionNotes
 
-	arrivals metrics.Rolling // client request arrival times
 	// latencies is the log-bucketed histogram of completed request
 	// latencies (ms). The SLO breaker's p95 and the operator-facing
 	// /gateway/metrics exposition read the same distribution, so a breach
@@ -360,8 +331,15 @@ func (g *Gateway) wakeHeld() {
 // Backends lists registered backends (draining ones included until detach).
 func (g *Gateway) Backends() []*Backend { return append([]*Backend(nil), g.backends...) }
 
-// Stats returns a snapshot of gateway counters.
-func (g *Gateway) Stats() GatewayStats { return g.stats }
+// Stats returns a snapshot of the gateway's outcome counters — the
+// "counters" entry of its /observe document.
+func (g *Gateway) Stats() telemetry.GatewayCounters {
+	st := g.stats
+	st.SessionSpills = g.SessionSpills()
+	st.SketchRoutes = g.SketchRoutes()
+	st.ShedByClass = maps.Clone(g.stats.ShedByClass)
+	return st
+}
 
 // Holding reports how many requests are currently queued at the gateway
 // waiting for a replica (cold start).
@@ -369,15 +347,13 @@ func (g *Gateway) Holding() int { return g.holdq.Len() }
 
 // SLO reports the SLO admission breaker's state; ok is false when no
 // SLOTargetP95 is configured.
-func (g *Gateway) SLO() (st SLOStatus, ok bool) {
+func (g *Gateway) SLO() (st telemetry.SLOState, ok bool) {
 	if g.SLOTargetP95 <= 0 {
-		return SLOStatus{}, false
+		return st, false
 	}
-	now := g.eng.Now()
-	st = SLOStatus{
-		Target:  g.SLOTargetP95,
-		TargetM: float64(g.SLOTargetP95) / float64(time.Millisecond),
-		P95M:    float64(g.LatencyQuantile(now, 0.95)) / float64(time.Millisecond),
+	st = telemetry.SLOState{
+		TargetMillis: float64(g.SLOTargetP95) / float64(time.Millisecond),
+		P95Millis:    float64(g.LatencyQuantile(g.eng.Now(), 0.95)) / float64(time.Millisecond),
 	}
 	if g.slo != nil {
 		st.Engaged = g.slo.Engaged()
@@ -439,12 +415,8 @@ func (g *Gateway) Load() int {
 	return total
 }
 
-// RequestRate returns client request arrivals per second over the trailing
-// rolling window (5 minutes).
-func (g *Gateway) RequestRate(now time.Time) float64 { return g.arrivals.PerSecond(now) }
-
 // LatencyQuantile returns the q-quantile of completed request latencies
-// over the trailing rolling window.
+// over the histogram's trailing window (5 minutes).
 func (g *Gateway) LatencyQuantile(now time.Time, q float64) time.Duration {
 	return time.Duration(g.latencies.Quantile(now, q) * float64(time.Millisecond))
 }
@@ -529,7 +501,6 @@ func (g *Gateway) probe(p *sim.Proc, b *Backend) {
 	if tresp, err := client.Get(p, b.URL()+telemetry.Path); err == nil && tresp.Status == 200 {
 		if snap, derr := telemetry.Decode(tresp.Body); derr == nil {
 			b.snap = snap
-			b.waiting, b.running = snap.Waiting, snap.Running
 			b.scrapeInflight = b.inflight
 		}
 	}
@@ -869,13 +840,12 @@ func (g *Gateway) control(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 			return vhttp.Text(200, "ok")
 		}
 		return vhttp.Text(503, "unhealthy: no healthy replicas")
-	case "/gateway/status":
-		return g.status()
 	case "/gateway/metrics":
 		return vhttp.Text(200, g.instruments().Render(p.Now()))
-	case telemetry.ObservePath:
+	case telemetry.ObservePath, "/gateway/status":
 		// Single-model fleet snapshot: the same document the router
-		// merges across models, scoped to this replica set.
+		// merges across models, scoped to this replica set. The status
+		// path stays for operators and scripts that predate /observe.
 		f := telemetry.FleetSnapshot{
 			CapturedAt: p.Now(),
 			Models:     []telemetry.ModelObservation{g.Observe(p.Now())},
@@ -962,25 +932,8 @@ func (g *Gateway) Observe(now time.Time) telemetry.ModelObservation {
 		Serviceable:     g.Serviceable(),
 		HealthyBackends: g.HealthyBackends(),
 		Holding:         g.holdq.Len(),
-		Counters: telemetry.GatewayCounters{
-			Requests:         g.stats.Requests,
-			Retries:          g.stats.Retries,
-			Rejected:         g.stats.Rejected,
-			Errors:           g.stats.Errors,
-			Held:             g.stats.Held,
-			Streams:          g.stats.Streams,
-			StreamsTruncated: g.stats.StreamsTruncated,
-			SessionSpills:    g.SessionSpills(),
-			SketchRoutes:     g.SketchRoutes(),
-			Warmups:          g.stats.Warmups,
-		},
-		Replicas: make([]telemetry.ReplicaHealth, 0, len(g.backends)),
-	}
-	if len(g.shedByClass) > 0 {
-		obs.Counters.ShedByClass = make(map[string]int, len(g.shedByClass))
-		for k, v := range g.shedByClass {
-			obs.Counters.ShedByClass[k] = v
-		}
+		Counters:        g.Stats(),
+		Replicas:        make([]telemetry.ReplicaHealth, 0, len(g.backends)),
 	}
 	if g.latencies.Count() > 0 {
 		obs.LatencyMillis = map[string]float64{
@@ -990,10 +943,7 @@ func (g *Gateway) Observe(now time.Time) telemetry.ModelObservation {
 		}
 	}
 	if slo, ok := g.SLO(); ok {
-		obs.SLO = &telemetry.SLOState{
-			TargetMillis: slo.TargetM, P95Millis: slo.P95M,
-			Engaged: slo.Engaged, Sheds: slo.Sheds,
-		}
+		obs.SLO = &slo
 	}
 	if g.Tracer != nil {
 		total, sampled := g.Tracer.Counts()
@@ -1023,7 +973,6 @@ func (g *Gateway) Observe(now time.Time) telemetry.ModelObservation {
 // admission, pick (holding through cold starts), forward, one retry.
 func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) *vhttp.Response {
 	g.stats.Requests++
-	g.arrivals.Observe(p.Now(), 1)
 	start := p.Now()
 	tr := g.startTrace(req, &sreq, start)
 	if sreq.PrefixKey == 0 && g.Policy == PolicyPrefix && g.Picker == nil && req.Path == chatPath {
@@ -1210,86 +1159,10 @@ func (g *Gateway) abortTrace(tr *trace.Trace, now time.Time, msg string) {
 
 // noteShed counts one admission rejection against the request's class.
 func (g *Gateway) noteShed(c sched.Class) {
-	if g.shedByClass == nil {
-		g.shedByClass = make(map[string]int, 2)
+	if g.stats.ShedByClass == nil {
+		g.stats.ShedByClass = make(map[string]int, 2)
 	}
-	g.shedByClass[c.String()]++
-}
-
-// status renders the control-plane view of the replica set.
-func (g *Gateway) status() *vhttp.Response {
-	type backendStatus struct {
-		Name     string  `json:"name"`
-		URL      string  `json:"url"`
-		Healthy  bool    `json:"healthy"`
-		Draining bool    `json:"draining"`
-		Inflight int     `json:"inflight"`
-		Waiting  int     `json:"waiting"`
-		Running  int     `json:"running"`
-		Requests int     `json:"requests"`
-		Failures int     `json:"failures"`
-		KVUsage  float64 `json:"kv_usage,omitempty"`
-		HitRate  float64 `json:"prefix_hit_rate,omitempty"`
-		// WindowHitRate is the prefix hit rate over the engine's trailing
-		// window — the freshness-weighted signal cache-aware placement
-		// consults (the cumulative HitRate above chases hours-old history).
-		WindowHitRate float64 `json:"window_prefix_hit_rate,omitempty"`
-		// Host-tier (CPU offload) occupancy and cumulative block movement
-		// from the last telemetry scrape; all zero without a tier.
-		HostBlocksUsed  int   `json:"kv_host_blocks_used,omitempty"`
-		HostBlocksTotal int   `json:"kv_host_blocks_total,omitempty"`
-		TierDemotions   int64 `json:"tier_demotions,omitempty"`
-		TierPromotions  int64 `json:"tier_promotions,omitempty"`
-		// Engine deadline-scheduler state from the last telemetry scrape:
-		// who is waiting, and the cumulative miss/preempt/resume counters.
-		WaitingByClass map[string]int `json:"waiting_by_class,omitempty"`
-		DeadlineMisses int64          `json:"deadline_misses,omitempty"`
-		Preemptions    int64          `json:"preemptions,omitempty"`
-		Resumes        int64          `json:"resumes,omitempty"`
-		// SnapAgeMS is the telemetry snapshot's staleness (-1: never
-		// scraped) — the signal consumers use to discount stale replicas.
-		SnapAgeMS float64 `json:"snapshot_age_ms"`
-	}
-	out := struct {
-		Model     string          `json:"model,omitempty"`
-		Policy    Policy          `json:"policy"`
-		Stats     GatewayStats    `json:"stats"`
-		Shed      map[string]int  `json:"shed_by_class,omitempty"`
-		Holding   int             `json:"holding"`
-		SLO       *SLOStatus      `json:"slo,omitempty"`
-		Spills    int             `json:"session_spills,omitempty"`
-		Sketch    int             `json:"sketch_routes,omitempty"`
-		Backends  []backendStatus `json:"backends"`
-		Autoscale any             `json:"autoscale,omitempty"`
-	}{Model: g.Model, Policy: g.Policy, Stats: g.stats, Shed: g.shedByClass, Holding: g.holdq.Len(),
-		Spills: g.SessionSpills(), Sketch: g.SketchRoutes()}
-	if slo, ok := g.SLO(); ok {
-		out.SLO = &slo
-	}
-	now := g.eng.Now()
-	for _, b := range g.backends {
-		out.Backends = append(out.Backends, backendStatus{
-			Name: b.Name, URL: b.URL(), Healthy: b.healthy, Draining: b.draining,
-			Inflight: b.inflight, Waiting: b.waiting, Running: b.running,
-			Requests: b.requests, Failures: b.failures,
-			KVUsage: b.snap.KVUsage(), HitRate: b.snap.PrefixHitRate(),
-			WindowHitRate:   b.snap.WindowPrefixHitRate(),
-			HostBlocksUsed:  b.snap.KVHostBlocksUsed,
-			HostBlocksTotal: b.snap.KVHostBlocksTotal,
-			TierDemotions:   b.snap.TierDemotions,
-			TierPromotions:  b.snap.TierPromotions,
-			WaitingByClass:  b.snap.WaitingByClass,
-			DeadlineMisses:  b.snap.DeadlineMisses,
-			Preemptions:     b.snap.Preemptions,
-			Resumes:         b.snap.Resumes,
-			SnapAgeMS:       b.snap.AgeMillis(now),
-		})
-	}
-	if g.AutoscaleStatus != nil {
-		out.Autoscale = g.AutoscaleStatus()
-	}
-	body, _ := json.Marshal(out)
-	return vhttp.JSON(200, body)
+	g.stats.ShedByClass[c.String()]++
 }
 
 var _ vhttp.Service = (*Gateway)(nil)

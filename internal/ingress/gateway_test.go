@@ -398,9 +398,6 @@ func TestGatewayLoadAndRateSignals(t *testing.T) {
 	if load := gw.Load(); load != 6 {
 		t.Fatalf("Load = %d, want 6 (scraped waiting, no inflight)", load)
 	}
-	if rate := gw.RequestRate(eng.Now()); rate <= 0 {
-		t.Fatalf("request rate = %v, want > 0", rate)
-	}
 	if lat := gw.LatencyQuantile(eng.Now(), 0.95); lat < 0 {
 		t.Fatalf("latency quantile = %v", lat)
 	}

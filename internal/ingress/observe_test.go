@@ -1,6 +1,7 @@
 package ingress
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -184,4 +185,86 @@ func TestObserveSnapshotStaleness(t *testing.T) {
 	if got := chat.Replicas[0].SnapshotAgeMillis; got != -1 {
 		t.Fatalf("snapshot age = %g, want -1 for a snapshot with no capture time", got)
 	}
+}
+
+// serveTwice reads two paths from one service in a single proc, so both
+// documents are rendered at the same virtual instant.
+func serveTwice(eng *sim.Engine, svc vhttp.Service, a, b string) (ra, rb *vhttp.Response) {
+	eng.Go("status-reader", func(p *sim.Proc) {
+		ra = svc.Serve(p, &vhttp.Request{Method: "GET", Path: a})
+		rb = svc.Serve(p, &vhttp.Request{Method: "GET", Path: b})
+	})
+	eng.RunFor(time.Second)
+	return ra, rb
+}
+
+// TestStatusPathsServeTheObserveDocument: /gateway/status and
+// /router/status are the operator-facing names of their endpoint's
+// /observe document, so reads of both at one virtual instant are
+// byte-identical — counters, shed map, SLO state, per-replica snapshots,
+// autoscale and pool documents included.
+func TestStatusPathsServeTheObserveDocument(t *testing.T) {
+	t.Run("gateway", func(t *testing.T) {
+		a := &replica{name: "a", up: true, waiting: 3, latency: 40 * time.Millisecond}
+		b := &replica{name: "b", up: true, latency: 40 * time.Millisecond}
+		eng, net, gw := newGateway(t, PolicyLeastLoaded, a, b)
+		gw.SLOTargetP95 = time.Second
+		gw.MaxWaiting = 2
+		gw.AutoscaleStatus = func() any { return map[string]int{"target": 2} }
+		for i := 0; i < 4; i++ {
+			if i == 2 {
+				b.waiting = 3 // both replicas past MaxWaiting: the rest shed
+				eng.RunFor(10 * time.Second)
+			}
+			get(eng, net, "user", "http://gw:8000/v1/chat/completions")
+		}
+		status, observe := serveTwice(eng, gw, "/gateway/status", telemetry.ObservePath)
+		if status.Status != 200 || observe.Status != 200 {
+			t.Fatalf("status %d, observe %d, want 200 from both", status.Status, observe.Status)
+		}
+		if !bytes.Equal(status.Body, observe.Body) {
+			t.Fatalf("/gateway/status differs from /observe:\n%s\n%s", status.Body, observe.Body)
+		}
+		f, err := telemetry.DecodeFleet(status.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Models) != 1 {
+			t.Fatalf("status document = %s", status.Body)
+		}
+		m := f.Models[0]
+		if m.Counters.Requests != 4 || m.Counters.ShedByClass["interactive"] != 2 || m.SLO == nil ||
+			m.LatencyMillis["p95"] <= 0 || len(m.Replicas) != 2 || m.Replicas[0].Snapshot.Waiting != 3 {
+			t.Fatalf("status document = %s", status.Body)
+		}
+	})
+	t.Run("router", func(t *testing.T) {
+		eng, net := newNet(t)
+		r := newRouter(t, eng, net, map[string][]*replica{
+			"chat": {{name: "c0", up: true}, {name: "c1", up: true}},
+			"code": {{name: "k0", up: true}},
+		})
+		r.PoolStatus = func() any { return map[string]int{"capacity_nodes": 4} }
+		eng.Go("client", func(p *sim.Proc) {
+			c := &vhttp.Client{Net: net, From: "user"}
+			for _, body := range []string{`{"model":"chat"}`, `{"model":"code"}`, `{"model":"nope"}`} {
+				c.Do(p, &vhttp.Request{Method: "POST", URL: r.Endpoint() + "/v1/chat/completions", Body: []byte(body)})
+			}
+		})
+		eng.RunFor(time.Second)
+		status, observe := serveTwice(eng, r, "/router/status", telemetry.ObservePath)
+		if status.Status != 200 || observe.Status != 200 {
+			t.Fatalf("status %d, observe %d, want 200 from both", status.Status, observe.Status)
+		}
+		if !bytes.Equal(status.Body, observe.Body) {
+			t.Fatalf("/router/status differs from /observe:\n%s\n%s", status.Body, observe.Body)
+		}
+		f, err := telemetry.DecodeFleet(status.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Router == nil || f.Router.Requests != 2 || f.Router.Unknown != 1 || len(f.Models) != 2 || len(f.Pool) == 0 {
+			t.Fatalf("status document = %s", status.Body)
+		}
+	})
 }

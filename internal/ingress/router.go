@@ -13,13 +13,6 @@ import (
 	"repro/internal/vllm"
 )
 
-// RouterStats counts router-level outcomes. Per-model forwarding outcomes
-// (retries, sheds, holds) live in each model's GatewayStats.
-type RouterStats struct {
-	Requests int // model-routed client requests dispatched to a gateway
-	Unknown  int // requests naming an unknown (or no) model, answered 404
-}
-
 // Router is the multi-model front door: one OpenAI-compatible endpoint
 // fronting N named model deployments, each a replica set behind its own
 // (unbound) Gateway. It inspects the `model` field of /v1/chat/completions
@@ -34,12 +27,13 @@ type Router struct {
 	Host string
 	Port int
 	// PoolStatus, when non-nil, renders the shared-capacity arbiter's view
-	// into /router/status under "pool".
+	// into the /observe document (also served on /router/status) under
+	// "pool".
 	PoolStatus func() any
 
 	routes  []*modelRoute // registration order (deterministic rendering)
 	byModel map[string]*modelRoute
-	stats   RouterStats
+	stats   telemetry.RouterCounters
 	started bool
 	stopped bool
 }
@@ -104,8 +98,9 @@ func (r *Router) Models() []string {
 	return out
 }
 
-// Stats returns a snapshot of router counters.
-func (r *Router) Stats() RouterStats { return r.stats }
+// Stats returns a snapshot of router counters. Per-model forwarding
+// outcomes (retries, sheds, holds) live in each model's Gateway.Stats.
+func (r *Router) Stats() telemetry.RouterCounters { return r.stats }
 
 // Endpoint is the single base URL clients target for every model.
 func (r *Router) Endpoint() string { return fmt.Sprintf("http://%s:%d", r.Host, r.Port) }
@@ -159,9 +154,9 @@ func (r *Router) Serve(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 			}
 		}
 		return vhttp.Text(503, "unhealthy: no model serviceable")
-	case "/router/status":
-		return r.status()
-	case telemetry.ObservePath:
+	case telemetry.ObservePath, "/router/status":
+		// The status path stays for operators and scripts that predate
+		// /observe; it serves the same document.
 		return r.observe(p.Now())
 	case trace.Path:
 		return r.traces(req)
@@ -215,7 +210,7 @@ func (r *Router) Serve(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 func (r *Router) observe(now time.Time) *vhttp.Response {
 	f := telemetry.FleetSnapshot{
 		CapturedAt: now,
-		Router:     &telemetry.RouterCounters{Requests: r.stats.Requests, Unknown: r.stats.Unknown},
+		Router:     &r.stats,
 		Models:     make([]telemetry.ModelObservation, 0, len(r.routes)),
 	}
 	for _, rt := range r.routes {
@@ -249,41 +244,6 @@ func (r *Router) traces(req *vhttp.Request) *vhttp.Response {
 	for _, rt := range r.routes {
 		resp := rt.gw.traces(req)
 		out[rt.model] = resp.Body
-	}
-	body, _ := json.Marshal(out)
-	return vhttp.JSON(200, body)
-}
-
-// status renders the control-plane view of the whole fleet.
-func (r *Router) status() *vhttp.Response {
-	type modelStatus struct {
-		Model       string       `json:"model"`
-		Healthy     int          `json:"healthy_backends"`
-		Serviceable bool         `json:"serviceable"`
-		Holding     int          `json:"holding"`
-		Stats       GatewayStats `json:"stats"`
-		Autoscale   any          `json:"autoscale,omitempty"`
-	}
-	out := struct {
-		Stats  RouterStats   `json:"stats"`
-		Models []modelStatus `json:"models"`
-		Pool   any           `json:"pool,omitempty"`
-	}{Stats: r.stats}
-	for _, rt := range r.routes {
-		ms := modelStatus{
-			Model:       rt.model,
-			Healthy:     rt.gw.HealthyBackends(),
-			Serviceable: rt.gw.Serviceable(),
-			Holding:     rt.gw.Holding(),
-			Stats:       rt.gw.Stats(),
-		}
-		if rt.gw.AutoscaleStatus != nil {
-			ms.Autoscale = rt.gw.AutoscaleStatus()
-		}
-		out.Models = append(out.Models, ms)
-	}
-	if r.PoolStatus != nil {
-		out.Pool = r.PoolStatus()
 	}
 	body, _ := json.Marshal(out)
 	return vhttp.JSON(200, body)

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -49,85 +48,3 @@ func (e *EWMA) Value() float64 { return e.val }
 
 // Initialized reports whether at least one observation has been folded in.
 func (e *EWMA) Initialized() bool { return e.set }
-
-type rollSample struct {
-	t time.Time
-	v float64
-}
-
-// Rolling is a rolling-window sample buffer over virtual time: it answers
-// event rate and value quantiles over the trailing window. Used by the
-// gateway for request-rate and tail-latency signals, and standalone for
-// bench reporting.
-type Rolling struct {
-	// Window is the trailing span samples are retained for (default 5 minutes).
-	Window time.Duration
-
-	samples []rollSample
-}
-
-func (r *Rolling) window() time.Duration {
-	if r.Window <= 0 {
-		return 5 * time.Minute
-	}
-	return r.Window
-}
-
-// Observe records sample v at time now. Observations must be non-decreasing
-// in time (virtual clocks only move forward).
-func (r *Rolling) Observe(now time.Time, v float64) {
-	r.prune(now)
-	r.samples = append(r.samples, rollSample{t: now, v: v})
-}
-
-// prune drops samples older than the window.
-func (r *Rolling) prune(now time.Time) {
-	cut := now.Add(-r.window())
-	i := 0
-	for i < len(r.samples) && !r.samples[i].t.After(cut) {
-		i++
-	}
-	if i > 0 {
-		r.samples = append(r.samples[:0], r.samples[i:]...)
-	}
-}
-
-// N returns the number of samples inside the window at time now.
-func (r *Rolling) N(now time.Time) int {
-	r.prune(now)
-	return len(r.samples)
-}
-
-// PerSecond returns the observation rate (events per second) over the window.
-func (r *Rolling) PerSecond(now time.Time) float64 {
-	r.prune(now)
-	return float64(len(r.samples)) / r.window().Seconds()
-}
-
-// Quantile returns the q-quantile of the windowed sample values by linear
-// interpolation (0 for an empty window).
-func (r *Rolling) Quantile(now time.Time, q float64) float64 {
-	r.prune(now)
-	if len(r.samples) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(r.samples))
-	for i, s := range r.samples {
-		vals[i] = s.v
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	pos := q * float64(len(vals)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return vals[lo]
-	}
-	frac := pos - float64(lo)
-	return vals[lo]*(1-frac) + vals[hi]*frac
-}

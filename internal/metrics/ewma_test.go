@@ -46,56 +46,3 @@ func TestEWMAConvergesTowardConstantInput(t *testing.T) {
 		t.Fatalf("EWMA = %v, want near 100 after sustained input", e.Value())
 	}
 }
-
-func TestRollingRateAndPruning(t *testing.T) {
-	r := Rolling{Window: time.Minute}
-	for i := 0; i < 30; i++ {
-		r.Observe(t0.Add(time.Duration(i)*2*time.Second), 1)
-	}
-	now := t0.Add(58 * time.Second)
-	if n := r.N(now); n != 30 {
-		t.Fatalf("N = %d, want 30", n)
-	}
-	if got := r.PerSecond(now); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("rate = %v, want 0.5/s", got)
-	}
-	// An hour later everything has aged out.
-	if n := r.N(t0.Add(time.Hour)); n != 0 {
-		t.Fatalf("N after window = %d, want 0", n)
-	}
-	if got := r.PerSecond(t0.Add(time.Hour)); got != 0 {
-		t.Fatalf("rate after window = %v, want 0", got)
-	}
-}
-
-func TestRollingQuantile(t *testing.T) {
-	r := Rolling{Window: time.Minute}
-	for i := 1; i <= 100; i++ {
-		r.Observe(t0, float64(i))
-	}
-	now := t0.Add(time.Second)
-	if got := r.Quantile(now, 0.5); math.Abs(got-50.5) > 1e-9 {
-		t.Fatalf("median = %v, want 50.5", got)
-	}
-	if got := r.Quantile(now, 1); got != 100 {
-		t.Fatalf("max = %v, want 100", got)
-	}
-	if got := r.Quantile(now, 0); got != 1 {
-		t.Fatalf("min = %v, want 1", got)
-	}
-	var empty Rolling
-	if got := empty.Quantile(t0, 0.95); got != 0 {
-		t.Fatalf("empty quantile = %v, want 0", got)
-	}
-}
-
-func TestRollingQuantileForgetsOldSamples(t *testing.T) {
-	r := Rolling{Window: time.Minute}
-	r.Observe(t0, 1000) // a cold-start latency spike
-	for i := 0; i < 10; i++ {
-		r.Observe(t0.Add(2*time.Minute+time.Duration(i)*time.Second), 10)
-	}
-	if got := r.Quantile(t0.Add(3*time.Minute), 0.95); got != 10 {
-		t.Fatalf("p95 = %v, want 10 once the spike aged out", got)
-	}
-}

@@ -35,7 +35,7 @@ type Histogram struct {
 	// Buckets is the number of finite buckets (default 112).
 	Buckets int
 	// MaxAge is the trailing window Quantile answers over (default 5
-	// minutes, matching the Rolling window it replaces).
+	// minutes).
 	MaxAge time.Duration
 	// AgeBuckets is the rotation granularity of the window (default 5):
 	// observations expire in MaxAge/AgeBuckets steps.
@@ -46,9 +46,8 @@ type Histogram struct {
 	count   uint64
 	sum     float64
 	ring    [][]uint64 // per-age-slot counts, same layout as cum
-	ringIdx int
-	slotEnd time.Time // virtual time the current age slot closes
-	scratch []uint64  // reused merge buffer for Quantile
+	age     ageClock
+	scratch []uint64 // reused merge buffer for Quantile
 }
 
 func (h *Histogram) lazyInit(now time.Time) {
@@ -82,32 +81,12 @@ func (h *Histogram) lazyInit(now time.Time) {
 		h.ring[i] = make([]uint64, h.Buckets+1)
 	}
 	h.scratch = make([]uint64, h.Buckets+1)
-	h.slotEnd = now.Add(h.MaxAge / time.Duration(h.AgeBuckets))
+	h.age.end = now.Add(h.MaxAge / time.Duration(h.AgeBuckets))
 }
 
 // rotate retires age slots that have aged out at time now.
 func (h *Histogram) rotate(now time.Time) {
-	slot := h.MaxAge / time.Duration(h.AgeBuckets)
-	for !now.Before(h.slotEnd) {
-		h.ringIdx = (h.ringIdx + 1) % len(h.ring)
-		clearCounts(h.ring[h.ringIdx])
-		h.slotEnd = h.slotEnd.Add(slot)
-		// A long idle gap: everything expired, jump the slot clock
-		// forward instead of spinning through the gap slot by slot.
-		if now.Sub(h.slotEnd) > h.MaxAge {
-			for i := range h.ring {
-				clearCounts(h.ring[i])
-			}
-			h.slotEnd = now.Add(slot)
-			return
-		}
-	}
-}
-
-func clearCounts(c []uint64) {
-	for i := range c {
-		c[i] = 0
-	}
+	h.age.rotate(now, h.MaxAge, len(h.ring), func(i int) { clear(h.ring[i]) })
 }
 
 // bucketIdx maps a value to its bucket (the last index is +Inf).
@@ -134,7 +113,7 @@ func (h *Histogram) Observe(now time.Time, v float64) {
 	h.cum[i]++
 	h.count++
 	h.sum += v
-	h.ring[h.ringIdx][i]++
+	h.ring[h.age.cur][i]++
 }
 
 // Count returns the all-time observation count.
@@ -169,7 +148,7 @@ func (h *Histogram) Quantile(now time.Time, q float64) float64 {
 	}
 	h.rotate(now)
 	merged := h.scratch
-	clearCounts(merged)
+	clear(merged)
 	var total uint64
 	for _, slot := range h.ring {
 		for i, c := range slot {

@@ -21,10 +21,9 @@ type WindowCounter struct {
 	// MaxAge/Slots steps.
 	Slots int
 
-	ring    []uint64
-	ringIdx int
-	slotEnd time.Time
-	all     uint64
+	ring []uint64
+	age  ageClock
+	all  uint64
 }
 
 func (w *WindowCounter) lazyInit(now time.Time) {
@@ -38,33 +37,19 @@ func (w *WindowCounter) lazyInit(now time.Time) {
 		w.Slots = 6
 	}
 	w.ring = make([]uint64, w.Slots)
-	w.slotEnd = now.Add(w.MaxAge / time.Duration(w.Slots))
+	w.age.end = now.Add(w.MaxAge / time.Duration(w.Slots))
 }
 
 // rotate retires age slots that have aged out at time now.
 func (w *WindowCounter) rotate(now time.Time) {
-	slot := w.MaxAge / time.Duration(w.Slots)
-	for !now.Before(w.slotEnd) {
-		w.ringIdx = (w.ringIdx + 1) % len(w.ring)
-		w.ring[w.ringIdx] = 0
-		w.slotEnd = w.slotEnd.Add(slot)
-		// A long idle gap: everything expired, jump the slot clock
-		// forward instead of spinning through the gap slot by slot.
-		if now.Sub(w.slotEnd) > w.MaxAge {
-			for i := range w.ring {
-				w.ring[i] = 0
-			}
-			w.slotEnd = now.Add(slot)
-			return
-		}
-	}
+	w.age.rotate(now, w.MaxAge, len(w.ring), func(i int) { w.ring[i] = 0 })
 }
 
 // Add records n events at virtual time now.
 func (w *WindowCounter) Add(now time.Time, n uint64) {
 	w.lazyInit(now)
 	w.rotate(now)
-	w.ring[w.ringIdx] += n
+	w.ring[w.age.cur] += n
 	w.all += n
 }
 
@@ -83,3 +68,31 @@ func (w *WindowCounter) Total(now time.Time) uint64 {
 
 // AllTime returns the cumulative count since creation.
 func (w *WindowCounter) AllTime() uint64 { return w.all }
+
+// ageClock is the age-slot clock Histogram and WindowCounter share: a
+// ring of n slots, each maxAge/n wide, where cur is the slot receiving
+// new events and end is the virtual time it closes.
+type ageClock struct {
+	cur int
+	end time.Time
+}
+
+// rotate retires the slots that have aged out at time now, calling reset
+// with the index of each slot it reuses.
+func (c *ageClock) rotate(now time.Time, maxAge time.Duration, n int, reset func(slot int)) {
+	width := maxAge / time.Duration(n)
+	for !now.Before(c.end) {
+		c.cur = (c.cur + 1) % n
+		reset(c.cur)
+		c.end = c.end.Add(width)
+		// A long idle gap: everything expired, jump the slot clock
+		// forward instead of spinning through the gap slot by slot.
+		if now.Sub(c.end) > maxAge {
+			for i := 0; i < n; i++ {
+				reset(i)
+			}
+			c.end = now.Add(width)
+			return
+		}
+	}
+}

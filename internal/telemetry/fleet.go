@@ -31,17 +31,17 @@ type ReplicaHealth struct {
 // including the streaming data plane's truncation accounting and
 // per-class shed counts.
 type GatewayCounters struct {
-	Requests         int            `json:"requests"`
-	Retries          int            `json:"retries"`
-	Rejected         int            `json:"rejected"`
-	Errors           int            `json:"errors"`
-	Held             int            `json:"held"`
-	Streams          int            `json:"streams"`
-	StreamsTruncated int            `json:"streams_truncated"`
-	SessionSpills    int            `json:"session_spills"`
-	SketchRoutes     int            `json:"sketch_routes,omitempty"`
-	Warmups          int            `json:"warmups,omitempty"`
-	ShedByClass      map[string]int `json:"shed_by_class,omitempty"`
+	Requests         int            `json:"requests"`                // forwarded client requests (control paths excluded)
+	Retries          int            `json:"retries"`                 // second attempts after a first-choice replica failed
+	Rejected         int            `json:"rejected"`                // 503s from admission (queue-depth and SLO sheds)
+	Errors           int            `json:"errors"`                  // requests that failed on every attempted replica
+	Held             int            `json:"held"`                    // requests queued for a cold start
+	Streams          int            `json:"streams"`                 // SSE responses proxied unbuffered
+	StreamsTruncated int            `json:"streams_truncated"`       // streams cut by a replica death (never retried)
+	SessionSpills    int            `json:"session_spills"`          // session picks that left a saturated affine replica
+	SketchRoutes     int            `json:"sketch_routes,omitempty"` // picks placed by prefix-sketch membership
+	Warmups          int            `json:"warmups,omitempty"`       // async prefix warm-ups after spills and drains
+	ShedByClass      map[string]int `json:"shed_by_class,omitempty"` // admission rejections per priority class
 }
 
 // SLOState is the gateway SLO breaker's view: the objective, the same
@@ -83,8 +83,8 @@ type ModelObservation struct {
 
 // RouterCounters are the multi-model front door's counters.
 type RouterCounters struct {
-	Requests int `json:"requests"`
-	Unknown  int `json:"unknown"`
+	Requests int `json:"requests"` // model-routed requests dispatched to a gateway
+	Unknown  int `json:"unknown"`  // requests naming an unknown (or no) model
 }
 
 // FleetSnapshot is the one-stop observability document served on

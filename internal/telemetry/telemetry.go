@@ -1,7 +1,7 @@
 // Package telemetry defines the typed cross-layer load signal the serving
 // stack exchanges: a Snapshot of one replica's engine-level state — queue
 // depths, KV-block usage, prefix-cache effectiveness, per-priority-class
-// occupancy, and the rolling latency tail — serialized as JSON on a
+// occupancy, and the windowed latency tail — serialized as JSON on a
 // replica-local endpoint and consumed by the ingress gateway, the
 // scheduling layer's pickers, and the autoscaler.
 //
@@ -89,8 +89,10 @@ type Snapshot struct {
 	TierDemotions     int64 `json:"tier_demotions,omitempty"`
 	TierPromotions    int64 `json:"tier_promotions,omitempty"`
 
-	// P95Millis is the rolling p95 of request end-to-end latency observed
-	// at the replica (milliseconds; 0 with no completed samples).
+	// P95Millis is the p95 of the end-to-end latencies of requests the
+	// replica completed over the trailing five minutes, read from its
+	// windowed latency histogram (milliseconds, within one 15% bucket;
+	// 0 when nothing completed in the window).
 	P95Millis float64 `json:"p95_ms"`
 
 	// Cumulative outcome counters.

@@ -332,8 +332,8 @@ type Engine struct {
 	onCrash  []func(error)
 
 	stats       Stats
-	missByClass map[string]int  // deadline misses by class (lazy)
-	latencies   metrics.Rolling // completed request latencies (ms)
+	missByClass map[string]int    // deadline misses by class (lazy)
+	latencies   metrics.Histogram // completed request latencies (ms), 5-minute window
 
 	// transfer is the per-block host→GPU promotion cost charged to the
 	// step that admitted against a demoted block.
@@ -407,7 +407,8 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// LatencyP95 returns the rolling p95 of completed request latencies.
+// LatencyP95 returns the p95 of request latencies completed over the
+// trailing five minutes.
 func (e *Engine) LatencyP95() time.Duration {
 	return time.Duration(e.latencies.Quantile(e.sim.Now(), 0.95) * float64(time.Millisecond))
 }

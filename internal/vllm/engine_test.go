@@ -1,6 +1,8 @@
 package vllm
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +254,41 @@ func TestEngineIdlesWithoutBusyLoop(t *testing.T) {
 	se.RunFor(time.Hour)
 	if e.Stats().Steps != steps {
 		t.Fatalf("engine stepped while idle: %d → %d", steps, e.Stats().Steps)
+	}
+}
+
+// TestTelemetryP95TracksCompletionsAndForgets: the snapshot's p95 comes
+// from the engine's windowed latency histogram, so it lands within one
+// bucket (15%) of the exact p95 of the completed requests, and reads 0
+// once five virtual minutes pass with no completion.
+func TestTelemetryP95TracksCompletionsAndForgets(t *testing.T) {
+	se, e := newEngine(t, hopsScoutConfig())
+	var lat []float64
+	var busy, quiet, idle float64
+	se.Go("client", func(p *sim.Proc) {
+		// One request at a time, so each latency is its own decode time.
+		for i := 1; i <= 40; i++ {
+			req := e.Submit(200, 5*i)
+			p.Wait(req.Done())
+			lat = append(lat, float64(req.Latency())/float64(time.Millisecond))
+		}
+		busy = e.Telemetry().P95Millis
+		p.Sleep(4 * time.Minute)
+		quiet = e.Telemetry().P95Millis
+		p.Sleep(time.Minute)
+		idle = e.Telemetry().P95Millis
+	})
+	se.Run()
+	sort.Float64s(lat)
+	exact := lat[int(math.Ceil(0.95*float64(len(lat))))-1]
+	if rel := math.Abs(busy-exact) / exact; rel > 0.15 {
+		t.Fatalf("P95Millis = %.1f, exact p95 %.1f (off by %.0f%%, want within one 15%% bucket)", busy, exact, rel*100)
+	}
+	if quiet <= 0 {
+		t.Fatalf("P95Millis 4 minutes after the last completion = %v, want the window to still hold it", quiet)
+	}
+	if idle != 0 {
+		t.Fatalf("P95Millis 5 idle minutes after the last completion = %v, want 0", idle)
 	}
 }
 
