@@ -1,9 +1,6 @@
 package vllm
 
-import (
-	"container/list"
-	"slices"
-)
+import "slices"
 
 // Automatic prefix caching, vLLM-style: every full block of a prompt is
 // keyed by a rolling hash chained over the block's tokens and everything
@@ -15,6 +12,12 @@ import (
 // placement nicety into a measurable TTFT win. Blocks released by their
 // last referencing sequence stay resident as reusable cache and are
 // LRU-evicted only when the allocator needs room.
+//
+// The index allocates nothing in steady state. A cached block is one
+// prefixBlock node for its whole life: it sits on the LRU while
+// unreferenced, moves to the host tier on demotion and back on promotion,
+// and once evicted for good goes to a free list that Register draws from.
+// A sequence's reference slice is recycled on Release.
 
 // prefixOwner is the KVCache ownership key for cache-resident blocks. The
 // NUL prefix keeps it out of the "req-N" sequence ID namespace.
@@ -38,7 +41,8 @@ type PrefixStats struct {
 	HostDrops  int64
 }
 
-// prefixBlock is one cache-resident KV block.
+// prefixBlock is one cached KV block, GPU-resident or parked in the host
+// tier, and the node of the intrusive list it sits on.
 type prefixBlock struct {
 	hash uint64
 	refs int
@@ -46,8 +50,45 @@ type prefixBlock struct {
 	// granularity the prefix-membership sketch publishes (chain hashing
 	// means deeper blocks exist only where their head does).
 	head bool
-	// elem is the block's LRU position while unreferenced (nil otherwise).
-	elem *list.Element
+	// prev and next link the block into the index's LRU while it is GPU-
+	// resident and unreferenced, or into the host tier's LRU while parked
+	// there (both nil otherwise). On the index's free list only next is
+	// used.
+	prev, next *prefixBlock
+}
+
+// blockList is an intrusive doubly linked LRU of prefixBlocks threaded
+// through their prev/next links, oldest at the front. It is circular
+// through a sentinel, so a node is on a list exactly when its next is set.
+// init must run before first use, and the list must not be copied after.
+type blockList struct {
+	root prefixBlock // root.next is the front, root.prev the back
+	len  int
+}
+
+func (l *blockList) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+// front returns the oldest node, nil when the list is empty.
+func (l *blockList) front() *prefixBlock {
+	if l.len == 0 {
+		return nil
+	}
+	return l.root.next
+}
+
+// pushBack links the unlinked node b at the back.
+func (l *blockList) pushBack(b *prefixBlock) {
+	last := l.root.prev
+	b.prev, b.next = last, &l.root
+	last.next, l.root.prev = b, b
+	l.len++
+}
+
+// remove unlinks b, which must be on l.
+func (l *blockList) remove(b *prefixBlock) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+	l.len--
 }
 
 // PrefixIndex is the hash→block map over a KVCache. It owns the cache-
@@ -57,10 +98,14 @@ type prefixBlock struct {
 type PrefixIndex struct {
 	kv     *KVCache
 	byHash map[uint64]*prefixBlock
-	// lru holds unreferenced cached blocks, oldest at the front; values
-	// are *prefixBlock.
-	lru   *list.List
-	seqs  map[string][]*prefixBlock
+	// lru holds unreferenced cached blocks, oldest at the front.
+	lru  blockList
+	seqs map[string][]*prefixBlock
+	// free chains (through next) the nodes of evicted blocks no tier
+	// holds; spare holds emptied reference slices. Register and Acquire
+	// draw on them before allocating.
+	free  *prefixBlock
+	spare [][]*prefixBlock
 	stats PrefixStats
 	// tier is the host-memory spill tier (nil = disabled): GPU-evicted
 	// blocks demote here instead of losing their identity.
@@ -77,13 +122,14 @@ type PrefixIndex struct {
 
 // NewPrefixIndex builds an empty index over kv.
 func NewPrefixIndex(kv *KVCache) *PrefixIndex {
-	return &PrefixIndex{
+	x := &PrefixIndex{
 		kv:     kv,
 		byHash: make(map[uint64]*prefixBlock),
-		lru:    list.New(),
 		seqs:   make(map[string][]*prefixBlock),
 		heads:  make(map[uint64]struct{}),
 	}
+	x.lru.init()
+	return x
 }
 
 // EnableHostTier attaches a host-memory spill tier holding at most blocks
@@ -105,7 +151,7 @@ func (x *PrefixIndex) CachedBlocks() int { return x.kv.Holding(prefixOwner) }
 
 // Evictable returns the cache-resident blocks no sequence references —
 // the reclaimable-on-demand population.
-func (x *PrefixIndex) Evictable() int { return x.lru.Len() }
+func (x *PrefixIndex) Evictable() int { return x.lru.len }
 
 // Refs returns how many cached blocks seqID currently references.
 func (x *PrefixIndex) Refs(seqID string) int { return len(x.seqs[seqID]) }
@@ -113,11 +159,55 @@ func (x *PrefixIndex) Refs(seqID string) int { return len(x.seqs[seqID]) }
 // ref takes one reference on b, removing it from the LRU if it was
 // unreferenced.
 func (x *PrefixIndex) ref(b *prefixBlock) {
-	if b.refs == 0 && b.elem != nil {
-		x.lru.Remove(b.elem)
-		b.elem = nil
+	if b.refs == 0 && b.next != nil {
+		x.lru.remove(b)
 	}
 	b.refs++
+}
+
+// seqRefs returns seqID's reference slice, or a recycled empty one when
+// the sequence holds none yet; storeRefs saves it back.
+func (x *PrefixIndex) seqRefs(seqID string) []*prefixBlock {
+	if refs, ok := x.seqs[seqID]; ok {
+		return refs
+	}
+	n := len(x.spare)
+	if n == 0 {
+		return nil
+	}
+	refs := x.spare[n-1]
+	x.spare = x.spare[:n-1]
+	return refs
+}
+
+// storeRefs records refs as seqID's reference slice; an empty one goes
+// back to the spares, so a sequence without references has no entry.
+func (x *PrefixIndex) storeRefs(seqID string, refs []*prefixBlock) {
+	if len(refs) > 0 {
+		x.seqs[seqID] = refs
+	} else if cap(refs) > 0 {
+		x.spare = append(x.spare, refs)
+	}
+}
+
+// newBlock returns a GPU block node for hash, recycled from the free list
+// when one is there.
+func (x *PrefixIndex) newBlock(hash uint64, refs int, head bool) *prefixBlock {
+	b := x.free
+	if b == nil {
+		b = new(prefixBlock)
+	} else {
+		x.free = b.next
+	}
+	*b = prefixBlock{hash: hash, refs: refs, head: head}
+	return b
+}
+
+// recycle puts the node of a block that is cached nowhere any more on the
+// free list.
+func (x *PrefixIndex) recycle(b *prefixBlock) {
+	*b = prefixBlock{next: x.free}
+	x.free = b
 }
 
 // Lookup reports how many leading blocks of hashes (at most limit) are
@@ -153,6 +243,7 @@ func (x *PrefixIndex) Acquire(seqID string, hashes []uint64, limit int) int {
 		limit = len(hashes)
 	}
 	hit := 0
+	refs := x.seqRefs(seqID)
 	for hit < limit {
 		b, ok := x.byHash[hashes[hit]]
 		if !ok {
@@ -161,9 +252,10 @@ func (x *PrefixIndex) Acquire(seqID string, hashes []uint64, limit int) int {
 			}
 		}
 		x.ref(b)
-		x.seqs[seqID] = append(x.seqs[seqID], b)
+		refs = append(refs, b)
 		hit++
 	}
+	x.storeRefs(seqID, refs)
 	x.stats.Hits += int64(hit)
 	x.stats.Misses += int64(limit - hit)
 	return hit
@@ -173,20 +265,20 @@ func (x *PrefixIndex) Acquire(seqID string, hashes []uint64, limit int) int {
 // the tier first (so making GPU room cannot demote it onto itself), then
 // one GPU block is allocated — evicting, and possibly demoting, colder
 // unreferenced cache if needed. On failure the block returns to the tier
-// un-promoted.
+// un-promoted; that put drops nothing, because an EnsureFree(1) that fails
+// has evicted nothing into the tier.
 func (x *PrefixIndex) promote(hash uint64) (*prefixBlock, bool) {
 	if x.tier == nil {
 		return nil, false
 	}
-	hb, ok := x.tier.take(hash)
+	b, ok := x.tier.take(hash)
 	if !ok {
 		return nil, false
 	}
 	if !x.EnsureFree(1) || x.kv.Allocate(prefixOwner, 1) != nil {
-		x.tier.put(hb.hash, hb.head)
+		x.tier.put(b)
 		return nil, false
 	}
-	b := &prefixBlock{hash: hash, head: hb.head}
 	x.byHash[hash] = b
 	x.stats.Promotions++
 	x.promoted++
@@ -208,10 +300,11 @@ func (x *PrefixIndex) DrainPromoted() int {
 // registered it first, or the acquire limit stopped short of a resident
 // block) is referenced instead and the duplicate private block is freed.
 func (x *PrefixIndex) Register(seqID string, hashes []uint64, from int) {
+	refs := x.seqRefs(seqID)
 	for i := from; i < len(hashes); i++ {
 		if b, ok := x.byHash[hashes[i]]; ok {
 			x.ref(b)
-			x.seqs[seqID] = append(x.seqs[seqID], b)
+			refs = append(refs, b)
 			// The sequence prefilled this block privately; the shared copy
 			// supersedes it.
 			if x.kv.Holding(seqID) > 0 {
@@ -223,15 +316,16 @@ func (x *PrefixIndex) Register(seqID string, hashes []uint64, from int) {
 			// The sequence holds fewer private blocks than prompt hashes —
 			// nothing left to promote (short final allocations under an
 			// acquire cap); stop quietly.
-			return
+			break
 		}
-		b := &prefixBlock{hash: hashes[i], refs: 1, head: i == 0}
+		b := x.newBlock(hashes[i], 1, i == 0)
 		x.byHash[hashes[i]] = b
-		x.seqs[seqID] = append(x.seqs[seqID], b)
+		refs = append(refs, b)
 		if b.head {
 			x.heads[b.hash] = struct{}{}
 		}
 	}
+	x.storeRefs(seqID, refs)
 }
 
 // Abort rolls back a failed admission attempt: drops seqID's references
@@ -252,15 +346,19 @@ func (x *PrefixIndex) Abort(seqID string, hit, limit int) {
 // eviction front: evicting a chain tail leaves its prefix reusable,
 // evicting a head would orphan the whole tail.
 func (x *PrefixIndex) Release(seqID string) {
-	blocks := x.seqs[seqID]
+	blocks, ok := x.seqs[seqID]
+	if !ok {
+		return
+	}
 	for i := len(blocks) - 1; i >= 0; i-- {
 		b := blocks[i]
 		b.refs--
 		if b.refs == 0 {
-			b.elem = x.lru.PushBack(b)
+			x.lru.pushBack(b)
 		}
 	}
 	delete(x.seqs, seqID)
+	x.spare = append(x.spare, blocks[:0])
 }
 
 // EnsureFree evicts unreferenced cached blocks (oldest first) until the
@@ -271,29 +369,35 @@ func (x *PrefixIndex) Release(seqID string) {
 // cheap later re-promotion instead of a full re-prefill.
 func (x *PrefixIndex) EnsureFree(n int) bool {
 	for x.kv.FreeBlocks() < n {
-		front := x.lru.Front()
-		if front == nil {
+		b := x.lru.front()
+		if b == nil {
 			return false
 		}
-		b := front.Value.(*prefixBlock)
-		x.lru.Remove(front)
-		b.elem = nil
+		x.lru.remove(b)
 		delete(x.byHash, b.hash)
 		x.kv.ReleaseN(prefixOwner, 1)
 		x.stats.Evictions++
-		if x.tier != nil {
-			x.stats.Demotions++
-			if dropped := x.tier.put(b.hash, b.head); dropped != nil {
-				x.stats.HostDrops++
-				// A head leaves the sketch only when its last copy is
-				// gone — a fresh GPU-resident re-registration of the same
-				// chain may shadow the stale tier copy.
-				if _, gpu := x.byHash[dropped.hash]; dropped.head && !gpu {
-					delete(x.heads, dropped.hash)
-				}
+		if x.tier == nil {
+			if b.head {
+				delete(x.heads, b.hash)
 			}
-		} else if b.head {
-			delete(x.heads, b.hash)
+			x.recycle(b)
+			continue
+		}
+		x.stats.Demotions++
+		switch dropped := x.tier.put(b); {
+		case dropped == b:
+			// Already parked: the tier's copy stands in for this one.
+			x.recycle(b)
+		case dropped != nil:
+			x.stats.HostDrops++
+			// A head leaves the sketch only when its last copy is gone —
+			// a fresh GPU-resident re-registration of the same chain may
+			// shadow the stale tier copy.
+			if _, gpu := x.byHash[dropped.hash]; dropped.head && !gpu {
+				delete(x.heads, dropped.hash)
+			}
+			x.recycle(dropped)
 		}
 	}
 	return true
@@ -391,61 +495,82 @@ func fnvUint(h, v uint64) uint64 {
 	return h
 }
 
-// chainBlocks folds a per-token hash stream into per-full-block chain
-// keys: block i's key covers its own tokens and, through the chain, every
-// token before it.
-func chainBlocks(tokens []uint64, blockSize int) []uint64 {
-	if blockSize <= 0 {
-		return nil
-	}
-	n := len(tokens) / blockSize
-	out := make([]uint64, 0, n)
-	h := uint64(fnvOffset64)
-	for i := 0; i < n; i++ {
-		for _, t := range tokens[i*blockSize : (i+1)*blockSize] {
-			h = fnvUint(h, t)
-		}
-		out = append(out, h)
-	}
-	return out
+// keyChain folds a prompt's per-token hash stream into per-full-block
+// chain keys in one pass: block i's key covers its own tokens and, through
+// the chain, every token before it. Its folds append keys to the caller's
+// slice and stop once the slice is at capacity, so a caller sizes it to
+// the blocks it wants and nothing else is allocated.
+type keyChain struct {
+	h    uint64 // chain key over every token folded so far
+	size int    // tokens per block
+	left int    // tokens still missing from the current block
 }
 
-// messageTokenHashes appends one hash per estimated token of the message
-// (EstimateTokens(content) + the per-message template overhead), each
-// derived from the message identity and the token's position.
-func messageTokenHashes(dst []uint64, m ChatMessage) []uint64 {
-	base := fnvString(fnvString(fnvOffset64, m.Role), m.Content)
-	n := EstimateTokens(m.Content) + 4
-	for j := 0; j < n; j++ {
-		dst = append(dst, fnvUint(base, uint64(j)))
-	}
-	return dst
+func newKeyChain(blockSize int) keyChain {
+	return keyChain{h: fnvOffset64, size: blockSize, left: blockSize}
 }
+
+// token folds one token hash into the chain, appending the chain key to
+// keys when the token completes a block.
+func (c *keyChain) token(keys []uint64, t uint64) []uint64 {
+	c.h = fnvUint(c.h, t)
+	if c.left--; c.left == 0 {
+		keys = append(keys, c.h)
+		c.left = c.size
+	}
+	return keys
+}
+
+// message folds a chat message's n tokens, each hashed from base (the
+// message identity) and the token's position, until keys is full.
+func (c *keyChain) message(keys []uint64, base uint64, n int) []uint64 {
+	for j := 0; j < n && len(keys) < cap(keys); j++ {
+		keys = c.token(keys, fnvUint(base, uint64(j)))
+	}
+	return keys
+}
+
+// messageBase is the identity every token hash of a chat message derives
+// from.
+func messageBase(m ChatMessage) uint64 {
+	return fnvString(fnvString(fnvOffset64, m.Role), m.Content)
+}
+
+// messageTokens is the token count the API server charges for m: its
+// content estimate plus the per-message template overhead.
+func messageTokens(m ChatMessage) int { return EstimateTokens(m.Content) + 4 }
 
 // ChatPromptHashes derives the per-block prefix keys for a chat prompt.
 // The hash stream length equals the token count the API server charges for
 // the same messages, so block keys line up with KV block boundaries.
 func ChatPromptHashes(blockSize int, msgs []ChatMessage) []uint64 {
-	var tokens []uint64
-	for _, m := range msgs {
-		tokens = messageTokenHashes(tokens, m)
+	if blockSize <= 0 {
+		return nil
 	}
-	return chainBlocks(tokens, blockSize)
+	tokens := 0
+	for _, m := range msgs {
+		tokens += messageTokens(m)
+	}
+	keys := make([]uint64, 0, tokens/blockSize)
+	c := newKeyChain(blockSize)
+	for _, m := range msgs {
+		keys = c.message(keys, messageBase(m), messageTokens(m))
+	}
+	return keys
 }
 
 // TextPromptHashes derives per-block prefix keys for a raw completion
 // prompt: one hash per estimated token, keyed by the token's 4-character
 // span so texts sharing a literal prefix share leading blocks.
 func TextPromptHashes(blockSize int, text string) []uint64 {
-	n := EstimateTokens(text)
-	tokens := make([]uint64, 0, n)
-	for j := 0; j < n; j++ {
-		lo := j * 4
-		hi := lo + 4
-		if hi > len(text) {
-			hi = len(text)
-		}
-		tokens = append(tokens, fnvString(fnvOffset64, text[lo:hi]))
+	if blockSize <= 0 {
+		return nil
 	}
-	return chainBlocks(tokens, blockSize)
+	n := EstimateTokens(text)
+	keys := make([]uint64, 0, n/blockSize)
+	c := newKeyChain(blockSize)
+	for j := 0; j < n && len(keys) < cap(keys); j++ {
+		keys = c.token(keys, fnvString(fnvOffset64, text[j*4:min(j*4+4, len(text))]))
+	}
+	return keys
 }

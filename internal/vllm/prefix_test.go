@@ -211,6 +211,10 @@ func TestPrefixIndexInvariants(t *testing.T) {
 				idx.EnsureFree(need)
 				if !kv.CanAllocate(need) {
 					idx.Release(id)
+					if err := checkPrefixIndex(idx); err != nil {
+						t.Logf("seed %d op %d: %v", seed, op, err)
+						return false
+					}
 					continue
 				}
 				if err := kv.Allocate(id, need); err != nil {
@@ -225,6 +229,10 @@ func TestPrefixIndexInvariants(t *testing.T) {
 				kv.Release(live[i].id)
 				idx.Release(live[i].id)
 				live = append(live[:i], live[i+1:]...)
+			}
+			if err := checkPrefixIndex(idx); err != nil {
+				t.Logf("seed %d op %d: %v", seed, op, err)
+				return false
 			}
 			private := 0
 			refs := 0

@@ -52,6 +52,25 @@ func TestChatPrefixKeyRawMatchesDecoded(t *testing.T) {
 			t.Errorf("case %d: raw key %#x != decoded key %#x", i, got, want)
 		}
 	}
+	// Bodies encoding/json accepts in shapes json.Marshal never writes:
+	// case-variant keys (json matches field names case-insensitively) and a
+	// nested "messages" key ahead of the top-level one.
+	long := strings.Repeat("x", 160)
+	caseVariant := strings.Repeat(`{"Role":"user","Content":"`+long+`"},`, 4)
+	for i, body := range []string{
+		`{"messages":[` + strings.TrimSuffix(caseVariant, ",") + `]}`,
+		`{"metadata":{"messages":[{"role":"system","content":"` + strings.Repeat("n", 160) + `"}]},` +
+			`"messages":[{"role":"system","content":"` + long + `"}]}`,
+	} {
+		var req ChatRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		want := ChatPrefixKey(DefaultBlockSize, req.Messages)
+		if got := ChatPrefixKeyRaw(DefaultBlockSize, []byte(body)); got != want || want == 0 {
+			t.Errorf("raw body %d: raw key %#x != decoded key %#x", i, got, want)
+		}
+	}
 }
 
 func TestChatPrefixKeyRawBailsOnHardInput(t *testing.T) {
@@ -67,6 +86,14 @@ func TestChatPrefixKeyRawBailsOnHardInput(t *testing.T) {
 		`{"messages":[{"role":"system","content":"a \"quoted\" prompt ` + strings.Repeat("x", 600) + `"}]}`,
 		// Non-string content (multimodal parts) is beyond the fast path.
 		`{"messages":[{"role":"user","content":[{"type":"text","text":"hello"}]}]}`,
+		// encoding/json decodes a repeated top-level messages key into the
+		// first one's elements, so a role the second omits survives.
+		`{"messages":[{"role":"system","content":"` + strings.Repeat("a", 160) + `"}],` +
+			`"messages":[{"content":"` + strings.Repeat("b", 160) + `"}]}`,
+		// A key spelled with escapes may be "messages" in disguise.
+		`{"m\u0065ssages":[{"role":"system","content":"` + strings.Repeat("x", 600) + `"}]}`,
+		// Invalid UTF-8 decodes as U+FFFD, not as the raw bytes.
+		`{"messages":[{"role":"system","content":"` + "\xff" + strings.Repeat("x", 600) + `"}]}`,
 	}
 	for i, body := range bodies {
 		if got := ChatPrefixKeyRaw(DefaultBlockSize, []byte(body)); got != 0 {
@@ -76,11 +103,24 @@ func TestChatPrefixKeyRawBailsOnHardInput(t *testing.T) {
 }
 
 func BenchmarkChatPrefixKeyRaw(b *testing.B) {
-	body, err := json.Marshal(ChatRequest{
-		Model:     "scout",
-		Messages:  []ChatMessage{bigSystemPrompt(), {Role: "user", Content: "summarize the last answer"}},
-		SessionID: "conv-9",
-	})
+	benchChatPrefixKeyRaw(b, []ChatMessage{bigSystemPrompt(), {Role: "user", Content: "summarize the last answer"}})
+}
+
+// BenchmarkChatPrefixKeyRawLongHistory is a later turn of a chat session:
+// the same system prompt fills the first block, then ~7 KB of earlier
+// turns follow that the scanner must step over to the end of the object.
+func BenchmarkChatPrefixKeyRawLongHistory(b *testing.B) {
+	msgs := []ChatMessage{bigSystemPrompt()}
+	for turn := 0; turn < 3; turn++ {
+		msgs = append(msgs,
+			ChatMessage{Role: "user", Content: SynthesizeText(80)},
+			ChatMessage{Role: "assistant", Content: SynthesizeText(500)})
+	}
+	benchChatPrefixKeyRaw(b, append(msgs, ChatMessage{Role: "user", Content: "summarize the last answer"}))
+}
+
+func benchChatPrefixKeyRaw(b *testing.B, msgs []ChatMessage) {
+	body, err := json.Marshal(ChatRequest{Model: "scout", Messages: msgs, SessionID: "conv-9"})
 	if err != nil {
 		b.Fatal(err)
 	}

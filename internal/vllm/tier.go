@@ -1,7 +1,5 @@
 package vllm
 
-import "container/list"
-
 // Tiered KV cache: a host-memory (CPU offload) tier under the GPU
 // KVCache. When the prefix index needs GPU room it LRU-demotes
 // unreferenced cached blocks; with a host tier configured the demoted
@@ -13,38 +11,30 @@ import "container/list"
 // tokens — the avoidable-recompute cost the paper's long-lived chat
 // services keep paying without a spill tier.
 
-// hostBlock is one demoted prefix block resident in the host tier.
-type hostBlock struct {
-	hash uint64
-	// head marks a depth-0 block (first block of a prompt chain); the
-	// replica's prefix-membership sketch is the set of available heads.
-	head bool
-	elem *list.Element
-}
-
 // HostTier is the bounded host-memory spill tier: a hash→block map plus
 // its own LRU so capacity pressure drops the coldest demoted block first.
 type HostTier struct {
 	capacity int
-	byHash   map[uint64]*hostBlock
+	byHash   map[uint64]*prefixBlock
 	// lru holds the tier's blocks, oldest demotion at the front.
-	lru *list.List
+	lru blockList
 }
 
 // NewHostTier builds an empty tier holding at most capacity blocks.
 func NewHostTier(capacity int) *HostTier {
-	return &HostTier{
+	t := &HostTier{
 		capacity: capacity,
-		byHash:   make(map[uint64]*hostBlock),
-		lru:      list.New(),
+		byHash:   make(map[uint64]*prefixBlock),
 	}
+	t.lru.init()
+	return t
 }
 
 // Capacity returns the tier's block bound.
 func (t *HostTier) Capacity() int { return t.capacity }
 
 // Len returns the blocks currently parked in the tier.
-func (t *HostTier) Len() int { return t.lru.Len() }
+func (t *HostTier) Len() int { return t.lru.len }
 
 // Contains reports whether hash is parked in the tier.
 func (t *HostTier) Contains(hash uint64) bool {
@@ -52,38 +42,38 @@ func (t *HostTier) Contains(hash uint64) bool {
 	return ok
 }
 
-// put parks a demoted block. When the tier is full the oldest resident is
-// dropped to make room and returned; nil otherwise. A hash already parked
-// refreshes its LRU position instead of duplicating.
-func (t *HostTier) put(hash uint64, head bool) (dropped *hostBlock) {
+// put parks the demoted block b and returns the node the caller must
+// recycle, if any: nil when b was parked with room to spare; the oldest
+// resident, dropped to make room, when the tier was full; b itself when
+// it was not parked — its hash is already parked (that copy's LRU position
+// is refreshed instead of duplicating) or the tier has no capacity.
+func (t *HostTier) put(b *prefixBlock) (dropped *prefixBlock) {
 	if t.capacity <= 0 {
-		return nil
+		return b
 	}
-	if b, ok := t.byHash[hash]; ok {
-		t.lru.MoveToBack(b.elem)
-		return nil
+	if old, ok := t.byHash[b.hash]; ok {
+		t.lru.remove(old)
+		t.lru.pushBack(old)
+		return b
 	}
-	if t.lru.Len() >= t.capacity {
-		front := t.lru.Front()
-		dropped = front.Value.(*hostBlock)
-		t.lru.Remove(front)
+	if t.lru.len >= t.capacity {
+		dropped = t.lru.front()
+		t.lru.remove(dropped)
 		delete(t.byHash, dropped.hash)
 	}
-	b := &hostBlock{hash: hash, head: head}
-	b.elem = t.lru.PushBack(b)
-	t.byHash[hash] = b
+	t.lru.pushBack(b)
+	t.byHash[b.hash] = b
 	return dropped
 }
 
 // take removes hash from the tier (the promotion path), returning its
-// record.
-func (t *HostTier) take(hash uint64) (*hostBlock, bool) {
+// node.
+func (t *HostTier) take(hash uint64) (*prefixBlock, bool) {
 	b, ok := t.byHash[hash]
 	if !ok {
 		return nil, false
 	}
-	t.lru.Remove(b.elem)
-	b.elem = nil
+	t.lru.remove(b)
 	delete(t.byHash, hash)
 	return b, true
 }

@@ -14,16 +14,16 @@ func TestHostTierLRUAndCapacity(t *testing.T) {
 		t.Fatalf("fresh tier: cap=%d len=%d", tier.Capacity(), tier.Len())
 	}
 	for h := uint64(1); h <= 3; h++ {
-		if dropped := tier.put(h, false); dropped != nil {
+		if dropped := tier.put(&prefixBlock{hash: h}); dropped != nil {
 			t.Fatalf("put %d dropped %v with room left", h, dropped.hash)
 		}
 	}
 	// Refresh 1 (now most recently demoted), then overflow: 2 is oldest.
-	tier.put(1, false)
+	tier.put(&prefixBlock{hash: 1})
 	if tier.Len() != 3 {
 		t.Fatalf("duplicate put grew the tier to %d", tier.Len())
 	}
-	dropped := tier.put(4, false)
+	dropped := tier.put(&prefixBlock{hash: 4})
 	if dropped == nil || dropped.hash != 2 {
 		t.Fatalf("overflow dropped %+v, want hash 2 (LRU)", dropped)
 	}
@@ -214,10 +214,16 @@ func TestTierInvariantsUnderRandomTraffic(t *testing.T) {
 			need := len(hashes) - hit + 1 // private blocks + decode slot
 			if !idx.EnsureFree(need) || kv.Allocate(seq, need) != nil {
 				idx.Abort(seq, hit, limit)
+				if err := checkPrefixIndex(idx); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
 				continue
 			}
 			idx.Register(seq, hashes, hit)
 			live[seq] = hashes
+		}
+		if err := checkPrefixIndex(idx); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		if n := idx.HostTier().Len(); n > tierCap {
 			t.Fatalf("step %d: tier %d over capacity %d", step, n, tierCap)
