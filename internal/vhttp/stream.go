@@ -8,7 +8,9 @@ import (
 // Chunk is one piece of a streamed response body: an SSE event, a token
 // delta, a file segment. Data travels by reference through every proxy hop
 // (zero-copy); Size inflates the bandwidth accounting for bodies whose
-// literal bytes are not materialized.
+// literal bytes are not materialized. A chunk read from a ChunkReader
+// lends its Data only until the reader's next Next: a consumer that keeps
+// the bytes longer copies them.
 type Chunk struct {
 	Data []byte
 	Size int64 // simulated size; effective size is max(len(Data), Size)
@@ -28,7 +30,9 @@ func (c Chunk) Bytes() int64 {
 type ChunkReader interface {
 	// Next blocks the calling process until a chunk is available, returning
 	// ok=false at end of stream. After a false return, Err distinguishes a
-	// clean close (nil) from a truncated stream.
+	// clean close (nil) from a truncated stream. The chunk's Data stays
+	// valid until the next call to Next, which may reuse its bytes; a
+	// consumer that keeps Data longer copies it.
 	Next(p *sim.Proc) (c Chunk, ok bool)
 	// Err is the stream's terminal error: non-nil once the producer failed
 	// the stream (the body is truncated), nil while open or after Close.
@@ -39,10 +43,17 @@ type ChunkReader interface {
 // loop (or any service handler) pushes chunks as they exist, the consumer
 // pulls them in virtual time. Push and Close never block, so they are safe
 // to call from event callbacks (a token callback on the engine loop).
+//
+// Push copies the chunk's bytes into the stream, so the producer may reuse
+// its buffer at once, and Next lends the reader a slice of the stream's
+// own buffer, valid until the following Next.
 type BodyStream struct {
-	// queue[head:] are the chunks not yet read. Once the reader drains it
-	// the queue rewinds, so a steady stream reuses one backing array.
-	queue []Chunk
+	// buf holds the pushed bytes back to back: buf[:read] was handed out,
+	// buf[read:] is unread, and queue[head:] are the unread chunks in push
+	// order.
+	buf   []byte
+	read  int
+	queue []queued
 	head  int
 	// wake is fired by the producer and reset by the reader before each
 	// park; created at the first park and kept for the stream's life.
@@ -51,16 +62,24 @@ type BodyStream struct {
 	err    error
 }
 
+// queued is one unread chunk: its byte count in buf and its simulated size.
+type queued struct {
+	n    int
+	size int64
+}
+
 // NewBodyStream returns an open, empty stream.
 func NewBodyStream() *BodyStream { return &BodyStream{} }
 
-// Push appends a chunk and wakes a parked reader. Pushing after Close or
-// Fail is a no-op (the terminal state already reached the consumer).
+// Push copies a chunk into the stream and wakes a parked reader. Pushing
+// after Close or Fail is a no-op (the terminal state already reached the
+// consumer).
 func (s *BodyStream) Push(c Chunk) {
 	if s.closed {
 		return
 	}
-	s.queue = append(s.queue, c)
+	s.buf = append(s.buf, c.Data...)
+	s.queue = append(s.queue, queued{n: len(c.Data), size: c.Size})
 	s.fireWake()
 }
 
@@ -83,6 +102,7 @@ func (s *BodyStream) Fail(err error) {
 	}
 	s.closed = true
 	s.err = err
+	s.buf, s.read = nil, 0
 	s.queue, s.head = nil, 0
 	s.fireWake()
 }
@@ -98,17 +118,17 @@ func (s *BodyStream) fireWake() {
 	}
 }
 
-// Next implements ChunkReader.
+// Next implements ChunkReader. The returned Data is capacity-limited, so
+// appending to it cannot overwrite the chunks behind it.
 func (s *BodyStream) Next(p *sim.Proc) (Chunk, bool) {
+	s.release()
 	for {
 		if s.head < len(s.queue) {
-			c := s.queue[s.head]
-			s.queue[s.head] = Chunk{}
+			q := s.queue[s.head]
 			s.head++
-			if s.head == len(s.queue) {
-				s.queue, s.head = s.queue[:0], 0
-			}
-			return c, true
+			start := s.read
+			s.read += q.n
+			return Chunk{Data: s.buf[start:s.read:s.read], Size: q.size}, true
 		}
 		if s.closed {
 			return Chunk{}, false
@@ -118,6 +138,23 @@ func (s *BodyStream) Next(p *sim.Proc) (Chunk, bool) {
 		}
 		s.wake.Reset()
 		p.Wait(s.wake)
+	}
+}
+
+// release gives back the chunks handed out so far, the last of which the
+// reader returned by calling Next. It moves the unread rest of buf and
+// queue to the front once the handed-out part is at least as long. So a
+// steady stream reuses one backing array of each, a lagging reader keeps
+// about twice its unread bytes, and each move is paid for by as many
+// reads, which keeps the copying linear in the bytes streamed.
+func (s *BodyStream) release() {
+	if s.read >= len(s.buf)-s.read {
+		s.buf = s.buf[:copy(s.buf, s.buf[s.read:])]
+		s.read = 0
+	}
+	if s.head >= len(s.queue)-s.head {
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
 	}
 }
 

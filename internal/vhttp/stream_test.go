@@ -83,6 +83,78 @@ func TestStreamSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestStreamHeldChunkSurvivesPushes: a chunk's Data and Size stay as
+// pushed until the reader's next Next, while the producer pushes more into
+// the stream buffer's spare capacity and then past it, forcing the buffer
+// to grow; and the producer may reuse its own bytes once Push returns.
+func TestStreamHeldChunkSurvivesPushes(t *testing.T) {
+	e, _ := newTestNet(t)
+	s := NewBodyStream()
+	check := func(held Chunk, when string) {
+		t.Helper()
+		if string(held.Data) != "held" || held.Size != 100 || held.Bytes() != 100 {
+			t.Errorf("%s: held chunk = %q size %d, want \"held\" size 100", when, held.Data, held.Size)
+		}
+	}
+	e.Go("reader", func(p *sim.Proc) {
+		s.Push(Chunk{Data: make([]byte, 64)}) // gives the buffer spare capacity
+		s.Next(p)
+		mine := []byte("held")
+		s.Push(Chunk{Data: mine, Size: 100})
+		held, _ := s.Next(p)
+		copy(mine, "XXXX")
+		check(held, "producer reused its bytes")
+
+		grown := cap(s.buf)
+		s.Push(Chunk{Data: []byte("next")})
+		if cap(s.buf) != grown {
+			t.Errorf("a 4-byte push grew the buffer from %d to %d", grown, cap(s.buf))
+		}
+		check(held, "push into spare capacity")
+		for i := 0; i < 100; i++ {
+			s.Push(Chunk{Data: []byte("more")})
+		}
+		if cap(s.buf) == grown {
+			t.Errorf("400 bytes of pushes left the buffer at %d", grown)
+		}
+		check(held, "push past capacity")
+
+		if c, _ := s.Next(p); string(c.Data) != "next" || c.Size != 0 {
+			t.Errorf("chunk after the held one = %q size %d, want \"next\" size 0", c.Data, c.Size)
+		}
+	})
+	e.Run()
+}
+
+// TestStreamBufferBoundedWhenNeverDrained: a reader that stays one chunk
+// behind never drains the stream, and still the buffer keeps no more than
+// about twice the bytes it has not read: chunks handed out are dropped as
+// the reader moves on, not only once it catches up.
+func TestStreamBufferBoundedWhenNeverDrained(t *testing.T) {
+	e, _ := newTestNet(t)
+	s := NewBodyStream()
+	const chunks, size = 20000, 16
+	data := func(i int) string { return fmt.Sprintf("%0*d", size, i) }
+	e.Go("reader", func(p *sim.Proc) {
+		s.Push(Chunk{Data: []byte(data(0))})
+		peak := 0
+		for i := 1; i < chunks; i++ {
+			s.Push(Chunk{Data: []byte(data(i))})
+			peak = max(peak, len(s.buf)-s.read)
+			if c, ok := s.Next(p); !ok || string(c.Data) != data(i-1) {
+				t.Errorf("chunk %d = %q, want %q", i-1, c.Data, data(i-1))
+				return
+			}
+			if limit := 2*peak + size; cap(s.buf) > limit {
+				t.Errorf("after %d chunks cap(buf) = %d, want at most %d (twice the peak %d unread bytes plus one chunk)",
+					i, cap(s.buf), limit, peak)
+				return
+			}
+		}
+	})
+	e.Run()
+}
+
 // TestStreamChunksMetered: each chunk pulled through Client.Do is charged
 // against the route, so a streamed body takes bandwidth-bound virtual time.
 func TestStreamChunksMetered(t *testing.T) {

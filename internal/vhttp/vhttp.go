@@ -33,7 +33,8 @@ type Request struct {
 	Body   []byte // literal body for small payloads
 	Size   int64  // simulated body size; effective size is max(len(Body), Size)
 
-	// parsed fields, populated by Client.Do / adapters
+	// parsed fields, populated by Client.Do / adapters; Query is nil when
+	// the URL has none
 	Host  string
 	Path  string
 	Query url.Values
@@ -116,11 +117,17 @@ type endpoint struct {
 	up  func() bool
 }
 
+// addr is a listening socket's host and port.
+type addr struct {
+	host string
+	port int
+}
+
 // Net is the virtual network namespace: listeners, host aliases, and the
 // topology callback that yields the link route between two hosts.
 type Net struct {
 	fabric    *netsim.Fabric
-	endpoints map[string]*endpoint
+	endpoints map[addr]*endpoint
 	aliases   map[string]string
 	// RouteFn returns the netsim links between client and server hosts.
 	// nil or empty results mean an un-metered (instant) path.
@@ -142,7 +149,7 @@ type Net struct {
 func NewNet(fabric *netsim.Fabric) *Net {
 	return &Net{
 		fabric:      fabric,
-		endpoints:   make(map[string]*endpoint),
+		endpoints:   make(map[addr]*endpoint),
 		aliases:     make(map[string]string),
 		BaseLatency: 200 * time.Microsecond,
 	}
@@ -161,16 +168,16 @@ type ListenOptions struct {
 
 // Listen registers svc at host:port. Re-listening on a bound port fails.
 func (n *Net) Listen(host string, port int, svc Service, opts ListenOptions) error {
-	k := key(host, port)
-	if _, bound := n.endpoints[k]; bound {
-		return fmt.Errorf("vhttp: address already in use: %s", k)
+	a := addr{host, port}
+	if _, bound := n.endpoints[a]; bound {
+		return fmt.Errorf("vhttp: address already in use: %s", key(host, port))
 	}
-	n.endpoints[k] = &endpoint{svc: svc, up: opts.Up}
+	n.endpoints[a] = &endpoint{svc: svc, up: opts.Up}
 	return nil
 }
 
 // Unlisten removes the endpoint at host:port.
-func (n *Net) Unlisten(host string, port int) { delete(n.endpoints, key(host, port)) }
+func (n *Net) Unlisten(host string, port int) { delete(n.endpoints, addr{host, port}) }
 
 // Alias maps a virtual hostname (an ingress URL host, a service DNS name) to
 // the real host that terminates it. Port numbers carry through unchanged.
@@ -243,7 +250,7 @@ func (c *Client) Do(p *sim.Proc, req *Request) (*Response, error) {
 		return nil, &ConnError{Addr: host, Reason: "network unreachable (firewalled)"}
 	}
 	target := c.Net.Resolve(host)
-	ep := c.Net.endpoints[key(target, port)]
+	ep := c.Net.endpoints[addr{target, port}]
 	if ep == nil {
 		return nil, &ConnError{Addr: key(target, port), Reason: "connection refused"}
 	}
@@ -255,7 +262,10 @@ func (c *Client) Do(p *sim.Proc, req *Request) (*Response, error) {
 	if req.Path == "" {
 		req.Path = "/"
 	}
-	req.Query = u.Query()
+	req.Query = nil
+	if u.RawQuery != "" {
+		req.Query = u.Query()
+	}
 	req.From = c.From
 	if req.Method == "" {
 		req.Method = "GET"

@@ -47,6 +47,33 @@ func TestBasicRequest(t *testing.T) {
 	}
 }
 
+// TestClientDoAllocBudget: a hop through Client.Do allocates only the
+// parsed *url.URL. The endpoint is found by a comparable host-port key, not
+// a formatted string, and a URL without a query leaves Request.Query nil.
+func TestClientDoAllocBudget(t *testing.T) {
+	e, n := newTestNet(t)
+	resp := &Response{Status: 200, Body: []byte("{}")}
+	n.Listen("api", 8000, ServiceFunc(func(p *sim.Proc, req *Request) *Response { return resp }), ListenOptions{})
+	c := &Client{Net: n, From: "node1"}
+	req := &Request{Method: "POST", Body: []byte(`{"model":"m"}`)}
+	var allocs float64
+	e.Go("client", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			req.URL = "http://api:8000/v1/chat/completions"
+			if got, err := c.Do(p, req); err != nil || got != resp {
+				t.Errorf("Do = %v, %v", got, err)
+			}
+		})
+	})
+	e.Run()
+	if req.Query != nil {
+		t.Errorf("Query = %v for a URL without one, want nil", req.Query)
+	}
+	if allocs > 1 {
+		t.Fatalf("Client.Do: %.1f allocs per request, budget 1", allocs)
+	}
+}
+
 func TestConnectionRefused(t *testing.T) {
 	e, n := newTestNet(t)
 	var err error

@@ -3,6 +3,7 @@ package vllm
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -95,6 +96,10 @@ const SSEData = "data: "
 
 // SSEDone is the stream terminator event.
 const SSEDone = SSEData + "[DONE]\n\n"
+
+// sseDone is SSEDone as the bytes a stream pushes; the stream copies
+// them, so they are never written.
+var sseDone = []byte(SSEDone)
 
 // SSEEvent frames a JSON payload as one server-sent event.
 func SSEEvent(v any) []byte {
@@ -298,7 +303,7 @@ func (a *APIServer) chat(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 	out := vhttp.JSON(200, body)
 	// Streaming clients observe TTFT directly; the simulation surfaces it as
 	// a response header so the benchmark can record the same metric.
-	out.SetHeader("X-Request-Ttft-Micros", fmt.Sprintf("%d", r.TTFT().Microseconds()))
+	out.SetHeader("X-Request-Ttft-Micros", strconv.FormatInt(r.TTFT().Microseconds(), 10))
 	if et := opts.Trace; et != nil {
 		et.Finish(p.Now(), "")
 		out.Trace = et
@@ -359,19 +364,13 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 		}
 	}
 	r := a.Engine.SubmitOpts(opts)
-	id := "chatcmpl-" + r.ID
-	enc = newDeltaEncoder(id, served)
+	enc = newDeltaEncoder("chatcmpl-"+r.ID, served)
 	r.Done().OnFire(func() {
 		if r.Err != nil {
 			stream.Fail(r.Err)
 		} else {
-			// Terminal chunk: empty delta, finish_reason, usage accounting.
-			stream.Push(vhttp.Chunk{Data: SSEEvent(ChatChunk{
-				ID: id, Object: "chat.completion.chunk", Model: served,
-				Choices: []ChatChunkChoice{{FinishReason: "stop"}},
-				Usage:   &Usage{PromptTokens: prompt, CompletionTokens: r.Generated, TotalTokens: prompt + r.Generated},
-			})})
-			stream.Push(vhttp.Chunk{Data: []byte(SSEDone)})
+			stream.Push(vhttp.Chunk{Data: enc.finish(prompt, r.Generated)})
+			stream.Push(vhttp.Chunk{Data: sseDone})
 			stream.Close()
 		}
 		ready.Fire()
@@ -383,7 +382,7 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 	}
 	resp := &vhttp.Response{Status: 200, Stream: stream}
 	resp.SetHeader("Content-Type", "text/event-stream")
-	resp.SetHeader("X-Request-Ttft-Micros", fmt.Sprintf("%d", r.TTFT().Microseconds()))
+	resp.SetHeader("X-Request-Ttft-Micros", strconv.FormatInt(r.TTFT().Microseconds(), 10))
 	if et := opts.Trace; et != nil {
 		// The pointer stays live while the stream drains: the engine
 		// records the decode span at finish, which precedes the terminal
@@ -393,13 +392,19 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 	return resp
 }
 
-// deltaEncoder writes the content-delta events of one stream straight into
-// bytes: the JSON up to the delta, which every event of the stream shares,
-// is built once, so an event costs one exact-size slice instead of a
-// reflective json.Marshal of a ChatChunk. The output is byte-identical to
-// SSEEvent(ChatChunk{...}) with the same fields (TestDeltaEncoderMatchesSSEEvent).
+// deltaEncoder writes the events of one stream straight into bytes: the
+// JSON up to the delta, which every event of the stream shares, is built
+// once, and each event is written after it into one reused buffer, so an
+// event costs no allocation instead of a reflective json.Marshal of a
+// ChatChunk. An event is returned capacity-limited, so a caller's append
+// cannot write into the buffer. The output is byte-identical to
+// SSEEvent(ChatChunk{...}) with the same fields
+// (TestDeltaEncoderMatchesSSEEvent, TestFinishEventMatchesSSEEvent).
 type deltaEncoder struct {
-	head []byte // `data: {"id":…,"model":…,"choices":[{"index":0,"delta":{`
+	// buf[:head] is `data: {"id":…,"model":…,"choices":[{"index":0,"delta":{`
+	// and buf[head:] the rest of the last event written.
+	buf  []byte
+	head int
 }
 
 const (
@@ -409,36 +414,54 @@ const (
 	deltaRole    = `"role":"assistant",`
 	deltaContent = `"content":"`
 	deltaTail    = `"}}]}` + "\n\n"
+
+	finishUsage      = `},"finish_reason":"stop"}],"usage":{"prompt_tokens":`
+	finishCompletion = `,"completion_tokens":`
+	finishTotal      = `,"total_tokens":`
+	finishTail       = `}}` + "\n\n"
 )
 
 func newDeltaEncoder(id, model string) deltaEncoder {
 	qid, _ := json.Marshal(id)
 	qmodel, _ := json.Marshal(model)
-	head := make([]byte, 0, len(deltaID)+len(qid)+len(deltaModel)+len(qmodel)+len(deltaOpen))
-	head = append(head, deltaID...)
-	head = append(head, qid...)
-	head = append(head, deltaModel...)
-	head = append(head, qmodel...)
-	return deltaEncoder{head: append(head, deltaOpen...)}
+	head := len(deltaID) + len(qid) + len(deltaModel) + len(qmodel) + len(deltaOpen)
+	// Room after the head for the longest event, the finish event with
+	// three counts of up to 20 digits, so the buffer never grows.
+	buf := make([]byte, 0, head+len(finishUsage)+len(finishCompletion)+len(finishTotal)+len(finishTail)+3*20)
+	buf = append(buf, deltaID...)
+	buf = append(buf, qid...)
+	buf = append(buf, deltaModel...)
+	buf = append(buf, qmodel...)
+	return deltaEncoder{buf: append(buf, deltaOpen...), head: head}
 }
 
-// event returns the SSE event carrying token n (1-based). The first delta
-// also names the assistant role, per OpenAI. Token text needs no JSON
-// escaping: the synthesized words are lowercase letters and spaces.
+// event returns the SSE event carrying token n (1-based), valid until the
+// encoder's next event. The first delta also names the assistant role, per
+// OpenAI. Token text needs no JSON escaping: the synthesized words are
+// lowercase letters and spaces.
 func (d *deltaEncoder) event(n int) []byte {
-	text := TokenText(n)
-	size := len(d.head) + len(deltaContent) + len(text) + len(deltaTail)
+	b := d.buf[:d.head]
 	if n == 1 {
-		size += len(deltaRole)
+		b = append(b, deltaRole...)
 	}
-	out := make([]byte, 0, size)
-	out = append(out, d.head...)
-	if n == 1 {
-		out = append(out, deltaRole...)
-	}
-	out = append(out, deltaContent...)
-	out = append(out, text...)
-	return append(out, deltaTail...)
+	b = append(b, deltaContent...)
+	b = append(b, TokenText(n)...)
+	d.buf = append(b, deltaTail...)
+	return slices.Clip(d.buf)
+}
+
+// finish returns the stream's terminal event: an empty delta, the stop
+// finish_reason and the usage accounting, valid until the encoder's next
+// event.
+func (d *deltaEncoder) finish(prompt, completion int) []byte {
+	b := append(d.buf[:d.head], finishUsage...)
+	b = strconv.AppendInt(b, int64(prompt), 10)
+	b = append(b, finishCompletion...)
+	b = strconv.AppendInt(b, int64(completion), 10)
+	b = append(b, finishTotal...)
+	b = strconv.AppendInt(b, int64(prompt+completion), 10)
+	d.buf = append(b, finishTail...)
+	return slices.Clip(d.buf)
 }
 
 // completionRequest is the body of POST /v1/completions.

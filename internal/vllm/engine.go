@@ -9,6 +9,7 @@ package vllm
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/hw"
@@ -576,7 +577,7 @@ func (e *Engine) Submit(prompt, maxNew int) *Request {
 func (e *Engine) SubmitOpts(o SubmitOptions) *Request {
 	e.seqNum++
 	req := &Request{
-		ID:      fmt.Sprintf("req-%d", e.seqNum),
+		ID:      "req-" + strconv.Itoa(e.seqNum),
 		Prompt:  o.Prompt,
 		MaxNew:  o.MaxNew,
 		Arrived: e.sim.Now(),
