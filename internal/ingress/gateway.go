@@ -64,6 +64,10 @@ type Backend struct {
 	Host string
 	Port int
 
+	// url and chatURL are the base URL and its chat-completions URL,
+	// formatted once in AddBackend.
+	url, chatURL string
+
 	healthy  bool
 	draining bool // drain requested: no new requests, detach when idle
 	drained  *sim.Signal
@@ -80,7 +84,7 @@ type Backend struct {
 }
 
 // URL is the backend's base URL.
-func (b *Backend) URL() string { return fmt.Sprintf("http://%s:%d", b.Host, b.Port) }
+func (b *Backend) URL() string { return b.url }
 
 // Healthy reports the backend's state as of the last probe or forward.
 func (b *Backend) Healthy() bool { return b.healthy }
@@ -280,6 +284,8 @@ type Gateway struct {
 // onto the new backend immediately.
 func (g *Gateway) AddBackend(name, host string, port int) *Backend {
 	b := &Backend{Name: name, Host: host, Port: port, healthy: true}
+	b.url = "http://" + host + ":" + strconv.Itoa(port)
+	b.chatURL = b.url + chatPath
 	g.backends = append(g.backends, b)
 	g.wakeHeld()
 	return b
@@ -689,7 +695,12 @@ func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, candidates []sched.Bac
 // the body — the replica is still generating after the headers return —
 // released by dispatch's watchedStream.
 func (g *Gateway) forward(p *sim.Proc, b *Backend, req *vhttp.Request) (*vhttp.Response, error) {
-	inner := proxyRequest(req, b.URL())
+	var inner *vhttp.Request
+	if req.Path == chatPath && len(req.Query) == 0 {
+		inner = proxyTo(req, b.chatURL)
+	} else {
+		inner = proxyRequest(req, b.url)
+	}
 	b.inflight++
 	b.requests++
 	resp, err := g.httpClient().Do(p, inner)
@@ -976,10 +987,11 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 	start := p.Now()
 	tr := g.startTrace(req, &sreq, start)
 	if sreq.PrefixKey == 0 && g.Policy == PolicyPrefix && g.Picker == nil && req.Path == chatPath {
-		// Cache-aware placement needs the leading prompt-block key; the
-		// raw-body scanner keeps the pick path allocation-free. 0 (short
-		// prompt, unscannable body) degrades to plain session routing.
-		sreq.PrefixKey = vllm.ChatPrefixKeyRaw(vllm.DefaultBlockSize, req.Body)
+		// Cache-aware placement needs the leading prompt-block key, folded
+		// from the messages Describe scanned without allocating. 0 (short
+		// prompt, a body the scan declined) degrades to plain session
+		// routing.
+		sreq.PrefixKey = vllm.ChatPrefixKeyOf(vllm.DefaultBlockSize, sreq.Messages)
 	}
 	// One cold-start budget and one Held count per request, shared between
 	// the arrival hold and a possible re-hold after a forward failure.

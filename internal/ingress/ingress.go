@@ -25,9 +25,15 @@ func proxyRequest(req *vhttp.Request, base string) *vhttp.Request {
 	if q := req.Query.Encode(); q != "" {
 		u += "?" + q
 	}
+	return proxyTo(req, u)
+}
+
+// proxyTo is proxyRequest with the target URL, path and query included,
+// already built.
+func proxyTo(req *vhttp.Request, url string) *vhttp.Request {
 	return &vhttp.Request{
 		Method: req.Method,
-		URL:    u,
+		URL:    url,
 		Header: req.Header,
 		Body:   req.Body,
 		Size:   req.Size,

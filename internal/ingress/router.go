@@ -181,10 +181,11 @@ func (r *Router) Serve(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 		r.stats.Unknown++
 		return r.errorResponse(405, fmt.Sprintf("%s requires POST (got %s)", req.Path, req.Method))
 	}
-	// One parse of the scheduling attributes (model, session key, priority
-	// class) covers the whole front door: the router dispatches on the
-	// model and hands the descriptor to the per-model gateway, which
-	// consumes the rest without re-parsing the body.
+	// One scan of the body (model, session key, priority class, and the
+	// chat messages the prefix key folds) covers the whole front door: the
+	// router dispatches on the model and hands the descriptor to the
+	// per-model gateway, which consumes the rest without re-reading the
+	// body.
 	desc, err := sched.Describe(req.Header, req.Body)
 	if err != nil {
 		r.stats.Unknown++

@@ -95,7 +95,7 @@ func (g *Gateway) noteAndWarm(sreq *sched.Request, b *Backend, req *vhttp.Reques
 		// prefix, so the async warm-up races it harmlessly (the prefix
 		// index deduplicates by chain key) and covers the common case
 		// where the spill outlives this one turn.
-		g.fireWarmup(b.Name, b.URL(), prevBody)
+		g.fireWarmup(b, prevBody)
 	}
 }
 
@@ -118,7 +118,7 @@ func (g *Gateway) warmOnDrain(name string) {
 			return // nothing routable; the cold-start path owns this case
 		}
 		note.owner = v.b.Name
-		g.fireWarmup(v.b.Name, v.b.URL(), note.body)
+		g.fireWarmup(v.b, note.body)
 	}
 }
 
@@ -129,15 +129,15 @@ const chatPath = "/v1/chat/completions"
 // fireWarmup issues the async prefill-only submit. Best-effort: errors
 // only mean the next turn pays its own prefill, exactly as without
 // warm-up.
-func (g *Gateway) fireWarmup(name, baseURL string, body []byte) {
+func (g *Gateway) fireWarmup(b *Backend, body []byte) {
 	if g.eng == nil || g.stopped || len(body) == 0 {
 		return
 	}
 	g.stats.Warmups++
-	g.eng.Go(fmt.Sprintf("gw-warmup-%s-%d", name, g.stats.Warmups), func(p *sim.Proc) {
+	g.eng.Go(fmt.Sprintf("gw-warmup-%s-%d", b.Name, g.stats.Warmups), func(p *sim.Proc) {
 		req := &vhttp.Request{
 			Method: "POST",
-			URL:    baseURL + chatPath,
+			URL:    b.chatURL,
 			Header: map[string]string{
 				sched.WarmupHeader:   "1",
 				sched.PriorityHeader: sched.ClassBatch.String(),

@@ -59,15 +59,24 @@ func (c Class) String() string {
 // ParseClass resolves a priority class name. The empty string is
 // ClassUnset (callers apply their own default).
 func ParseClass(s string) (Class, error) {
-	switch s {
-	case "":
-		return ClassUnset, nil
-	case "batch":
-		return ClassBatch, nil
-	case "interactive":
-		return ClassInteractive, nil
+	if c, ok := lookupClass(s); ok {
+		return c, nil
 	}
 	return ClassUnset, fmt.Errorf("sched: unknown priority class %q (want %q or %q)", s, ClassInteractive, ClassBatch)
+}
+
+// lookupClass is ParseClass without the error, so a name converted from
+// bytes need not escape.
+func lookupClass(s string) (Class, bool) {
+	switch s {
+	case "":
+		return ClassUnset, true
+	case "batch":
+		return ClassBatch, true
+	case "interactive":
+		return ClassInteractive, true
+	}
+	return ClassUnset, false
 }
 
 // Or resolves ClassUnset to a default.
@@ -104,6 +113,10 @@ type Request struct {
 	// replica's published prefix-membership sketch so conversations land
 	// where their system prompt is already resident.
 	PrefixKey uint64
+	// Messages are the chat messages Describe scanned from the body, in
+	// place (none when the scan declined the body): the gateway derives
+	// PrefixKey from them without reading the body again.
+	Messages Messages
 	// Spilled is an out-parameter: the session-affine pickers set it when
 	// this pick left the request's affine replica (saturation spill or a
 	// sketch-guided placement elsewhere), so the gateway can fire an
@@ -152,28 +165,29 @@ type bodyAttrs struct {
 // The error is non-nil only when the body is not valid JSON — header-borne
 // attributes are still returned so a bound gateway can stay lenient while
 // a router surfaces the 400.
+//
+// The body is read with ScanChat, which leaves the chat messages on the
+// descriptor; a body the scan declines is decoded with encoding/json.
 func Describe(header map[string]string, body []byte) (Request, error) {
-	var a bodyAttrs
+	c, ok := ScanChat(body)
 	var err error
-	if jerr := json.Unmarshal(body, &a); jerr != nil {
-		err = fmt.Errorf("request body is not valid JSON (%v)", jerr)
+	if !ok {
+		c, err = decodeAttrs(body)
 	}
-	r := Request{Model: a.Model}
+	r := Request{Model: string(c.Model), Messages: c.Messages}
 	r.TraceID = header[trace.Header]
 	r.SessionKey = header[SessionHeader]
 	if r.SessionKey == "" {
-		r.SessionKey = a.SessionID
+		r.SessionKey = string(c.SessionID)
 	}
 	if r.SessionKey == "" {
-		r.SessionKey = a.User
+		r.SessionKey = string(c.User)
 	}
 	cls := header[PriorityHeader]
 	if cls == "" {
-		cls = a.Priority
+		cls = string(c.Priority)
 	}
-	if c, cerr := ParseClass(cls); cerr == nil {
-		r.Class = c
-	} else {
+	if r.Class, ok = lookupClass(cls); !ok {
 		r.Class = ClassBatch
 	}
 	if v := header[TTFTTargetHeader]; v != "" {
@@ -182,6 +196,20 @@ func Describe(header map[string]string, body []byte) (Request, error) {
 		}
 	}
 	return r, err
+}
+
+// decodeAttrs is Describe's reading of a body ScanChat declines: the
+// bodyAttrs encoding/json decodes, as a Chat over the decoded strings.
+// When the body is not valid JSON, the fields decoded before the error
+// come with it.
+func decodeAttrs(body []byte) (Chat, error) {
+	var a bodyAttrs
+	jerr := json.Unmarshal(body, &a)
+	c := Chat{Model: []byte(a.Model), SessionID: []byte(a.SessionID), User: []byte(a.User), Priority: []byte(a.Priority)}
+	if jerr != nil {
+		return c, fmt.Errorf("request body is not valid JSON (%v)", jerr)
+	}
+	return c, nil
 }
 
 // Backend is one routable replica as the scheduling layer sees it. The

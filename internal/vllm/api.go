@@ -1,12 +1,14 @@
 package vllm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -112,14 +114,20 @@ func SSEEvent(v any) []byte {
 
 // ParseSSE splits a raw SSE event back into its data payload, reporting
 // whether the event carried one. Used by streaming clients (the bench
-// harness, tests); real chunks always carry exactly one data line.
+// harness, tests); real chunks always carry exactly one data line. The
+// payload is a subslice of raw, valid as long as raw is.
 func ParseSSE(raw []byte) (payload []byte, ok bool) {
-	s := strings.TrimSuffix(string(raw), "\n\n")
-	if !strings.HasPrefix(s, SSEData) {
+	raw, _ = bytes.CutSuffix(raw, sseEnd)
+	if payload, ok = bytes.CutPrefix(raw, sseData); !ok {
 		return nil, false
 	}
-	return []byte(strings.TrimPrefix(s, SSEData)), true
+	return payload, true
 }
+
+var (
+	sseData = []byte(SSEData)
+	sseEnd  = []byte("\n\n")
+)
 
 // ErrorResponse mirrors the OpenAI error envelope.
 type ErrorResponse struct {
@@ -156,13 +164,10 @@ func ModelListBody(ids ...string) []byte {
 }
 
 // EstimateTokens approximates tokenization at four characters per token,
-// matching the coarse accounting real serving stacks use for sizing.
-func EstimateTokens(text string) int {
-	n := (len(text) + 3) / 4
-	if n < 1 {
-		n = 1
-	}
-	return n
+// matching the coarse accounting real serving stacks use for sizing. A
+// byte span counts as the string it holds.
+func EstimateTokens[S []byte | string](text S) int {
+	return max(1, (len(text)+3)/4)
 }
 
 // SynthesizeText produces placeholder completion text of about n tokens.
@@ -255,18 +260,14 @@ func (a *APIServer) chat(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 	if !a.authorized(req) {
 		return jsonErr(401, "invalid API key")
 	}
-	var cr ChatRequest
-	if err := json.Unmarshal(req.Body, &cr); err != nil {
+	cr, err := readChat(a.Engine.Config().BlockSize, req.Body)
+	if err != nil {
 		return jsonErr(400, "bad request body: "+err.Error())
 	}
-	if cr.Model != "" && cr.Model != a.servedName() {
-		return jsonErr(404, fmt.Sprintf("model %q does not exist; serving %q", cr.Model, a.servedName()))
+	if len(cr.model) > 0 && string(cr.model) != a.servedName() {
+		return jsonErr(404, fmt.Sprintf("model %q does not exist; serving %q", cr.model, a.servedName()))
 	}
-	prompt := 0
-	for _, m := range cr.Messages {
-		prompt += EstimateTokens(m.Content) + 4 // +4 per-message template overhead
-	}
-	maxNew := cr.MaxTokens
+	maxNew := cr.maxTokens
 	if maxNew <= 0 {
 		maxNew = a.defaultMax()
 	}
@@ -276,31 +277,18 @@ func (a *APIServer) chat(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 		// and stop.
 		maxNew = 1
 	}
-	opts := SubmitOptions{
-		Prompt: prompt, MaxNew: maxNew,
-		PromptHashes: ChatPromptHashes(a.Engine.Config().BlockSize, cr.Messages),
-		Class:        cr.Priority,
-	}
+	opts := SubmitOptions{Prompt: cr.prompt, MaxNew: maxNew, PromptHashes: cr.hashes, Class: cr.class}
 	applySchedHints(&opts, req.Header)
 	opts.Trace = a.startTrace(p, req)
-	if cr.Stream {
-		return a.chatStream(p, cr, prompt, opts)
+	if cr.stream {
+		return a.chatStream(p, opts)
 	}
 	r := a.Engine.SubmitOpts(opts)
 	p.Wait(r.Done())
 	if r.Err != nil {
 		return jsonErr(500, r.Err.Error())
 	}
-	resp := ChatResponse{
-		ID: "chatcmpl-" + r.ID, Object: "chat.completion", Model: a.servedName(),
-		Choices: []ChatChoice{{
-			Message:      ChatMessage{Role: "assistant", Content: SynthesizeText(r.Generated)},
-			FinishReason: "stop",
-		}},
-		Usage: Usage{PromptTokens: prompt, CompletionTokens: r.Generated, TotalTokens: prompt + r.Generated},
-	}
-	body, _ := json.Marshal(resp)
-	out := vhttp.JSON(200, body)
+	out := vhttp.JSON(200, chatResponseBody(r.ID, a.servedName(), opts.Prompt, r.Generated))
 	// Streaming clients observe TTFT directly; the simulation surfaces it as
 	// a response header so the benchmark can record the same metric.
 	out.SetHeader("X-Request-Ttft-Micros", strconv.FormatInt(r.TTFT().Microseconds(), 10))
@@ -309,6 +297,56 @@ func (a *APIServer) chat(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 		out.Trace = et
 	}
 	return out
+}
+
+// chatParams is what chat serves from a request body.
+type chatParams struct {
+	model     []byte
+	prompt    int // prompt tokens, the per-message template overhead included
+	hashes    []uint64
+	maxTokens int
+	class     string
+	stream    bool
+}
+
+// readChat reads a chat body with sched.ScanChat, and with encoding/json
+// (decodeChat) when the scan declines it. The prompt's key slice is the
+// fast path's only allocation.
+func readChat(blockSize int, body []byte) (chatParams, error) {
+	c, ok := sched.ScanChat(body)
+	if !ok {
+		return decodeChat(blockSize, body)
+	}
+	cr := chatParams{model: c.Model, maxTokens: c.MaxTokens, class: className(c.Priority), stream: c.Stream}
+	cr.prompt, cr.hashes = chatPrompt(blockSize, c.Messages)
+	return cr, nil
+}
+
+// decodeChat is readChat for a body the scan declines.
+func decodeChat(blockSize int, body []byte) (chatParams, error) {
+	var req ChatRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return chatParams{}, err
+	}
+	cr := chatParams{
+		model: []byte(req.Model), hashes: ChatPromptHashes(blockSize, req.Messages),
+		maxTokens: req.MaxTokens, class: req.Priority, stream: req.Stream,
+	}
+	for _, m := range req.Messages {
+		cr.prompt += messageTokens(m)
+	}
+	return cr, nil
+}
+
+// className returns string(priority), without allocating for the class
+// names.
+func className(priority []byte) string {
+	for _, c := range [...]sched.Class{sched.ClassInteractive, sched.ClassBatch} {
+		if name := c.String(); string(priority) == name {
+			return name
+		}
+	}
+	return string(priority)
 }
 
 // applySchedHints folds the gateway-stamped scheduling headers into the
@@ -352,7 +390,7 @@ func (a *APIServer) startTrace(p *sim.Proc, req *vhttp.Request) *trace.Trace {
 // first token surfaces as a buffered 500 the gateway may retry on another
 // replica; once the first byte is out, a failure truncates the stream
 // (Err() on the reader) and is never silently retried.
-func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts SubmitOptions) *vhttp.Response {
+func (a *APIServer) chatStream(p *sim.Proc, opts SubmitOptions) *vhttp.Response {
 	stream := vhttp.NewBodyStream()
 	ready := p.Engine().NewSignal()
 	served := a.servedName()
@@ -364,12 +402,12 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 		}
 	}
 	r := a.Engine.SubmitOpts(opts)
-	enc = newDeltaEncoder("chatcmpl-"+r.ID, served)
+	enc = newDeltaEncoder(chatIDPrefix+r.ID, served)
 	r.Done().OnFire(func() {
 		if r.Err != nil {
 			stream.Fail(r.Err)
 		} else {
-			stream.Push(vhttp.Chunk{Data: enc.finish(prompt, r.Generated)})
+			stream.Push(vhttp.Chunk{Data: enc.finish(opts.Prompt, r.Generated)})
 			stream.Push(vhttp.Chunk{Data: sseDone})
 			stream.Close()
 		}
@@ -392,6 +430,107 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 	return resp
 }
 
+// chatResponseBody returns a buffered chat completion's body, written
+// into one exact-size slice: byte-identical to json.Marshal of the
+// ChatResponse with ID "chatcmpl-"+id, the model, SynthesizeText(completion)
+// as the assistant's message, and the usage accounting
+// (TestChatResponseMatchesMarshal).
+func chatResponseBody(id, model string, prompt, completion int) []byte {
+	b := make([]byte, 0, len(respID)+escapedLen(id)+len(respModel)+escapedLen(model)+len(respContent)+
+		4*completion+len(respUsage)+len(finishCompletion)+len(finishTotal)+len(respTail)+
+		decimalLen(prompt)+decimalLen(completion)+decimalLen(prompt+completion))
+	b = appendEscaped(append(b, respID...), id)
+	b = appendEscaped(append(b, respModel...), model)
+	b = appendSynth(append(b, respContent...), completion)
+	b = strconv.AppendInt(append(b, respUsage...), int64(prompt), 10)
+	b = strconv.AppendInt(append(b, finishCompletion...), int64(completion), 10)
+	b = strconv.AppendInt(append(b, finishTotal...), int64(prompt+completion), 10)
+	return append(b, respTail...)
+}
+
+// The buffered response around its fields; the usage accounting is
+// written as the stream's finish event writes it.
+const (
+	chatIDPrefix = "chatcmpl-"
+	respID       = `{"id":"` + chatIDPrefix
+	respModel    = `","object":"chat.completion","model":"`
+	respContent  = `","choices":[{"index":0,"message":{"role":"assistant","content":"`
+	respUsage    = `"` + finishUsage
+	respTail     = `}}`
+)
+
+// appendSynth appends SynthesizeText(n). The synthesized words need no
+// JSON escaping: they are lowercase letters and spaces.
+func appendSynth(b []byte, n int) []byte {
+	for left := 4 * n; left > 0; left -= len(synthWords) {
+		b = append(b, synthWords[:min(left, len(synthWords))]...)
+	}
+	return b
+}
+
+// decimalLen is the length of n written in decimal.
+func decimalLen(n int) int {
+	var d [20]byte
+	return len(strconv.AppendInt(d[:0], int64(n), 10))
+}
+
+// appendEscaped appends s as encoding/json writes it inside a string
+// literal, HTML-escaped as json.Marshal does.
+func appendEscaped(b []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		out, n := jsonRune(s, i)
+		b = append(b, out...)
+		i += n
+	}
+	return b
+}
+
+// escapedLen is the number of bytes appendEscaped appends for s.
+func escapedLen(s string) int {
+	l := 0
+	for i := 0; i < len(s); {
+		out, n := jsonRune(s, i)
+		l += len(out)
+		i += n
+	}
+	return l
+}
+
+// jsonRune returns what encoding/json writes for the rune at s[i], its
+// escape or the rune itself, and the rune's length in bytes.
+func jsonRune(s string, i int) (out string, n int) {
+	if b := s[i]; b < utf8.RuneSelf {
+		if esc := asciiEscapes[b]; esc != "" {
+			return esc, 1
+		}
+		return s[i : i+1], 1
+	}
+	r, n := utf8.DecodeRuneInString(s[i:])
+	switch {
+	case r == utf8.RuneError && n == 1:
+		return `\ufffd`, 1
+	case r == '\u2028':
+		return `\u2028`, n
+	case r == '\u2029':
+		return `\u2029`, n
+	}
+	return s[i : i+n], n
+}
+
+// asciiEscapes maps each ASCII byte to its escape in a JSON string as
+// json.Marshal writes it: control characters, the quote and backslash,
+// and the HTML-sensitive <, > and &. "" means the byte is written as is.
+var asciiEscapes = func() (t [utf8.RuneSelf]string) {
+	const hex = "0123456789abcdef"
+	for b := range 0x20 {
+		t[b] = `\u00` + hex[b>>4:b>>4+1] + hex[b&0xf:b&0xf+1]
+	}
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = `\b`, `\f`, `\n`, `\r`, `\t`
+	t['"'], t['\\'] = `\"`, `\\`
+	t['<'], t['>'], t['&'] = `\u003c`, `\u003e`, `\u0026`
+	return t
+}()
+
 // deltaEncoder writes the events of one stream straight into bytes: the
 // JSON up to the delta, which every event of the stream shares, is built
 // once, and each event is written after it into one reused buffer, so an
@@ -408,9 +547,9 @@ type deltaEncoder struct {
 }
 
 const (
-	deltaID      = SSEData + `{"id":`
-	deltaModel   = `,"object":"chat.completion.chunk","model":`
-	deltaOpen    = `,"choices":[{"index":0,"delta":{`
+	deltaID      = SSEData + `{"id":"`
+	deltaModel   = `","object":"chat.completion.chunk","model":"`
+	deltaOpen    = `","choices":[{"index":0,"delta":{`
 	deltaRole    = `"role":"assistant",`
 	deltaContent = `"content":"`
 	deltaTail    = `"}}]}` + "\n\n"
@@ -422,16 +561,12 @@ const (
 )
 
 func newDeltaEncoder(id, model string) deltaEncoder {
-	qid, _ := json.Marshal(id)
-	qmodel, _ := json.Marshal(model)
-	head := len(deltaID) + len(qid) + len(deltaModel) + len(qmodel) + len(deltaOpen)
+	head := len(deltaID) + escapedLen(id) + len(deltaModel) + escapedLen(model) + len(deltaOpen)
 	// Room after the head for the longest event, the finish event with
 	// three counts of up to 20 digits, so the buffer never grows.
 	buf := make([]byte, 0, head+len(finishUsage)+len(finishCompletion)+len(finishTotal)+len(finishTail)+3*20)
-	buf = append(buf, deltaID...)
-	buf = append(buf, qid...)
-	buf = append(buf, deltaModel...)
-	buf = append(buf, qmodel...)
+	buf = appendEscaped(append(buf, deltaID...), id)
+	buf = appendEscaped(append(buf, deltaModel...), model)
 	return deltaEncoder{buf: append(buf, deltaOpen...), head: head}
 }
 

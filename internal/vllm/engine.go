@@ -102,12 +102,6 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// NumGPUs is the world size.
-func (c *Config) NumGPUs() int {
-	cc := c.withDefaults()
-	return cc.TensorParallel * cc.PipelineParallel
-}
-
 // CapacityError describes a configuration the hardware cannot hold, with the
 // vLLM-style message users see.
 type CapacityError struct{ Msg string }

@@ -149,6 +149,3 @@ func (kv *KVCache) Leak(n int) int {
 	kv.totalBlocks -= n
 	return n
 }
-
-// Sequences returns the number of sequences currently holding blocks.
-func (kv *KVCache) Sequences() int { return len(kv.held) }

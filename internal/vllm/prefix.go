@@ -1,6 +1,10 @@
 package vllm
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/sched"
+)
 
 // Automatic prefix caching, vLLM-style: every full block of a prompt is
 // keyed by a rolling hash chained over the block's tokens and everything
@@ -477,7 +481,7 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnvString(h uint64, s string) uint64 {
+func fnvString[S []byte | string](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime64
@@ -538,7 +542,10 @@ func messageBase(m ChatMessage) uint64 {
 
 // messageTokens is the token count the API server charges for m: its
 // content estimate plus the per-message template overhead.
-func messageTokens(m ChatMessage) int { return EstimateTokens(m.Content) + 4 }
+func messageTokens(m ChatMessage) int { return contentTokens(m.Content) }
+
+// contentTokens is messageTokens of a message with this content.
+func contentTokens[S []byte | string](content S) int { return EstimateTokens(content) + 4 }
 
 // ChatPromptHashes derives the per-block prefix keys for a chat prompt.
 // The hash stream length equals the token count the API server charges for
@@ -555,6 +562,37 @@ func ChatPromptHashes(blockSize int, msgs []ChatMessage) []uint64 {
 	c := newKeyChain(blockSize)
 	for _, m := range msgs {
 		keys = c.message(keys, messageBase(m), messageTokens(m))
+	}
+	return keys
+}
+
+// chatPrompt returns the prompt token count of scanned messages and
+// their ChatPromptHashes, read in place. The key slice is its only
+// allocation, and a prompt shorter than one block makes none.
+func chatPrompt(blockSize int, msgs sched.Messages) (tokens int, keys []uint64) {
+	for it := msgs; ; {
+		_, content, ok := it.Next()
+		if !ok {
+			break
+		}
+		tokens += contentTokens(content)
+	}
+	if blockSize <= 0 {
+		return tokens, nil
+	}
+	return tokens, foldMessages(make([]uint64, 0, tokens/blockSize), blockSize, msgs)
+}
+
+// foldMessages folds scanned messages into keys as ChatPromptHashes folds
+// decoded ones, until keys is full. A span hashes as the string it holds.
+func foldMessages(keys []uint64, blockSize int, msgs sched.Messages) []uint64 {
+	c := newKeyChain(blockSize)
+	for len(keys) < cap(keys) {
+		role, content, ok := msgs.Next()
+		if !ok {
+			break
+		}
+		keys = c.message(keys, fnvString(fnvString(fnvOffset64, role), content), contentTokens(content))
 	}
 	return keys
 }

@@ -408,10 +408,4 @@ func detectModelName(fs *fsim.FS, dir string, args *ServeArgs) (string, error) {
 	return "", startupErr("load", "cannot determine model identity in %s (missing config.json and --served-model-name)", dir)
 }
 
-// NewServerProgramFactory returns a cruntime program factory for the vLLM
-// images, with the hub host used for online-mode probes.
-func NewServerProgramFactory(hubHost string) func() cruntime.Program {
-	return func() cruntime.Program { return &ServerProgram{HubHost: hubHost} }
-}
-
 var _ cruntime.Program = (*ServerProgram)(nil)

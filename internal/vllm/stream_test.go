@@ -446,3 +446,42 @@ func TestStreamTokenAllocBudget(t *testing.T) {
 		t.Fatalf("1-token stream: %.0f allocs, budget 55", short)
 	}
 }
+
+// parseSSERef is ParseSSE as it was before it returned subslices: a
+// round trip through strings that copies the event twice.
+func parseSSERef(raw []byte) (payload []byte, ok bool) {
+	s := strings.TrimSuffix(string(raw), "\n\n")
+	if !strings.HasPrefix(s, SSEData) {
+		return nil, false
+	}
+	return []byte(strings.TrimPrefix(s, SSEData)), true
+}
+
+// FuzzParseSSE: for any input ParseSSE returns what the string-based
+// reference does, as a subslice of its input, and it returns the JSON an
+// SSEEvent framed unchanged.
+func FuzzParseSSE(f *testing.F) {
+	for _, seed := range []string{SSEDone, SSEData, "data: {}\n", "event: ping\n\n", "data: x\n\n\n\n", ""} {
+		f.Add([]byte(seed))
+	}
+	f.Add(SSEEvent(ChatChunk{ID: "chatcmpl-req-1", Object: "chat.completion.chunk",
+		Choices: []ChatChunkChoice{{Delta: ChatDelta{Role: "assistant", Content: TokenText(1)}}}}))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, ok := ParseSSE(raw)
+		want, wantOK := parseSSERef(raw)
+		if ok != wantOK || !bytes.Equal(got, want) {
+			t.Fatalf("ParseSSE(%q) = %q, %v; reference %q, %v", raw, got, ok, want, wantOK)
+		}
+		if len(got) > 0 && &got[0] != &raw[len(SSEData)] {
+			t.Fatalf("ParseSSE(%q) copied the payload", raw)
+		}
+		v := string(raw)
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload, ok := ParseSSE(SSEEvent(v)); !ok || !bytes.Equal(payload, body) {
+			t.Fatalf("ParseSSE(SSEEvent(%q)) = %q, %v; want %q", v, payload, ok, body)
+		}
+	})
+}
