@@ -152,20 +152,6 @@ func BenchmarkEngineServing(b *testing.B) {
 	b.ReportMetric(tput, "sim-tok/s")
 }
 
-// BenchmarkKVCache measures allocator throughput (allocate/grow/release).
-func BenchmarkKVCache(b *testing.B) {
-	b.ReportAllocs()
-	kv := vllm.NewKVCache(1<<20, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("s%d", i%1024)
-		kv.EnsureTokens(id, 512)
-		if i%3 == 2 {
-			kv.Release(id)
-		}
-	}
-}
-
 // BenchmarkNetsimContention measures max-min reallocation with 64 flows
 // arriving and draining on a shared bottleneck.
 func BenchmarkNetsimContention(b *testing.B) {

@@ -117,14 +117,6 @@ func (fs *FS) WriteContent(p string, content []byte, modTime time.Time) (*File, 
 	})
 }
 
-// PutFile stores a copy of an existing file record under a new path.
-func (fs *FS) PutFile(p string, src *File, modTime time.Time) (*File, error) {
-	f := *src
-	f.Path = clean(p)
-	f.ModTime = modTime
-	return fs.put(&f)
-}
-
 func (fs *FS) put(f *File) (*File, error) {
 	old := fs.files[f.Path]
 	delta := f.Size

@@ -149,10 +149,9 @@ func (v backendView) Telemetry() telemetry.Snapshot { return v.b.snap }
 // related work (OpenTela, Chat AI) runs in front of transient instances.
 //
 // All three request-path policy decisions — admission, hold-queue order,
-// and replica choice — are delegated to the pluggable internal/sched
-// layer. The Policy / MaxWaiting / SLOTargetP95 knobs resolve to concrete
-// sched implementations in Start; callers needing custom behavior inject
-// Picker or Admitter directly.
+// and replica choice — are delegated to the internal/sched layer. The
+// Policy / MaxWaiting / SLOTargetP95 knobs resolve to concrete sched
+// implementations.
 //
 // Backends may be registered and removed while the gateway serves: the
 // autoscaler grows the set with AddBackend and shrinks it with
@@ -174,13 +173,8 @@ type Gateway struct {
 	// gateway and dispatches into Serve directly. Probing, forwarding, and
 	// every routing policy work exactly as in the bound shape.
 	Unbound bool
-	// Policy defaults to round-robin. Ignored when Picker is set.
+	// Policy defaults to round-robin.
 	Policy Policy
-	// Picker overrides the Policy-derived replica selector (advanced use;
-	// nil resolves from Policy). An implementation must return one of the
-	// candidate values it was handed, verbatim — wrapped or fabricated
-	// backends are treated as no pick.
-	Picker sched.Picker
 	// HealthInterval between health/metrics probe rounds (default 15s).
 	HealthInterval time.Duration
 	// MaxWaiting is the queue-aware admission threshold: when every healthy
@@ -213,9 +207,6 @@ type Gateway struct {
 	// (0 = sched.DefaultKVSpillPressure; >= 1 disables). Only meaningful
 	// with PolicySession.
 	SessionKVSpill float64
-	// Admitter overrides the MaxWaiting/SLOTargetP95-derived admission
-	// chain (advanced use; nil resolves in Start).
-	Admitter sched.Admitter
 	// HoldColdStart queues requests when no replica is routable instead of
 	// failing them with 502 — the scale-to-zero cold-start path. Held
 	// requests release as soon as a backend is added or revived,
@@ -536,13 +527,9 @@ func (g *Gateway) views(exclude *Backend) []sched.Backend {
 	return out
 }
 
-// picker resolves the active replica selector: the injected Picker, or
-// the Policy-derived sched implementation (instantiated on first use so a
-// post-Start Policy change still takes effect).
+// picker resolves the Policy-derived replica selector (instantiated on
+// first use so a post-Start Policy change still takes effect).
 func (g *Gateway) picker() sched.Picker {
-	if g.Picker != nil {
-		return g.Picker
-	}
 	switch g.Policy {
 	case PolicyLeastLoaded:
 		return sched.LeastLoaded{}
@@ -580,9 +567,8 @@ func (g *Gateway) pickFor(sreq *sched.Request, exclude *Backend) *Backend {
 // pickFrom picks from an already-built candidate snapshot (shared with
 // admission on the arrival path, so the slice is built once per request;
 // retries and hold wakeups rebuild it — the set changes while they wait).
-// A Picker must return one of the candidate values verbatim; anything
-// else (a wrapped view from a custom Picker) is treated as no pick rather
-// than panicking the serving path.
+// A pick that is not one of the candidate values is treated as no pick
+// rather than panicking the serving path.
 func (g *Gateway) pickFrom(candidates []sched.Backend, sreq *sched.Request) *Backend {
 	if len(candidates) == 0 {
 		return nil
@@ -657,22 +643,19 @@ func (g *Gateway) stampSchedHints(req *vhttp.Request, sreq *sched.Request) {
 	}
 }
 
-// admit runs the admission chain against the arrival-time replica
-// snapshot: the injected Admitter, or the SLO breaker (when SLOTargetP95
-// is set) followed by the queue-depth breaker (MaxWaiting; a no-op at 0).
+// admit runs admission against the arrival-time replica snapshot: the
+// SLO breaker (when SLOTargetP95 is set) first, then the queue-depth
+// breaker (MaxWaiting; a no-op at 0).
 func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, candidates []sched.Backend) sched.Outcome {
 	// No admission configured (the default): the old saturated() fast
 	// path, preserved.
-	if g.Admitter == nil && g.SLOTargetP95 <= 0 && g.MaxWaiting <= 0 {
+	if g.SLOTargetP95 <= 0 && g.MaxWaiting <= 0 {
 		return sched.Admitted
 	}
 	now := p.Now()
 	st := sched.State{
 		Backends: candidates,
 		P95:      func() time.Duration { return g.LatencyQuantile(now, 0.95) },
-	}
-	if g.Admitter != nil {
-		return g.Admitter.Admit(sreq, st)
 	}
 	if g.SLOTargetP95 > 0 {
 		if g.slo == nil {
@@ -986,7 +969,7 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 	g.stats.Requests++
 	start := p.Now()
 	tr := g.startTrace(req, &sreq, start)
-	if sreq.PrefixKey == 0 && g.Policy == PolicyPrefix && g.Picker == nil && req.Path == chatPath {
+	if sreq.PrefixKey == 0 && g.Policy == PolicyPrefix && req.Path == chatPath {
 		// Cache-aware placement needs the leading prompt-block key, folded
 		// from the messages Describe scanned without allocating. 0 (short
 		// prompt, a body the scan declined) degrades to plain session

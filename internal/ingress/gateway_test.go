@@ -628,6 +628,56 @@ func TestGatewaySLOShedsBatchKeepsInteractive(t *testing.T) {
 	}
 }
 
+func TestGatewayAdmissionShedsSLOBeforeQueueDepth(t *testing.T) {
+	// With both breakers configured, the SLO breaker decides first: while
+	// it is engaged a batch request is shed on SLO grounds before the
+	// queue-depth breaker is consulted, and an interactive request passes
+	// it only to be shed by the queue-depth breaker.
+	slow := &replica{name: "slow", up: true, latency: 10 * time.Second}
+	eng, net, gw := newGateway(t, PolicyRoundRobin, slow)
+	gw.SLOTargetP95 = 2 * time.Second
+	gw.MaxWaiting = 32
+
+	post := func(priority string) (int, string) {
+		var status int
+		var body string
+		eng.Go("client", func(p *sim.Proc) {
+			cl := &vhttp.Client{Net: net, From: "user"}
+			if r, err := cl.Do(p, &vhttp.Request{
+				Method: "POST", URL: "http://gw:8000/v1/chat/completions",
+				Header: map[string]string{"X-Priority": priority}, Body: []byte(`{"model":"m"}`),
+			}); err == nil {
+				status, body = r.Status, string(r.Body)
+			}
+		})
+		eng.RunFor(30 * time.Second)
+		return status, body
+	}
+
+	// A 10s completion breaches the 2s objective; then the replica's
+	// scraped queue passes MaxWaiting.
+	if status, _ := post("batch"); status != 200 {
+		t.Fatalf("pre-breach batch = %d, want 200", status)
+	}
+	slow.waiting = 40
+	eng.RunFor(30 * time.Second)
+
+	status, body := post("batch")
+	if status != 503 || !strings.Contains(body, "over SLO") {
+		t.Fatalf("batch under both breakers = %d %q, want the SLO shed", status, body)
+	}
+	status, body = post("interactive")
+	if status != 503 || !strings.Contains(body, "waiting-queue") {
+		t.Fatalf("interactive under both breakers = %d %q, want the queue-depth shed", status, body)
+	}
+	if slo, ok := gw.SLO(); !ok || !slo.Engaged || slo.Sheds != 1 {
+		t.Fatalf("slo status = %+v ok=%v, want engaged with the batch shed alone", slo, ok)
+	}
+	if st := gw.Stats(); st.Rejected != 2 {
+		t.Fatalf("rejected = %d, want 2", st.Rejected)
+	}
+}
+
 func TestGatewayHoldQueueWakesInteractiveFirst(t *testing.T) {
 	// Priority hold queue: requests parked through a cold start release in
 	// class order — interactive preempts batch regardless of arrival order.

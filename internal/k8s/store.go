@@ -34,7 +34,6 @@ type Store struct {
 	watchers map[string][]func(Event)
 	// WatchLatency is the delay before watchers observe a change.
 	WatchLatency time.Duration
-	rv           int
 }
 
 // NewStore builds an empty store.
@@ -63,7 +62,6 @@ func (s *Store) Create(kind, key string, obj any) error {
 		return fmt.Errorf("k8s: %s %q already exists", kind, key)
 	}
 	b[key] = obj
-	s.rv++
 	s.notify(Event{Type: Added, Kind: kind, Key: key, Obj: obj})
 	return nil
 }
@@ -75,7 +73,6 @@ func (s *Store) Update(kind, key string, obj any) error {
 		return fmt.Errorf("k8s: %s %q not found", kind, key)
 	}
 	b[key] = obj
-	s.rv++
 	s.notify(Event{Type: Modified, Kind: kind, Key: key, Obj: obj})
 	return nil
 }
@@ -85,7 +82,6 @@ func (s *Store) Apply(kind, key string, obj any) {
 	b := s.bucket(kind)
 	_, exists := b[key]
 	b[key] = obj
-	s.rv++
 	t := Added
 	if exists {
 		t = Modified
@@ -102,7 +98,6 @@ func (s *Store) Delete(kind, key string) bool {
 		return false
 	}
 	delete(b, key)
-	s.rv++
 	s.notify(Event{Type: Deleted, Kind: kind, Key: key, Obj: obj})
 	return true
 }
@@ -139,9 +134,6 @@ func (s *Store) notify(ev Event) {
 		s.eng.Schedule(s.WatchLatency, func() { fn(ev) })
 	}
 }
-
-// ResourceVersion returns the monotonically increasing change counter.
-func (s *Store) ResourceVersion() int { return s.rv }
 
 // labelsMatch reports whether obj labels satisfy the selector.
 func labelsMatch(selector, labels map[string]string) bool {

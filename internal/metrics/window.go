@@ -23,7 +23,6 @@ type WindowCounter struct {
 
 	ring []uint64
 	age  ageClock
-	all  uint64
 }
 
 func (w *WindowCounter) lazyInit(now time.Time) {
@@ -50,7 +49,6 @@ func (w *WindowCounter) Add(now time.Time, n uint64) {
 	w.lazyInit(now)
 	w.rotate(now)
 	w.ring[w.age.cur] += n
-	w.all += n
 }
 
 // Total returns the count of events inside the trailing window at now.
@@ -65,9 +63,6 @@ func (w *WindowCounter) Total(now time.Time) uint64 {
 	}
 	return n
 }
-
-// AllTime returns the cumulative count since creation.
-func (w *WindowCounter) AllTime() uint64 { return w.all }
 
 // ageClock is the age-slot clock Histogram and WindowCounter share: a
 // ring of n slots, each maxAge/n wide, where cur is the slot receiving

@@ -60,9 +60,6 @@ func (f *Flow) Done() *sim.Signal { return f.done }
 // Canceled reports whether the flow was canceled before completing.
 func (f *Flow) Canceled() bool { return f.canceled }
 
-// Remaining returns bytes left, settled to the current virtual time.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Rate returns the flow's current allocated rate in bytes/second.
 func (f *Flow) Rate() float64 { return f.rate }
 

@@ -97,16 +97,6 @@ func (s *Server) CreateBucket(name string) {
 	}
 }
 
-// BucketNames lists buckets sorted.
-func (s *Server) BucketNames() []string {
-	var out []string
-	for n := range s.buckets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ETagFor derives the deterministic ETag for object content identity.
 func ETagFor(key string, size int64, content []byte) string {
 	h := sha256.New()

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// State is the gateway-level signal snapshot an Admitter consults.
+// State is the gateway-level signal snapshot admission consults.
 type State struct {
 	// Backends are the currently routable replicas. Empty during a cold
 	// start, when admission defers to the gateway's hold path.
@@ -29,27 +29,6 @@ type Outcome struct {
 // Admitted is the accepting outcome.
 var Admitted = Outcome{Admit: true}
 
-// Admitter decides whether a request is served at all. Implementations
-// may keep state (the SLO breaker's hysteresis); calls are serialized by
-// the simulation's strict handoff.
-type Admitter interface {
-	Admit(req *Request, st State) Outcome
-}
-
-// Chain composes admitters: the first shed wins, and an empty chain
-// admits everything.
-type Chain []Admitter
-
-// Admit implements Admitter.
-func (c Chain) Admit(req *Request, st State) Outcome {
-	for _, a := range c {
-		if out := a.Admit(req, st); !out.Admit {
-			return out
-		}
-	}
-	return Admitted
-}
-
 // QueueDepth sheds when every routable replica's estimated waiting queue
 // is past MaxWaiting — PR 1's queue-aware breaker, extracted. Zero
 // routable replicas admit (the hold path owns that case), and
@@ -58,7 +37,7 @@ type QueueDepth struct {
 	MaxWaiting int
 }
 
-// Admit implements Admitter.
+// Admit sheds req when every routable replica in st is past MaxWaiting.
 func (a QueueDepth) Admit(_ *Request, st State) Outcome {
 	if a.MaxWaiting <= 0 || len(st.Backends) == 0 {
 		return Admitted
@@ -95,7 +74,8 @@ func (a *SLO) Engaged() bool { return a.engaged }
 // Sheds counts requests this breaker has shed.
 func (a *SLO) Sheds() int { return a.sheds }
 
-// Admit implements Admitter.
+// Admit updates the breaker from st's p95 and sheds req if the breaker
+// is engaged and req is below interactive.
 func (a *SLO) Admit(req *Request, st State) Outcome {
 	if a.Target <= 0 {
 		return Admitted

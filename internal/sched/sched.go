@@ -6,10 +6,11 @@
 //     least-loaded, or session-affine (consistent hashing on a session key
 //     so multi-turn chats reuse one replica's warm KV cache, with
 //     least-loaded spill when the affine replica saturates).
-//   - An Admitter decides whether a request is served at all: the PR 1
-//     queue-depth breaker, and an SLO admitter that sheds the lowest
-//     priority class while the gateway's rolling p95 breaches a per-model
-//     latency objective (with hysteresis, so the breaker does not flap).
+//   - Admission decides whether a request is served at all: the SLO
+//     breaker sheds the lowest priority class while the gateway's rolling
+//     p95 breaches a per-model latency objective (with hysteresis, so it
+//     does not flap), then the queue-depth breaker sheds when every
+//     replica's waiting queue is past a threshold.
 //   - A Queue orders requests held at the gateway (cold starts, dead
 //     replica windows) by priority class: interactive work dequeues before
 //     batch, FIFO within a class.

@@ -357,27 +357,6 @@ func TestSLOHysteresis(t *testing.T) {
 	}
 }
 
-func TestChainFirstShedWins(t *testing.T) {
-	slo := &SLO{Target: time.Second}
-	chain := Chain{slo, QueueDepth{MaxWaiting: 1}}
-	st := State{
-		Backends: []Backend{&fakeBackend{key: "a", pressure: 9}},
-		P95:      func() time.Duration { return 2 * time.Second },
-	}
-	out := chain.Admit(&Request{Class: ClassBatch}, st)
-	if out.Admit || slo.Sheds() != 1 {
-		t.Fatalf("SLO should shed first: %+v sheds=%d", out, slo.Sheds())
-	}
-	// Interactive passes the SLO stage and hits the queue-depth breaker.
-	out = chain.Admit(&Request{Class: ClassInteractive}, st)
-	if out.Admit || out.Reason != "all replicas past waiting-queue threshold" {
-		t.Fatalf("queue-depth stage should shed: %+v", out)
-	}
-	if out := (Chain{}).Admit(&Request{}, st); !out.Admit {
-		t.Fatal("empty chain admits")
-	}
-}
-
 func TestQueuePriorityOrdering(t *testing.T) {
 	var q Queue
 	b1 := q.Push(ClassBatch)

@@ -227,8 +227,8 @@ type preSpan struct{ start, end time.Time }
 
 type sequence struct {
 	req           *Request
-	id            string
-	prefillTarget int // tokens to (re)compute before decoding
+	kv            seqKV // KV blocks the sequence holds
+	prefillTarget int   // tokens to (re)compute before decoding
 	prefillDone   int
 	state         seqState
 	preempted     int
@@ -279,19 +279,9 @@ type Stats struct {
 	DeadlineMisses  int
 	Resumes         int
 	PeakSeqPreempts int
-	// Prefix-cache counters (zero with caching disabled): full prompt
-	// blocks hit/missed at admission, cached blocks evicted for room, and
-	// prefill tokens skipped.
-	PrefixHits      int64
-	PrefixMisses    int64
-	PrefixEvictions int64
-	CachedTokens    int64
-	// Tiered-cache counters (zero without a host tier): GPU→host
-	// demotions, host→GPU promotions, and blocks the bounded host tier
-	// dropped outright.
-	TierDemotions  int64
-	TierPromotions int64
-	HostDrops      int64
+	// PrefixStats holds the prefix-cache counters (zero with caching
+	// disabled, the tier ones zero without a host tier).
+	PrefixStats
 }
 
 // Faults injects the failure modes from §3.5 and §3.3.
@@ -313,7 +303,7 @@ type Engine struct {
 	cfg    Config
 	perf   Params
 	kv     *KVCache
-	idx    *PrefixIndex // nil when prefix caching is disabled
+	idx    *PrefixIndex // stays empty with prefix caching disabled
 	faults Faults
 
 	wq      waitQueue
@@ -361,16 +351,17 @@ func New(simEng *sim.Engine, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("vllm: unknown scheduler policy %q (want %q or %q)",
 			c.SchedulerPolicy, SchedulerDeadline, SchedulerFCFS)
 	}
+	kv := NewKVCache(blocks, c.BlockSize)
 	e := &Engine{
 		sim:      simEng,
 		cfg:      c,
 		perf:     LookupParams(c.Model, c.GPU, c.TensorParallel, c.PipelineParallel, c.GPUsPerNode),
-		kv:       NewKVCache(blocks, c.BlockSize),
+		kv:       kv,
+		idx:      NewPrefixIndex(kv),
 		wq:       waitQueue{fcfs: c.SchedulerPolicy == SchedulerFCFS},
 		transfer: time.Duration(c.KVTransferMicros) * time.Microsecond,
 	}
 	if !c.NoPrefixCache {
-		e.idx = NewPrefixIndex(e.kv)
 		e.idx.EnableHostTier(c.CPUOffloadBlocks)
 	}
 	return e, nil
@@ -382,23 +373,15 @@ func (e *Engine) Config() Config { return e.cfg }
 // KV exposes the block allocator (tests, metrics endpoints).
 func (e *Engine) KV() *KVCache { return e.kv }
 
-// Prefix exposes the prefix-cache index (nil with caching disabled).
+// Prefix exposes the prefix-cache index. With caching disabled it stays
+// empty: no sequence carries block keys and no host tier attaches.
 func (e *Engine) Prefix() *PrefixIndex { return e.idx }
 
 // Stats returns a snapshot of engine counters, prefix-cache counters
 // folded in.
 func (e *Engine) Stats() Stats {
 	st := e.stats
-	if e.idx != nil {
-		ps := e.idx.Stats()
-		st.PrefixHits = ps.Hits
-		st.PrefixMisses = ps.Misses
-		st.PrefixEvictions = ps.Evictions
-		st.CachedTokens = ps.CachedTokens
-		st.TierDemotions = ps.Demotions
-		st.TierPromotions = ps.Promotions
-		st.HostDrops = ps.HostDrops
-	}
+	st.PrefixStats = e.idx.Stats()
 	return st
 }
 
@@ -436,15 +419,13 @@ func (e *Engine) Telemetry() telemetry.Snapshot {
 	now := e.sim.Now()
 	snap.WindowPrefixHits = int64(e.winHits.Total(now))
 	snap.WindowPrefixMisses = int64(e.winMisses.Total(now))
-	if e.idx != nil {
-		snap.KVBlocksCached = e.idx.Evictable()
-		snap.PrefixSketch = e.idx.AppendSketch(nil, maxSketch)
-		snap.TierDemotions = st.TierDemotions
-		snap.TierPromotions = st.TierPromotions
-		if t := e.idx.HostTier(); t != nil {
-			snap.KVHostBlocksTotal = t.Capacity()
-			snap.KVHostBlocksUsed = t.Len()
-		}
+	snap.KVBlocksCached = e.idx.Evictable()
+	snap.PrefixSketch = e.idx.AppendSketch(nil, maxSketch)
+	snap.TierDemotions = st.TierDemotions
+	snap.TierPromotions = st.TierPromotions
+	if t := e.idx.HostTier(); t != nil {
+		snap.KVHostBlocksTotal = t.Capacity()
+		snap.KVHostBlocksUsed = t.Len()
 	}
 	return snap
 }
@@ -593,7 +574,7 @@ func (e *Engine) SubmitOpts(o SubmitOptions) *Request {
 		return req
 	}
 	s := &sequence{
-		req: req, id: req.ID, prefillTarget: o.Prompt,
+		req: req, prefillTarget: o.Prompt,
 		class: o.Class, onToken: o.OnToken, tr: o.Trace,
 		arrival: e.seqNum, sloBoost: o.SLOBreach,
 	}
@@ -603,11 +584,9 @@ func (e *Engine) SubmitOpts(o SubmitOptions) *Request {
 	} else {
 		s.deadline = req.Arrived.Add(noTargetHorizon)
 	}
-	if e.idx != nil && len(o.PromptHashes) > 0 {
+	if !e.cfg.NoPrefixCache && len(o.PromptHashes) <= o.Prompt/e.cfg.BlockSize {
 		// Only full prompt blocks carry keys; ignore malformed extras.
-		if max := o.Prompt / e.cfg.BlockSize; len(o.PromptHashes) <= max {
-			s.hashes = o.PromptHashes
-		}
+		s.hashes = o.PromptHashes
 	}
 	e.wq.push(s, e.sim.Now())
 	if e.idleSig != nil {
@@ -642,11 +621,11 @@ func (e *Engine) step(p *sim.Proc) {
 		if err := e.ensureSeqTokens(s, tokens); err != nil {
 			if !e.preemptFor(s) {
 				// Nothing left to evict: this request cannot proceed.
-				e.failSeq(s, fmt.Errorf("vllm: KV cache exhausted for %s", s.id))
+				e.failSeq(s, fmt.Errorf("vllm: KV cache exhausted for %s", s.req.ID))
 				continue
 			}
 			if err := e.ensureSeqTokens(s, tokens); err != nil {
-				e.failSeq(s, fmt.Errorf("vllm: KV cache exhausted for %s", s.id))
+				e.failSeq(s, fmt.Errorf("vllm: KV cache exhausted for %s", s.req.ID))
 			}
 		}
 	}
@@ -667,12 +646,10 @@ func (e *Engine) step(p *sim.Proc) {
 		}
 	}
 	dur := e.perf.StepTime(decode, prefillTokens)
-	if e.idx != nil {
-		// Host-tier promotions executed by this step's admissions pay the
-		// PCIe transfer alongside the compute they replaced.
-		if n := e.idx.DrainPromoted(); n > 0 {
-			dur += time.Duration(n) * e.transfer
-		}
+	// Host-tier promotions executed by this step's admissions pay the PCIe
+	// transfer alongside the compute they replaced.
+	if n := e.idx.DrainPromoted(); n > 0 {
+		dur += time.Duration(n) * e.transfer
 	}
 	if running := len(e.running); running > e.stats.PeakRunning {
 		e.stats.PeakRunning = running
@@ -762,28 +739,24 @@ func (e *Engine) step(p *sim.Proc) {
 func (e *Engine) admitKV(s *sequence) bool {
 	total := e.kv.BlocksForTokens(s.prefillTarget + 1)
 	hit, limit := 0, 0
-	if e.idx != nil && len(s.hashes) > 0 {
+	if len(s.hashes) > 0 {
 		// At least one prompt token is always computed (the logits source),
 		// so a fully cached prompt still prefills its final block.
 		limit = (s.prefillTarget - 1) / e.cfg.BlockSize
 		if limit > len(s.hashes) {
 			limit = len(s.hashes)
 		}
-		hit = e.idx.Acquire(s.id, s.hashes, limit)
+		hit = e.idx.Acquire(&s.kv, s.hashes, limit)
 	}
 	if need := total - hit; need > 0 {
-		if e.idx != nil {
-			e.idx.EnsureFree(need)
-		}
-		if err := e.kv.Allocate(s.id, need); err != nil {
-			if e.idx != nil {
-				e.idx.Abort(s.id, hit, limit)
-			}
+		e.idx.EnsureFree(need)
+		if err := s.kv.allocate(e.kv, need); err != nil {
+			e.idx.Abort(&s.kv, hit, limit)
 			return false
 		}
 	}
-	if e.idx != nil && len(s.hashes) > 0 {
-		e.idx.Register(s.id, s.hashes, hit)
+	if len(s.hashes) > 0 {
+		e.idx.Register(&s.kv, s.hashes, hit)
 	}
 	if limit > 0 {
 		// Windowed counters record only settled admissions, so the
@@ -801,26 +774,23 @@ func (e *Engine) admitKV(s *sequence) bool {
 }
 
 // ensureSeqTokens grows s's private allocation to cover tokens of total
-// sequence KV, discounting the prefix-cache blocks s references and
-// reclaiming unreferenced cache blocks before reporting exhaustion.
+// sequence KV, allocating only the delta. It discounts the prefix-cache
+// blocks s references, reclaims unreferenced cache blocks before
+// reporting exhaustion, and fails without partial allocation.
 func (e *Engine) ensureSeqTokens(s *sequence, tokens int) error {
-	if e.idx != nil {
-		tokens -= e.idx.Refs(s.id) * e.cfg.BlockSize
-		if need := e.kv.BlocksForTokens(tokens) - e.kv.Holding(s.id); need > 0 {
-			e.idx.EnsureFree(need)
-		}
+	need := e.kv.BlocksForTokens(tokens-len(s.kv.refs)*e.cfg.BlockSize) - s.kv.private
+	if need <= 0 {
+		return nil
 	}
-	_, err := e.kv.EnsureTokens(s.id, tokens)
-	return err
+	e.idx.EnsureFree(need)
+	return s.kv.allocate(e.kv, need)
 }
 
 // releaseSeq returns s's private blocks to the allocator and drops its
 // prefix-cache references (shared blocks stay resident as reusable cache).
 func (e *Engine) releaseSeq(s *sequence) {
-	e.kv.Release(s.id)
-	if e.idx != nil {
-		e.idx.Release(s.id)
-	}
+	s.kv.drop(e.kv)
+	e.idx.Release(&s.kv)
 }
 
 // preemptFor evicts one running sequence other than favored (the least

@@ -130,6 +130,38 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestEnsureTokensGrowsIncrementally: the engine grows a sequence's KV
+// block by block as it decodes, allocating only the delta, and growth past
+// capacity fails without a partial allocation.
+func TestEnsureTokensGrowsIncrementally(t *testing.T) {
+	cfg := hopsScoutConfig()
+	cfg.MaxModelLen = 160
+	cfg.NumGPUBlocksOverride = 10
+	e, err := New(sim.NewEngine(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sequence{req: &Request{ID: "s"}}
+	for _, c := range []struct{ tokens, blocks int }{
+		{16, 1}, // first block
+		{16, 1}, // already covered: no new block
+		{17, 2}, // boundary crossing
+	} {
+		if err := e.ensureSeqTokens(s, c.tokens); err != nil {
+			t.Fatalf("ensure %d tokens: %v", c.tokens, err)
+		}
+		if s.kv.private != c.blocks || e.KV().UsedBlocks() != c.blocks {
+			t.Fatalf("after %d tokens: holding=%d used=%d, want %d", c.tokens, s.kv.private, e.KV().UsedBlocks(), c.blocks)
+		}
+	}
+	if err := e.ensureSeqTokens(s, 16*11); err == nil {
+		t.Fatal("growth past capacity must fail")
+	}
+	if s.kv.private != 2 || e.KV().UsedBlocks() != 2 {
+		t.Fatalf("failed growth allocated: holding=%d used=%d, want 2", s.kv.private, e.KV().UsedBlocks())
+	}
+}
+
 func TestPreemptionUnderKVPressure(t *testing.T) {
 	// Tiny KV: force preemptions by running many long sequences on a
 	// configuration with little cache headroom.

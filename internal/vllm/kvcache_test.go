@@ -11,27 +11,36 @@ func TestKVBasicAllocateRelease(t *testing.T) {
 	if kv.FreeBlocks() != 100 || kv.TotalBlocks() != 100 {
 		t.Fatal("initial state wrong")
 	}
-	if err := kv.Allocate("a", 30); err != nil {
+	a, b := &seqKV{}, &seqKV{}
+	if err := a.allocate(kv, 30); err != nil {
 		t.Fatal(err)
 	}
-	if kv.FreeBlocks() != 70 || kv.Holding("a") != 30 {
-		t.Fatalf("free=%d holding=%d", kv.FreeBlocks(), kv.Holding("a"))
+	if kv.FreeBlocks() != 70 || a.private != 30 {
+		t.Fatalf("free=%d holding=%d", kv.FreeBlocks(), a.private)
 	}
-	if err := kv.Allocate("b", 80); err == nil {
-		t.Fatal("over-allocation must fail")
+	if err := b.allocate(kv, 80); err == nil || b.private != 0 {
+		t.Fatalf("over-allocation must fail: err=%v holding=%d", err, b.private)
 	}
 	if kv.FreeBlocks() != 70 {
 		t.Fatal("failed allocation must not consume blocks")
 	}
-	if got := kv.Release("a"); got != 30 {
-		t.Fatalf("released %d, want 30", got)
+	if err := kv.Allocate(-1); err == nil {
+		t.Fatal("negative allocation must fail")
 	}
+	a.drop(kv)
+	if kv.FreeBlocks() != 100 || a.private != 0 {
+		t.Fatalf("release did not return blocks: free=%d holding=%d", kv.FreeBlocks(), a.private)
+	}
+	a.drop(kv)
 	if kv.FreeBlocks() != 100 {
-		t.Fatal("release did not return blocks")
-	}
-	if kv.Release("a") != 0 {
 		t.Fatal("double release should free nothing")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing past capacity must panic")
+		}
+	}()
+	kv.Release(1)
 }
 
 func TestBlocksForTokens(t *testing.T) {
@@ -44,28 +53,10 @@ func TestBlocksForTokens(t *testing.T) {
 	}
 }
 
-func TestEnsureTokensGrowsIncrementally(t *testing.T) {
-	kv := NewKVCache(10, 16)
-	if n, err := kv.EnsureTokens("s", 16); err != nil || n != 1 {
-		t.Fatalf("first ensure: %d %v", n, err)
-	}
-	if n, err := kv.EnsureTokens("s", 16); err != nil || n != 0 {
-		t.Fatalf("repeat ensure should be free: %d %v", n, err)
-	}
-	if n, err := kv.EnsureTokens("s", 17); err != nil || n != 1 {
-		t.Fatalf("boundary crossing: %d %v", n, err)
-	}
-	if kv.Holding("s") != 2 {
-		t.Fatalf("holding = %d", kv.Holding("s"))
-	}
-	if _, err := kv.EnsureTokens("s", 16*11); err == nil {
-		t.Fatal("growth past capacity must fail")
-	}
-}
-
 func TestLeak(t *testing.T) {
 	kv := NewKVCache(100, 16)
-	kv.Allocate("a", 50)
+	a := &seqKV{}
+	a.allocate(kv, 50)
 	leaked := kv.Leak(30)
 	if leaked != 30 || kv.TotalBlocks() != 70 || kv.FreeBlocks() != 20 {
 		t.Fatalf("leak: %d total=%d free=%d", leaked, kv.TotalBlocks(), kv.FreeBlocks())
@@ -74,13 +65,13 @@ func TestLeak(t *testing.T) {
 	if got := kv.Leak(1000); got != 20 {
 		t.Fatalf("clamped leak = %d, want 20", got)
 	}
-	kv.Release("a")
+	a.drop(kv)
 	if kv.FreeBlocks() != 50 || kv.TotalBlocks() != 50 {
 		t.Fatalf("after release: free=%d total=%d", kv.FreeBlocks(), kv.TotalBlocks())
 	}
 }
 
-// TestKVInvariants drives random allocate/ensure/release/leak traffic and
+// TestKVInvariants drives random allocate/grow/release/leak traffic and
 // checks conservation: free + Σheld == total at every step, never negative,
 // and failed operations change nothing.
 func TestKVInvariants(t *testing.T) {
@@ -88,28 +79,31 @@ func TestKVInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		total := 1 + rng.Intn(500)
 		kv := NewKVCache(total, 16)
-		ids := []string{"a", "b", "c", "d", "e"}
+		seqs := make([]seqKV, 5)
 		for op := 0; op < 300; op++ {
-			id := ids[rng.Intn(len(ids))]
+			s := &seqs[rng.Intn(len(seqs))]
 			switch rng.Intn(4) {
 			case 0:
 				n := rng.Intn(total/2 + 1)
 				free := kv.FreeBlocks()
-				err := kv.Allocate(id, n)
+				err := s.allocate(kv, n)
 				if (err == nil) != (n <= free) {
 					t.Logf("seed %d: Allocate(%d) err=%v with free=%d", seed, n, err, free)
 					return false
 				}
 			case 1:
-				kv.EnsureTokens(id, rng.Intn(total*16))
+				// Grow to cover a token count, as decode does.
+				if need := kv.BlocksForTokens(rng.Intn(total*16)) - s.private; need > 0 {
+					s.allocate(kv, need)
+				}
 			case 2:
-				kv.Release(id)
+				s.drop(kv)
 			case 3:
 				kv.Leak(rng.Intn(3))
 			}
 			held := 0
-			for _, i := range ids {
-				held += kv.Holding(i)
+			for i := range seqs {
+				held += seqs[i].private
 			}
 			if kv.FreeBlocks()+held != kv.TotalBlocks() {
 				t.Logf("seed %d: conservation violated: free=%d held=%d total=%d",

@@ -21,28 +21,29 @@ import (
 // prefixBlock node for its whole life: it sits on the LRU while
 // unreferenced, moves to the host tier on demotion and back on promotion,
 // and once evicted for good goes to a free list that Register draws from.
-// A sequence's reference slice is recycled on Release.
+// A sequence's references live on its own seqKV; their slice goes back to
+// a spare pool on Release and is drawn again by the next admission.
 
-// prefixOwner is the KVCache ownership key for cache-resident blocks. The
-// NUL prefix keeps it out of the "req-N" sequence ID namespace.
-const prefixOwner = "\x00prefix-cache"
-
-// PrefixStats counts cache effectiveness (cumulative).
+// PrefixStats counts cache effectiveness (cumulative). Engine.Stats embeds
+// it, so each counter is declared once.
 type PrefixStats struct {
-	// Hits and Misses count full prompt blocks looked up at admission.
-	Hits   int64
-	Misses int64
-	// Evictions counts cached blocks reclaimed to make allocation room.
-	Evictions int64
+	// PrefixHits and PrefixMisses count full prompt blocks looked up at
+	// admission.
+	PrefixHits   int64
+	PrefixMisses int64
+	// PrefixEvictions counts cached blocks reclaimed to make allocation
+	// room.
+	PrefixEvictions int64
 	// CachedTokens totals the prefill tokens skipped via cache hits.
 	CachedTokens int64
-	// Tiered-cache counters (zero without a host tier). Demotions counts
-	// GPU evictions that parked the block in the host tier instead of
-	// dropping it; Promotions counts demoted blocks transferred back on a
-	// prefix hit; HostDrops counts blocks the bounded tier itself evicted.
-	Demotions  int64
-	Promotions int64
-	HostDrops  int64
+	// Tiered-cache counters (zero without a host tier). TierDemotions
+	// counts GPU evictions that parked the block in the host tier instead
+	// of dropping it; TierPromotions counts demoted blocks transferred back
+	// on a prefix hit; HostDrops counts blocks the bounded tier itself
+	// evicted.
+	TierDemotions  int64
+	TierPromotions int64
+	HostDrops      int64
 }
 
 // prefixBlock is one cached KV block, GPU-resident or parked in the host
@@ -95,16 +96,14 @@ func (l *blockList) remove(b *prefixBlock) {
 	l.len--
 }
 
-// PrefixIndex is the hash→block map over a KVCache. It owns the cache-
-// resident blocks (held in the KVCache under prefixOwner) and tracks, per
-// sequence, which cached blocks the sequence references so release and
-// preemption deref them correctly.
+// PrefixIndex is the hash→block map over a KVCache. It holds one
+// allocator block per GPU-cached hash. The sequences referencing a block
+// carry the reference in their seqKV, and the block's refs counts them.
 type PrefixIndex struct {
 	kv     *KVCache
 	byHash map[uint64]*prefixBlock
 	// lru holds unreferenced cached blocks, oldest at the front.
-	lru  blockList
-	seqs map[string][]*prefixBlock
+	lru blockList
 	// free chains (through next) the nodes of evicted blocks no tier
 	// holds; spare holds emptied reference slices. Register and Acquire
 	// draw on them before allocating.
@@ -129,7 +128,6 @@ func NewPrefixIndex(kv *KVCache) *PrefixIndex {
 	x := &PrefixIndex{
 		kv:     kv,
 		byHash: make(map[uint64]*prefixBlock),
-		seqs:   make(map[string][]*prefixBlock),
 		heads:  make(map[uint64]struct{}),
 	}
 	x.lru.init()
@@ -151,14 +149,11 @@ func (x *PrefixIndex) HostTier() *HostTier { return x.tier }
 func (x *PrefixIndex) Stats() PrefixStats { return x.stats }
 
 // CachedBlocks returns all cache-resident blocks (referenced or not).
-func (x *PrefixIndex) CachedBlocks() int { return x.kv.Holding(prefixOwner) }
+func (x *PrefixIndex) CachedBlocks() int { return len(x.byHash) }
 
 // Evictable returns the cache-resident blocks no sequence references —
 // the reclaimable-on-demand population.
 func (x *PrefixIndex) Evictable() int { return x.lru.len }
-
-// Refs returns how many cached blocks seqID currently references.
-func (x *PrefixIndex) Refs(seqID string) int { return len(x.seqs[seqID]) }
 
 // ref takes one reference on b, removing it from the LRU if it was
 // unreferenced.
@@ -169,29 +164,15 @@ func (x *PrefixIndex) ref(b *prefixBlock) {
 	b.refs++
 }
 
-// seqRefs returns seqID's reference slice, or a recycled empty one when
-// the sequence holds none yet; storeRefs saves it back.
-func (x *PrefixIndex) seqRefs(seqID string) []*prefixBlock {
-	if refs, ok := x.seqs[seqID]; ok {
-		return refs
-	}
+// refsOf returns s's reference slice, or a spare one when s holds none.
+func (x *PrefixIndex) refsOf(s *seqKV) []*prefixBlock {
 	n := len(x.spare)
-	if n == 0 {
-		return nil
+	if s.refs != nil || n == 0 {
+		return s.refs
 	}
 	refs := x.spare[n-1]
 	x.spare = x.spare[:n-1]
 	return refs
-}
-
-// storeRefs records refs as seqID's reference slice; an empty one goes
-// back to the spares, so a sequence without references has no entry.
-func (x *PrefixIndex) storeRefs(seqID string, refs []*prefixBlock) {
-	if len(refs) > 0 {
-		x.seqs[seqID] = refs
-	} else if cap(refs) > 0 {
-		x.spare = append(x.spare, refs)
-	}
 }
 
 // newBlock returns a GPU block node for hash, recycled from the free list
@@ -234,12 +215,12 @@ func (x *PrefixIndex) Lookup(hashes []uint64, limit int) int {
 }
 
 // Acquire references the longest cached chain prefix of hashes (capped at
-// limit blocks) on behalf of seqID and returns the block count. A block
+// limit blocks) on behalf of s and returns the block count. A block
 // parked in the host tier counts as a hit: it is promoted back to a GPU
 // block (the engine charges the transfer cost, far below the block's
 // prefill cost). Hit and miss counters cover every block up to limit — a
 // miss is a full block the sequence will now prefill itself.
-func (x *PrefixIndex) Acquire(seqID string, hashes []uint64, limit int) int {
+func (x *PrefixIndex) Acquire(s *seqKV, hashes []uint64, limit int) int {
 	if limit < 0 {
 		limit = 0
 	}
@@ -247,7 +228,7 @@ func (x *PrefixIndex) Acquire(seqID string, hashes []uint64, limit int) int {
 		limit = len(hashes)
 	}
 	hit := 0
-	refs := x.seqRefs(seqID)
+	refs := x.refsOf(s)
 	for hit < limit {
 		b, ok := x.byHash[hashes[hit]]
 		if !ok {
@@ -259,9 +240,9 @@ func (x *PrefixIndex) Acquire(seqID string, hashes []uint64, limit int) int {
 		refs = append(refs, b)
 		hit++
 	}
-	x.storeRefs(seqID, refs)
-	x.stats.Hits += int64(hit)
-	x.stats.Misses += int64(limit - hit)
+	s.refs = refs
+	x.stats.PrefixHits += int64(hit)
+	x.stats.PrefixMisses += int64(limit - hit)
 	return hit
 }
 
@@ -279,12 +260,12 @@ func (x *PrefixIndex) promote(hash uint64) (*prefixBlock, bool) {
 	if !ok {
 		return nil, false
 	}
-	if !x.EnsureFree(1) || x.kv.Allocate(prefixOwner, 1) != nil {
+	if !x.EnsureFree(1) || x.kv.Allocate(1) != nil {
 		x.tier.put(b)
 		return nil, false
 	}
 	x.byHash[hash] = b
-	x.stats.Promotions++
+	x.stats.TierPromotions++
 	x.promoted++
 	return b, true
 }
@@ -297,31 +278,35 @@ func (x *PrefixIndex) DrainPromoted() int {
 	return n
 }
 
-// Register promotes seqID's freshly computed full prompt blocks into the
-// cache: for each hash from index `from` on, one block moves from the
-// sequence's private allocation into shared cache ownership, referenced by
-// the sequence. A hash that is already cached (a concurrent sequence
-// registered it first, or the acquire limit stopped short of a resident
-// block) is referenced instead and the duplicate private block is freed.
-func (x *PrefixIndex) Register(seqID string, hashes []uint64, from int) {
-	refs := x.seqRefs(seqID)
+// Register promotes s's freshly computed full prompt blocks into the
+// cache: for each hash from index `from` on, one of the sequence's private
+// blocks becomes the cache's, referenced by the sequence. A hash that is
+// already cached (a concurrent sequence registered it first, or the
+// acquire limit stopped short of a resident block) is referenced instead
+// and the duplicate private block is freed.
+func (x *PrefixIndex) Register(s *seqKV, hashes []uint64, from int) {
+	refs := x.refsOf(s)
 	for i := from; i < len(hashes); i++ {
 		if b, ok := x.byHash[hashes[i]]; ok {
 			x.ref(b)
 			refs = append(refs, b)
 			// The sequence prefilled this block privately; the shared copy
 			// supersedes it.
-			if x.kv.Holding(seqID) > 0 {
-				x.kv.ReleaseN(seqID, 1)
+			if s.private > 0 {
+				s.private--
+				x.kv.Release(1)
 			}
 			continue
 		}
-		if err := x.kv.Transfer(seqID, prefixOwner, 1); err != nil {
+		if s.private == 0 {
 			// The sequence holds fewer private blocks than prompt hashes —
 			// nothing left to promote (short final allocations under an
 			// acquire cap); stop quietly.
 			break
 		}
+		// The private block becomes the cache's; the allocator's count
+		// does not change.
+		s.private--
 		b := x.newBlock(hashes[i], 1, i == 0)
 		x.byHash[hashes[i]] = b
 		refs = append(refs, b)
@@ -329,40 +314,38 @@ func (x *PrefixIndex) Register(seqID string, hashes []uint64, from int) {
 			x.heads[b.hash] = struct{}{}
 		}
 	}
-	x.storeRefs(seqID, refs)
+	s.refs = refs
 }
 
-// Abort rolls back a failed admission attempt: drops seqID's references
-// and un-counts the lookup Acquire recorded. The engine retries a blocked
+// Abort rolls back a failed admission attempt: drops s's references and
+// un-counts the lookup Acquire recorded. The engine retries a blocked
 // head-of-queue sequence every step, and without the un-count those
 // retries would inflate the hit/miss counters far past actual traffic.
-func (x *PrefixIndex) Abort(seqID string, hit, limit int) {
-	x.Release(seqID)
-	x.stats.Hits -= int64(hit)
+func (x *PrefixIndex) Abort(s *seqKV, hit, limit int) {
+	x.Release(s)
+	x.stats.PrefixHits -= int64(hit)
 	if limit > hit {
-		x.stats.Misses -= int64(limit - hit)
+		x.stats.PrefixMisses -= int64(limit - hit)
 	}
 }
 
-// Release drops every cache reference seqID holds. Blocks reaching zero
-// references stay resident and join the LRU tail as reusable cache. The
-// walk is in reverse chain order so the deepest blocks sit closest to the
-// eviction front: evicting a chain tail leaves its prefix reusable,
-// evicting a head would orphan the whole tail.
-func (x *PrefixIndex) Release(seqID string) {
-	blocks, ok := x.seqs[seqID]
-	if !ok {
-		return
-	}
-	for i := len(blocks) - 1; i >= 0; i-- {
-		b := blocks[i]
+// Release drops every cache reference s holds and returns its slice to the
+// spares. Blocks reaching zero references stay resident and join the LRU
+// tail as reusable cache. The walk is in reverse chain order so the
+// deepest blocks sit closest to the eviction front: evicting a chain tail
+// leaves its prefix reusable, evicting a head would orphan the whole tail.
+func (x *PrefixIndex) Release(s *seqKV) {
+	for i := len(s.refs) - 1; i >= 0; i-- {
+		b := s.refs[i]
 		b.refs--
 		if b.refs == 0 {
 			x.lru.pushBack(b)
 		}
 	}
-	delete(x.seqs, seqID)
-	x.spare = append(x.spare, blocks[:0])
+	if cap(s.refs) > 0 {
+		x.spare = append(x.spare, s.refs[:0])
+	}
+	s.refs = nil
 }
 
 // EnsureFree evicts unreferenced cached blocks (oldest first) until the
@@ -379,8 +362,8 @@ func (x *PrefixIndex) EnsureFree(n int) bool {
 		}
 		x.lru.remove(b)
 		delete(x.byHash, b.hash)
-		x.kv.ReleaseN(prefixOwner, 1)
-		x.stats.Evictions++
+		x.kv.Release(1)
+		x.stats.PrefixEvictions++
 		if x.tier == nil {
 			if b.head {
 				delete(x.heads, b.hash)
@@ -388,7 +371,7 @@ func (x *PrefixIndex) EnsureFree(n int) bool {
 			x.recycle(b)
 			continue
 		}
-		x.stats.Demotions++
+		x.stats.TierDemotions++
 		switch dropped := x.tier.put(b); {
 		case dropped == b:
 			// Already parked: the tier's copy stands in for this one.

@@ -1,7 +1,6 @@
 package vllm
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -25,25 +24,26 @@ func TestPrefixAcquireShareRelease(t *testing.T) {
 	kv := NewKVCache(100, 16)
 	idx := NewPrefixIndex(kv)
 	hashes := chainBlocks(tokenStream(1, 64), 16) // 4 full blocks
+	a, b, c := &seqKV{}, &seqKV{}, &seqKV{}
 
 	// First sequence: nothing cached yet — 4 misses, all blocks private,
 	// then promoted by Register.
-	if hit := idx.Acquire("a", hashes, 4); hit != 0 {
+	if hit := idx.Acquire(a, hashes, 4); hit != 0 {
 		t.Fatalf("cold acquire hit %d, want 0", hit)
 	}
-	if err := kv.Allocate("a", 5); err != nil { // 4 prompt blocks + decode slot
+	if err := a.allocate(kv, 5); err != nil { // 4 prompt blocks + decode slot
 		t.Fatal(err)
 	}
-	idx.Register("a", hashes, 0)
-	if kv.Holding("a") != 1 || idx.CachedBlocks() != 4 || idx.Refs("a") != 4 {
-		t.Fatalf("after register: private=%d cached=%d refs=%d", kv.Holding("a"), idx.CachedBlocks(), idx.Refs("a"))
+	idx.Register(a, hashes, 0)
+	if a.private != 1 || idx.CachedBlocks() != 4 || len(a.refs) != 4 {
+		t.Fatalf("after register: private=%d cached=%d refs=%d", a.private, idx.CachedBlocks(), len(a.refs))
 	}
 
 	// Second sequence shares the chain: 4 hits, zero extra prompt blocks.
-	if hit := idx.Acquire("b", hashes, 4); hit != 4 {
+	if hit := idx.Acquire(b, hashes, 4); hit != 4 {
 		t.Fatalf("warm acquire hit %d, want 4", hit)
 	}
-	if st := idx.Stats(); st.Hits != 4 || st.Misses != 4 {
+	if st := idx.Stats(); st.PrefixHits != 4 || st.PrefixMisses != 4 {
 		t.Fatalf("stats = %+v, want 4 hits / 4 misses", st)
 	}
 	if idx.Evictable() != 0 {
@@ -52,12 +52,12 @@ func TestPrefixAcquireShareRelease(t *testing.T) {
 
 	// Releases deref; only when the last reference drops do blocks join
 	// the evictable population — and they stay resident.
-	idx.Release("a")
-	kv.Release("a")
+	idx.Release(a)
+	a.drop(kv)
 	if idx.Evictable() != 0 {
 		t.Fatalf("blocks still referenced by b: evictable = %d", idx.Evictable())
 	}
-	idx.Release("b")
+	idx.Release(b)
 	if idx.Evictable() != 4 || idx.CachedBlocks() != 4 {
 		t.Fatalf("after final release: evictable=%d cached=%d", idx.Evictable(), idx.CachedBlocks())
 	}
@@ -66,13 +66,13 @@ func TestPrefixAcquireShareRelease(t *testing.T) {
 	}
 
 	// A third sequence still hits the resident-but-unreferenced chain.
-	if hit := idx.Acquire("c", hashes, 4); hit != 4 {
+	if hit := idx.Acquire(c, hashes, 4); hit != 4 {
 		t.Fatalf("post-release acquire hit %d, want 4", hit)
 	}
 	if idx.Evictable() != 0 {
 		t.Fatal("re-acquired blocks must leave the evictable population")
 	}
-	idx.Release("c")
+	idx.Release(c)
 }
 
 func TestPrefixEvictionIsLRUAndTailFirst(t *testing.T) {
@@ -81,22 +81,23 @@ func TestPrefixEvictionIsLRUAndTailFirst(t *testing.T) {
 	old := chainBlocks(tokenStream(1, 64), 16)   // 4 blocks
 	young := chainBlocks(tokenStream(2, 64), 16) // 4 blocks
 
-	admit := func(seq string, hashes []uint64) {
+	admit := func(seq *seqKV, hashes []uint64) {
 		t.Helper()
 		hit := idx.Acquire(seq, hashes, len(hashes))
 		need := len(hashes) - hit
 		if !idx.EnsureFree(need) {
-			t.Fatalf("cannot free %d blocks for %s", need, seq)
+			t.Fatalf("cannot free %d blocks", need)
 		}
-		if err := kv.Allocate(seq, need); err != nil {
+		if err := seq.allocate(kv, need); err != nil {
 			t.Fatal(err)
 		}
 		idx.Register(seq, hashes, hit)
 	}
-	admit("a", old)
-	idx.Release("a")
-	admit("b", young)
-	idx.Release("b")
+	a, b := &seqKV{}, &seqKV{}
+	admit(a, old)
+	idx.Release(a)
+	admit(b, young)
+	idx.Release(b)
 	if idx.CachedBlocks() != 8 || kv.FreeBlocks() != 0 {
 		t.Fatalf("cache not full: cached=%d free=%d", idx.CachedBlocks(), kv.FreeBlocks())
 	}
@@ -106,8 +107,8 @@ func TestPrefixEvictionIsLRUAndTailFirst(t *testing.T) {
 	if !idx.EnsureFree(2) {
 		t.Fatal("eviction failed with 8 unreferenced blocks")
 	}
-	if st := idx.Stats(); st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", st.Evictions)
+	if st := idx.Stats(); st.PrefixEvictions != 2 {
+		t.Fatalf("evictions = %d, want 2", st.PrefixEvictions)
 	}
 	if got := idx.Lookup(old, 4); got != 2 {
 		t.Fatalf("old chain lookup = %d blocks, want 2 (tail evicted first)", got)
@@ -121,32 +122,36 @@ func TestPrefixRegisterDedupesConcurrentChains(t *testing.T) {
 	kv := NewKVCache(20, 16)
 	idx := NewPrefixIndex(kv)
 	hashes := chainBlocks(tokenStream(7, 32), 16) // 2 blocks
+	a, b := &seqKV{}, &seqKV{}
 
 	// a computes and registers the chain.
-	idx.Acquire("a", hashes, 1) // capped acquire: block 1 not eligible
-	kv.Allocate("a", 3)
-	idx.Register("a", hashes, 0)
+	idx.Acquire(a, hashes, 1) // capped acquire: block 1 not eligible
+	a.allocate(kv, 3)
+	idx.Register(a, hashes, 0)
 	// b acquired under the same cap before a registered — simulate by
 	// acquiring with limit 1 (hit) and allocating block 1 privately, then
 	// registering: the duplicate must be dropped, not double-cached.
-	if hit := idx.Acquire("b", hashes, 1); hit != 1 {
+	if hit := idx.Acquire(b, hashes, 1); hit != 1 {
 		t.Fatalf("b acquire = %d, want 1", hit)
 	}
-	kv.Allocate("b", 2) // private copy of block 1 + decode slot
-	idx.Register("b", hashes, 1)
+	b.allocate(kv, 2) // private copy of block 1 + decode slot
+	idx.Register(b, hashes, 1)
 	if idx.CachedBlocks() != 2 {
 		t.Fatalf("cached = %d, want 2 (no duplicate block)", idx.CachedBlocks())
 	}
-	if kv.Holding("b") != 1 {
-		t.Fatalf("b private = %d, want 1 (duplicate freed)", kv.Holding("b"))
+	if b.private != 1 {
+		t.Fatalf("b private = %d, want 1 (duplicate freed)", b.private)
 	}
-	if idx.Refs("b") != 2 {
-		t.Fatalf("b refs = %d, want 2", idx.Refs("b"))
+	if len(b.refs) != 2 {
+		t.Fatalf("b refs = %d, want 2", len(b.refs))
 	}
-	idx.Release("a")
-	kv.Release("a")
-	idx.Release("b")
-	kv.Release("b")
+	if err := checkPrefixIndex(idx, a, b); err != nil {
+		t.Fatal(err)
+	}
+	idx.Release(a)
+	a.drop(kv)
+	idx.Release(b)
+	b.drop(kv)
 	if kv.FreeBlocks()+idx.CachedBlocks() != kv.TotalBlocks() {
 		t.Fatalf("conservation: free=%d cached=%d total=%d", kv.FreeBlocks(), idx.CachedBlocks(), kv.TotalBlocks())
 	}
@@ -156,26 +161,27 @@ func TestPrefixAbortRollsBackStats(t *testing.T) {
 	kv := NewKVCache(8, 16)
 	idx := NewPrefixIndex(kv)
 	hashes := chainBlocks(tokenStream(3, 64), 16) // 4 blocks
-	hit := idx.Acquire("a", hashes, 4)
-	kv.Allocate("a", 5)
-	idx.Register("a", hashes, hit)
-	idx.Release("a")
-	kv.Release("a")
+	a, b := &seqKV{}, &seqKV{}
+	hit := idx.Acquire(a, hashes, 4)
+	a.allocate(kv, 5)
+	idx.Register(a, hashes, hit)
+	idx.Release(a)
+	a.drop(kv)
 	before := idx.Stats()
 
 	// A blocked admission retried every engine step: each attempt acquires
 	// and aborts. The counters must not drift — only successful admissions
 	// count toward hit/miss telemetry.
 	for i := 0; i < 50; i++ {
-		h := idx.Acquire("b", hashes, 4)
-		idx.Abort("b", h, 4)
+		h := idx.Acquire(b, hashes, 4)
+		idx.Abort(b, h, 4)
 	}
 	if got := idx.Stats(); got != before {
 		t.Fatalf("aborted attempts moved the counters: %+v -> %+v", before, got)
 	}
-	if idx.Refs("b") != 0 || idx.Evictable() != idx.CachedBlocks() {
+	if len(b.refs) != 0 || idx.Evictable() != idx.CachedBlocks() {
 		t.Fatalf("abort leaked references: refs=%d evictable=%d cached=%d",
-			idx.Refs("b"), idx.Evictable(), idx.CachedBlocks())
+			len(b.refs), idx.Evictable(), idx.CachedBlocks())
 	}
 }
 
@@ -189,9 +195,7 @@ func TestPrefixIndexInvariants(t *testing.T) {
 		total := 8 + rng.Intn(120)
 		kv := NewKVCache(total, 16)
 		idx := NewPrefixIndex(kv)
-		type seqState struct{ id string }
-		var live []seqState
-		seqN := 0
+		var live []*seqKV
 		// A handful of stream families; prompts are random-length prefixes
 		// of a family, so chains share blocks across sequences.
 		families := make([][]uint64, 4)
@@ -204,41 +208,40 @@ func TestPrefixIndexInvariants(t *testing.T) {
 				fam := families[rng.Intn(len(families))]
 				blocks := 1 + rng.Intn(10)
 				hashes := chainBlocks(fam[:blocks*16], 16)
-				seqN++
-				id := fmt.Sprintf("s-%d", seqN)
-				hit := idx.Acquire(id, hashes, len(hashes))
+				s := &seqKV{}
+				hit := idx.Acquire(s, hashes, len(hashes))
 				need := len(hashes) - hit + 1 // + decode slot
 				idx.EnsureFree(need)
-				if !kv.CanAllocate(need) {
-					idx.Release(id)
-					if err := checkPrefixIndex(idx); err != nil {
+				if need > kv.FreeBlocks() {
+					idx.Release(s)
+					if err := checkPrefixIndex(idx, live...); err != nil {
 						t.Logf("seed %d op %d: %v", seed, op, err)
 						return false
 					}
 					continue
 				}
-				if err := kv.Allocate(id, need); err != nil {
-					t.Logf("seed %d: allocate after CanAllocate: %v", seed, err)
+				if err := s.allocate(kv, need); err != nil {
+					t.Logf("seed %d: allocate with %d free: %v", seed, kv.FreeBlocks(), err)
 					return false
 				}
-				idx.Register(id, hashes, hit)
-				live = append(live, seqState{id: id})
+				idx.Register(s, hashes, hit)
+				live = append(live, s)
 			} else {
 				// Release a random live sequence.
 				i := rng.Intn(len(live))
-				kv.Release(live[i].id)
-				idx.Release(live[i].id)
+				live[i].drop(kv)
+				idx.Release(live[i])
 				live = append(live[:i], live[i+1:]...)
 			}
-			if err := checkPrefixIndex(idx); err != nil {
+			if err := checkPrefixIndex(idx, live...); err != nil {
 				t.Logf("seed %d op %d: %v", seed, op, err)
 				return false
 			}
 			private := 0
 			refs := 0
 			for _, s := range live {
-				private += kv.Holding(s.id)
-				refs += idx.Refs(s.id)
+				private += s.private
+				refs += len(s.refs)
 			}
 			if kv.FreeBlocks()+private+idx.CachedBlocks() != kv.TotalBlocks() {
 				t.Logf("seed %d op %d: conservation: free=%d private=%d cached=%d total=%d",
@@ -335,6 +338,44 @@ func TestEnginePrefixCacheHitSpeedsUpTTFT(t *testing.T) {
 	}
 }
 
+// TestEngineNoPrefixCacheKeepsIndexEmpty: with caching off the engine's
+// index stays empty even when requests carry block keys and a host tier is
+// configured: no tier attaches, no sketch is published, nothing is cached
+// and no prompt token is served from cache.
+func TestEngineNoPrefixCacheKeepsIndexEmpty(t *testing.T) {
+	cfg := hopsScoutConfig()
+	cfg.NoPrefixCache = true
+	cfg.CPUOffloadBlocks = 64
+	se, e := newEngine(t, cfg)
+	msgs := []ChatMessage{{Role: "user", Content: SynthesizeText(500)}}
+	prompt := EstimateTokens(msgs[0].Content) + 4
+	hashes := ChatPromptHashes(e.Config().BlockSize, msgs)
+	var reqs []*Request
+	se.Go("client", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			r := e.SubmitOpts(SubmitOptions{Prompt: prompt, MaxNew: 4, PromptHashes: hashes})
+			reqs = append(reqs, r)
+			p.Wait(r.Done())
+		}
+	})
+	se.Run()
+	for _, r := range reqs {
+		if r.Err != nil || r.CachedTokens != 0 {
+			t.Fatalf("%s: err %v, %d cached tokens", r.ID, r.Err, r.CachedTokens)
+		}
+	}
+	if idx := e.Prefix(); idx.HostTier() != nil || idx.CachedBlocks() != 0 {
+		t.Fatalf("index not empty: tier %v, %d cached blocks", idx.HostTier(), idx.CachedBlocks())
+	}
+	snap := e.Telemetry()
+	if snap.KVBlocksCached != 0 || len(snap.PrefixSketch) != 0 || snap.KVHostBlocksTotal != 0 || snap.KVBlocksUsed != 0 {
+		t.Fatalf("telemetry reports cache state: %+v", snap)
+	}
+	if st := e.Stats(); st.PrefixStats != (PrefixStats{}) {
+		t.Fatalf("prefix counters moved: %+v", st.PrefixStats)
+	}
+}
+
 func TestEngineStatsAndTelemetryCarryPrefixCounters(t *testing.T) {
 	se, e := newEngine(t, hopsScoutConfig())
 	msgs := []ChatMessage{{Role: "user", Content: SynthesizeText(500)}}
@@ -373,13 +414,13 @@ func BenchmarkPrefixAcquireRegister(b *testing.B) {
 	idx := NewPrefixIndex(kv)
 	hashes := chainBlocks(tokenStream(1, 16*128), 16) // 128-block prompt
 	b.ReportAllocs()
+	seq := &seqKV{}
 	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("s-%d", i)
-		hit := idx.Acquire(id, hashes, len(hashes))
-		kv.Allocate(id, len(hashes)-hit+1)
-		idx.Register(id, hashes, hit)
-		kv.Release(id)
-		idx.Release(id)
+		hit := idx.Acquire(seq, hashes, len(hashes))
+		seq.allocate(kv, len(hashes)-hit+1)
+		idx.Register(seq, hashes, hit)
+		seq.drop(kv)
+		idx.Release(seq)
 	}
 }
 
@@ -411,8 +452,8 @@ func TestSketchIsTheSmallestHeadsWhateverTheOrder(t *testing.T) {
 		kv := NewKVCache(heads, 16)
 		idx := NewPrefixIndex(kv)
 		for _, i := range order {
-			seq := fmt.Sprintf("s%d", i)
-			if err := kv.Allocate(seq, 1); err != nil {
+			seq := &seqKV{}
+			if err := seq.allocate(kv, 1); err != nil {
 				t.Fatal(err)
 			}
 			idx.Register(seq, keys[i:i+1], 0)

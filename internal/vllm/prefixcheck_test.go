@@ -3,24 +3,31 @@ package vllm
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"testing"
+	"time"
+
+	"repro/internal/sim"
 )
 
 // checkPrefixIndex walks every intrusive list of x — the GPU LRU, the host
-// tier's LRU and the free list — and cross-checks them against the maps
-// and counters they must agree with:
+// tier's LRU and the free list — and cross-checks them, and the handles of
+// the live sequences, against the maps and counters they must agree with:
 //   - the GPU LRU holds exactly the cached blocks with no references, so
 //     its length is Evictable();
 //   - the tier's list holds exactly tier.byHash, within Capacity();
 //   - no node is on two lists or twice on one, and free nodes are blank;
-//   - each cached block's refs is the number of sequence references to it
-//     (never negative), so the Refs(seq) sum to the refs;
-//   - spare reference slices are empty and share no array with a live one;
+//   - each cached block's refs is the number of live references to it
+//     (never negative);
+//   - spare reference slices are empty and share no array with a live one
+//     or each other, and no two live slices share one;
 //   - heads is the set of head hashes across both tiers;
-//   - the KV cache holds one prefixOwner block per GPU-cached block.
+//   - KV is conserved: the allocator's used blocks are the live private
+//     blocks plus one block per GPU-cached block.
 //
 // A node recycled while still linked or referenced fails one of these.
-func checkPrefixIndex(x *PrefixIndex) error {
+// live must hold every sequence that holds KV.
+func checkPrefixIndex(x *PrefixIndex, live ...*seqKV) error {
 	on := map[*prefixBlock]string{}
 	walk := func(list string, l *blockList, owner map[uint64]*prefixBlock) error {
 		n, prev := 0, &l.root
@@ -79,17 +86,22 @@ func checkPrefixIndex(x *PrefixIndex) error {
 	}
 	refs := map[*prefixBlock]int{}
 	arrays := map[**prefixBlock]string{}
-	for seq, blocks := range x.seqs {
-		if len(blocks) == 0 {
-			return fmt.Errorf("sequence %s has an empty reference entry", seq)
+	private := 0
+	for i, s := range live {
+		seq := fmt.Sprintf("sequence %d", i)
+		if s.private < 0 {
+			return fmt.Errorf("%s holds %d private blocks", seq, s.private)
 		}
-		if owner, shared := arrays[&blocks[:1][0]]; shared {
-			return fmt.Errorf("sequences %s and %s share a reference array", owner, seq)
+		private += s.private
+		if cap(s.refs) > 0 {
+			if owner, shared := arrays[&s.refs[:1][0]]; shared {
+				return fmt.Errorf("%s and %s share a reference array", owner, seq)
+			}
+			arrays[&s.refs[:1][0]] = seq
 		}
-		arrays[&blocks[:1][0]] = seq
-		for _, b := range blocks {
+		for _, b := range s.refs {
 			if x.byHash[b.hash] != b {
-				return fmt.Errorf("sequence %s references block %#x, which is not GPU-cached (on %q)", seq, b.hash, on[b])
+				return fmt.Errorf("%s references block %#x, which is not GPU-cached (on %q)", seq, b.hash, on[b])
 			}
 			refs[b]++
 		}
@@ -121,8 +133,9 @@ func checkPrefixIndex(x *PrefixIndex) error {
 	if !maps.Equal(heads, x.heads) {
 		return fmt.Errorf("heads: index publishes %d, the tiers hold %d", len(x.heads), len(heads))
 	}
-	if held := x.kv.Holding(prefixOwner); held != len(x.byHash) {
-		return fmt.Errorf("kv holds %d cache blocks, index maps %d", held, len(x.byHash))
+	if used := x.kv.UsedBlocks(); used != private+x.CachedBlocks() {
+		return fmt.Errorf("kv uses %d blocks, sequences hold %d private and the index caches %d",
+			used, private, x.CachedBlocks())
 	}
 	return nil
 }
@@ -147,21 +160,22 @@ func TestPrefixCacheAllocBudget(t *testing.T) {
 		chains = append(chains, chainBlocks(tokenStream(seed, 3*16), 16))
 	}
 	warm := false
+	seq := &seqKV{}
 	cycle := func() {
 		before := idx.Stats()
 		for _, hashes := range chains {
-			hit := idx.Acquire("seq", hashes, len(hashes))
+			hit := idx.Acquire(seq, hashes, len(hashes))
 			need := len(hashes) - hit + 1 // private blocks + decode slot
-			if !idx.EnsureFree(need) || kv.Allocate("seq", need) != nil {
+			if !idx.EnsureFree(need) || seq.allocate(kv, need) != nil {
 				t.Fatalf("cannot admit %d blocks", need)
 			}
-			idx.Register("seq", hashes, hit)
-			kv.Release("seq")
-			idx.Release("seq")
+			idx.Register(seq, hashes, hit)
+			seq.drop(kv)
+			idx.Release(seq)
 		}
 		// Every steady cycle, measured or warm-up, takes all four paths.
-		if st := idx.Stats(); warm && (st.Evictions == before.Evictions || st.Demotions == before.Demotions ||
-			st.Promotions == before.Promotions || st.HostDrops == before.HostDrops) {
+		if st := idx.Stats(); warm && (st.PrefixEvictions == before.PrefixEvictions || st.TierDemotions == before.TierDemotions ||
+			st.TierPromotions == before.TierPromotions || st.HostDrops == before.HostDrops) {
 			t.Fatalf("a cycle must evict, demote, promote and drop: %+v -> %+v", before, st)
 		}
 	}
@@ -184,4 +198,116 @@ func TestPrefixCacheAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { TextPromptHashes(16, text) }); allocs != 1 {
 		t.Errorf("TextPromptHashes: %.1f allocs, want 1 (the key slice)", allocs)
 	}
+}
+
+// TestEngineKVConservation runs a seeded engine through shared-prefix
+// traffic on a GPU cache small enough to force cache eviction and
+// preemption, with a host tier and a mix of batch and interactive
+// requests carrying TTFT targets, and checks KV ownership after every
+// step: used blocks are the running sequences' private blocks plus the
+// cached ones, each cached block counts exactly the running sequences that
+// reference it, and waiting sequences hold nothing.
+func TestEngineKVConservation(t *testing.T) {
+	const seed = 1
+	cfg := hopsScoutConfig()
+	cfg.MaxModelLen = 4096
+	cfg.NumGPUBlocksOverride = 300
+	cfg.CPUOffloadBlocks = 64
+	se := sim.NewEngine(seed)
+	e, err := New(se, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// check runs on the engine's process, where a failing test must not
+	// stop the goroutine: it reports, and the loop ends.
+	check := func() error {
+		var live []*seqKV
+		private := 0
+		refs := map[*prefixBlock]int{}
+		for _, s := range e.running {
+			live = append(live, &s.kv)
+			private += s.kv.private
+			for _, b := range s.kv.refs {
+				refs[b]++
+			}
+		}
+		if used, cached := e.KV().UsedBlocks(), e.Prefix().CachedBlocks(); used != private+cached {
+			return fmt.Errorf("%d blocks used, running sequences hold %d private and %d are cached", used, private, cached)
+		}
+		for h, b := range e.idx.byHash {
+			if b.refs != refs[b] {
+				return fmt.Errorf("block %#x counts %d refs, running sequences hold %d", h, b.refs, refs[b])
+			}
+		}
+		for _, s := range e.wq.seqs {
+			if s.kv.private != 0 || len(s.kv.refs) != 0 {
+				return fmt.Errorf("waiting %s holds %d private blocks and %d refs", s.req.ID, s.kv.private, len(s.kv.refs))
+			}
+		}
+		return checkPrefixIndex(e.idx, live...)
+	}
+	// The engine loop of Run, checked after every step.
+	steps := 0
+	e.loop = se.Go("vllm-engine", func(p *sim.Proc) {
+		for !e.crashed {
+			if len(e.wq.seqs) == 0 && len(e.running) == 0 {
+				e.idleSig = se.NewSignal()
+				p.Wait(e.idleSig)
+				e.idleSig = nil
+				continue
+			}
+			e.step(p)
+			steps++
+			if err := check(); err != nil {
+				t.Errorf("step %d: %v", steps, err)
+				return
+			}
+		}
+	})
+
+	// Four 30-block system prompts; most requests add a suffix of their
+	// own. A bare system prompt fills whole blocks, so its last block is
+	// prefilled privately even when cached and then deduplicated.
+	rng := rand.New(rand.NewSource(seed))
+	var reqs []*Request
+	se.Go("load", func(p *sim.Proc) {
+		for i := 0; i < 120; i++ {
+			p.Sleep(time.Duration(rng.Intn(60)) * time.Millisecond)
+			fam := uint64(1 + rng.Intn(4))
+			suffix := 16 + rng.Intn(160)
+			if rng.Intn(4) == 0 {
+				suffix = 0
+			}
+			tokens := append(tokenStream(fam, 30*16), tokenStream(uint64(1000+i), suffix)...)
+			o := SubmitOptions{
+				Prompt: len(tokens), PromptHashes: chainBlocks(tokens, 16),
+				MaxNew: 8 + rng.Intn(40), Class: "interactive", TTFTTarget: 150 * time.Millisecond,
+			}
+			if rng.Intn(3) == 0 {
+				o.MaxNew, o.Class, o.TTFTTarget = 200+rng.Intn(400), "batch", 2*time.Second
+			}
+			reqs = append(reqs, e.SubmitOpts(o))
+		}
+	})
+	se.Run()
+	if t.Failed() {
+		return
+	}
+
+	failed := 0
+	for _, r := range reqs {
+		if r.Err != nil {
+			failed++
+		}
+	}
+	if kv, idx := e.KV(), e.Prefix(); kv.UsedBlocks() != idx.CachedBlocks() || idx.CachedBlocks() != idx.Evictable() {
+		t.Fatalf("after drain: used %d, cached %d, evictable %d", kv.UsedBlocks(), idx.CachedBlocks(), idx.Evictable())
+	}
+	st := e.Stats()
+	if st.PrefixEvictions == 0 || st.Preemptions == 0 || st.TierDemotions == 0 || st.TierPromotions == 0 {
+		t.Fatalf("traffic must evict, preempt, demote and promote: %+v", st)
+	}
+	t.Logf("%d steps: %d evictions, %d preemptions, %d demotions, %d promotions; %d of %d requests failed",
+		steps, st.PrefixEvictions, st.Preemptions, st.TierDemotions, st.TierPromotions, failed, len(reqs))
 }

@@ -1,7 +1,6 @@
 package vllm
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -46,18 +45,19 @@ func TestTierReferencedBlocksNeverDemote(t *testing.T) {
 	idx := NewPrefixIndex(kv)
 	idx.EnableHostTier(16)
 	hashes := chainBlocks(tokenStream(1, 48), 16) // 3 blocks
+	a := &seqKV{}
 
-	idx.Acquire("a", hashes, 3)
-	if err := kv.Allocate("a", 4); err != nil {
+	idx.Acquire(a, hashes, 3)
+	if err := a.allocate(kv, 4); err != nil {
 		t.Fatal(err)
 	}
-	idx.Register("a", hashes, 0)
+	idx.Register(a, hashes, 0)
 	// All three cached blocks are still referenced by "a": freeing room
 	// must fail outright rather than touch them, and nothing may demote.
 	if idx.EnsureFree(1) {
 		t.Fatal("EnsureFree succeeded with only referenced blocks resident")
 	}
-	if st := idx.Stats(); st.Demotions != 0 || st.Evictions != 0 {
+	if st := idx.Stats(); st.TierDemotions != 0 || st.PrefixEvictions != 0 {
 		t.Fatalf("referenced blocks moved: %+v", st)
 	}
 	if idx.HostTier().Len() != 0 {
@@ -72,29 +72,29 @@ func TestTierDemotePromoteRestoresChainIdentity(t *testing.T) {
 	chainA := chainBlocks(tokenStream(1, 64), 16) // 4 blocks
 	chainB := chainBlocks(tokenStream(2, 64), 16) // 4 blocks
 
-	admit := func(seq string, hashes []uint64) {
+	admit := func(hashes []uint64) *seqKV {
 		t.Helper()
+		seq := &seqKV{}
 		hit := idx.Acquire(seq, hashes, len(hashes))
 		need := len(hashes) - hit
 		if !idx.EnsureFree(need) {
-			t.Fatalf("cannot free %d blocks for %s", need, seq)
+			t.Fatalf("cannot free %d blocks", need)
 		}
-		if err := kv.Allocate(seq, need); err != nil {
+		if err := seq.allocate(kv, need); err != nil {
 			t.Fatal(err)
 		}
 		idx.Register(seq, hashes, hit)
+		return seq
 	}
-	admit("a", chainA)
-	idx.Release("a")
-	admit("b", chainB)
-	idx.Release("b")
+	idx.Release(admit(chainA))
+	idx.Release(admit(chainB))
 	// Cache is full (8 blocks). Forcing 4 free demotes chain A wholesale.
 	if !idx.EnsureFree(4) {
 		t.Fatal("eviction failed")
 	}
 	st := idx.Stats()
-	if st.Demotions != 4 || idx.HostTier().Len() != 4 {
-		t.Fatalf("demotions=%d tierLen=%d, want 4/4", st.Demotions, idx.HostTier().Len())
+	if st.TierDemotions != 4 || idx.HostTier().Len() != 4 {
+		t.Fatalf("demotions=%d tierLen=%d, want 4/4", st.TierDemotions, idx.HostTier().Len())
 	}
 	// A demoted chain still counts as available for placement...
 	if got := idx.Lookup(chainA, 4); got != 4 {
@@ -102,12 +102,13 @@ func TestTierDemotePromoteRestoresChainIdentity(t *testing.T) {
 	}
 	// ...and re-acquiring promotes every block back with its identity —
 	// full hits, no misses, no re-prefill.
-	if hit := idx.Acquire("c", chainA, 4); hit != 4 {
+	c := &seqKV{}
+	if hit := idx.Acquire(c, chainA, 4); hit != 4 {
 		t.Fatalf("acquire of demoted chain hit %d, want 4", hit)
 	}
 	st = idx.Stats()
-	if st.Promotions != 4 || st.HostDrops != 0 {
-		t.Fatalf("promotions=%d drops=%d, want 4/0", st.Promotions, st.HostDrops)
+	if st.TierPromotions != 4 || st.HostDrops != 0 {
+		t.Fatalf("promotions=%d drops=%d, want 4/0", st.TierPromotions, st.HostDrops)
 	}
 	if n := idx.DrainPromoted(); n != 4 {
 		t.Fatalf("DrainPromoted = %d, want 4", n)
@@ -118,7 +119,7 @@ func TestTierDemotePromoteRestoresChainIdentity(t *testing.T) {
 	if idx.HostTier().Len() != 0 {
 		t.Fatalf("tier still holds %d blocks after promotion", idx.HostTier().Len())
 	}
-	idx.Release("c")
+	idx.Release(c)
 }
 
 func TestTierSketchTracksHeadsAcrossTiers(t *testing.T) {
@@ -138,29 +139,28 @@ func TestTierSketchTracksHeadsAcrossTiers(t *testing.T) {
 		}
 		return false
 	}
-	admit := func(seq string, hashes []uint64) {
+	admit := func(hashes []uint64) *seqKV {
 		t.Helper()
+		seq := &seqKV{}
 		hit := idx.Acquire(seq, hashes, len(hashes))
 		need := len(hashes) - hit
 		if !idx.EnsureFree(need) {
-			t.Fatalf("cannot free %d blocks for %s", need, seq)
+			t.Fatalf("cannot free %d blocks", need)
 		}
-		if err := kv.Allocate(seq, need); err != nil {
+		if err := seq.allocate(kv, need); err != nil {
 			t.Fatal(err)
 		}
 		idx.Register(seq, hashes, hit)
+		return seq
 	}
-	admit("a", chainA)
-	idx.Release("a")
+	idx.Release(admit(chainA))
 	if !contains(chainA[0]) {
 		t.Fatal("registered head missing from sketch")
 	}
-	admit("b", chainB)
-	idx.Release("b")
+	idx.Release(admit(chainB))
 	// C demotes A off the GPU into the tier; a tier-resident prefix is
 	// still worth routing to, so A's head must stay published.
-	admit("c", chainC)
-	idx.Release("c")
+	idx.Release(admit(chainC))
 	if idx.HostTier().Len() != 2 {
 		t.Fatalf("tier holds %d blocks, want A's 2", idx.HostTier().Len())
 	}
@@ -169,8 +169,7 @@ func TestTierSketchTracksHeadsAcrossTiers(t *testing.T) {
 	}
 	// D demotes B into the 2-slot tier, overflowing A's blocks out of it
 	// entirely: A's head must finally leave the sketch.
-	admit("d", chainD)
-	idx.Release("d")
+	idx.Release(admit(chainD))
 	if contains(chainA[0]) {
 		t.Fatal("fully dropped chain still advertised in sketch")
 	}
@@ -194,17 +193,15 @@ func TestTierInvariantsUnderRandomTraffic(t *testing.T) {
 	for i := range chains {
 		chains[i] = chainBlocks(tokenStream(uint64(i+1), 16*4), 16) // 4 blocks each
 	}
-	live := map[string][]uint64{}
+	var live []*seqKV
 	for step := 0; step < 500; step++ {
 		if len(live) > 0 && rng.Intn(3) == 0 {
-			for seq := range live {
-				idx.Release(seq)
-				kv.Release(seq)
-				delete(live, seq)
-				break
-			}
+			i := rng.Intn(len(live))
+			idx.Release(live[i])
+			live[i].drop(kv)
+			live = append(live[:i], live[i+1:]...)
 		} else {
-			seq := fmt.Sprintf("s-%d", step)
+			seq := &seqKV{}
 			hashes := chains[rng.Intn(len(chains))]
 			limit := rng.Intn(len(hashes) + 1)
 			hit := idx.Acquire(seq, hashes, limit)
@@ -212,17 +209,17 @@ func TestTierInvariantsUnderRandomTraffic(t *testing.T) {
 				t.Fatalf("step %d: hit %d > limit %d", step, hit, limit)
 			}
 			need := len(hashes) - hit + 1 // private blocks + decode slot
-			if !idx.EnsureFree(need) || kv.Allocate(seq, need) != nil {
+			if !idx.EnsureFree(need) || seq.allocate(kv, need) != nil {
 				idx.Abort(seq, hit, limit)
-				if err := checkPrefixIndex(idx); err != nil {
+				if err := checkPrefixIndex(idx, live...); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				continue
 			}
 			idx.Register(seq, hashes, hit)
-			live[seq] = hashes
+			live = append(live, seq)
 		}
-		if err := checkPrefixIndex(idx); err != nil {
+		if err := checkPrefixIndex(idx, live...); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if n := idx.HostTier().Len(); n > tierCap {
@@ -244,7 +241,7 @@ func TestTierInvariantsUnderRandomTraffic(t *testing.T) {
 		}
 	}
 	st := idx.Stats()
-	if st.Demotions == 0 || st.Promotions == 0 || st.HostDrops == 0 {
+	if st.TierDemotions == 0 || st.TierPromotions == 0 || st.HostDrops == 0 {
 		t.Fatalf("random traffic never exercised the tier: %+v", st)
 	}
 }
@@ -343,27 +340,28 @@ func BenchmarkTierPromote(b *testing.B) {
 		chainBlocks(tokenStream(1, 16*32), 16), // 32 blocks
 		chainBlocks(tokenStream(2, 16*32), 16), // 32 blocks
 	}
-	admit := func(seq string, hashes []uint64) {
+	admit := func(hashes []uint64) *seqKV {
+		seq := &seqKV{}
 		hit := idx.Acquire(seq, hashes, len(hashes))
 		need := len(hashes) - hit
 		if !idx.EnsureFree(need) {
 			b.Fatalf("cannot free %d blocks", need)
 		}
-		if err := kv.Allocate(seq, need); err != nil {
+		if err := seq.allocate(kv, need); err != nil {
 			b.Fatal(err)
 		}
 		idx.Register(seq, hashes, hit)
+		return seq
 	}
-	admit("warm-a", chains[0])
-	idx.Release("warm-a")
-	admit("warm-b", chains[1]) // demotes most of chain A
-	idx.Release("warm-b")
+	idx.Release(admit(chains[0]))
+	idx.Release(admit(chains[1])) // demotes most of chain A
+	seq := &seqKV{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// The two chains do not fit together: each acquire promotes its
 		// chain's demoted blocks back, demoting the other chain's.
-		idx.Acquire("bench", chains[i%2], 32)
-		idx.Release("bench")
+		idx.Acquire(seq, chains[i%2], 32)
+		idx.Release(seq)
 	}
 }
