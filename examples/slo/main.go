@@ -142,11 +142,11 @@ func main() {
 			p.Sleep(10 * time.Second) // think time between turns
 		}
 		affine, spread := "", 0
-		for name, n := range backendRequests() {
-			if delta := n - before[name]; delta > 0 {
-				affine = name
+		for _, b := range gw.Backends() {
+			if delta := b.Requests() - before[b.Name]; delta > 0 {
+				affine = b.Name
 				spread++
-				fmt.Printf("  replica %-12s served %2d/%d turns\n", name, delta, turns)
+				fmt.Printf("  replica %-12s served %2d/%d turns\n", b.Name, delta, turns)
 			}
 		}
 		if spread != 1 {
@@ -175,9 +175,9 @@ func main() {
 		}
 		inflight.WaitAll(p)
 		spills := gw.SessionSpills()
-		for name, n := range backendRequests() {
-			if delta := n - before[name]; delta > 0 {
-				fmt.Printf("  replica %-12s served %3d flood requests\n", name, delta)
+		for _, b := range gw.Backends() {
+			if delta := b.Requests() - before[b.Name]; delta > 0 {
+				fmt.Printf("  replica %-12s served %3d flood requests\n", b.Name, delta)
 			}
 		}
 		fmt.Printf("  %d requests, %d failed, %d saturation spills off %s\n\n", floodSent, floodFailed, spills, affine)

@@ -95,8 +95,8 @@ func main() {
 		st := workload.Summarize(reqs)
 		fmt.Printf("generated %d requests: %d sessions from %d distinct clients over %s\n",
 			st.Requests, st.Sessions, st.Clients, st.Span.Round(time.Second))
-		for name, n := range st.PerCohort {
-			fmt.Printf("  cohort %-8s %4d requests\n", name, n)
+		for _, c := range spec.Cohorts {
+			fmt.Printf("  cohort %-8s %4d requests\n", c.Name, st.PerCohort[c.Name])
 		}
 
 		var buf bytes.Buffer

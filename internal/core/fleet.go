@@ -90,9 +90,13 @@ func ParseFleetFlag(spec string) ([]FleetFlagEntry, error) {
 				e.Class = name
 			case strings.HasPrefix(opt, "policy="):
 				name := opt[len("policy="):]
-				if _, err := ingress.ParsePolicy(name); err != nil || name == "" {
-					return nil, fmt.Errorf("core: fleet spec: bad route policy in %q (want policy=%s, policy=%s, or policy=%s)",
-						item, ingress.PolicyRoundRobin, ingress.PolicyLeastLoaded, ingress.PolicySession)
+				_, err := ingress.ParsePolicy(name)
+				if name == "" {
+					// ParsePolicy reads "" as its default; a spec must name one.
+					err = fmt.Errorf("empty route policy")
+				}
+				if err != nil {
+					return nil, fmt.Errorf("core: fleet spec: bad route policy in %q: %w", item, err)
 				}
 				e.RoutePolicy = name
 			default:

@@ -237,13 +237,18 @@ func TestParseFleetFlagSchedulingOptions(t *testing.T) {
 	if bulk.Alias != "bulk" || bulk.Weight != 1 || bulk.Class != "batch" || bulk.SLOTargetP95 != 0 {
 		t.Fatalf("bulk entry = %+v", bulk)
 	}
+	if entries, err := ParseFleetFlag("meta-llama/Llama-3.1-8B-Instruct:policy=prefix"); err != nil || entries[0].RoutePolicy != "prefix" {
+		t.Fatalf("policy=prefix: %+v, %v", entries, err)
+	}
 
 	for spec, wantErr := range map[string]string{
-		"meta-llama/Llama-3.1-8B-Instruct:p95=banana": "bad p95",
-		"meta-llama/Llama-3.1-8B-Instruct:p95=-3s":    "bad p95",
-		"meta-llama/Llama-3.1-8B-Instruct:class=vip":  "bad priority class",
-		"meta-llama/Llama-3.1-8B-Instruct:policy=x":   "bad route policy",
-		"meta-llama/Llama-3.1-8B-Instruct:0":          "bad option",
+		"meta-llama/Llama-3.1-8B-Instruct:p95=banana":   "bad p95",
+		"meta-llama/Llama-3.1-8B-Instruct:p95=-3s":      "bad p95",
+		"meta-llama/Llama-3.1-8B-Instruct:class=vip":    "bad priority class",
+		"meta-llama/Llama-3.1-8B-Instruct:policy=x":     "bad route policy",
+		"meta-llama/Llama-3.1-8B-Instruct:policy=":      "bad route policy",
+		"meta-llama/Llama-3.1-8B-Instruct:policy=prefx": `"prefix"`,
+		"meta-llama/Llama-3.1-8B-Instruct:0":            "bad option",
 	} {
 		if _, err := ParseFleetFlag(spec); err == nil || !strings.Contains(err.Error(), wantErr) {
 			t.Errorf("spec %q: err = %v, want %q", spec, err, wantErr)

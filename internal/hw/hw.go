@@ -47,7 +47,9 @@ type GPUModel struct {
 	// HBMBandwidth is peak memory bandwidth in bytes/second; decode-phase
 	// token rates are bandwidth-bound, so this is the first-order quantity.
 	HBMBandwidth float64
-	// BF16TFLOPS is dense peak compute, used by the prefill cost model.
+	// BF16TFLOPS is dense peak compute. The perf model does not read it:
+	// prefill cost is the calibrated or bandwidth-derived Tpf
+	// (internal/vllm/perf.go).
 	BF16TFLOPS float64
 }
 

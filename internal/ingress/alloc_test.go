@@ -10,9 +10,9 @@ import (
 
 // Allocation budgets for the request-path hot spots, enforced in CI. The
 // numbers are ceilings for the current implementation (pick is alloc-free
-// after the viewScratch reuse; dispatch-decision scans the body in place
-// and pays only for the model name's string and the descriptor, which the
-// test's closure lets escape) — a regression past them means a
+// after the candidate scratch reuse; dispatch-decision scans the body in
+// place and pays only for the model name's string and the descriptor,
+// which the test's closure lets escape) — a regression past them means a
 // per-request allocation crept back into the data plane.
 const (
 	pickAllocBudget     = 0
@@ -91,7 +91,8 @@ func TestRouterDispatchDecisionAllocBudget(t *testing.T) {
 		if tr := gw.startTrace(req, &desc, time.Time{}); tr != nil && desc.TraceID == "" {
 			t.Fatal("unsampled request was traced")
 		}
-		if gw.pickFrom(gw.views(nil), &desc) == nil {
+		cands, backends := gw.views(nil)
+		if gw.pickFrom(cands, backends, &desc) == nil {
 			t.Fatal("dispatch failed")
 		}
 	})

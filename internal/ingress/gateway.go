@@ -116,30 +116,14 @@ func (b *Backend) queueEstimate() int {
 // routable reports whether the backend may receive new requests.
 func (b *Backend) routable() bool { return b.healthy && !b.draining }
 
-// backendView adapts a gateway backend to the scheduling layer's view.
-type backendView struct{ b *Backend }
-
-// Key implements sched.Backend.
-func (v backendView) Key() string { return v.b.Name }
-
-// Score implements sched.Backend.
-func (v backendView) Score() int { return v.b.load() }
-
-// Pressure implements sched.Backend: the scraped waiting depth plus
-// requests forwarded since that scrape — the PR 1 admission estimate,
-// clamped at zero: requests that complete between scrapes shrink inflight
-// below its scrape-time level, and a negative pressure would make the
-// replica look emptier than idle to admission and spill decisions.
-func (v backendView) Pressure() int {
-	p := v.b.snap.Waiting + v.b.inflight - v.b.scrapeInflight
-	if p < 0 {
-		p = 0
-	}
-	return p
+// pressure is the scraped waiting depth plus requests forwarded since
+// that scrape — the admission estimate, clamped at zero: requests that
+// complete between scrapes shrink inflight below its scrape-time level,
+// and a negative pressure would make the replica look emptier than idle
+// to admission.
+func (b *Backend) pressure() int {
+	return max(b.snap.Waiting+b.inflight-b.scrapeInflight, 0)
 }
-
-// Telemetry implements sched.Backend.
-func (v backendView) Telemetry() telemetry.Snapshot { return v.b.snap }
 
 // Gateway is the load-balancing front door for a replica set: one virtual
 // endpoint that routes across healthy replicas, health-checks them, retries
@@ -195,18 +179,6 @@ type Gateway struct {
 	// class gets the target relaxed by batchTTFTFactor. 0 defaults from
 	// SLOTargetP95; with both zero no deadline is propagated.
 	TTFTTarget time.Duration
-	// SessionSpillDepth is the affine replica's load score above which a
-	// session-routed request spills to least-loaded
-	// (0 = sched.DefaultSpillDepth). Deliberately not defaulted from
-	// MaxWaiting: that threshold is calibrated against the waiting-queue
-	// pressure estimate, not the load score. Only meaningful with
-	// PolicySession.
-	SessionSpillDepth int
-	// SessionKVSpill is the affine replica's telemetry KV pressure above
-	// which a session spills regardless of queue depth
-	// (0 = sched.DefaultKVSpillPressure; >= 1 disables). Only meaningful
-	// with PolicySession.
-	SessionKVSpill float64
 	// HoldColdStart queues requests when no replica is routable instead of
 	// failing them with 502 — the scale-to-zero cold-start path. Held
 	// requests release as soon as a backend is added or revived,
@@ -241,10 +213,12 @@ type Gateway struct {
 	// forward; vhttp.Client carries no per-request state, so one instance
 	// replaces the old per-call allocation.
 	client *vhttp.Client
-	// viewScratch backs the candidate snapshot handed to admission and the
-	// picker. The request path consumes it fully before any park point, so
-	// reusing it across calls is safe and keeps the pick path alloc-free.
-	viewScratch []sched.Backend
+	// cands and candBackends back the candidate snapshot handed to
+	// admission and the picker, index for index. The request path
+	// consumes them fully before any park point, so reusing them across
+	// calls is safe and keeps the pick path alloc-free.
+	cands        []sched.Candidate
+	candBackends []*Backend
 	// Policy-derived sched instances, created on first use so flipping
 	// Policy / MaxWaiting / SLOTargetP95 on a running gateway still takes
 	// effect (stateful ones persist: the round-robin cursor, the session
@@ -511,20 +485,23 @@ func (g *Gateway) httpClient() *vhttp.Client {
 	return g.client
 }
 
-// views builds the scheduling layer's view of the routable backends,
-// minus the excluded (just-failed) one. The returned slice aliases a
-// scratch buffer: it is valid until the next views call, which can only
-// happen after the caller has finished admission and pick (no park point
-// sits between building and consuming the snapshot).
-func (g *Gateway) views(exclude *Backend) []sched.Backend {
-	out := g.viewScratch[:0]
+// views builds the scheduling layer's candidates for the routable
+// backends, minus the excluded (just-failed) one, and the backends they
+// describe: an index the scheduling layer returns into cands names
+// backends at the same index. Both slices alias scratch buffers: they are
+// valid until the next views call, which can only happen after the caller
+// has finished admission and pick (no park point sits between building and
+// consuming the snapshot).
+func (g *Gateway) views(exclude *Backend) (cands []sched.Candidate, backends []*Backend) {
+	cands, backends = g.cands[:0], g.candBackends[:0]
 	for _, b := range g.backends {
 		if b.routable() && b != exclude {
-			out = append(out, backendView{b})
+			cands = append(cands, sched.Candidate{Key: b.Name, Score: b.load(), Pressure: b.pressure(), Snap: &b.snap})
+			backends = append(backends, b)
 		}
 	}
-	g.viewScratch = out
-	return out
+	g.cands, g.candBackends = cands, backends
+	return cands, backends
 }
 
 // picker resolves the Policy-derived replica selector (instantiated on
@@ -537,18 +514,11 @@ func (g *Gateway) picker() sched.Picker {
 		if g.session == nil {
 			g.session = &sched.Session{}
 		}
-		// Re-sync the thresholds every pick so post-Start changes to
-		// SessionSpillDepth / SessionKVSpill take effect (only the spill
-		// counter persists).
-		g.session.SpillDepth = g.SessionSpillDepth
-		g.session.KVSpillPressure = g.SessionKVSpill
 		return g.session
 	case PolicyPrefix:
 		if g.prefix == nil {
 			g.prefix = &sched.Prefix{}
 		}
-		g.prefix.SpillDepth = g.SessionSpillDepth
-		g.prefix.KVSpillPressure = g.SessionKVSpill
 		return g.prefix
 	default:
 		if g.rr == nil {
@@ -561,23 +531,19 @@ func (g *Gateway) picker() sched.Picker {
 // pickFor delegates the replica choice to the scheduling layer. Returns
 // nil when nothing is routable.
 func (g *Gateway) pickFor(sreq *sched.Request, exclude *Backend) *Backend {
-	return g.pickFrom(g.views(exclude), sreq)
+	cands, backends := g.views(exclude)
+	return g.pickFrom(cands, backends, sreq)
 }
 
 // pickFrom picks from an already-built candidate snapshot (shared with
-// admission on the arrival path, so the slice is built once per request;
-// retries and hold wakeups rebuild it — the set changes while they wait).
-// A pick that is not one of the candidate values is treated as no pick
-// rather than panicking the serving path.
-func (g *Gateway) pickFrom(candidates []sched.Backend, sreq *sched.Request) *Backend {
-	if len(candidates) == 0 {
-		return nil
+// admission on the arrival path, so the slices are built once per request;
+// retries and hold wakeups rebuild them — the set changes while they
+// wait).
+func (g *Gateway) pickFrom(cands []sched.Candidate, backends []*Backend, sreq *sched.Request) *Backend {
+	if i := g.picker().Pick(cands, sreq); i >= 0 {
+		return backends[i]
 	}
-	view, ok := g.picker().Pick(candidates, sreq).(backendView)
-	if !ok {
-		return nil
-	}
-	return view.b
+	return nil
 }
 
 // describe derives the request's scheduling attributes from headers and
@@ -646,16 +612,13 @@ func (g *Gateway) stampSchedHints(req *vhttp.Request, sreq *sched.Request) {
 // admit runs admission against the arrival-time replica snapshot: the
 // SLO breaker (when SLOTargetP95 is set) first, then the queue-depth
 // breaker (MaxWaiting; a no-op at 0).
-func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, candidates []sched.Backend) sched.Outcome {
-	// No admission configured (the default): the old saturated() fast
-	// path, preserved.
-	if g.SLOTargetP95 <= 0 && g.MaxWaiting <= 0 {
+func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, cands []sched.Candidate) sched.Outcome {
+	// No admission configured (the default) admits, and so does an empty
+	// routable set: that is the hold path's case, not admission's — a
+	// breached p95 must not 503 a request the next cold-started replica
+	// would have completed.
+	if (g.SLOTargetP95 <= 0 && g.MaxWaiting <= 0) || len(cands) == 0 {
 		return sched.Admitted
-	}
-	now := p.Now()
-	st := sched.State{
-		Backends: candidates,
-		P95:      func() time.Duration { return g.LatencyQuantile(now, 0.95) },
 	}
 	if g.SLOTargetP95 > 0 {
 		if g.slo == nil {
@@ -665,11 +628,11 @@ func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, candidates []sched.Bac
 		// effect (only the breaker's hysteresis state and counter persist);
 		// dropping SLOTargetP95 to 0 disables the breaker entirely.
 		g.slo.Target = g.SLOTargetP95
-		if out := g.slo.Admit(sreq, st); !out.Admit {
+		if out := g.slo.Admit(sreq, g.LatencyQuantile(p.Now(), 0.95)); !out.Admit {
 			return out
 		}
 	}
-	return sched.QueueDepth{MaxWaiting: g.MaxWaiting}.Admit(sreq, st)
+	return sched.QueueDepth{MaxWaiting: g.MaxWaiting}.Admit(cands)
 }
 
 // forward sends the request to one backend, tracking in-flight load. A
@@ -992,8 +955,8 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 	}
 	// One routable-set snapshot serves both the admission decision and the
 	// first pick; nothing yields between them.
-	candidates := g.views(nil)
-	if out := g.admit(p, &sreq, candidates); !out.Admit {
+	cands, backends := g.views(nil)
+	if out := g.admit(p, &sreq, cands); !out.Admit {
 		g.stats.Rejected++
 		g.noteShed(sreq.Class)
 		g.abortTrace(tr, p.Now(), "shed: "+out.Reason)
@@ -1002,7 +965,7 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 		return resp
 	}
 	tr.Observe(trace.StageAdmission, start, p.Now())
-	b := g.pickFrom(candidates, &sreq)
+	b := g.pickFrom(cands, backends, &sreq)
 	if b == nil && g.HoldColdStart {
 		b = enterHold()
 		if b == nil {

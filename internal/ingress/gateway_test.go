@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/vhttp"
@@ -22,6 +23,8 @@ type replica struct {
 	// failing an in-flight request as it dies).
 	failNext bool
 	hits     int
+	// warmups records the forwarded requests that carry X-Warmup.
+	warmups []*vhttp.Request
 }
 
 func (r *replica) Serve(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
@@ -40,6 +43,9 @@ func (r *replica) Serve(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 	if r.failNext {
 		r.failNext = false
 		return vhttp.Text(500, `{"error":{"message":"vllm: engine dead"}}`)
+	}
+	if req.Header[sched.WarmupHeader] != "" {
+		r.warmups = append(r.warmups, req)
 	}
 	r.hits++
 	return vhttp.Text(200, r.name)
@@ -536,7 +542,6 @@ func TestGatewaySessionAffinityPinsAndSpills(t *testing.T) {
 	b := &replica{name: "b", up: true}
 	c := &replica{name: "c", up: true}
 	eng, net, gw := newGateway(t, PolicySession, a, b, c)
-	gw.SessionSpillDepth = 4
 
 	send := func(session string) string {
 		var body string
@@ -575,6 +580,88 @@ func TestGatewaySessionAffinityPinsAndSpills(t *testing.T) {
 	}
 	if gw.SessionSpills() == 0 {
 		t.Fatal("spill not counted")
+	}
+}
+
+func TestGatewayWarmupsLandOnNewOwner(t *testing.T) {
+	// A session that leaves its owner warms its last body up where it
+	// goes next: on a drain, at the rendezvous owner among the survivors;
+	// on a saturation spill, at the spill target.
+	reps := []*replica{{name: "a", up: true}, {name: "b", up: true}, {name: "c", up: true}}
+	eng, net, gw := newGateway(t, PolicySession, reps...)
+	send := func(turn int) (body []byte, servedBy string) {
+		body = []byte(fmt.Sprintf(`{"model":"m","session_id":"s","messages":[{"role":"user","content":"turn %d"}]}`, turn))
+		eng.Go("client", func(p *sim.Proc) {
+			cl := &vhttp.Client{Net: net, From: "user"}
+			if resp, err := cl.Do(p, &vhttp.Request{Method: "POST", URL: "http://gw:8000/v1/chat/completions", Body: body}); err == nil {
+				servedBy = string(resp.Body)
+			}
+		})
+		eng.RunFor(time.Second)
+		return body, servedBy
+	}
+	// warmups returns every warm-up recorded since the last call, with the
+	// replica each landed on.
+	type landed struct {
+		on  string
+		req *vhttp.Request
+	}
+	warmups := func() []landed {
+		var out []landed
+		for _, r := range reps {
+			for _, w := range r.warmups {
+				out = append(out, landed{r.name, w})
+			}
+			r.warmups = nil
+		}
+		return out
+	}
+	checkOne := func(phase, on string, body []byte) {
+		t.Helper()
+		got := warmups()
+		if len(got) != 1 {
+			t.Fatalf("%s: %d warm-ups, want exactly 1", phase, len(got))
+		}
+		w := got[0]
+		if w.on != on || w.req.Header[sched.WarmupHeader] != "1" ||
+			w.req.Header[sched.PriorityHeader] != "batch" || string(w.req.Body) != string(body) {
+			t.Fatalf("%s: warm-up on %s (X-Warmup %q, X-Priority %q, body %s), want on %s (1, batch, %s)",
+				phase, w.on, w.req.Header[sched.WarmupHeader], w.req.Header[sched.PriorityHeader], w.req.Body, on, body)
+		}
+	}
+
+	first, owner := send(1)
+	if owner == "" {
+		t.Fatal("no response")
+	}
+	if got := warmups(); len(got) != 0 {
+		t.Fatalf("a session's first turn fired %d warm-ups", len(got))
+	}
+	gw.RemoveBackend(owner)
+	// The session's next turn lands on the rendezvous owner among the two
+	// survivors, which is where the drain's warm-up must have gone; the
+	// turn itself stays home and fires none.
+	second, next := send(2)
+	if next == "" || next == owner {
+		t.Fatalf("post-drain turn served by %q", next)
+	}
+	checkOne("drain", next, first)
+
+	// Saturate the new owner: the next turn spills to the other survivor,
+	// and the previous turn's body warms up there.
+	for _, r := range reps {
+		if r.name == next {
+			r.waiting = 9 // past the spill depth of 8
+		}
+	}
+	eng.RunFor(15 * time.Second) // a probe scrapes the queue depth
+	_, spilledTo := send(3)
+	if spilledTo == "" || spilledTo == next || spilledTo == owner {
+		t.Fatalf("saturated owner %s: turn served by %q, want the other survivor", next, spilledTo)
+	}
+	checkOne("spill", spilledTo, second)
+	if gw.SessionSpills() != 1 {
+		t.Fatalf("spills = %d, want 1", gw.SessionSpills())
 	}
 }
 
@@ -675,6 +762,15 @@ func TestGatewayAdmissionShedsSLOBeforeQueueDepth(t *testing.T) {
 	}
 	if st := gw.Stats(); st.Rejected != 2 {
 		t.Fatalf("rejected = %d, want 2", st.Rejected)
+	}
+	// With no routable replica both breakers stand aside, even while the
+	// SLO breaker is engaged: the hold path owns the request.
+	gw.HoldColdStart = true
+	gw.RemoveBackend("slow")
+	post("batch")
+	post("interactive")
+	if gw.Holding() != 2 || gw.Stats().Rejected != 2 {
+		t.Fatalf("holding = %d, rejected = %d, want both requests held and no new shed", gw.Holding(), gw.Stats().Rejected)
 	}
 }
 

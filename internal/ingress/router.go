@@ -64,23 +64,6 @@ func (r *Router) AddModel(model string, gw *Gateway) error {
 	return nil
 }
 
-// RemoveModel unroutes a model name (the gateway is left running; the
-// caller owns its lifecycle). Reports whether the name was routed.
-func (r *Router) RemoveModel(model string) bool {
-	rt, ok := r.byModel[model]
-	if !ok {
-		return false
-	}
-	delete(r.byModel, model)
-	for i, x := range r.routes {
-		if x == rt {
-			r.routes = append(r.routes[:i], r.routes[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Gateway returns the gateway routed for a model name (nil if unknown).
 func (r *Router) Gateway(model string) *Gateway {
 	if rt, ok := r.byModel[model]; ok {

@@ -233,7 +233,7 @@ func TestRouterHealthAndStatus(t *testing.T) {
 	}
 }
 
-func TestRouterAddRemoveModelWhileServing(t *testing.T) {
+func TestRouterAddModelWhileServing(t *testing.T) {
 	a := &replica{name: "a0", up: true}
 	eng, net := newNet(t)
 	r := newRouter(t, eng, net, map[string][]*replica{"chat": {a}})
@@ -253,14 +253,5 @@ func TestRouterAddRemoveModelWhileServing(t *testing.T) {
 	}
 	if status, body := postChat(eng, net, r.Endpoint(), "code"); status != 200 || body != "b0" {
 		t.Fatalf("post-registration = %d %q", status, body)
-	}
-	if !r.RemoveModel("code") || r.RemoveModel("code") {
-		t.Fatal("RemoveModel bookkeeping broken")
-	}
-	if status, _ := postChat(eng, net, r.Endpoint(), "code"); status != 404 {
-		t.Fatal("removed model still routed")
-	}
-	if got := r.Models(); len(got) != 1 || got[0] != "chat" {
-		t.Fatalf("models after removal = %v", got)
 	}
 }

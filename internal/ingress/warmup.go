@@ -111,14 +111,14 @@ func (g *Gateway) warmOnDrain(name string) {
 	if len(moved) == 0 {
 		return
 	}
-	candidates := g.views(nil)
+	cands, backends := g.views(nil)
+	if len(cands) == 0 {
+		return // nothing routable; the cold-start path owns this case
+	}
 	for _, note := range moved {
-		v, ok := sched.Affine(candidates, note.key).(backendView)
-		if !ok {
-			return // nothing routable; the cold-start path owns this case
-		}
-		note.owner = v.b.Name
-		g.fireWarmup(v.b, note.body)
+		b := backends[sched.Affine(cands, note.key)]
+		note.owner = b.Name
+		g.fireWarmup(b, note.body)
 	}
 }
 

@@ -16,24 +16,24 @@ func BenchmarkPick(b *testing.B) {
 		b.Run(fmt.Sprintf("round-robin/backends=%d", n), func(b *testing.B) {
 			p := &RoundRobin{}
 			for i := 0; i < b.N; i++ {
-				if p.Pick(cands, req) == nil {
-					b.Fatal("nil pick")
+				if p.Pick(cands, req) < 0 {
+					b.Fatal("no pick")
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("least-loaded/backends=%d", n), func(b *testing.B) {
 			p := LeastLoaded{}
 			for i := 0; i < b.N; i++ {
-				if p.Pick(cands, req) == nil {
-					b.Fatal("nil pick")
+				if p.Pick(cands, req) < 0 {
+					b.Fatal("no pick")
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("session-hash/backends=%d", n), func(b *testing.B) {
 			p := &Session{}
 			for i := 0; i < b.N; i++ {
-				if p.Pick(cands, req) == nil {
-					b.Fatal("nil pick")
+				if p.Pick(cands, req) < 0 {
+					b.Fatal("no pick")
 				}
 			}
 		})
@@ -57,7 +57,7 @@ func BenchmarkPrefixSketchPick(b *testing.B) {
 
 		b.Run(fmt.Sprintf("affine-hit/backends=%d", n), func(b *testing.B) {
 			for _, c := range cands {
-				c.(*fakeBackend).snap.PrefixSketch = sketch
+				c.Snap.PrefixSketch = sketch
 			}
 			p := &Prefix{}
 			b.ReportAllocs()
@@ -69,14 +69,14 @@ func BenchmarkPrefixSketchPick(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("sketch-scan/backends=%d", n), func(b *testing.B) {
 			for _, c := range cands {
-				c.(*fakeBackend).snap.PrefixSketch = sketch
+				c.Snap.PrefixSketch = sketch
 			}
-			affine.(*fakeBackend).snap.PrefixSketch = nil
+			cands[affine].Snap.PrefixSketch = nil
 			p := &Prefix{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if p.Pick(cands, req) == nil {
-					b.Fatal("nil pick")
+				if p.Pick(cands, req) < 0 {
+					b.Fatal("no pick")
 				}
 			}
 		})

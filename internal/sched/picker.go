@@ -4,11 +4,11 @@ package sched
 // state (round-robin's cursor); the gateway serializes calls on the
 // simulation's strict handoff, so no internal locking is needed.
 type Picker interface {
-	// Pick chooses one of candidates for req. Candidates are the currently
-	// routable replicas (the caller has already excluded unhealthy,
-	// draining, and just-failed ones); nil is returned only when the slice
-	// is empty.
-	Pick(candidates []Backend, req *Request) Backend
+	// Pick chooses one of candidates for req and returns its index.
+	// Candidates are the currently routable replicas (the caller has
+	// already excluded unhealthy, draining, and just-failed ones); -1 is
+	// returned only when the slice is empty.
+	Pick(candidates []Candidate, req *Request) int
 }
 
 // RoundRobin cycles through the candidates in order — PR 1's default
@@ -18,13 +18,13 @@ type RoundRobin struct {
 }
 
 // Pick implements Picker.
-func (p *RoundRobin) Pick(candidates []Backend, _ *Request) Backend {
+func (p *RoundRobin) Pick(candidates []Candidate, _ *Request) int {
 	if len(candidates) == 0 {
-		return nil
+		return -1
 	}
-	b := candidates[p.next%len(candidates)]
+	i := p.next % len(candidates)
 	p.next++
-	return b
+	return i
 }
 
 // LeastLoaded routes to the replica with the smallest load score. Ties
@@ -36,22 +36,47 @@ func (p *RoundRobin) Pick(candidates []Backend, _ *Request) Backend {
 type LeastLoaded struct{}
 
 // Pick implements Picker.
-func (LeastLoaded) Pick(candidates []Backend, _ *Request) Backend {
-	var best Backend
-	for _, b := range candidates {
-		if best == nil || b.Score() < best.Score() ||
-			(b.Score() == best.Score() && b.Telemetry().KVPressure() < best.Telemetry().KVPressure()) {
-			best = b
+func (LeastLoaded) Pick(candidates []Candidate, _ *Request) int {
+	return leastLoaded(candidates, -1)
+}
+
+// leastLoaded is LeastLoaded's scan over every candidate but the one at
+// index skip.
+func leastLoaded(candidates []Candidate, skip int) int {
+	best := -1
+	for i := range candidates {
+		if i == skip {
+			continue
+		}
+		c := &candidates[i]
+		if best < 0 || c.Score < candidates[best].Score ||
+			(c.Score == candidates[best].Score && c.Snap.KVPressure() < candidates[best].Snap.KVPressure()) {
+			best = i
 		}
 	}
 	return best
 }
 
-// DefaultSpillDepth is the affine replica's load score above which a
-// session spills when the Session picker has no explicit threshold. It
-// matches the autoscaler's default per-replica queue target: a replica
-// holding a full target queue gains nothing from more cache-affine load.
+// DefaultSpillDepth is the affine replica's load score (Score: in-flight
+// plus scraped queue depths — the saturation measure that still works when
+// a continuous-batching engine absorbs every request into its running
+// batch) above which a session spills. It matches the autoscaler's default
+// per-replica queue target: a replica holding a full target queue gains
+// nothing from more cache-affine load.
 const DefaultSpillDepth = 8
+
+// DefaultKVSpillPressure is the affine replica's KV pressure (fraction of
+// blocks held by live sequences, reclaimable cache excluded) at or above
+// which a session spills even with a short queue: past this point the
+// engine is about to evict the very prefix blocks the session came back
+// for — or preempt — so the cache hit the affinity was buying no longer
+// exists. Replicas that have never reported telemetry read as zero
+// pressure.
+const DefaultKVSpillPressure = 0.9
+
+// maxStickySpills bounds the sticky-spill memory; past it the map resets
+// wholesale (the sessions simply re-pick their spill target once).
+const maxStickySpills = 1024
 
 // Session routes every request sharing a session key to the same replica
 // so multi-turn conversations reuse that replica's warm prefix/KV cache.
@@ -59,33 +84,10 @@ const DefaultSpillDepth = 8
 // consistent-hashing scheme: adding or removing a replica only remaps the
 // sessions that hashed to it, and the mapping is independent of candidate
 // order. Keyless requests fall back to least-loaded, and a session whose
-// affine replica is past SpillDepth spills to the least-loaded other
-// replica (a cache hit is not worth queueing behind a saturated engine).
-// DefaultKVSpillPressure is the affine replica's KV pressure (fraction of
-// blocks held by live sequences, reclaimable cache excluded) above which a
-// session spills even with a short queue: past this point the engine is
-// about to evict the very prefix blocks the session came back for — or
-// preempt — so the cache hit the affinity was buying no longer exists.
-const DefaultKVSpillPressure = 0.9
-
-// maxStickySpills bounds the sticky-spill memory; past it the map resets
-// wholesale (the sessions simply re-pick their spill target once).
-const maxStickySpills = 1024
-
+// affine replica is saturated spills to the least-loaded other replica (a
+// cache hit is not worth queueing behind a saturated engine).
 type Session struct {
-	// SpillDepth is the affine replica's load score (Score: in-flight plus
-	// scraped queue depths — the saturation measure that still works when
-	// a continuous-batching engine absorbs every request into its running
-	// batch) above which the session spills (0 = DefaultSpillDepth).
-	SpillDepth int
-	// KVSpillPressure is the affine replica's telemetry KV pressure above
-	// which the session spills regardless of queue depth
-	// (0 = DefaultKVSpillPressure; >= 1 disables the check). Replicas that
-	// have never reported telemetry read as zero pressure.
-	KVSpillPressure float64
-
-	fallback LeastLoaded
-	spills   int
+	spills int
 	// spillTo pins each spilled session to its chosen fallback (sticky
 	// spill): repeated turns of one session land on the same replica, so
 	// the spill target accumulates the session's prefix instead of the
@@ -97,52 +99,35 @@ type Session struct {
 // Spills counts picks that left the affine replica due to saturation.
 func (s *Session) Spills() int { return s.spills }
 
-// saturatedOn reports whether b is past the spill thresholds.
-func (s *Session) saturatedOn(b Backend) bool {
-	spill := s.SpillDepth
-	if spill <= 0 {
-		spill = DefaultSpillDepth
-	}
-	kvSpill := s.KVSpillPressure
-	if kvSpill <= 0 {
-		kvSpill = DefaultKVSpillPressure
-	}
-	// kvSpill >= 1 disables the KV check outright: pressure can reach
-	// exactly 1.0 on a saturated engine, so a threshold of 1.0 must not
-	// trip either.
-	return b.Score() > spill ||
-		(kvSpill < 1 && b.Telemetry().KVPressure() >= kvSpill)
+// saturated reports whether c is past DefaultSpillDepth or
+// DefaultKVSpillPressure.
+func saturated(c *Candidate) bool {
+	return c.Score > DefaultSpillDepth || c.Snap.KVPressure() >= DefaultKVSpillPressure
 }
 
 // Pick implements Picker.
-func (s *Session) Pick(candidates []Backend, req *Request) Backend {
+func (s *Session) Pick(candidates []Candidate, req *Request) int {
 	if len(candidates) == 0 {
-		return nil
+		return -1
 	}
 	if req == nil || req.SessionKey == "" {
-		return s.fallback.Pick(candidates, req)
+		return leastLoaded(candidates, -1)
 	}
 	affine := Affine(candidates, req.SessionKey)
-	if s.saturatedOn(affine) && len(candidates) > 1 {
+	if len(candidates) > 1 && saturated(&candidates[affine]) {
 		s.spills++
 		req.Spilled = true
 		// Sticky spill: reuse the session's recorded fallback while it is
 		// still routable and healthy enough itself.
 		if key, ok := s.spillTo[req.SessionKey]; ok {
-			for _, b := range candidates {
-				if b != affine && b.Key() == key && !s.saturatedOn(b) {
-					return b
+			for i := range candidates {
+				if i != affine && candidates[i].Key == key && !saturated(&candidates[i]) {
+					return i
 				}
 			}
 		}
-		others := make([]Backend, 0, len(candidates)-1)
-		for _, b := range candidates {
-			if b != affine {
-				others = append(others, b)
-			}
-		}
-		pick := s.fallback.Pick(others, req)
-		s.remember(req.SessionKey, pick)
+		pick := leastLoaded(candidates, affine)
+		s.remember(req.SessionKey, candidates[pick].Key)
 		return pick
 	}
 	// Home again: drop any sticky record so a later spill re-picks
@@ -153,16 +138,13 @@ func (s *Session) Pick(candidates []Backend, req *Request) Backend {
 }
 
 // remember records a session's spill target.
-func (s *Session) remember(key string, b Backend) {
-	if b == nil || key == "" {
-		return
-	}
+func (s *Session) remember(session, target string) {
 	if s.spillTo == nil {
 		s.spillTo = make(map[string]string)
 	} else if len(s.spillTo) >= maxStickySpills {
 		clear(s.spillTo)
 	}
-	s.spillTo[key] = b.Key()
+	s.spillTo[session] = target
 }
 
 // Prefix is the cache-aware placement policy: it consults each replica's
@@ -186,55 +168,57 @@ type Prefix struct {
 func (p *Prefix) SketchRoutes() int { return p.sketchRoutes }
 
 // Pick implements Picker.
-func (p *Prefix) Pick(candidates []Backend, req *Request) Backend {
+func (p *Prefix) Pick(candidates []Candidate, req *Request) int {
 	if len(candidates) == 0 {
-		return nil
+		return -1
 	}
 	if req == nil || req.PrefixKey == 0 {
 		return p.Session.Pick(candidates, req)
 	}
-	var affine Backend
+	affine := -1
 	if req.SessionKey != "" {
 		affine = Affine(candidates, req.SessionKey)
 	}
-	if affine != nil && !p.saturatedOn(affine) && affine.Telemetry().SketchContains(req.PrefixKey) {
+	if affine >= 0 && !saturated(&candidates[affine]) && candidates[affine].Snap.SketchContains(req.PrefixKey) {
 		delete(p.spillTo, req.SessionKey)
 		return affine
 	}
-	var best Backend
-	for _, b := range candidates {
-		if b == affine || p.saturatedOn(b) || !b.Telemetry().SketchContains(req.PrefixKey) {
+	best := -1
+	for i := range candidates {
+		c := &candidates[i]
+		if i == affine || saturated(c) || !c.Snap.SketchContains(req.PrefixKey) {
 			continue
 		}
-		if best == nil || b.Score() < best.Score() ||
-			(b.Score() == best.Score() &&
-				b.Telemetry().WindowPrefixHitRate() > best.Telemetry().WindowPrefixHitRate()) {
-			best = b
+		if best < 0 || c.Score < candidates[best].Score ||
+			(c.Score == candidates[best].Score &&
+				c.Snap.WindowPrefixHitRate() > candidates[best].Snap.WindowPrefixHitRate()) {
+			best = i
 		}
 	}
-	if best != nil {
+	if best >= 0 {
 		p.sketchRoutes++
-		if affine != nil {
+		if affine >= 0 {
 			// A session placed off its affine replica still needs its
 			// deeper history there; surface it so the gateway can warm up.
 			req.Spilled = true
-			p.remember(req.SessionKey, best)
+			p.remember(req.SessionKey, candidates[best].Key)
 		}
 		return best
 	}
 	return p.Session.Pick(candidates, req)
 }
 
-// Affine returns the rendezvous-hash owner of a session key among the
-// candidates: the backend whose (key, backend) hash is highest. Exposed
-// so tests and diagnostics can predict the mapping.
-func Affine(candidates []Backend, sessionKey string) Backend {
-	var best Backend
+// Affine returns the index of the rendezvous-hash owner of a session key
+// among the candidates — the candidate whose (key, backend) hash is
+// highest — or -1 when there are none. Exposed so the gateway's drain
+// warm-up and tests can predict the mapping.
+func Affine(candidates []Candidate, sessionKey string) int {
+	best := -1
 	var bestHash uint64
-	for _, b := range candidates {
-		h := rendezvous(sessionKey, b.Key())
-		if best == nil || h > bestHash || (h == bestHash && b.Key() < best.Key()) {
-			best, bestHash = b, h
+	for i := range candidates {
+		h := rendezvous(sessionKey, candidates[i].Key)
+		if best < 0 || h > bestHash || (h == bestHash && candidates[i].Key < candidates[best].Key) {
+			best, bestHash = i, h
 		}
 	}
 	return best

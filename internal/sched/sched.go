@@ -3,9 +3,11 @@
 // ingress.Gateway so each can be swapped independently.
 //
 //   - A Picker chooses which replica serves a request: round-robin,
-//     least-loaded, or session-affine (consistent hashing on a session key
+//     least-loaded, session-affine (consistent hashing on a session key
 //     so multi-turn chats reuse one replica's warm KV cache, with
-//     least-loaded spill when the affine replica saturates).
+//     least-loaded spill when the affine replica saturates), or prefix
+//     (session affinity plus placement by each replica's published
+//     prefix-membership sketch).
 //   - Admission decides whether a request is served at all: the SLO
 //     breaker sheds the lowest priority class while the gateway's rolling
 //     p95 breaches a per-model latency objective (with hysteresis, so it
@@ -213,20 +215,22 @@ func decodeAttrs(body []byte) (Chat, error) {
 	return c, nil
 }
 
-// Backend is one routable replica as the scheduling layer sees it. The
-// gateway adapts its backend records to this view; tests use fakes.
-type Backend interface {
+// Candidate is one routable replica as the scheduling layer sees it:
+// plain values the gateway fills for each decision. Pickers and Affine
+// answer with an index into the candidate slice.
+type Candidate struct {
 	// Key is the backend's stable identity, the consistent-hashing site.
-	Key() string
+	Key string
 	// Score is the routing load score (lower routes first): gateway
 	// in-flight plus the queue depths from the last telemetry scrape.
-	Score() int
-	// Pressure estimates the backend's waiting queue for admission and
-	// spill decisions: the last scraped waiting depth plus requests
-	// forwarded since that scrape (never negative).
-	Pressure() int
-	// Telemetry is the replica's last typed engine snapshot. The zero
-	// value (KVBlocksTotal == 0) means "never scraped" — pickers treat
-	// absent KV information as no signal, not as an empty cache.
-	Telemetry() telemetry.Snapshot
+	Score int
+	// Pressure estimates the backend's waiting queue for admission: the
+	// last scraped waiting depth plus requests forwarded since that
+	// scrape (never negative).
+	Pressure int
+	// Snap points at the replica's last typed engine snapshot (never
+	// nil). The zero value (KVBlocksTotal == 0) means "never scraped" —
+	// pickers treat absent KV information as no signal, not as an empty
+	// cache.
+	Snap *telemetry.Snapshot
 }

@@ -8,24 +8,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-type fakeBackend struct {
-	key      string
-	score    int
-	pressure int
-	snap     telemetry.Snapshot
+// cand is a candidate that has never reported telemetry.
+func cand(key string, score int) Candidate {
+	return Candidate{Key: key, Score: score, Snap: &telemetry.Snapshot{}}
 }
 
-func (b *fakeBackend) Key() string                   { return b.key }
-func (b *fakeBackend) Score() int                    { return b.score }
-func (b *fakeBackend) Pressure() int                 { return b.pressure }
-func (b *fakeBackend) Telemetry() telemetry.Snapshot { return b.snap }
-
-func backends(n int) []Backend {
-	out := make([]Backend, n)
+func backends(n int) []Candidate {
+	out := make([]Candidate, n)
 	for i := range out {
-		out[i] = &fakeBackend{key: fmt.Sprintf("replica-%d", i)}
+		out[i] = cand(fmt.Sprintf("replica-%d", i), 0)
 	}
 	return out
+}
+
+// pickKey runs one pick and names the chosen candidate ("" for none).
+func pickKey(p Picker, cands []Candidate, req *Request) string {
+	if i := p.Pick(cands, req); i >= 0 {
+		return cands[i].Key
+	}
+	return ""
 }
 
 func TestParseClass(t *testing.T) {
@@ -100,7 +101,7 @@ func TestRoundRobinCycles(t *testing.T) {
 	cands := backends(3)
 	var got []string
 	for i := 0; i < 6; i++ {
-		got = append(got, p.Pick(cands, nil).Key())
+		got = append(got, pickKey(p, cands, nil))
 	}
 	want := []string{"replica-0", "replica-1", "replica-2", "replica-0", "replica-1", "replica-2"}
 	for i := range want {
@@ -108,18 +109,14 @@ func TestRoundRobinCycles(t *testing.T) {
 			t.Fatalf("pick %d = %s, want %s", i, got[i], want[i])
 		}
 	}
-	if p.Pick(nil, nil) != nil {
-		t.Fatal("empty candidates should pick nil")
+	if p.Pick(nil, nil) != -1 {
+		t.Fatal("empty candidates should pick -1")
 	}
 }
 
 func TestLeastLoadedPrefersSmallestScore(t *testing.T) {
-	cands := []Backend{
-		&fakeBackend{key: "a", score: 5},
-		&fakeBackend{key: "b", score: 2},
-		&fakeBackend{key: "c", score: 2},
-	}
-	if got := (LeastLoaded{}).Pick(cands, nil).Key(); got != "b" {
+	cands := []Candidate{cand("a", 5), cand("b", 2), cand("c", 2)}
+	if got := pickKey(LeastLoaded{}, cands, nil); got != "b" {
 		t.Fatalf("pick = %s, want the first smallest-score backend", got)
 	}
 }
@@ -128,19 +125,22 @@ func TestSessionStableMapping(t *testing.T) {
 	s := &Session{}
 	cands := backends(4)
 	req := &Request{SessionKey: "conversation-42"}
-	first := s.Pick(cands, req).Key()
+	first := pickKey(s, cands, req)
 	for i := 0; i < 20; i++ {
-		if got := s.Pick(cands, req).Key(); got != first {
+		if got := pickKey(s, cands, req); got != first {
 			t.Fatalf("pick %d = %s, want stable %s", i, got, first)
 		}
 	}
 	// The mapping is independent of candidate order.
-	reversed := make([]Backend, len(cands))
+	reversed := make([]Candidate, len(cands))
 	for i, b := range cands {
 		reversed[len(cands)-1-i] = b
 	}
-	if got := s.Pick(reversed, req).Key(); got != first {
+	if got := pickKey(s, reversed, req); got != first {
 		t.Fatalf("reordered candidates remapped %s -> %s", first, got)
+	}
+	if Affine(nil, req.SessionKey) != -1 {
+		t.Fatal("no candidates: Affine should return -1")
 	}
 }
 
@@ -151,22 +151,22 @@ func TestSessionSpreadAndRemapOnRemoval(t *testing.T) {
 	hit := map[string]int{}
 	for i := 0; i < sessions; i++ {
 		key := fmt.Sprintf("session-%d", i)
-		b := Affine(cands, key)
-		owner[key] = b.Key()
-		hit[b.Key()]++
+		b := cands[Affine(cands, key)]
+		owner[key] = b.Key
+		hit[b.Key]++
 	}
 	for _, b := range cands {
-		if hit[b.Key()] == 0 {
-			t.Fatalf("backend %s owns no sessions; hash does not spread: %v", b.Key(), hit)
+		if hit[b.Key] == 0 {
+			t.Fatalf("backend %s owns no sessions; hash does not spread: %v", b.Key, hit)
 		}
 	}
 
 	// Remove one backend: only its sessions remap (the consistent-hashing
 	// property that preserves every other replica's warm KV cache).
-	removed := cands[2].Key()
-	remaining := append(append([]Backend{}, cands[:2]...), cands[3:]...)
+	removed := cands[2].Key
+	remaining := append(append([]Candidate{}, cands[:2]...), cands[3:]...)
 	for key, prev := range owner {
-		now := Affine(remaining, key).Key()
+		now := remaining[Affine(remaining, key)].Key
 		if prev != removed && now != prev {
 			t.Fatalf("session %s remapped %s -> %s though its replica survived", key, prev, now)
 		}
@@ -177,38 +177,27 @@ func TestSessionSpreadAndRemapOnRemoval(t *testing.T) {
 }
 
 func TestSessionSpillOnSaturation(t *testing.T) {
-	a := &fakeBackend{key: "a"}
-	b := &fakeBackend{key: "b", score: 3}
-	c := &fakeBackend{key: "c", score: 1}
-	cands := []Backend{a, b, c}
-	s := &Session{SpillDepth: 4}
-
-	// Find a key affine to a.
-	key := ""
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("k-%d", i)
-		if Affine(cands, key).Key() == "a" {
-			break
-		}
-	}
-	req := &Request{SessionKey: key}
-	if got := s.Pick(cands, req).Key(); got != "a" {
+	cands := []Candidate{cand("a", 0), cand("b", 3), cand("c", 1)}
+	a := &cands[0]
+	s := &Session{}
+	req := &Request{SessionKey: affineKeyTo(t, cands, "a")}
+	if got := pickKey(s, cands, req); got != "a" {
 		t.Fatalf("unsaturated pick = %s, want the affine replica", got)
 	}
-	a.score = 5 // past SpillDepth
-	if got := s.Pick(cands, req).Key(); got != "c" {
+	a.Score = 9 // past DefaultSpillDepth
+	if got := pickKey(s, cands, req); got != "c" {
 		t.Fatalf("saturated pick = %s, want the least-loaded other replica", got)
 	}
 	if s.Spills() != 1 {
 		t.Fatalf("spills = %d, want 1", s.Spills())
 	}
-	a.score = 0
-	if got := s.Pick(cands, req).Key(); got != "a" {
+	a.Score = 0
+	if got := pickKey(s, cands, req); got != "a" {
 		t.Fatalf("post-drain pick = %s, want the affine replica again", got)
 	}
 	// A saturated sole replica still serves its sessions.
-	a.score = 50
-	if got := s.Pick([]Backend{a}, req).Key(); got != "a" {
+	a.Score = 50
+	if got := pickKey(s, cands[:1], req); got != "a" {
 		t.Fatalf("sole saturated replica pick = %s", got)
 	}
 }
@@ -216,46 +205,35 @@ func TestSessionSpillOnSaturation(t *testing.T) {
 func TestLeastLoadedTieBreaksOnKVPressure(t *testing.T) {
 	full := telemetry.Snapshot{KVBlocksTotal: 100, KVBlocksUsed: 90, KVBlocksCached: 5}
 	roomy := telemetry.Snapshot{KVBlocksTotal: 100, KVBlocksUsed: 40, KVBlocksCached: 30}
-	cands := []Backend{
-		&fakeBackend{key: "a", score: 2, snap: full},
-		&fakeBackend{key: "b", score: 2, snap: roomy},
+	cands := []Candidate{
+		{Key: "a", Score: 2, Snap: &full},
+		{Key: "b", Score: 2, Snap: &roomy},
 	}
-	if got := (LeastLoaded{}).Pick(cands, nil).Key(); got != "b" {
+	if got := pickKey(LeastLoaded{}, cands, nil); got != "b" {
 		t.Fatalf("tie pick = %s, want the replica with KV headroom", got)
 	}
 	// A lower score still outranks better KV headroom.
-	cands[0].(*fakeBackend).score = 1
-	if got := (LeastLoaded{}).Pick(cands, nil).Key(); got != "a" {
+	cands[0].Score = 1
+	if got := pickKey(LeastLoaded{}, cands, nil); got != "a" {
 		t.Fatalf("score pick = %s, want the lower-score replica", got)
 	}
 	// Without telemetry, ties keep PR 1's earliest-registered rule.
-	plain := []Backend{
-		&fakeBackend{key: "a", score: 2},
-		&fakeBackend{key: "b", score: 2},
-	}
-	if got := (LeastLoaded{}).Pick(plain, nil).Key(); got != "a" {
+	plain := []Candidate{cand("a", 2), cand("b", 2)}
+	if got := pickKey(LeastLoaded{}, plain, nil); got != "a" {
 		t.Fatalf("telemetry-less tie pick = %s, want the earliest", got)
 	}
 }
 
 func TestSessionSpillsOnKVPressure(t *testing.T) {
-	a := &fakeBackend{key: "a"}
-	b := &fakeBackend{key: "b", score: 1}
-	cands := []Backend{a, b}
-	s := &Session{SpillDepth: 10}
-	key := ""
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("k-%d", i)
-		if Affine(cands, key).Key() == "a" {
-			break
-		}
-	}
-	req := &Request{SessionKey: key}
+	cands := []Candidate{cand("a", 0), cand("b", 1)}
+	a := &cands[0]
+	s := &Session{}
+	req := &Request{SessionKey: affineKeyTo(t, cands, "a")}
 	// Short queue, but the engine's KV is nearly all held by live
 	// sequences: the warm cache the session came back for is gone, so the
-	// pick spills despite Score being far under SpillDepth.
-	a.snap = telemetry.Snapshot{KVBlocksTotal: 100, KVBlocksUsed: 95, KVBlocksCached: 2}
-	if got := s.Pick(cands, req).Key(); got != "b" {
+	// pick spills despite Score being far under DefaultSpillDepth.
+	*a.Snap = telemetry.Snapshot{KVBlocksTotal: 100, KVBlocksUsed: 95, KVBlocksCached: 2}
+	if got := pickKey(s, cands, req); got != "b" {
 		t.Fatalf("KV-pressed pick = %s, want spill to b", got)
 	}
 	if s.Spills() != 1 {
@@ -263,97 +241,66 @@ func TestSessionSpillsOnKVPressure(t *testing.T) {
 	}
 	// Heavy residency that is mostly reclaimable cache is NOT pressure:
 	// the session stays affine.
-	a.snap = telemetry.Snapshot{KVBlocksTotal: 100, KVBlocksUsed: 95, KVBlocksCached: 80}
-	if got := s.Pick(cands, req).Key(); got != "a" {
+	*a.Snap = telemetry.Snapshot{KVBlocksTotal: 100, KVBlocksUsed: 95, KVBlocksCached: 80}
+	if got := pickKey(s, cands, req); got != "a" {
 		t.Fatalf("cache-resident pick = %s, want the affine replica", got)
-	}
-	// KVSpillPressure >= 1 disables the check — including exactly 1.0,
-	// which a fully saturated engine's pressure can equal.
-	a.snap = telemetry.Snapshot{KVBlocksTotal: 100, KVBlocksUsed: 100}
-	for _, off := range []float64{1.0, 1.1} {
-		s.KVSpillPressure = off
-		if got := s.Pick(cands, req).Key(); got != "a" {
-			t.Fatalf("KVSpillPressure=%g pick = %s, want the affine replica (check disabled)", off, got)
-		}
 	}
 }
 
 func TestSessionKeylessFallsBackToLeastLoaded(t *testing.T) {
-	cands := []Backend{
-		&fakeBackend{key: "a", score: 9},
-		&fakeBackend{key: "b", score: 1},
-	}
+	cands := []Candidate{cand("a", 9), cand("b", 1)}
 	s := &Session{}
-	if got := s.Pick(cands, &Request{}).Key(); got != "b" {
+	if got := pickKey(s, cands, &Request{}); got != "b" {
 		t.Fatalf("keyless pick = %s, want least-loaded", got)
 	}
 }
 
 func TestQueueDepthAdmitter(t *testing.T) {
 	a := QueueDepth{MaxWaiting: 8}
-	st := State{Backends: []Backend{
-		&fakeBackend{key: "a", pressure: 12},
-		&fakeBackend{key: "b", pressure: 3},
-	}}
-	if out := a.Admit(&Request{}, st); !out.Admit {
+	cands := []Candidate{{Key: "a", Pressure: 12}, {Key: "b", Pressure: 3}}
+	if out := a.Admit(cands); !out.Admit {
 		t.Fatalf("one clear replica should admit: %+v", out)
 	}
-	st.Backends[1].(*fakeBackend).pressure = 9
-	if out := a.Admit(&Request{}, st); out.Admit {
+	cands[1].Pressure = 9
+	if out := a.Admit(cands); out.Admit {
 		t.Fatal("every replica past threshold should shed")
 	}
-	if out := a.Admit(&Request{}, State{}); !out.Admit {
-		t.Fatal("zero routable replicas defer to the hold path")
-	}
-	if out := (QueueDepth{}).Admit(&Request{}, st); !out.Admit {
+	if out := (QueueDepth{}).Admit(cands); !out.Admit {
 		t.Fatal("MaxWaiting 0 disables the breaker")
 	}
 }
 
 func TestSLOHysteresis(t *testing.T) {
 	slo := &SLO{Target: 4 * time.Second}
-	p95 := 1 * time.Second
-	st := State{
-		Backends: backends(1),
-		P95:      func() time.Duration { return p95 },
-	}
 	batch := &Request{Class: ClassBatch}
 	inter := &Request{Class: ClassInteractive}
 
-	if out := slo.Admit(batch, st); !out.Admit || slo.Engaged() {
+	if out := slo.Admit(batch, 1*time.Second); !out.Admit || slo.Engaged() {
 		t.Fatalf("under target: %+v engaged=%v", out, slo.Engaged())
 	}
-	p95 = 5 * time.Second
-	if out := slo.Admit(batch, st); out.Admit {
+	if out := slo.Admit(batch, 5*time.Second); out.Admit {
 		t.Fatal("breach should shed batch")
 	}
 	if !slo.Engaged() || slo.Sheds() != 1 {
 		t.Fatalf("engaged=%v sheds=%d", slo.Engaged(), slo.Sheds())
 	}
-	if out := slo.Admit(inter, st); !out.Admit {
+	if out := slo.Admit(inter, 5*time.Second); !out.Admit {
 		t.Fatal("interactive is never SLO-shed")
 	}
 	// Hysteresis: p95 back under target but above the release fraction
 	// (0.85 × 4s = 3.4s) keeps the breaker engaged.
-	p95 = 3700 * time.Millisecond
-	if out := slo.Admit(batch, st); out.Admit {
+	if out := slo.Admit(batch, 3700*time.Millisecond); out.Admit {
 		t.Fatal("inside the hysteresis band the breaker must stay engaged")
 	}
-	p95 = 3 * time.Second
-	if out := slo.Admit(batch, st); !out.Admit || slo.Engaged() {
+	if out := slo.Admit(batch, 3*time.Second); !out.Admit || slo.Engaged() {
 		t.Fatalf("below release the breaker must clear: %+v engaged=%v", out, slo.Engaged())
 	}
 	// Unset classes default to interactive: never shed.
-	p95 = 10 * time.Second
-	if out := slo.Admit(&Request{}, st); !out.Admit {
+	if out := slo.Admit(&Request{}, 10*time.Second); !out.Admit {
 		t.Fatal("unset class defaults to interactive and is admitted")
 	}
-	// Zero routable replicas defer to the hold path even while engaged.
-	if out := slo.Admit(batch, st); out.Admit {
-		t.Fatal("engaged breaker with backends should shed batch")
-	}
-	if out := slo.Admit(batch, State{P95: st.P95}); !out.Admit {
-		t.Fatal("no routable replicas: the hold path owns the request")
+	if out := slo.Admit(batch, 10*time.Second); out.Admit {
+		t.Fatal("engaged breaker should shed batch")
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // sequence decode cost (KV reads, attention, sampling, collectives;
 // reciprocal of saturated throughput), and Tpf the per-prefill-token cost.
 //
-// The calibration anchors come from the paper's figures; see DESIGN.md.
+// The calibration anchors come from the paper's figures; calibrated lists
+// them.
 type Params struct {
 	Tw  time.Duration
 	Td  time.Duration
@@ -58,7 +59,8 @@ type perfKey struct {
 // The constants solve two equations per platform: the single-stream rate
 // fixes Tw+Td, and the measured max throughput — evaluated against the
 // ShareGPT output-length tail, whose final long sequences decode at small
-// batch — fixes Td. See EXPERIMENTS.md for the resulting fits.
+// batch — fixes Td. The anchor tests in internal/experiments check the
+// figures these constants reproduce.
 var calibrated = map[perfKey]Params{
 	{llm.Scout.Name, hw.H100SXM.Name, 4, 1}: {
 		Tw: 9480 * time.Microsecond, Td: 122 * time.Microsecond, Tpf: 12 * time.Microsecond,
