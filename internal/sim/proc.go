@@ -1,85 +1,134 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
+	"iter"
 	"time"
 )
 
-// ErrKilled is delivered to a process blocked in Sleep or Wait when Kill is
-// called on it.
-var ErrKilled = errors.New("sim: process killed")
+// maxIdle bounds an engine's list of idle coroutines. An idle coroutine is
+// a parked goroutine, and it stays parked after its engine is discarded, so
+// the list is kept small; a burst of more concurrent processes than this
+// starts fresh coroutines, and the surplus exits as its processes finish.
+const maxIdle = 64
 
-// Proc is a cooperative simulated process. A Proc runs on its own goroutine
-// but control is handed off strictly: the engine (or the process that woke
-// it) blocks until the Proc parks again, so at most one process or event
+// Proc is a cooperative simulated process. It runs on a coroutine
+// (iter.Pull) that only an event handler resumes and that hands control
+// back each time the process parks, so at most one process or event
 // handler executes at any instant. This preserves determinism while letting
 // simulation code read sequentially (sleep, wait, call).
+//
+// A finished process gives its coroutine back to its engine, which keeps
+// up to maxIdle of them, last in first out, for the next Go. On a warm
+// engine, starting a process allocates only the Proc, and parking and
+// waking allocate nothing: the wake-up event carries the Proc itself.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan error    // engine -> proc: run (non-nil error = killed)
-	yield  chan struct{} // proc -> engine: parked or finished
-	wake   func()        // resumes the process; built once, posted per park
-	killed bool
-	done   bool
+	eng  *Engine
+	name string
+	fn   func(p *Proc) // the body; nil once it has finished
+	co   *coro         // runs the body; nil before the start and after the finish
+	kill bool          // set by Kill's event, consumed by the park it resumes
+	done bool
+}
+
+// coro is a pooled coroutine that runs one process body after another. A
+// wake-up names a Proc, never a coro, and an idle coro refers to no process
+// and no engine.
+type coro struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	p     *Proc // the process it runs; nil while idle
 }
 
 // Go starts fn as a new process at the current virtual time.
 // The returned Proc may be used to Kill the process or wait for it.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan error),
-		yield:  make(chan struct{}),
-	}
-	p.wake = func() { p.transfer(nil) }
-	e.post(0, func() {
-		go func() {
-			err := <-p.resume
-			if err == nil {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							if r != errKillSentinel {
-								panic(r)
-							}
-						}
-					}()
-					fn(p)
-				}()
-			}
-			p.done = true
-			p.yield <- struct{}{}
-		}()
-		p.transfer(nil)
-	})
+	p := &Proc{eng: e, name: name, fn: fn}
+	e.post(0, action{p: p})
 	return p
 }
 
-var errKillSentinel = new(int)
-
-// transfer hands control to the process and blocks until it parks or exits.
-// It must run on the engine goroutine (inside an event handler).
-func (p *Proc) transfer(err error) {
+// resume runs the process until it parks or finishes; the first resume,
+// Go's start event, gives it a coroutine. It must run on the engine's event
+// loop. A wake-up of a finished process is stale and does nothing, even
+// when the process's old coroutine now runs another.
+func (p *Proc) resume() {
 	if p.done {
 		return
 	}
-	p.resume <- err
-	<-p.yield
+	if p.co == nil {
+		p.co = p.eng.takeCoro()
+		p.co.p = p
+	}
+	p.co.next()
 }
 
-// park gives control back to whoever resumed the process and blocks until
-// the next wake-up. Returns a non-nil error if the process was killed.
-func (p *Proc) park() error {
-	p.yield <- struct{}{}
-	err := <-p.resume
-	if err != nil {
-		p.killed = true
+// takeCoro returns the most recently idled coroutine, or a new one.
+func (e *Engine) takeCoro() *coro {
+	n := len(e.idle)
+	if n == 0 {
+		c := new(coro)
+		c.next, _ = iter.Pull(c.serve)
+		return c
+	}
+	c := e.idle[n-1]
+	e.idle[n-1] = nil
+	e.idle = e.idle[:n-1]
+	return c
+}
+
+// serve is a coroutine's sequence: it runs the process assigned to it, then
+// waits in the engine's idle list for the next one, or returns, ending the
+// coroutine, when the list is full.
+func (c *coro) serve(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		if !c.release() {
+			return
+		}
+		yield(struct{}{})
+	}
+}
+
+// errKillSentinel is the panic value that unwinds a killed process.
+var errKillSentinel = new(int)
+
+// run executes the body. Kill unwinds it with errKillSentinel, recovered
+// here. Any other panic, and runtime.Goexit, leave through the caller of
+// next, that is the caller of Step or Run, and the coroutine is never
+// reused.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil && r != errKillSentinel {
+			panic(r)
+		}
+	}()
+	p.fn(p)
+}
+
+// release marks the finished process done and, room permitting, puts the
+// coroutine on the engine's idle list. It reports whether it did.
+func (c *coro) release() bool {
+	p := c.p
+	p.done, p.fn, p.co, c.p = true, nil, nil, nil
+	e := p.eng
+	if len(e.idle) == maxIdle {
+		return false
+	}
+	e.idle = append(e.idle, c)
+	return true
+}
+
+// park gives control back to the event handler that resumed the process
+// and returns at the next wake-up, unless that wake-up is a Kill: then the
+// process unwinds.
+func (p *Proc) park() {
+	p.co.yield(struct{}{})
+	if p.kill {
+		p.kill = false
 		panic(errKillSentinel)
 	}
-	return nil
 }
 
 // Engine returns the engine this process runs on.
@@ -93,20 +142,20 @@ func (p *Proc) Now() time.Time { return p.eng.Now() }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
-	p.eng.post(d, p.wake)
-	_ = p.park()
+	p.eng.post(d, action{p: p})
+	p.park()
 }
 
 // Kill terminates the process the next time it is parked. Pending Sleeps and
 // Waits never return; the process unwinds. Safe to call from event handlers
 // or other processes. Killing a finished process is a no-op.
 func (p *Proc) Kill() {
-	p.eng.post(0, func() {
-		if p.done {
-			return
+	p.eng.post(0, action{fn: func() {
+		if !p.done {
+			p.kill = true
+			p.resume()
 		}
-		p.transfer(ErrKilled)
-	})
+	}})
 }
 
 // Done reports whether the process has finished (normally or via Kill).
@@ -125,8 +174,8 @@ type Signal struct {
 	// first is the earliest registered waiter, held inline: most signals
 	// have exactly one, and it then costs no slice. rest holds the others
 	// in registration order.
-	first func()
-	rest  []func()
+	first action
+	rest  []action
 }
 
 // NewSignal returns an unfired signal bound to e.
@@ -142,14 +191,14 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	if s.first == nil {
+	if s.first.empty() {
 		return
 	}
 	s.eng.post(0, s.first)
-	for _, fn := range s.rest {
-		s.eng.post(0, fn)
+	for _, a := range s.rest {
+		s.eng.post(0, a)
 	}
-	s.first, s.rest = nil, nil
+	s.first, s.rest = action{}, nil
 }
 
 // Reset re-arms a fired signal so it can fire again. The waiters of the
@@ -159,14 +208,16 @@ func (s *Signal) Reset() { s.fired = false }
 
 // OnFire registers fn to run when the signal fires (immediately, as a new
 // event, if it already has).
-func (s *Signal) OnFire(fn func()) {
+func (s *Signal) OnFire(fn func()) { s.add(action{fn: fn}) }
+
+func (s *Signal) add(a action) {
 	switch {
 	case s.fired:
-		s.eng.post(0, fn)
-	case s.first == nil:
-		s.first = fn
+		s.eng.post(0, a)
+	case s.first.empty():
+		s.first = a
 	default:
-		s.rest = append(s.rest, fn)
+		s.rest = append(s.rest, a)
 	}
 }
 
@@ -175,8 +226,8 @@ func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.OnFire(p.wake)
-	_ = p.park()
+	s.add(action{p: p})
+	p.park()
 }
 
 // WaitTimeout waits for the signal for at most d. It reports whether the
@@ -193,16 +244,16 @@ func (p *Proc) WaitTimeout(s *Signal, d time.Duration) bool {
 		}
 		woken = true
 		fired = true
-		p.transfer(nil)
+		p.resume()
 	})
-	p.eng.post(d, func() {
+	p.eng.post(d, action{fn: func() {
 		if woken {
 			return
 		}
 		woken = true
-		p.transfer(nil)
-	})
-	_ = p.park()
+		p.resume()
+	}})
+	p.park()
 	return fired
 }
 
@@ -229,9 +280,6 @@ func (f *Future[T]) Resolve(v T, err error) {
 
 // Ready reports whether the future has been resolved.
 func (f *Future[T]) Ready() bool { return f.sig.Fired() }
-
-// Signal exposes the underlying signal (for OnFire-style consumers).
-func (f *Future[T]) Signal() *Signal { return f.sig }
 
 // Value returns the resolved value; valid only after Ready.
 func (f *Future[T]) Value() (T, error) { return f.val, f.err }

@@ -80,14 +80,3 @@ func (e *Engine) RunRealtime(ctx context.Context, scale float64) {
 		e.Step()
 	}
 }
-
-// Call runs fn inside the simulation from an external goroutine and blocks
-// until done() is invoked, returning the virtual time at which it completed.
-// It is the bridge real HTTP handlers use in realtime mode.
-func (e *Engine) Call(fn func(done func())) time.Time {
-	ch := make(chan time.Time, 1)
-	e.Inject(func() {
-		fn(func() { ch <- e.Now() })
-	})
-	return <-ch
-}

@@ -4,8 +4,9 @@
 // schedulers, inference engines) advance on a single virtual clock owned by an
 // Engine. Events fire in (time, sequence) order, so two runs with the same
 // seed produce identical histories. Cooperative processes (Proc) layer a
-// synchronous programming style on top of the event loop with strict handoff:
-// at most one process or event handler executes at a time.
+// synchronous programming style on top of the event loop: each runs on a
+// coroutine that an event handler resumes and that switches back when the
+// process parks, so at most one process or event handler executes at a time.
 //
 // The engine can run in two modes: Run drains events as fast as possible in
 // virtual time (used by tests and benchmark harnesses), while RunRealtime maps
@@ -14,8 +15,11 @@
 //
 // Events are queued by value. Only Schedule and At allocate a handle (a
 // stoppable *Timer); Sleep, Signal.Fire and OnFire, Inject, Go, Kill and
-// WaitTimeout post events no caller can cancel, so a process parking and
-// waking again allocates nothing in the engine.
+// WaitTimeout post events no caller can cancel. A process's wake-up event
+// and signal registration carry the *Proc itself, and a finished process's
+// coroutine is kept (up to a small cap) for the next Go, so on a warm
+// engine starting a process allocates only its Proc, and parking and
+// waking again allocate nothing.
 package sim
 
 import (
@@ -32,7 +36,6 @@ var Epoch = time.Date(2025, 6, 2, 8, 0, 0, 0, time.UTC)
 // Timer is a handle to an event scheduled through Schedule or At. It may be
 // stopped before it fires.
 type Timer struct {
-	at      time.Time
 	stopped bool
 	popped  bool // left the queue: fired, or collected after Stop
 }
@@ -47,18 +50,33 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// When returns the virtual time at which the timer fires.
-func (t *Timer) When() time.Time { return t.at }
+// action is what an event or a signal waiter does when it runs: resume the
+// process p or, when p is nil, call fn. Carrying the process lets a park
+// post its wake-up without a closure.
+type action struct {
+	fn func()
+	p  *Proc
+}
 
-// event is one queued callback, held in the queue by value. Only events
+func (a action) empty() bool { return a.fn == nil && a.p == nil }
+
+func (a action) run() {
+	if a.p != nil {
+		a.p.resume()
+		return
+	}
+	a.fn()
+}
+
+// event is one queued action, held in the queue by value. Only events
 // posted through Schedule or At carry a Timer; the engine's own postings
 // (Sleep, Signal wake-ups, Inject, Go, Kill) cannot be stopped and carry
 // none, so they cost no allocation.
 type event struct {
 	at  time.Time
 	seq uint64
-	fn  func()
-	tm  *Timer
+	action
+	tm *Timer
 }
 
 // before orders events by (at, seq): time first, posting order within a
@@ -95,7 +113,7 @@ func (q *eventQueue) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // drop the callback reference
+	h[n] = event{} // drop the action's references
 	h = h[:n]
 	if n > 0 {
 		i := 0
@@ -135,6 +153,7 @@ type Engine struct {
 	rng     *rand.Rand
 	running bool
 	stopped bool
+	idle    []*coro // finished processes' coroutines, at most maxIdle
 
 	injectCh chan struct{} // wakes the realtime runner
 
@@ -176,8 +195,8 @@ func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tm := &Timer{at: e.now.Add(d)}
-	e.pushLocked(tm.at, fn, tm)
+	tm := new(Timer)
+	e.pushLocked(e.now.Add(d), action{fn: fn}, tm)
 	return tm
 }
 
@@ -188,25 +207,25 @@ func (e *Engine) At(t time.Time, fn func()) *Timer {
 	if t.Before(e.now) {
 		t = e.now
 	}
-	tm := &Timer{at: t}
-	e.pushLocked(t, fn, tm)
+	tm := new(Timer)
+	e.pushLocked(t, action{fn: fn}, tm)
 	return tm
 }
 
-// post runs fn after d of virtual time, like Schedule, but returns no
+// post runs a after d of virtual time, like Schedule, but returns no
 // handle, so queueing it allocates nothing.
-func (e *Engine) post(d time.Duration, fn func()) {
+func (e *Engine) post(d time.Duration, a action) {
 	if d < 0 {
 		d = 0
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.pushLocked(e.now.Add(d), fn, nil)
+	e.pushLocked(e.now.Add(d), a, nil)
 }
 
-func (e *Engine) pushLocked(t time.Time, fn func(), tm *Timer) {
+func (e *Engine) pushLocked(t time.Time, a action, tm *Timer) {
 	e.seq++
-	e.queue.push(event{at: t, seq: e.seq, fn: fn, tm: tm})
+	e.queue.push(event{at: t, seq: e.seq, action: a, tm: tm})
 	select {
 	case e.injectCh <- struct{}{}:
 	default:
@@ -216,7 +235,7 @@ func (e *Engine) pushLocked(t time.Time, fn func(), tm *Timer) {
 // Inject schedules fn at the current virtual time from any goroutine.
 // It is the only safe way for code outside the engine loop (for example a
 // real HTTP handler in realtime mode) to interact with simulated state.
-func (e *Engine) Inject(fn func()) { e.post(0, fn) }
+func (e *Engine) Inject(fn func()) { e.post(0, action{fn: fn}) }
 
 // Stop makes Run and RunRealtime return after the current event completes.
 func (e *Engine) Stop() {
@@ -269,7 +288,7 @@ func (e *Engine) Step() bool {
 	if e.Trace != nil {
 		e.Trace(ev.at, fmt.Sprintf("event #%d", ev.seq))
 	}
-	ev.fn()
+	ev.run()
 	return true
 }
 

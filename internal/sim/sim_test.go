@@ -355,17 +355,3 @@ func TestRealtimeInjection(t *testing.T) {
 		t.Fatal("event not run")
 	}
 }
-
-func TestCallBridge(t *testing.T) {
-	e := NewEngine(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go e.RunRealtime(ctx, 1e6)
-
-	at := e.Call(func(done func()) {
-		e.Schedule(10*time.Second, func() { done() })
-	})
-	if at.Sub(Epoch) < 10*time.Second {
-		t.Fatalf("Call returned at %v, want >= 10s after epoch", at.Sub(Epoch))
-	}
-}

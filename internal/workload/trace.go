@@ -36,7 +36,9 @@ func WriteTrace(w io.Writer, spec Spec, reqs []Request) error {
 }
 
 // ReadTrace replays a recorded trace: the spec from the header plus every
-// request in recorded order.
+// request in recorded order. It rejects a header spec that Validate
+// rejects and a request with a negative arrival offset, turn or token
+// count, naming the line.
 func ReadTrace(r io.Reader) (Spec, []Request, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -50,12 +52,19 @@ func ReadTrace(r io.Reader) (Spec, []Request, error) {
 	if hdr.Format != traceFormat {
 		return Spec{}, nil, fmt.Errorf("workload: unknown trace format %q", hdr.Format)
 	}
+	if err := hdr.Spec.Validate(); err != nil {
+		return Spec{}, nil, fmt.Errorf("workload: bad trace header: %w", err)
+	}
 	var reqs []Request
 	line := 1
 	for sc.Scan() {
 		line++
 		var req Request
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+		err := json.Unmarshal(sc.Bytes(), &req)
+		if err == nil {
+			err = req.replayable()
+		}
+		if err != nil {
 			return Spec{}, nil, fmt.Errorf("workload: bad trace line %d: %w", line, err)
 		}
 		reqs = append(reqs, req)
@@ -64,6 +73,26 @@ func ReadTrace(r io.Reader) (Spec, []Request, error) {
 		return Spec{}, nil, fmt.Errorf("workload: read trace: %w", err)
 	}
 	return hdr.Spec, reqs, nil
+}
+
+// replayable rejects a request the replay cannot run: a negative arrival
+// offset, turn or token count.
+func (r *Request) replayable() error {
+	switch {
+	case r.AtMicros < 0:
+		return fmt.Errorf("negative at_us %d", r.AtMicros)
+	case r.Turn < 0:
+		return fmt.Errorf("negative turn %d", r.Turn)
+	case r.NewTokens < 0:
+		return fmt.Errorf("negative new_tokens %d", r.NewTokens)
+	case r.PrefixTokens < 0:
+		return fmt.Errorf("negative prefix_tokens %d", r.PrefixTokens)
+	case r.PromptTokens < 0:
+		return fmt.Errorf("negative prompt_tokens %d", r.PromptTokens)
+	case r.OutputTokens < 0:
+		return fmt.Errorf("negative output_tokens %d", r.OutputTokens)
+	}
+	return nil
 }
 
 // Identical reports whether two streams match on the replay contract:

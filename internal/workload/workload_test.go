@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -254,6 +256,71 @@ func TestTraceRoundTrip(t *testing.T) {
 	if _, _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty trace should error")
 	}
+}
+
+// TestReadTraceRejectsUnreplayable: a header spec Validate rejects, and a
+// request with a negative arrival offset, turn or token count, fail the
+// read with an error naming the line, before anything replays them.
+func TestReadTraceRejectsUnreplayable(t *testing.T) {
+	const traceHead = `{"format":"workload-trace/v1","spec":{"name":"t","seed":7,"cohorts":[{"name":"chat","model":"m","turns":2}],"arrivals":{"periods":[{"dur":60000000000,"starts_per_sec":1}]}}}`
+	// req returns a request line; a field repeated in extra overrides the
+	// base value, since encoding/json keeps the last of duplicate keys.
+	req := func(extra string) string {
+		return `{"at_us":10,"cohort":"chat","client":0,"session":0,"turn":0,"model":"m","new_tokens":8,"prompt_tokens":8,"output_tokens":4` + extra + `}`
+	}
+	for _, tc := range []struct {
+		name, trace, want string
+	}{
+		{"spec without cohorts", `{"format":"workload-trace/v1","spec":{"name":"t","arrivals":{"periods":[{"dur":1,"starts_per_sec":1}]}}}`, "bad trace header"},
+		{"negative new_tokens", traceHead + "\n" + req("") + "\n" + req(`,"new_tokens":-1`), "line 3: negative new_tokens -1"},
+		{"negative at_us", traceHead + "\n" + req(`,"at_us":-5`), "line 2: negative at_us -5"},
+		{"negative turn", traceHead + "\n" + req(`,"turn":-1`), "line 2: negative turn -1"},
+		{"negative prefix_tokens", traceHead + "\n" + req(`,"prefix_tokens":-2`), "line 2: negative prefix_tokens -2"},
+		{"negative prompt_tokens", traceHead + "\n" + req(`,"prompt_tokens":-3`), "line 2: negative prompt_tokens -3"},
+		{"negative output_tokens", traceHead + "\n" + req(`,"output_tokens":-4`), "line 2: negative output_tokens -4"},
+	} {
+		_, _, err := ReadTrace(strings.NewReader(tc.trace))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+	if _, reqs, err := ReadTrace(strings.NewReader(traceHead + "\n" + req(""))); err != nil || len(reqs) != 1 {
+		t.Fatalf("valid trace: %d requests, err %v", len(reqs), err)
+	}
+}
+
+// FuzzReadTrace: whatever ReadTrace accepts has a spec Validate accepts
+// and no negative arrival offset, turn or token count, and it survives a
+// WriteTrace round trip unchanged.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, reqs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("accepted a header spec Validate rejects: %v", err)
+		}
+		for i, r := range reqs {
+			if r.AtMicros < 0 || r.Turn < 0 || r.NewTokens < 0 || r.PrefixTokens < 0 || r.PromptTokens < 0 || r.OutputTokens < 0 {
+				t.Fatalf("accepted request %d with a negative count: %+v", i, r)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, spec, reqs); err != nil {
+			t.Fatalf("write back: %v", err)
+		}
+		spec2, reqs2, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("read back: %v", err)
+		}
+		if !reflect.DeepEqual(spec, spec2) {
+			t.Fatalf("spec changed in the round trip: %+v vs %+v", spec, spec2)
+		}
+		if err := Identical(reqs, reqs2); err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+	})
 }
 
 func TestSpecValidate(t *testing.T) {
