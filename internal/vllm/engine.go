@@ -617,7 +617,7 @@ func (e *Engine) step(p *sim.Proc) {
 		if s.state != seqRunning || s.prefillDone < s.prefillTarget {
 			continue
 		}
-		tokens := s.prefillTarget + (s.req.Generated) + 1
+		tokens := s.req.Prompt + s.req.Generated + 1
 		if err := e.ensureSeqTokens(s, tokens); err != nil {
 			if !e.preemptFor(s) {
 				// Nothing left to evict: this request cannot proceed.

@@ -2,6 +2,7 @@ package vllm
 
 import (
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math/rand"
 	"testing"
@@ -200,13 +201,21 @@ func TestPrefixCacheAllocBudget(t *testing.T) {
 	}
 }
 
+// engineOutcomeDigest is the FNV-64a digest of TestEngineKVConservation's
+// per-request outcomes. A change that declares a behaviour change updates it
+// in its own diff, as the example goldens are.
+const engineOutcomeDigest = "b82c75fc71843ad3"
+
 // TestEngineKVConservation runs a seeded engine through shared-prefix
 // traffic on a GPU cache small enough to force cache eviction and
 // preemption, with a host tier and a mix of batch and interactive
 // requests carrying TTFT targets, and checks KV ownership after every
 // step: used blocks are the running sequences' private blocks plus the
 // cached ones, each cached block counts exactly the running sequences that
-// reference it, and waiting sequences hold nothing.
+// reference it, no running sequence holds more blocks than its prompt,
+// generated tokens and next token need, and waiting sequences hold
+// nothing. Every request must finish, and the run's outcomes must match
+// engineOutcomeDigest.
 func TestEngineKVConservation(t *testing.T) {
 	const seed = 1
 	cfg := hopsScoutConfig()
@@ -230,6 +239,10 @@ func TestEngineKVConservation(t *testing.T) {
 			private += s.kv.private
 			for _, b := range s.kv.refs {
 				refs[b]++
+			}
+			tokens := s.req.Prompt + s.req.Generated + 1
+			if held, need := s.kv.private+len(s.kv.refs), e.kv.BlocksForTokens(tokens); held > need {
+				return fmt.Errorf("%s holds %d blocks, more than its %d tokens need (%d)", s.req.ID, held, tokens, need)
 			}
 		}
 		if used, cached := e.KV().UsedBlocks(), e.Prefix().CachedBlocks(); used != private+cached {
@@ -295,11 +308,13 @@ func TestEngineKVConservation(t *testing.T) {
 		return
 	}
 
-	failed := 0
+	h := fnv.New64a()
 	for _, r := range reqs {
 		if r.Err != nil {
-			failed++
+			t.Errorf("%s failed: %v", r.ID, r.Err)
 		}
+		fmt.Fprintf(h, "%s %d %d %d %d %t\n", r.ID, r.Generated, r.CachedTokens,
+			r.FirstToken.Sub(sim.Epoch), r.Finished.Sub(sim.Epoch), r.Err != nil)
 	}
 	if kv, idx := e.KV(), e.Prefix(); kv.UsedBlocks() != idx.CachedBlocks() || idx.CachedBlocks() != idx.Evictable() {
 		t.Fatalf("after drain: used %d, cached %d, evictable %d", kv.UsedBlocks(), idx.CachedBlocks(), idx.Evictable())
@@ -308,6 +323,11 @@ func TestEngineKVConservation(t *testing.T) {
 	if st.PrefixEvictions == 0 || st.Preemptions == 0 || st.TierDemotions == 0 || st.TierPromotions == 0 {
 		t.Fatalf("traffic must evict, preempt, demote and promote: %+v", st)
 	}
-	t.Logf("%d steps: %d evictions, %d preemptions, %d demotions, %d promotions; %d of %d requests failed",
-		steps, st.PrefixEvictions, st.Preemptions, st.TierDemotions, st.TierPromotions, failed, len(reqs))
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != engineOutcomeDigest {
+		t.Errorf("outcome digest %s, want %s: the engine's steps changed what %d requests got. "+
+			"A declared behaviour change updates engineOutcomeDigest in its own diff, as it does the goldens.",
+			got, engineOutcomeDigest, len(reqs))
+	}
+	t.Logf("%d steps: %d evictions, %d preemptions, %d demotions, %d promotions over %d requests",
+		steps, st.PrefixEvictions, st.Preemptions, st.TierDemotions, st.TierPromotions, len(reqs))
 }

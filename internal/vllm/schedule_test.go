@@ -122,6 +122,28 @@ func BenchmarkEngineStepSchedule(b *testing.B) {
 	}
 }
 
+// TestScheduleRecomputeTail: a resumed sequence one token short of its
+// recompute (prompt plus generated tokens) is still prefilling. schedule
+// plans that last token as a one-token chunk and counts it as prefill, so
+// the step prices it at the prefill rate and not as a decode slot, although
+// a decode step also runs one token.
+func TestScheduleRecomputeTail(t *testing.T) {
+	e, err := New(sim.NewEngine(1), hopsScoutConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1700000000, 0)
+	s := &sequence{
+		req: &Request{ID: "tail", Prompt: 32, Generated: 1, MaxNew: 8}, state: seqRunning,
+		prefillTarget: 33, prefillDone: 32,
+		deadline: now.Add(noTargetHorizon),
+	}
+	e.running = append(e.running, s)
+	if got := e.schedule(now); got != 1 || s.plan != 1 {
+		t.Fatalf("schedule planned %d prefill tokens and a %d-token chunk, want the 1-token tail in both", got, s.plan)
+	}
+}
+
 // TestSchedulerAntiStarvation: under three seconds of sustained interactive
 // pressure (tight TTFT targets arriving every 20ms against a 4-slot
 // engine), deadline rescues preempt and resume running batch work — but
