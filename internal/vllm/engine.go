@@ -226,17 +226,20 @@ const (
 type preSpan struct{ start, end time.Time }
 
 type sequence struct {
-	req           *Request
-	kv            seqKV // KV blocks the sequence holds
-	prefillTarget int   // tokens to (re)compute before decoding
-	prefillDone   int
-	state         seqState
-	preempted     int
-	hashes        []uint64 // prompt prefix-block keys (nil = uncacheable)
-	class         string   // priority class name for scheduling + telemetry
-	onToken       func(r *Request, n int)
-	tr            *trace.Trace // request trace (nil = untraced)
-	startedAt     time.Time    // first admission into the running batch
+	req *Request
+	kv  seqKV // KV blocks the sequence holds
+	// computed counts the tokens that need no more prefill. A prefix hit
+	// starts it at the cached tokens, a prefill chunk advances it, each
+	// emitted token adds one to it as to req.Generated, and an eviction
+	// resets it to 0.
+	computed  int
+	state     seqState
+	preempted int
+	hashes    []uint64 // prompt prefix-block keys (nil = uncacheable)
+	class     string   // priority class name for scheduling + telemetry
+	onToken   func(r *Request, n int)
+	tr        *trace.Trace // request trace (nil = untraced)
+	startedAt time.Time    // first admission into the running batch
 
 	// Deadline-scheduler state.
 	arrival     int       // admission sequence number: the FIFO tiebreak
@@ -245,21 +248,14 @@ type sequence struct {
 	sloBoost    bool      // forwarded under an engaged SLO breaker
 	urg         float64   // cached urgency key (see waitQueue.rekey)
 	plan        int       // this step's planned prefill chunk
-	emitted     int       // tokens already delivered to onToken
 	preemptedAt time.Time // eviction time; zero while running/fresh
 	preSpans    []preSpan // settled preempt intervals (traced seqs only)
 }
 
-// emitToken notifies the submitter of newly generated tokens. The emitted
-// offset guards replays: a preempted sequence recomputes KV for tokens it
-// already streamed, and those must not reach the client twice.
-func (s *sequence) emitToken() {
-	if s.onToken == nil || s.req.Generated <= s.emitted {
-		return
-	}
-	s.emitted = s.req.Generated
-	s.onToken(s.req, s.req.Generated)
-}
+// pending is how many tokens s must still prefill: its prompt when fresh,
+// its prompt and generated tokens after an eviction, less what is
+// computed. A running sequence decodes once nothing is pending.
+func (s *sequence) pending() int { return s.req.Prompt + s.req.Generated - s.computed }
 
 // Stats aggregates engine counters.
 type Stats struct {
@@ -516,16 +512,9 @@ func (e *Engine) Crash(err error) {
 	e.crashed = true
 	e.crashErr = err
 	for _, s := range append(append([]*sequence{}, e.running...), e.wq.seqs...) {
-		if s.state == seqDone {
-			continue // finished earlier in this same step; stays successful
+		if s.state != seqDone { // one finished earlier in this same step stays successful
+			e.finish(s, err)
 		}
-		s.req.Err = err
-		s.req.Finished = e.sim.Now()
-		s.state = seqDone
-		e.abortTrace(s)
-		e.releaseSeq(s)
-		e.stats.Failed++
-		s.req.done.Fire()
 	}
 	e.running = nil
 	e.wq.seqs = nil
@@ -574,8 +563,7 @@ func (e *Engine) SubmitOpts(o SubmitOptions) *Request {
 		return req
 	}
 	s := &sequence{
-		req: req, prefillTarget: o.Prompt,
-		class: o.Class, onToken: o.OnToken, tr: o.Trace,
+		req: req, class: o.Class, onToken: o.OnToken, tr: o.Trace,
 		arrival: e.seqNum, sloBoost: o.SLOBreach,
 	}
 	if o.TTFTTarget > 0 {
@@ -605,28 +593,28 @@ func (e *Engine) step(p *sim.Proc) {
 	// 1-3. Plan the step: continue running prefills, admit from the
 	// urgency-ordered waiting queue under the token budget, rescue
 	// at-risk deadlines by preempting running batch work (schedule.go).
-	// Blocks for the full (re)compute target are reserved up front;
-	// leading prompt blocks already resident in the prefix cache are
-	// shared instead of reallocated, and their tokens skip prefill.
+	// Admission reserves the KV of the prompt, the generated tokens and
+	// the next token up front; leading prompt blocks already resident in
+	// the prefix cache are shared instead of reallocated, and their tokens
+	// skip prefill.
 	prefillTokens := e.schedule(e.sim.Now())
 
 	// 4. Grow KV for decoding sequences, preempting the least urgent
 	// sequence when blocks run out. Unreferenced prefix-cache blocks are
 	// reclaimed before any preemption.
 	for _, s := range e.running {
-		if s.state != seqRunning || s.prefillDone < s.prefillTarget {
+		if s.state != seqRunning || s.pending() > 0 || e.growKV(s) == nil {
 			continue
 		}
-		tokens := s.req.Prompt + s.req.Generated + 1
-		if err := e.ensureSeqTokens(s, tokens); err != nil {
-			if !e.preemptFor(s) {
-				// Nothing left to evict: this request cannot proceed.
-				e.failSeq(s, fmt.Errorf("vllm: KV cache exhausted for %s", s.req.ID))
-				continue
-			}
-			if err := e.ensureSeqTokens(s, tokens); err != nil {
-				e.failSeq(s, fmt.Errorf("vllm: KV cache exhausted for %s", s.req.ID))
-			}
+		// Out of blocks: evict one other sequence and retry once.
+		victim := e.preemptVictim(s)
+		if victim != nil {
+			e.evict(victim, e.sim.Now())
+		}
+		if victim == nil || e.growKV(s) != nil {
+			// Nothing left to evict, or still short: this request cannot
+			// proceed.
+			e.finish(s, fmt.Errorf("vllm: KV cache exhausted for %s", s.req.ID))
 		}
 	}
 	e.compactRunning()
@@ -641,7 +629,7 @@ func (e *Engine) step(p *sim.Proc) {
 	// 5. Execute the step.
 	decode := 0
 	for _, s := range e.running {
-		if s.prefillDone >= s.prefillTarget && s.plan == 0 {
+		if s.pending() == 0 {
 			decode++
 		}
 	}
@@ -669,46 +657,26 @@ func (e *Engine) step(p *sim.Proc) {
 		if s.state != seqRunning {
 			continue
 		}
-		if s.plan > 0 {
-			s.prefillDone += s.plan
-			if s.prefillDone >= s.prefillTarget {
-				// Prefill completion emits a token: the first one on a
-				// fresh prompt, the next one after a preempted sequence's
-				// recompute (the emitted offset keeps replayed tokens from
-				// reaching the submitter twice).
-				s.req.Generated++
-				e.stats.TokensOut++
-				if s.req.FirstToken.IsZero() {
-					s.req.FirstToken = now
-					e.noteFirstToken(s, stepStart, now)
-					e.noteDeadline(s, now)
-				}
-				s.emitToken()
-			}
-		} else if s.prefillDone >= s.prefillTarget {
+		s.computed += s.plan
+		if s.pending() == 0 {
+			// Nothing left to prefill, so the step sampled a token: the
+			// first at the end of a fresh prefill, the next one after a
+			// decode step or a preempted sequence's recompute. Each token
+			// reaches the submitter once, as it is generated.
 			s.req.Generated++
+			s.computed++
 			e.stats.TokensOut++
 			if s.req.FirstToken.IsZero() {
 				s.req.FirstToken = now
 				e.noteFirstToken(s, stepStart, now)
 				e.noteDeadline(s, now)
 			}
-			s.emitToken()
+			if s.onToken != nil {
+				s.onToken(s.req, s.req.Generated)
+			}
 		}
 		if s.req.Generated >= s.req.MaxNew {
-			s.state = seqDone
-			s.req.Finished = now
-			// Decode: everything after the first token up to completion.
-			// Recorded before done fires so a submitter woken by the signal
-			// (or draining the final stream chunk, which is pushed later)
-			// sees the full engine-side span set. Buffered preempt spans
-			// flush first so the span list stays in stage order.
-			e.flushPreSpans(s)
-			s.tr.Observe(trace.StageDecode, s.req.FirstToken, now)
-			e.releaseSeq(s)
-			e.stats.Completed++
-			e.latencies.Observe(now, float64(now.Sub(s.req.Arrived))/float64(time.Millisecond))
-			s.req.done.Fire()
+			e.finish(s, nil)
 			if e.faults.CrashAfterCompleted > 0 && e.stats.Completed >= e.faults.CrashAfterCompleted {
 				e.Crash(errors.New("vllm: RayWorkerDied: pipeline stage worker lost (NCCL watchdog timeout)"))
 				return
@@ -731,29 +699,23 @@ func (e *Engine) step(p *sim.Proc) {
 	}
 }
 
-// admitKV reserves s's KV for its full (re)compute target, sharing leading
-// prompt blocks already resident in the prefix cache and registering the
-// rest as new cache content. Returns false — with every reservation rolled
-// back — when the allocator cannot hold the remainder even after evicting
-// reusable cache blocks.
+// admitKV reserves s's KV in full — its prompt, generated tokens and next
+// token — sharing leading prompt blocks already resident in the prefix
+// cache and registering the rest as new cache content. Returns false — with
+// every reservation rolled back — when the allocator cannot hold the
+// remainder even after evicting reusable cache blocks.
 func (e *Engine) admitKV(s *sequence) bool {
-	total := e.kv.BlocksForTokens(s.prefillTarget + 1)
 	hit, limit := 0, 0
 	if len(s.hashes) > 0 {
-		// At least one prompt token is always computed (the logits source),
-		// so a fully cached prompt still prefills its final block.
-		limit = (s.prefillTarget - 1) / e.cfg.BlockSize
-		if limit > len(s.hashes) {
-			limit = len(s.hashes)
-		}
+		// At least one pending token is always computed (the logits
+		// source), so a fresh, fully cached prompt still prefills its
+		// final block.
+		limit = min((s.pending()-1)/e.cfg.BlockSize, len(s.hashes))
 		hit = e.idx.Acquire(&s.kv, s.hashes, limit)
 	}
-	if need := total - hit; need > 0 {
-		e.idx.EnsureFree(need)
-		if err := s.kv.allocate(e.kv, need); err != nil {
-			e.idx.Abort(&s.kv, hit, limit)
-			return false
-		}
+	if e.growKV(s) != nil {
+		e.idx.Abort(&s.kv, hit, limit)
+		return false
 	}
 	if len(s.hashes) > 0 {
 		e.idx.Register(&s.kv, s.hashes, hit)
@@ -766,18 +728,20 @@ func (e *Engine) admitKV(s *sequence) bool {
 		e.winMisses.Add(now, uint64(limit-hit))
 	}
 	if cached := hit * e.cfg.BlockSize; cached > 0 {
-		s.prefillDone = cached
+		s.computed = cached
 		s.req.CachedTokens = cached
 		e.idx.noteCachedTokens(cached)
 	}
 	return true
 }
 
-// ensureSeqTokens grows s's private allocation to cover tokens of total
-// sequence KV, allocating only the delta. It discounts the prefix-cache
-// blocks s references, reclaims unreferenced cache blocks before
-// reporting exhaustion, and fails without partial allocation.
-func (e *Engine) ensureSeqTokens(s *sequence, tokens int) error {
+// growKV sizes s's KV by the one rule for a running sequence: its prompt,
+// its generated tokens and the next token. It allocates only the private
+// blocks missing beyond the prefix-cache blocks s references, reclaims
+// unreferenced cache blocks before reporting exhaustion, and fails without
+// partial allocation.
+func (e *Engine) growKV(s *sequence) error {
+	tokens := s.req.Prompt + s.req.Generated + 1
 	need := e.kv.BlocksForTokens(tokens-len(s.kv.refs)*e.cfg.BlockSize) - s.kv.private
 	if need <= 0 {
 		return nil
@@ -793,25 +757,38 @@ func (e *Engine) releaseSeq(s *sequence) {
 	e.idx.Release(&s.kv)
 }
 
-// preemptFor evicts one running sequence other than favored (the least
-// urgent under the deadline policy, the most recently admitted under
-// FCFS), returning it to the waiting queue for recompute.
-func (e *Engine) preemptFor(favored *sequence) bool {
-	victim := e.preemptVictim(favored)
-	if victim == nil {
-		return false
-	}
-	e.evict(victim, e.sim.Now())
-	return true
-}
-
-func (e *Engine) failSeq(s *sequence, err error) {
+// finish ends s: completed when err is nil, failed on KV exhaustion or a
+// crash. A traced sequence first records its buffered preempt spans, the
+// still-open one of a sequence dying while evicted, and the decode span
+// (everything after the first token), all before done fires, so a
+// submitter woken by the signal (or draining the final stream chunk, which
+// is pushed later) sees the full engine-side span set in stage order.
+func (e *Engine) finish(s *sequence, err error) {
+	now := e.sim.Now()
 	s.state = seqDone
 	s.req.Err = err
-	s.req.Finished = e.sim.Now()
-	e.abortTrace(s)
+	s.req.Finished = now
+	if s.tr != nil {
+		for _, ps := range s.preSpans {
+			s.tr.Observe(trace.StagePreempt, ps.start, ps.end)
+		}
+		if !s.preemptedAt.IsZero() {
+			s.tr.Observe(trace.StagePreempt, s.preemptedAt, now)
+		}
+		if !s.req.FirstToken.IsZero() {
+			s.tr.Observe(trace.StageDecode, s.req.FirstToken, now)
+		}
+		if err != nil && s.tr.Err == "" {
+			s.tr.Err = err.Error()
+		}
+	}
 	e.releaseSeq(s)
-	e.stats.Failed++
+	if err != nil {
+		e.stats.Failed++
+	} else {
+		e.stats.Completed++
+		e.latencies.Observe(now, float64(now.Sub(s.req.Arrived))/float64(time.Millisecond))
+	}
 	s.req.done.Fire()
 }
 
@@ -830,38 +807,6 @@ func (e *Engine) noteFirstToken(s *sequence, stepStart, now time.Time) {
 	s.tr.Observe(trace.StageQueue, s.req.Arrived, start)
 	s.tr.Observe(trace.StagePrefill, start, stepStart)
 	s.tr.Observe(trace.StageFirstToken, stepStart, now)
-}
-
-// flushPreSpans records a traced sequence's buffered preempt intervals,
-// plus the still-open one of a sequence dying while evicted.
-func (e *Engine) flushPreSpans(s *sequence) {
-	if s.tr == nil {
-		return
-	}
-	for _, ps := range s.preSpans {
-		s.tr.Observe(trace.StagePreempt, ps.start, ps.end)
-	}
-	s.preSpans = nil
-	if !s.preemptedAt.IsZero() && !s.req.Finished.IsZero() {
-		s.tr.Observe(trace.StagePreempt, s.preemptedAt, s.req.Finished)
-		s.preemptedAt = time.Time{}
-	}
-}
-
-// abortTrace closes out a traced sequence that died mid-flight: buffered
-// preempt spans, the partial decode span (when a first token existed),
-// and the error mark.
-func (e *Engine) abortTrace(s *sequence) {
-	if s.tr == nil {
-		return
-	}
-	e.flushPreSpans(s)
-	if !s.req.FirstToken.IsZero() {
-		s.tr.Observe(trace.StageDecode, s.req.FirstToken, s.req.Finished)
-	}
-	if s.req.Err != nil && s.tr.Err == "" {
-		s.tr.Err = s.req.Err.Error()
-	}
 }
 
 // compactRunning sweeps evicted and failed sequences out of the running

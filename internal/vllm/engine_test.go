@@ -147,14 +147,15 @@ func TestEnsureTokensGrowsIncrementally(t *testing.T) {
 		{16, 1}, // already covered: no new block
 		{17, 2}, // boundary crossing
 	} {
-		if err := e.ensureSeqTokens(s, c.tokens); err != nil {
-			t.Fatalf("ensure %d tokens: %v", c.tokens, err)
+		s.req.Prompt = c.tokens - 1 // plus the next token
+		if err := e.growKV(s); err != nil {
+			t.Fatalf("grow to %d tokens: %v", c.tokens, err)
 		}
 		if s.kv.private != c.blocks || e.KV().UsedBlocks() != c.blocks {
 			t.Fatalf("after %d tokens: holding=%d used=%d, want %d", c.tokens, s.kv.private, e.KV().UsedBlocks(), c.blocks)
 		}
 	}
-	if err := e.ensureSeqTokens(s, 16*11); err == nil {
+	if s.req.Prompt = 16*11 - 1; e.growKV(s) == nil {
 		t.Fatal("growth past capacity must fail")
 	}
 	if s.kv.private != 2 || e.KV().UsedBlocks() != 2 {

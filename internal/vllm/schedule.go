@@ -142,7 +142,7 @@ func (e *Engine) schedule(now time.Time) (prefillTokens int) {
 	live := len(e.running)
 	for _, s := range e.running {
 		s.plan = 0
-		if s.prefillDone >= s.prefillTarget {
+		if s.pending() == 0 {
 			decode++
 		}
 	}
@@ -154,14 +154,10 @@ func (e *Engine) schedule(now time.Time) (prefillTokens int) {
 	// Running-first: continue chunked prefill of already-admitted work
 	// before any newcomer takes budget.
 	for _, s := range e.running {
-		if rem := s.prefillTarget - s.prefillDone; rem > 0 && budget > 0 {
-			chunk := rem
-			if chunk > budget {
-				chunk = budget
-			}
-			s.plan = chunk
-			budget -= chunk
-			prefillTokens += chunk
+		if rem := s.pending(); rem > 0 && budget > 0 {
+			s.plan = min(rem, budget)
+			budget -= s.plan
+			prefillTokens += s.plan
 		}
 	}
 
@@ -199,13 +195,9 @@ func (e *Engine) schedule(now time.Time) (prefillTokens int) {
 		}
 		e.running = append(e.running, s)
 		live++
-		chunk := s.prefillTarget - s.prefillDone
-		if chunk > budget {
-			chunk = budget
-		}
-		s.plan = chunk
-		budget -= chunk
-		prefillTokens += chunk
+		s.plan = min(s.pending(), budget)
+		budget -= s.plan
+		prefillTokens += s.plan
 	}
 	return prefillTokens
 }
@@ -228,7 +220,7 @@ func (e *Engine) atRisk(s *sequence, now time.Time, decode int) bool {
 	if !s.hasTarget {
 		return false
 	}
-	step := e.perf.StepTime(decode, s.prefillTarget-s.prefillDone)
+	step := e.perf.StepTime(decode, s.pending())
 	return now.Add(2 * step).After(s.deadline)
 }
 
@@ -257,7 +249,7 @@ func (e *Engine) preemptForDeadline(head *sequence, now time.Time, live, decode,
 	if victim.plan > 0 {
 		*budget += victim.plan
 		*prefillTokens -= victim.plan
-	} else if victim.prefillDone >= victim.prefillTarget {
+	} else if victim.pending() == 0 {
 		*decode--
 		*budget++
 	}
@@ -296,18 +288,17 @@ func (e *Engine) preemptVictim(favored *sequence) *sequence {
 
 // evict removes victim from the running batch recompute-style: its KV is
 // released (prefix-cache blocks stay resident, so the re-run skips them),
-// its recompute target covers the prompt plus everything generated so far,
-// and it re-enters the waiting queue keyed by its original deadline. The
-// victim stays in e.running with state seqWaiting until compactRunning
-// sweeps it, so callers iterating the running set never see the slice
-// mutate under them.
+// its computed count drops to 0, so it re-prefills the prompt plus
+// everything generated so far, and it re-enters the waiting queue keyed by
+// its original deadline. The victim stays in e.running with state
+// seqWaiting until compactRunning sweeps it, so callers iterating the
+// running set never see the slice mutate under them.
 func (e *Engine) evict(victim *sequence, now time.Time) {
 	e.releaseSeq(victim)
 	victim.state = seqWaiting
 	victim.preempted++
 	victim.plan = 0
-	victim.prefillTarget = victim.req.Prompt + victim.req.Generated
-	victim.prefillDone = 0
+	victim.computed = 0
 	victim.preemptedAt = now
 	e.wq.push(victim, now)
 	e.stats.Preemptions++

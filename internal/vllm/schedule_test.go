@@ -57,9 +57,8 @@ func schedFixture(tb testing.TB, policy string, waiting int) (*Engine, time.Time
 	for i := 0; i < cfg.MaxNumSeqs; i++ {
 		e.seqNum++
 		e.running = append(e.running, &sequence{
-			req: &Request{}, state: seqRunning, arrival: e.seqNum,
-			prefillTarget: 128, prefillDone: 128,
-			deadline: now.Add(noTargetHorizon),
+			req: &Request{Prompt: 127, Generated: 1}, state: seqRunning, arrival: e.seqNum,
+			computed: 128, deadline: now.Add(noTargetHorizon),
 		})
 	}
 	for i := 0; i < waiting; i++ {
@@ -72,8 +71,7 @@ func schedFixture(tb testing.TB, policy string, waiting int) (*Engine, time.Time
 			cls, ttft = "interactive", time.Hour
 		}
 		s := &sequence{
-			req: &Request{}, class: cls, arrival: e.seqNum,
-			prefillTarget: 64,
+			req: &Request{Prompt: 64}, class: cls, arrival: e.seqNum,
 		}
 		if ttft > 0 {
 			s.deadline, s.hasTarget = now.Add(ttft), true
@@ -135,8 +133,7 @@ func TestScheduleRecomputeTail(t *testing.T) {
 	now := time.Unix(1700000000, 0)
 	s := &sequence{
 		req: &Request{ID: "tail", Prompt: 32, Generated: 1, MaxNew: 8}, state: seqRunning,
-		prefillTarget: 33, prefillDone: 32,
-		deadline: now.Add(noTargetHorizon),
+		computed: 32, deadline: now.Add(noTargetHorizon),
 	}
 	e.running = append(e.running, s)
 	if got := e.schedule(now); got != 1 || s.plan != 1 {

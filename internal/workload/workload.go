@@ -1,5 +1,5 @@
-// Package workload is the million-user workload engine (ROADMAP item 2): a
-// ServeGen-style generator turning a declarative Spec — client cohorts with
+// Package workload is the million-user workload engine: a ServeGen-style
+// generator turning a declarative Spec — client cohorts with
 // distinct prompt/output-length distributions, multi-period diurnal arrival
 // rates, and session/conversation structure — into a deterministic,
 // time-ordered stream of request records that the bench harness, the
