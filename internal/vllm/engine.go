@@ -606,9 +606,13 @@ func (e *Engine) step(p *sim.Proc) {
 		if s.state != seqRunning || s.pending() > 0 || e.growKV(s) == nil {
 			continue
 		}
-		// Out of blocks: evict one other sequence and retry once.
+		// Out of blocks: evict one other sequence and retry once. A
+		// victim's planned prefill chunk leaves the step with it, as in
+		// preemptForDeadline, so the step is not priced for work no
+		// sequence runs.
 		victim := e.preemptVictim(s)
 		if victim != nil {
+			prefillTokens -= victim.plan
 			e.evict(victim, e.sim.Now())
 		}
 		if victim == nil || e.growKV(s) != nil {

@@ -204,7 +204,7 @@ func TestPrefixCacheAllocBudget(t *testing.T) {
 // engineOutcomeDigest is the FNV-64a digest of TestEngineKVConservation's
 // per-request outcomes. A change that declares a behaviour change updates it
 // in its own diff, as the example goldens are.
-const engineOutcomeDigest = "b82c75fc71843ad3"
+const engineOutcomeDigest = "55338b15c8038602"
 
 // TestEngineKVConservation runs a seeded engine through shared-prefix
 // traffic on a GPU cache small enough to force cache eviction and

@@ -141,6 +141,51 @@ func TestScheduleRecomputeTail(t *testing.T) {
 	}
 }
 
+// TestKVPressureEvictionDropsPlannedChunk: when a decoding sequence runs
+// out of KV blocks and the step evicts a sequence that schedule gave a
+// prefill chunk, the chunk leaves the step with the victim. The step is
+// priced as the one decode it runs, not as that decode plus a prefill no
+// sequence computes.
+func TestKVPressureEvictionDropsPlannedChunk(t *testing.T) {
+	cfg := hopsScoutConfig()
+	cfg.MaxModelLen, cfg.NumGPUBlocksOverride = 64, 5
+	se := sim.NewEngine(1)
+	e, err := New(se, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := e.cfg.BlockSize
+	now := se.Now()
+	// The decoder holds the blocks of its 2·bs tokens and needs one more
+	// for its next token; the prefilling sequence holds its full
+	// reservation (2·bs prompt tokens plus the next token: 3 blocks). The
+	// cache is then full.
+	dec := &sequence{
+		req:   &Request{ID: "dec", Prompt: bs, Generated: bs, MaxNew: 4 * bs},
+		state: seqRunning, computed: 2 * bs, deadline: now.Add(time.Second), hasTarget: true,
+	}
+	pre := &sequence{
+		req:   &Request{ID: "pre", Prompt: 2 * bs, MaxNew: 4},
+		state: seqRunning, deadline: now.Add(noTargetHorizon), class: classBatch,
+	}
+	if err := dec.kv.allocate(e.kv, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.kv.allocate(e.kv, 3); err != nil {
+		t.Fatal(err)
+	}
+	e.running = append(e.running, dec, pre)
+	se.Go("step", func(p *sim.Proc) { e.step(p) })
+	se.Run()
+	if pre.state != seqWaiting || e.stats.Preemptions != 1 {
+		t.Fatalf("the prefilling sequence should be the KV-pressure victim (state %v, %d preemptions)", pre.state, e.stats.Preemptions)
+	}
+	if want := e.perf.StepTime(1, 0); e.stats.BusyTime != want {
+		t.Fatalf("step took %s, want %s (one decode; the victim's %d-token chunk was priced)",
+			e.stats.BusyTime, want, 2*bs)
+	}
+}
+
 // TestSchedulerAntiStarvation: under three seconds of sustained interactive
 // pressure (tight TTFT targets arriving every 20ms against a 4-slot
 // engine), deadline rescues preempt and resume running batch work — but
