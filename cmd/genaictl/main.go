@@ -21,7 +21,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/autoscale"
@@ -51,8 +53,8 @@ func main() {
 	case "packages":
 		pkg := core.VLLMPackage()
 		fmt.Printf("%-8s %s\n", pkg.Name, pkg.Description)
-		for arch, image := range pkg.ImageByArch {
-			fmt.Printf("         %-6s → %s\n", arch, image)
+		for _, arch := range slices.Sorted(maps.Keys(pkg.ImageByArch)) {
+			fmt.Printf("         %-6s → %s\n", arch, pkg.ImageByArch[arch])
 		}
 	case "platforms":
 		for _, pf := range []core.Platform{core.PlatformHops, core.PlatformEldorado, core.PlatformGoodall, core.PlatformCEE} {

@@ -20,6 +20,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,11 +77,7 @@ func (pkg *ContainerPackage) ImageFor(vendor hw.Vendor) (string, error) {
 }
 
 func (pkg *ContainerPackage) archs() []string {
-	var out []string
-	for a := range pkg.ImageByArch {
-		out = append(out, a)
-	}
-	return out
+	return slices.Sorted(maps.Keys(pkg.ImageByArch))
 }
 
 // VLLMPackage is the catalog entry for the vLLM inference server.

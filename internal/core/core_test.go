@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +116,23 @@ func TestPlanGoodallHelmMatchesFig6(t *testing.T) {
 		if !strings.Contains(plan.Artifact, want) {
 			t.Errorf("goodall values missing %q:\n%s", want, plan.Artifact)
 		}
+	}
+}
+
+// TestHelmValuesEnvSorted: the chart's env list is sorted by name, as the
+// Podman and Apptainer command lines are, so a plan renders the same values
+// file on every run.
+func TestHelmValuesEnvSorted(t *testing.T) {
+	_, d := newSite(t)
+	values := d.helmValues(VLLMPackage(), "vllm/vllm-openai:v0.9.1", DeployConfig{
+		Model: llm.ScoutW4A16, TensorParallel: 2, Offline: true, Port: 8000,
+	})
+	var names []string
+	for _, e := range values["env"].([]any) {
+		names = append(names, e.(map[string]any)["name"].(string))
+	}
+	if len(names) < 3 || !slices.IsSorted(names) {
+		t.Fatalf("env names not sorted: %v", names)
 	}
 }
 

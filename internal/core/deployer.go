@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -235,13 +237,12 @@ func (d *Deployer) helmValues(pkg *ContainerPackage, image string, cfg DeployCon
 	if cfg.MaxModelLen > 0 {
 		command = append(command, fmt.Sprintf("--max-model-len=%d", cfg.MaxModelLen))
 	}
+	env := EnvFor(pkg, cfg.Offline)
+	env["HOME"] = "/data"
+	env["HF_HOME"] = "/data"
 	var envList []any
-	envList = append(envList,
-		map[string]any{"name": "HOME", "value": "/data"},
-		map[string]any{"name": "HF_HOME", "value": "/data"},
-	)
-	for k, v := range EnvFor(pkg, cfg.Offline) {
-		envList = append(envList, map[string]any{"name": k, "value": v})
+	for _, k := range slices.Sorted(maps.Keys(env)) {
+		envList = append(envList, map[string]any{"name": k, "value": env[k]})
 	}
 	replicas := cfg.Replicas
 	if replicas <= 0 {
