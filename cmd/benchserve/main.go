@@ -21,7 +21,6 @@ import (
 	"repro/internal/ingress"
 	"repro/internal/llm"
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/sharegpt"
 	"repro/internal/sim"
 	"repro/internal/site"
@@ -32,7 +31,7 @@ import (
 
 func main() {
 	var (
-		platform = flag.String("platform", "hops", "hops, eldorado, goodall")
+		platform = flag.String("platform", "hops", "hops, eldorado, goodall, cee")
 		model    = flag.String("model", llm.Scout.Name, "model name")
 		tp       = flag.Int("tp", 4, "tensor parallel size")
 		pp       = flag.Int("pp", 1, "pipeline parallel size")
@@ -63,15 +62,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// Reject bad inputs here rather than deep inside deploy.
+	// Reject what a DeployConfig cannot express here; Deploy checks the
+	// rest (route policy, priority class, autoscale bounds).
 	if *replicas < 1 {
 		fatal(fmt.Errorf("-replicas must be at least 1 (got %d)", *replicas))
-	}
-	if _, err := ingress.ParsePolicy(*policy); err != nil {
-		fatal(err)
-	}
-	if _, err := sched.ParseClass(*priority); err != nil {
-		fatal(err)
 	}
 	if *sloP95 < 0 {
 		fatal(fmt.Errorf("-slo-p95 must be >= 0 (got %s)", *sloP95))
@@ -82,9 +76,6 @@ func main() {
 	var pol *autoscale.Policy
 	if *elastic {
 		pol = &autoscale.Policy{MinReplicas: *minReps, MaxReplicas: *maxReps}
-		if err := pol.Validate(); err != nil {
-			fatal(err)
-		}
 	}
 
 	var points []int
@@ -99,16 +90,9 @@ func main() {
 			points = append(points, n)
 		}
 	}
-	var pf core.Platform
-	switch *platform {
-	case "hops":
-		pf = core.PlatformHops
-	case "eldorado":
-		pf = core.PlatformEldorado
-	case "goodall":
-		pf = core.PlatformGoodall
-	default:
-		fatal(fmt.Errorf("unknown platform %q", *platform))
+	pf, err := core.PlatformByName(*platform)
+	if err != nil {
+		fatal(err)
 	}
 	m, err := llm.ByName(*model)
 	if err != nil {
@@ -119,9 +103,6 @@ func main() {
 	}
 	var fleetEntries []core.FleetFlagEntry
 	if *fleet != "" {
-		if pf.Kind == "k8s" {
-			fatal(fmt.Errorf("-models benches HPC fleet deployments (got %s)", pf.Name))
-		}
 		if fleetEntries, err = core.ParseFleetFlag(*fleet); err != nil {
 			fatal(err)
 		}
@@ -142,17 +123,7 @@ func main() {
 			})
 			return
 		}
-		switch pf.Kind {
-		case "k8s":
-			failure = core.SeedModelToS3(p, d, m)
-		default:
-			fsys := s.HopsLustre
-			if pf.Name == "eldorado" {
-				fsys = s.EldoradoLustre
-			}
-			failure = core.SeedModel(p, fsys, m)
-		}
-		if failure != nil {
+		if failure = d.SeedModelOn(p, pf, m); failure != nil {
 			return
 		}
 		dp, err := d.Deploy(p, core.VLLMPackage(), pf, core.DeployConfig{

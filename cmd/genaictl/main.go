@@ -30,9 +30,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/ingress"
 	"repro/internal/llm"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/site"
 	"repro/internal/telemetry"
@@ -57,7 +55,7 @@ func main() {
 			fmt.Printf("         %-6s → %s\n", arch, pkg.ImageByArch[arch])
 		}
 	case "platforms":
-		for _, pf := range []core.Platform{core.PlatformHops, core.PlatformEldorado, core.PlatformGoodall, core.PlatformCEE} {
+		for _, pf := range core.Platforms() {
 			fmt.Printf("%-10s kind=%s\n", pf.Name, pf.Kind)
 		}
 	case "models":
@@ -97,15 +95,6 @@ commands:
   observe       deploy, apply brief load, print the /observe fleet snapshot
   fetch         run the model download → object storage workflow
   experiments   list reproducible experiments (see cmd/figures)`)
-}
-
-func platformByName(name string) (core.Platform, error) {
-	for _, pf := range []core.Platform{core.PlatformHops, core.PlatformEldorado, core.PlatformGoodall, core.PlatformCEE} {
-		if pf.Name == name {
-			return pf, nil
-		}
-	}
-	return core.Platform{}, fmt.Errorf("unknown platform %q", name)
 }
 
 // deployOpts collects the flags shared by plan and deploy.
@@ -149,17 +138,12 @@ func deployFlags(fs *flag.FlagSet) *deployOpts {
 	return o
 }
 
-// validate rejects bad inputs at flag-parse time, before any deployment
-// machinery runs. Returns the parsed autoscale policy (nil when disabled).
+// validate rejects bad flag values that a DeployConfig cannot express and
+// returns the autoscale policy (nil when disabled). Plan and Deploy check
+// the rest, the route policy, priority class and autoscale bounds among it.
 func (o *deployOpts) validate() (*autoscale.Policy, error) {
 	if *o.replicas < 1 {
 		return nil, fmt.Errorf("-replicas must be at least 1 (got %d)", *o.replicas)
-	}
-	if _, err := ingress.ParsePolicy(*o.policy); err != nil {
-		return nil, err
-	}
-	if _, err := sched.ParseClass(*o.priority); err != nil {
-		return nil, err
 	}
 	if *o.sloP95 < 0 {
 		return nil, fmt.Errorf("-slo-p95 must be >= 0 (got %s)", *o.sloP95)
@@ -170,15 +154,11 @@ func (o *deployOpts) validate() (*autoscale.Policy, error) {
 	if !*o.elastic {
 		return nil, nil
 	}
-	pol := &autoscale.Policy{
+	return &autoscale.Policy{
 		MinReplicas:      *o.minReps,
 		MaxReplicas:      *o.maxReps,
 		TargetQueueDepth: *o.targetQueue,
-	}
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
-	return pol, nil
+	}, nil
 }
 
 func (o *deployOpts) config(m *llm.ModelSpec, pol *autoscale.Policy) core.DeployConfig {
@@ -198,7 +178,7 @@ func runPlan(args []string) {
 	fs.Parse(args)
 	pol, err := opts.validate()
 	fatalIf(err)
-	pf, err := platformByName(*opts.platform)
+	pf, err := core.PlatformByName(*opts.platform)
 	fatalIf(err)
 	m, err := llm.ByName(*opts.model)
 	fatalIf(err)
@@ -231,7 +211,7 @@ func runDeploy(args []string) {
 		runDeployFleet(opts, pol, *query)
 		return
 	}
-	pf, err := platformByName(*opts.platform)
+	pf, err := core.PlatformByName(*opts.platform)
 	fatalIf(err)
 	m, err := llm.ByName(*opts.model)
 	fatalIf(err)
@@ -242,19 +222,9 @@ func runDeploy(args []string) {
 	done := false
 	s.Eng.Go("genaictl", func(p *sim.Proc) {
 		defer func() { done = true }()
-		// Seed the model onto the right substrate (the fetch/stage pipeline
-		// is exercised by `genaictl fetch` and the test suite).
-		switch pf.Kind {
-		case "k8s":
-			failure = core.SeedModelToS3(p, d, m)
-		default:
-			fsys := s.HopsLustre
-			if pf.Name == "eldorado" {
-				fsys = s.EldoradoLustre
-			}
-			failure = core.SeedModel(p, fsys, m)
-		}
-		if failure != nil {
+		// The fetch/stage pipeline is exercised by `genaictl fetch` and the
+		// test suite.
+		if failure = d.SeedModelOn(p, pf, m); failure != nil {
 			return
 		}
 		start := p.Now()
@@ -359,11 +329,8 @@ func runDeploy(args []string) {
 func runDeployFleet(opts *deployOpts, pol *autoscale.Policy, query string) {
 	entries, err := core.ParseFleetFlag(*opts.models)
 	fatalIf(err)
-	pf, err := platformByName(*opts.platform)
+	pf, err := core.PlatformByName(*opts.platform)
 	fatalIf(err)
-	if pf.Kind == "k8s" {
-		fatalIf(fmt.Errorf("-models deploys on HPC platforms (got %s)", pf.Name))
-	}
 
 	s := site.New(site.Options{Small: true, Seed: 1})
 	d := core.NewDeployer(s)
@@ -432,7 +399,7 @@ func runTrace(args []string) {
 	}
 	pol, err := opts.validate()
 	fatalIf(err)
-	pf, err := platformByName(*opts.platform)
+	pf, err := core.PlatformByName(*opts.platform)
 	fatalIf(err)
 	m, err := llm.ByName(*opts.model)
 	fatalIf(err)
@@ -443,7 +410,7 @@ func runTrace(args []string) {
 	done := false
 	s.Eng.Go("genaictl", func(p *sim.Proc) {
 		defer func() { done = true }()
-		if failure = core.SeedModel(p, s.HopsLustre, m); failure != nil {
+		if failure = d.SeedModelOn(p, pf, m); failure != nil {
 			return
 		}
 		dp, err := d.Deploy(p, core.VLLMPackage(), pf, opts.config(m, pol))
@@ -504,7 +471,7 @@ func runObserve(args []string) {
 	}
 	pol, err := opts.validate()
 	fatalIf(err)
-	pf, err := platformByName(*opts.platform)
+	pf, err := core.PlatformByName(*opts.platform)
 	fatalIf(err)
 	m, err := llm.ByName(*opts.model)
 	fatalIf(err)
@@ -515,7 +482,7 @@ func runObserve(args []string) {
 	done := false
 	s.Eng.Go("genaictl", func(p *sim.Proc) {
 		defer func() { done = true }()
-		if failure = core.SeedModel(p, s.HopsLustre, m); failure != nil {
+		if failure = d.SeedModelOn(p, pf, m); failure != nil {
 			return
 		}
 		dp, err := d.Deploy(p, core.VLLMPackage(), pf, opts.config(m, pol))

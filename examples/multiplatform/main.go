@@ -42,18 +42,8 @@ func main() {
 		}
 		fmt.Println("platform    runtime    image                                       batch-16 tok/s   TTFT p99 (ms)")
 		for _, tgt := range targets {
-			// Stage weights on the right substrate.
-			switch tgt.pf.Kind {
-			case "k8s":
-				failure = core.SeedModelToS3(p, d, tgt.model)
-			default:
-				fsys := s.HopsLustre
-				if tgt.pf.Name == "eldorado" {
-					fsys = s.EldoradoLustre
-				}
-				failure = core.SeedModel(p, fsys, tgt.model)
-			}
-			if failure != nil {
+			// Stage weights where the platform's services read them.
+			if failure = d.SeedModelOn(p, tgt.pf, tgt.model); failure != nil {
 				return
 			}
 			plan, err := d.Plan(core.VLLMPackage(), tgt.pf, core.DeployConfig{

@@ -239,6 +239,12 @@ func (cfg *DeployConfig) RouteName() string {
 	return ""
 }
 
+// replicaSet reports whether cfg deploys as a replica set behind a gateway:
+// several instances, an elastic set, or a member of a fleet.
+func (cfg *DeployConfig) replicaSet() bool {
+	return cfg.Replicas > 1 || cfg.Autoscale != nil || cfg.fleetManaged
+}
+
 func (cfg *DeployConfig) nodes(gpusPerNode int) int {
 	world := cfg.TensorParallel * cfg.PipelineParallel
 	n := (world + gpusPerNode - 1) / gpusPerNode
@@ -248,18 +254,27 @@ func (cfg *DeployConfig) nodes(gpusPerNode int) int {
 	return n
 }
 
-// ServeArgs renders the vLLM arguments for this configuration (shared by
-// every platform — the whole point of the case study).
+// ServeArgs renders the `vllm serve` arguments the HPC runtimes pass (Figs 4
+// and 5): the model argument, Fig 4's TP spelling, the served name and a
+// non-default port, then the engine flags every platform shares.
 func (cfg *DeployConfig) ServeArgs(modelArg string) []string {
-	args := []string{"serve", modelArg,
-		fmt.Sprintf("--tensor_parallel_size=%d", cfg.TensorParallel),
-		"--disable-log-requests",
-	}
-	if cfg.PipelineParallel > 1 {
-		args = append(args, fmt.Sprintf("--pipeline_parallel_size=%d", cfg.PipelineParallel))
-	}
+	args := []string{"serve", modelArg, fmt.Sprintf("--tensor_parallel_size=%d", cfg.TensorParallel)}
 	if cfg.ServedName != "" {
 		args = append(args, "--served-model-name="+cfg.ServedName)
+	}
+	if cfg.Port > 0 && cfg.Port != 8000 {
+		args = append(args, fmt.Sprintf("--port=%d", cfg.Port))
+	}
+	return append(args, cfg.engineFlags()...)
+}
+
+// engineFlags renders the engine settings of this configuration, the same
+// on every platform (the whole point of the case study): each artifact puts
+// only its own head in front of them.
+func (cfg *DeployConfig) engineFlags() []string {
+	args := []string{"--disable-log-requests"}
+	if cfg.PipelineParallel > 1 {
+		args = append(args, fmt.Sprintf("--pipeline_parallel_size=%d", cfg.PipelineParallel))
 	}
 	if cfg.MaxModelLen > 0 {
 		args = append(args, fmt.Sprintf("--max-model-len=%d", cfg.MaxModelLen))
@@ -275,9 +290,6 @@ func (cfg *DeployConfig) ServeArgs(modelArg string) []string {
 	}
 	if cfg.NumGPUBlocksOverride > 0 {
 		args = append(args, fmt.Sprintf("--num-gpu-blocks-override=%d", cfg.NumGPUBlocksOverride))
-	}
-	if cfg.Port > 0 && cfg.Port != 8000 {
-		args = append(args, fmt.Sprintf("--port=%d", cfg.Port))
 	}
 	return args
 }

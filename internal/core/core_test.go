@@ -214,7 +214,11 @@ func TestApptainerDefaultsCrashAndMetadataFixes(t *testing.T) {
 			t.Fatal(err)
 		}
 		pkg := VLLMPackage()
-		image, _ := pkg.ImageFor(d.platformVendor(PlatformEldorado))
+		eldo, err := d.target(PlatformEldorado)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image, _ := pkg.ImageFor(eldo.vendor)
 		spec := d.hpcSpec(pkg, image, s.EldoradoLustre, DeployConfig{
 			Model: model, TensorParallel: 1, MaxModelLen: 8192, Offline: true, Port: 8000,
 		})
@@ -232,7 +236,7 @@ func TestApptainerDefaultsCrashAndMetadataFixes(t *testing.T) {
 		}
 
 		// Metadata-derived flags: works.
-		fixed := AdaptApptainer(s.Host, pkg, d.platformVendor(PlatformEldorado))
+		fixed := AdaptApptainer(s.Host, pkg, eldo.vendor)
 		ctr2, err := fixed.Run(p, node, spec)
 		if err != nil {
 			t.Fatalf("adapted launch: %v", err)
@@ -407,6 +411,94 @@ func TestReplicaSetDeploymentAndGatewayFailover(t *testing.T) {
 		}
 		if resp, err := client.Get(p, dp.BaseURL+"/v1/models"); err != nil || resp.Status != 200 {
 			t.Fatalf("last replica should still serve: %v %v", err, resp)
+		}
+	})
+}
+
+// TestPlanAndDeployRefuseAlike: Plan and Deploy run one check, so each
+// request one refuses the other refuses with the same error, and neither
+// panics on a missing model or an unknown platform.
+func TestPlanAndDeployRefuseAlike(t *testing.T) {
+	s, d := newSite(t)
+	base := DeployConfig{Model: llm.Llama318B, TensorParallel: 1, MaxModelLen: 8192, Offline: true}
+	edit := func(f func(*DeployConfig)) DeployConfig {
+		cfg := base
+		f(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name string
+		pf   Platform
+		cfg  DeployConfig
+		want string
+	}{
+		{"autoscale with a bad route policy", PlatformHops, edit(func(c *DeployConfig) {
+			c.Replicas, c.RoutePolicy, c.Autoscale = 1, "fastest", &autoscale.Policy{MaxReplicas: 2}
+		}), "unknown route policy"},
+		{"persistent autoscaled set", PlatformHops, edit(func(c *DeployConfig) {
+			c.Persistent, c.Autoscale = true, &autoscale.Policy{MaxReplicas: 2}
+		}), "exclusive"},
+		{"bad priority class on kubernetes", PlatformGoodall, edit(func(c *DeployConfig) {
+			c.PriorityClass = "vip"
+		}), "unknown priority class"},
+		{"persistent on flux", PlatformEldorado, edit(func(c *DeployConfig) {
+			c.Persistent = true
+		}), "reserved through Slurm"},
+		{"pipeline parallel on kubernetes", PlatformGoodall, edit(func(c *DeployConfig) {
+			c.PipelineParallel = 2
+		}), "Ray bootstrap"},
+		{"nil model", PlatformHops, edit(func(c *DeployConfig) { c.Model = nil }), "Model is required"},
+		{"unknown platform", Platform{Name: "frontier", Kind: "slurm"}, base, "unknown platform"},
+	}
+	run(t, s, func(p *sim.Proc) {
+		for _, c := range cases {
+			_, planErr := d.Plan(VLLMPackage(), c.pf, c.cfg)
+			_, deployErr := d.Deploy(p, VLLMPackage(), c.pf, c.cfg)
+			if planErr == nil || deployErr == nil {
+				t.Errorf("%s: Plan err = %v, Deploy err = %v; want both to refuse", c.name, planErr, deployErr)
+				continue
+			}
+			if planErr.Error() != deployErr.Error() || !strings.Contains(planErr.Error(), c.want) {
+				t.Errorf("%s: Plan err %q, Deploy err %q; want the same error, mentioning %q", c.name, planErr, deployErr, c.want)
+			}
+		}
+	})
+}
+
+// TestEveryPlatformGetsEveryEngineFlag: one DeployConfig configures the
+// same engine on Hops (Podman), El Dorado (Apptainer) and Goodall (Helm),
+// because every artifact carries the same engine flags.
+func TestEveryPlatformGetsEveryEngineFlag(t *testing.T) {
+	s, d := newSite(t)
+	cfg := DeployConfig{
+		Model: llm.Llama318B, TensorParallel: 1, MaxModelLen: 8192, Offline: true,
+		DisablePrefixCache: true, CPUOffloadBlocks: 64, KVTransferMicros: 250, NumGPUBlocksOverride: 2000,
+	}
+	type engineView struct {
+		noPrefixCache                                   bool
+		tp, pp, maxModelLen, offload, xfer, ovr, blocks int
+	}
+	run(t, s, func(p *sim.Proc) {
+		want := engineView{true, 1, 1, 8192, 64, 250, 2000, 2000}
+		for _, pf := range []Platform{PlatformHops, PlatformEldorado, PlatformGoodall} {
+			if err := d.SeedModelOn(p, pf, cfg.Model); err != nil {
+				t.Fatalf("%s: seed: %v", pf.Name, err)
+			}
+			dp, err := d.Deploy(p, VLLMPackage(), pf, cfg)
+			if err != nil {
+				t.Fatalf("%s: deploy: %v", pf.Name, err)
+			}
+			e := dp.Engine()
+			if e == nil {
+				t.Fatalf("%s: no engine", pf.Name)
+			}
+			c := e.Config()
+			got := engineView{c.NoPrefixCache, c.TensorParallel, c.PipelineParallel, c.MaxModelLen,
+				c.CPUOffloadBlocks, c.KVTransferMicros, c.NumGPUBlocksOverride, e.KV().TotalBlocks()}
+			if got != want {
+				t.Errorf("%s engine = %+v, want %+v", pf.Name, got, want)
+			}
+			dp.Stop()
 		}
 	})
 }

@@ -17,62 +17,28 @@ import (
 	"repro/internal/sim"
 	"repro/internal/site"
 	"repro/internal/slurm"
-	"repro/internal/vhttp"
 	"repro/internal/vllm"
-	"repro/internal/yamlite"
 )
 
-// Small aliases keeping deployer.go readable.
-type vhttpClient = vhttp.Client
-
-func yamliteMarshal(v any) []byte { return yamlite.Marshal(v) }
+// jobTimeLimit is the wall time a batch deployment asks its scheduler for,
+// Hops' partition maximum, on Slurm and Flux alike. A service that must
+// outlive it needs a fresh job before the limit.
+const jobTimeLimit = 48 * time.Hour
 
 // Deploy executes a plan: it stages nothing implicitly (call StageModel
 // first on HPC platforms) and blocks until the service is ready or failed.
 func (d *Deployer) Deploy(p *sim.Proc, pkg *ContainerPackage, pf Platform, cfg DeployConfig) (*Deployment, error) {
-	if cfg.Model == nil {
-		return nil, fmt.Errorf("core: DeployConfig.Model is required")
+	t, err := d.check(pkg, pf, &cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.TensorParallel <= 0 {
-		cfg.TensorParallel = 1
+	switch {
+	case pf.Kind == "k8s":
+		return d.deployK8s(p, pkg, t, cfg)
+	case cfg.replicaSet():
+		return d.deployReplicaSet(p, pkg, t, cfg)
 	}
-	if cfg.PipelineParallel <= 0 {
-		cfg.PipelineParallel = 1
-	}
-	if cfg.Port == 0 {
-		cfg.Port = pkg.Needs.Port
-	}
-	if _, err := sched.ParseClass(cfg.PriorityClass); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.Replicas > 1 || cfg.Autoscale != nil {
-		// Validate the policy on every platform kind; on Kubernetes the
-		// cluster Service round-robins regardless, but a typo'd policy
-		// should not deploy silently anywhere.
-		if _, err := ingress.ParsePolicy(cfg.RoutePolicy); err != nil {
-			return nil, err
-		}
-		if cfg.Autoscale != nil {
-			if err := cfg.Autoscale.Validate(); err != nil {
-				return nil, err
-			}
-			if pf.Kind == "k8s" {
-				return nil, fmt.Errorf("core: Autoscale is not supported on Kubernetes platforms (use the cluster's HPA)")
-			}
-		}
-		if pf.Kind != "k8s" {
-			return d.deployReplicaSet(p, pkg, pf, cfg)
-		}
-	}
-	switch pf.Kind {
-	case "slurm":
-		return d.deploySlurm(p, pkg, pf, cfg)
-	case "flux":
-		return d.deployFlux(p, pkg, pf, cfg)
-	case "k8s":
-		return d.deployK8s(p, pkg, pf, cfg)
-	}
-	return nil, fmt.Errorf("core: unknown platform kind %q", pf.Kind)
+	return d.deployHPC(p, pkg, t, cfg)
 }
 
 // deployReplicaSet launches the initial replicas as independent
@@ -83,19 +49,11 @@ func (d *Deployer) Deploy(p *sim.Proc, pkg *ContainerPackage, pf Platform, cfg D
 // Chat AI and OpenTela put in front of scheduler-backed instances. With an
 // Autoscale policy the set is elastic: an autoscale.Autoscaler control loop
 // resizes it through Deployment.ScaleTo, and the gateway queues cold-start
-// requests whenever the set is scaled to zero.
-func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, pf Platform, cfg DeployConfig) (*Deployment, error) {
-	if cfg.Persistent {
-		return nil, fmt.Errorf("core: Persistent (Compute-as-Login) and Replicas>1 are exclusive; the replica gateway already provides the stable endpoint")
-	}
-	policy, err := ingress.ParsePolicy(cfg.RoutePolicy)
-	if err != nil {
-		return nil, err
-	}
-	class, err := sched.ParseClass(cfg.PriorityClass)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+// requests whenever the set is scaled to zero. check has validated cfg and
+// the set's capacity.
+func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, t *target, cfg DeployConfig) (*Deployment, error) {
+	policy, _ := ingress.ParsePolicy(cfg.RoutePolicy)
+	class, _ := sched.ParseClass(cfg.PriorityClass)
 	// The initial size sits inside the elastic range (scale-to-zero only
 	// happens after the idle timeout, so elastic sets start with at least
 	// one); initialReplicas is the single clamp shared with fleet
@@ -103,7 +61,6 @@ func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, pf Platf
 	n := initialReplicas(&cfg)
 	var pol *autoscale.Policy
 	if cfg.Autoscale != nil {
-		// Deploy validated the policy already; only resolve defaults here.
 		resolved := cfg.Autoscale.WithDefaults()
 		// The gateway's SLO breaker and the autoscaler share the latency
 		// objective: a p95 breach raises the scaling demand signal before
@@ -117,17 +74,7 @@ func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, pf Platf
 	single := cfg
 	single.Replicas = 1
 	single.Autoscale = nil
-
-	// Oversubscription would leave the surplus replicas queued behind the
-	// running ones' 48h time limits; fail fast instead. Elastic sets are
-	// checked at their ceiling so a scale-up cannot strand pending jobs.
-	capN := n
-	if pol != nil && pol.MaxReplicas > capN {
-		capN = pol.MaxReplicas
-	}
-	if err := d.checkReplicaCapacity(pf, single, capN); err != nil {
-		return nil, err
-	}
+	single.fleetManaged = false
 
 	name := pkg.Name
 	if cfg.fleetManaged {
@@ -137,7 +84,7 @@ func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, pf Platf
 	}
 	gw := &ingress.Gateway{
 		Net:           d.Site.Net,
-		Host:          site.ServiceHost(pf.Name),
+		Host:          site.ServiceHost(t.Name),
 		Port:          cfg.Port,
 		Model:         cfg.RouteName(),
 		Unbound:       cfg.fleetManaged,
@@ -150,11 +97,12 @@ func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, pf Platf
 	}
 	dp := &Deployment{
 		Name:     name,
-		Platform: pf,
+		Platform: t.Platform,
 		dep:      d,
 		gateway:  gw,
 		pkg:      pkg,
 		rcfg:     single,
+		target:   t,
 	}
 	if err := gw.Start(p.Engine()); err != nil {
 		return nil, fmt.Errorf("core: replica set %s: gateway: %w", name, err)
@@ -191,22 +139,15 @@ func shortName(s string) string {
 	return strings.ToLower(s)
 }
 
-// checkReplicaCapacity fails fast when a replica set of size n cannot fit
-// on the platform: oversubscribed jobs would otherwise pend behind the
-// running replicas' 48h time limits. Shared by the initial deploy (checked
-// at the autoscale ceiling) and live ScaleTo/AddReplica growth.
-func (d *Deployer) checkReplicaCapacity(pf Platform, single DeployConfig, n int) error {
-	perReplica := single.nodes(d.gpusPerNode(pf))
-	var total int
-	switch pf.Name {
-	case "hops":
-		total = len(d.Site.HopsNodes)
-	case "eldorado":
-		total = len(d.Site.EldoradoNodes)
-	}
-	if total > 0 && perReplica*n > total {
+// checkReplicaCapacity fails fast when n replicas of single cannot fit on
+// the HPC platform t: oversubscribed jobs would otherwise pend behind the
+// running replicas' time limits. Shared by check (a set at its autoscale
+// ceiling) and live ScaleTo/AddReplica growth.
+func (t *target) checkReplicaCapacity(single *DeployConfig, n int) error {
+	perReplica := single.nodes(t.gpusPerNode)
+	if total := len(t.nodes); perReplica*n > total {
 		return fmt.Errorf("core: replica set needs %d nodes (%d replicas × %d nodes each) but %s has %d",
-			perReplica*n, n, perReplica, pf.Name, total)
+			perReplica*n, n, perReplica, t.Name, total)
 	}
 	return nil
 }
@@ -226,94 +167,85 @@ func waitReady(p *sim.Proc, c *cruntime.Container) error {
 	return fmt.Errorf("core: container %s exited before becoming ready (state %s)", c.ID, c.State)
 }
 
-// deploySlurm covers three Hops shapes: CaL-persistent single node,
-// batch single node, and multi-node Ray (Fig 11).
-func (d *Deployer) deploySlurm(p *sim.Proc, pkg *ContainerPackage, pf Platform, cfg DeployConfig) (*Deployment, error) {
-	s := d.Site
-	fs := d.platformFS(pf)
-	if !HasModel(fs, cfg.Model) {
-		return nil, fmt.Errorf("core: model %s not staged on %s (run StageModel first)", cfg.Model.Name, fs.Name)
+// deployHPC runs one service instance on a Slurm or Flux platform: on a
+// Compute-as-Login node when Persistent (Hops), otherwise as one batch job
+// on one node or, multi-node, behind a Ray bootstrap (Fig 11). The batch
+// path is the same on both schedulers except for the Submit call.
+func (d *Deployer) deployHPC(p *sim.Proc, pkg *ContainerPackage, t *target, cfg DeployConfig) (*Deployment, error) {
+	if !HasModel(t.fs, cfg.Model) {
+		return nil, fmt.Errorf("core: model %s not staged on %s (run StageModel first)", cfg.Model.Name, t.fs.Name)
 	}
-	vendor := d.platformVendor(pf)
-	image, err := pkg.ImageFor(vendor)
-	if err != nil {
-		return nil, err
-	}
-	rt := d.runtimeFor(pkg, pf, vendor)
-	spec := d.hpcSpec(pkg, image, fs, cfg)
-	nodesNeeded := cfg.nodes(d.gpusPerNode(pf))
-	dp := &Deployment{Name: pkg.Name, Platform: pf, dep: d}
-
+	spec := d.hpcSpec(pkg, t.image, t.fs, cfg)
 	if cfg.Persistent {
-		if nodesNeeded > 1 {
-			return nil, fmt.Errorf("core: Compute-as-Login supports single-node services (need %d nodes)", nodesNeeded)
-		}
-		// Operator provisions a CaL node and gateway route, then the user
-		// deploys directly on it.
-		free := s.Hops.FreeNodes("batch")
-		if len(free) == 0 {
-			return nil, fmt.Errorf("core: no idle node available for CaL reservation")
-		}
-		node := free[len(free)-1]
-		extPort := 10000 + cfg.Port%1000
-		if _, err := s.ProvisionCaL(node.Name, extPort, cfg.Port); err != nil {
-			return nil, err
-		}
-		dp.calPort = extPort
-		ctr, err := rt.Run(p, node, spec)
-		if err != nil {
-			s.CaL.RemoveRoute(extPort)
-			s.Hops.ReleaseReservation(node.Name)
-			return nil, err
-		}
-		dp.containers = append(dp.containers, ctr)
-		if err := waitReady(p, ctr); err != nil {
-			dp.Stop()
-			s.Hops.ReleaseReservation(node.Name)
-			return nil, err
-		}
-		dp.server = serverOf(ctr)
-		dp.BaseURL = fmt.Sprintf("http://%s:%d", node.Name, cfg.Port)
-		dp.ExternalURL = fmt.Sprintf("http://%s:%d", site.CaLGateway, extPort)
-		return dp, nil
+		return d.deployCaL(p, pkg, t, spec, cfg)
 	}
-
-	// Batch job path.
 	started := sim.NewFuture[*Deployment](p.Engine())
-	job, err := s.Hops.Submit(slurm.JobSpec{
-		Name:      "vllm-" + cfg.Model.Short,
-		Nodes:     nodesNeeded,
-		TimeLimit: 48 * time.Hour,
-		Run: func(jc *slurm.JobContext) error {
-			inner, err := d.runOnNodes(jc.Proc, rt, spec, jc.Nodes, pkg, cfg, func(fn func()) { jc.OnCleanup(fn) })
-			if err != nil {
-				started.Resolve(nil, err)
-				return err
-			}
-			started.Resolve(inner, nil)
-			// Hold the allocation until the service dies or the job ends.
-			holdUntilDead(jc.Proc, inner)
-			return nil
-		},
-	})
+	run := func(jp *sim.Proc, nodes []*hw.Node, onCleanup func(func())) error {
+		inner, err := d.runOnNodes(jp, t, spec, nodes, pkg, cfg, onCleanup)
+		if err != nil {
+			started.Resolve(nil, err)
+			return err
+		}
+		started.Resolve(inner, nil)
+		// Hold the allocation until the service dies or the job ends.
+		holdUntilDead(jp, inner)
+		return nil
+	}
+	name, nodes := "vllm-"+cfg.Model.Short, cfg.nodes(t.gpusPerNode)
+	var job *slurm.Job
+	var fluxJob *flux.Job
+	var err error
+	if t.Kind == "slurm" {
+		job, err = d.Site.Hops.Submit(slurm.JobSpec{Name: name, Nodes: nodes, TimeLimit: jobTimeLimit,
+			Run: func(jc *slurm.JobContext) error { return run(jc.Proc, jc.Nodes, jc.OnCleanup) }})
+	} else {
+		fluxJob, err = d.Site.Eldorado.Submit(flux.Jobspec{Name: name, NumNodes: nodes, Duration: jobTimeLimit,
+			Run: func(fc *flux.JobContext) error { return run(fc.Proc, fc.Nodes, fc.OnCleanup) }})
+	}
 	if err != nil {
 		return nil, err
 	}
-	dp2, derr := sim.Await(p, started)
-	if derr != nil {
-		return nil, derr
+	dp, err := sim.Await(p, started)
+	if err != nil {
+		return nil, err
 	}
-	dp2.job = job
-	return dp2, nil
+	// Keep the allocation handle: Stop (and elastic scale-down) releases the
+	// nodes through scancel or `flux cancel`.
+	dp.job, dp.fluxJob = job, fluxJob
+	return dp, nil
 }
 
-func (d *Deployer) runtimeFor(pkg *ContainerPackage, pf Platform, vendor hw.Vendor) cruntime.Runtime {
-	switch d.Profile.RuntimeFor(pf.Name, pf.Kind) {
-	case "apptainer":
-		return AdaptApptainer(d.Site.Host, pkg, vendor)
-	default:
-		return AdaptPodman(d.Site.Host, pkg)
+// deployCaL deploys a persistent single-node service on Hops: the operator
+// provisions a Compute-as-Login node and gateway route, then the user
+// deploys directly on it, outside any job time limit.
+func (d *Deployer) deployCaL(p *sim.Proc, pkg *ContainerPackage, t *target, spec cruntime.Spec, cfg DeployConfig) (*Deployment, error) {
+	s := d.Site
+	free := s.Hops.FreeNodes("batch")
+	if len(free) == 0 {
+		return nil, fmt.Errorf("core: no idle node available for CaL reservation")
 	}
+	node := free[len(free)-1]
+	extPort := 10000 + cfg.Port%1000
+	if _, err := s.ProvisionCaL(node.Name, extPort, cfg.Port); err != nil {
+		return nil, err
+	}
+	dp := &Deployment{Name: pkg.Name, Platform: t.Platform, dep: d, calPort: extPort}
+	ctr, err := t.rt.Run(p, node, spec)
+	if err != nil {
+		s.CaL.RemoveRoute(extPort)
+		s.Hops.ReleaseReservation(node.Name)
+		return nil, err
+	}
+	dp.containers = append(dp.containers, ctr)
+	if err := waitReady(p, ctr); err != nil {
+		dp.Stop()
+		s.Hops.ReleaseReservation(node.Name)
+		return nil, err
+	}
+	dp.server = serverOf(ctr)
+	dp.BaseURL = fmt.Sprintf("http://%s:%d", node.Name, cfg.Port)
+	dp.ExternalURL = fmt.Sprintf("http://%s:%d", site.CaLGateway, extPort)
+	return dp, nil
 }
 
 // holdUntilDead parks the job script while the service lives.
@@ -327,10 +259,10 @@ func holdUntilDead(p *sim.Proc, dp *Deployment) {
 
 // runOnNodes starts the service on an allocated node set: directly for a
 // single node, via Ray bootstrap for multiple (Fig 11).
-func (d *Deployer) runOnNodes(p *sim.Proc, rt cruntime.Runtime, spec cruntime.Spec, nodes []*hw.Node, pkg *ContainerPackage, cfg DeployConfig, onCleanup func(func())) (*Deployment, error) {
-	dp := &Deployment{Name: pkg.Name, Platform: Platform{Name: nodes[0].Cluster}, dep: d}
+func (d *Deployer) runOnNodes(p *sim.Proc, t *target, spec cruntime.Spec, nodes []*hw.Node, pkg *ContainerPackage, cfg DeployConfig, onCleanup func(func())) (*Deployment, error) {
+	dp := &Deployment{Name: pkg.Name, Platform: t.Platform, dep: d}
 	if len(nodes) == 1 {
-		ctr, err := rt.Run(p, nodes[0], spec)
+		ctr, err := t.rt.Run(p, nodes[0], spec)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +289,7 @@ func (d *Deployer) runOnNodes(p *sim.Proc, rt cruntime.Runtime, spec cruntime.Sp
 		rspec.Entrypoint = []string{"run-cluster.sh"}
 		rspec.Args = []string{role, nodes[0].Name}
 		rspec.Props = map[string]any{"ray.cluster": cluster}
-		ctr, err := rt.Run(p, node, rspec)
+		ctr, err := t.rt.Run(p, node, rspec)
 		if err != nil {
 			return nil, err
 		}
@@ -386,66 +318,14 @@ func serverOf(c *cruntime.Container) *vllm.ServerProgram {
 	return nil
 }
 
-// deployFlux mirrors the Slurm path with a Flux jobspec (El Dorado).
-func (d *Deployer) deployFlux(p *sim.Proc, pkg *ContainerPackage, pf Platform, cfg DeployConfig) (*Deployment, error) {
-	fs := d.platformFS(pf)
-	if !HasModel(fs, cfg.Model) {
-		return nil, fmt.Errorf("core: model %s not staged on %s (run StageModel first)", cfg.Model.Name, fs.Name)
-	}
-	vendor := d.platformVendor(pf)
-	image, err := pkg.ImageFor(vendor)
-	if err != nil {
-		return nil, err
-	}
-	rt := d.runtimeFor(pkg, pf, vendor)
-	spec := d.hpcSpec(pkg, image, fs, cfg)
-	nodesNeeded := cfg.nodes(d.gpusPerNode(pf))
-
-	started := sim.NewFuture[*Deployment](p.Engine())
-	job, err := d.Site.Eldorado.Submit(flux.Jobspec{
-		Name:     "vllm-" + cfg.Model.Short,
-		NumNodes: nodesNeeded,
-		Duration: 48 * time.Hour,
-		Run: func(fc *flux.JobContext) error {
-			inner, err := d.runOnNodes(fc.Proc, rt, spec, fc.Nodes, pkg, cfg, func(fn func()) { fc.OnCleanup(fn) })
-			if err != nil {
-				started.Resolve(nil, err)
-				return err
-			}
-			started.Resolve(inner, nil)
-			holdUntilDead(fc.Proc, inner)
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	dp2, derr := sim.Await(p, started)
-	if derr != nil {
-		return nil, derr
-	}
-	// Keep the allocation handle: Stop (and elastic scale-down) releases the
-	// nodes through `flux cancel`, mirroring the Slurm path's scancel.
-	dp2.fluxJob = job
-	return dp2, nil
-}
-
 // deployK8s installs the bundled Helm chart and waits for readiness.
-func (d *Deployer) deployK8s(p *sim.Proc, pkg *ContainerPackage, pf Platform, cfg DeployConfig) (*Deployment, error) {
-	cluster := d.k8sCluster(pf)
-	if cluster == nil {
-		return nil, fmt.Errorf("core: unknown k8s platform %q", pf.Name)
-	}
-	image, err := pkg.ImageFor(d.platformVendor(pf))
+func (d *Deployer) deployK8s(p *sim.Proc, pkg *ContainerPackage, t *target, cfg DeployConfig) (*Deployment, error) {
+	cluster := t.cluster
+	rel, err := helm.Install(cluster, helm.VLLMChart(), pkg.Name, "ai", d.helmValues(pkg, t.image, cfg))
 	if err != nil {
 		return nil, err
 	}
-	values := d.helmValues(pkg, image, cfg)
-	rel, err := helm.Install(cluster, helm.VLLMChart(), pkg.Name, "ai", values)
-	if err != nil {
-		return nil, err
-	}
-	dp := &Deployment{Name: pkg.Name, Platform: pf, dep: d, release: rel, cluster: cluster}
+	dp := &Deployment{Name: pkg.Name, Platform: t.Platform, dep: d, release: rel, cluster: cluster}
 	// Wait for at least one ready pod (model download + load can take
 	// tens of minutes).
 	deadline := p.Now().Add(4 * time.Hour)
@@ -467,7 +347,7 @@ func (d *Deployer) deployK8s(p *sim.Proc, pkg *ContainerPackage, pf Platform, cf
 		}
 		if p.Now().After(deadline) {
 			dp.Stop()
-			return nil, fmt.Errorf("core: %s on %s: pods never became ready", pkg.Name, pf.Name)
+			return nil, fmt.Errorf("core: %s on %s: pods never became ready", pkg.Name, t.Name)
 		}
 		p.Sleep(30 * time.Second)
 	}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/slurm"
 	"repro/internal/vhttp"
 	"repro/internal/vllm"
+	"repro/internal/yamlite"
 )
 
 // Platform identifies a deployment target on the site.
@@ -37,6 +38,22 @@ var (
 	PlatformGoodall  = Platform{Name: "goodall", Kind: "k8s"}
 	PlatformCEE      = Platform{Name: "cee", Kind: "k8s"}
 )
+
+// Platforms lists the site's deployment targets.
+func Platforms() []Platform {
+	return []Platform{PlatformHops, PlatformEldorado, PlatformGoodall, PlatformCEE}
+}
+
+// PlatformByName resolves a platform from its name ("hops", "eldorado",
+// "goodall" or "cee").
+func PlatformByName(name string) (Platform, error) {
+	for _, pf := range Platforms() {
+		if pf.Name == name {
+			return pf, nil
+		}
+	}
+	return Platform{}, fmt.Errorf("core: unknown platform %q", name)
+}
 
 // Deployer plans and executes package deployments across the site.
 type Deployer struct {
@@ -64,33 +81,132 @@ func NewDeployer(s *site.Site) *Deployer {
 	}
 }
 
-func (d *Deployer) platformVendor(pf Platform) hw.Vendor {
-	switch pf.Name {
-	case "eldorado":
-		return hw.AMD
+// target is a platform as the site builds it: the nodes a service lands on,
+// whose GPUs give the accelerator vendor and the devices per node, and
+// where its weights come from. check adds the image and, on HPC platforms,
+// the container runtime.
+type target struct {
+	Platform
+	nodes       []*hw.Node
+	vendor      hw.Vendor
+	gpusPerNode int
+	fs          *fsim.FS     // HPC: the parallel filesystem weights are staged on
+	stageHost   *hw.Node     // HPC: where StageModel runs the S3 client
+	cluster     *k8s.Cluster // Kubernetes
+
+	image string
+	rt    hpcRuntime // nil on Kubernetes
+}
+
+// hpcRuntime is a container runtime that also prints the command line it
+// runs (Figs 4 and 5).
+type hpcRuntime interface {
+	cruntime.Runtime
+	Render(cruntime.Spec) string
+}
+
+// target looks a platform up on the site: the one place that knows which
+// site objects make up each platform.
+func (d *Deployer) target(pf Platform) (*target, error) {
+	s := d.Site
+	t := &target{Platform: pf}
+	switch pf {
+	case PlatformHops:
+		t.nodes, t.fs, t.stageHost = s.HopsNodes, s.HopsLustre, s.HopsLogin
+	case PlatformEldorado:
+		// El Dorado staging flows through its own compute fabric: the
+		// first node is the transfer host.
+		t.nodes, t.fs, t.stageHost = s.EldoradoNodes, s.EldoradoLustre, s.EldoradoNodes[0]
+	case PlatformGoodall:
+		t.cluster = s.Goodall
+	case PlatformCEE:
+		t.cluster = s.CEE
 	default:
-		return hw.NVIDIA
+		return nil, fmt.Errorf("core: unknown platform %q of kind %q", pf.Name, pf.Kind)
 	}
+	if t.cluster != nil {
+		t.nodes = t.cluster.Nodes()
+	}
+	gpus := t.nodes[0].GPUs
+	t.vendor, t.gpusPerNode = gpus[0].Model.Vendor, len(gpus)
+	return t, nil
 }
 
-func (d *Deployer) platformFS(pf Platform) *fsim.FS {
-	switch pf.Name {
-	case "hops":
-		return d.Site.HopsLustre
-	case "eldorado":
-		return d.Site.EldoradoLustre
+// check is the one validation of a deployment request, shared by Plan,
+// Deploy and DeployFleet, so a plan refuses exactly what a deploy would
+// refuse and renders exactly what it would run. It fills cfg's defaults
+// and resolves the platform, the image for its accelerators and, on HPC
+// platforms, the runtime.
+func (d *Deployer) check(pkg *ContainerPackage, pf Platform, cfg *DeployConfig) (*target, error) {
+	if cfg.Model == nil {
+		return nil, fmt.Errorf("core: DeployConfig.Model is required")
 	}
-	return nil
-}
-
-func (d *Deployer) k8sCluster(pf Platform) *k8s.Cluster {
-	switch pf.Name {
-	case "goodall":
-		return d.Site.Goodall
-	case "cee":
-		return d.Site.CEE
+	t, err := d.target(pf)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if t.image, err = pkg.ImageFor(t.vendor); err != nil {
+		return nil, err
+	}
+	if cfg.TensorParallel <= 0 {
+		cfg.TensorParallel = 1
+	}
+	if cfg.PipelineParallel <= 0 {
+		cfg.PipelineParallel = 1
+	}
+	if cfg.Port == 0 {
+		cfg.Port = pkg.Needs.Port
+	}
+	if _, err := ingress.ParsePolicy(cfg.RoutePolicy); err != nil {
+		return nil, err
+	}
+	if _, err := sched.ParseClass(cfg.PriorityClass); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if cfg.Autoscale != nil {
+		if err := cfg.Autoscale.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	if pf.Kind == "k8s" {
+		switch {
+		case cfg.Autoscale != nil:
+			return nil, fmt.Errorf("core: Autoscale is not supported on Kubernetes platforms (use the cluster's HPA)")
+		case cfg.PipelineParallel > 1:
+			return nil, fmt.Errorf("core: PipelineParallel>1 needs a Ray bootstrap, which the Helm chart does not run; deploy multi-node services on an HPC platform")
+		}
+		return t, nil
+	}
+	switch name := d.Profile.RuntimeFor(pf.Name, pf.Kind); name {
+	case "podman":
+		t.rt = AdaptPodman(d.Site.Host, pkg)
+	case "apptainer":
+		t.rt = AdaptApptainer(d.Site.Host, pkg, t.vendor)
+	default:
+		return nil, fmt.Errorf("core: runtime %q unsupported on %s", name, pf.Name)
+	}
+	if cfg.Persistent {
+		switch {
+		case pf.Kind != "slurm":
+			return nil, fmt.Errorf("core: Persistent (Compute-as-Login) nodes are reserved through Slurm; %s runs %s", pf.Name, pf.Kind)
+		case cfg.replicaSet():
+			return nil, fmt.Errorf("core: Persistent (Compute-as-Login) and a replica set are exclusive; the replica gateway already provides the stable endpoint")
+		case cfg.nodes(t.gpusPerNode) > 1:
+			return nil, fmt.Errorf("core: Compute-as-Login supports single-node services (need %d nodes)", cfg.nodes(t.gpusPerNode))
+		}
+	}
+	if cfg.replicaSet() {
+		// Elastic sets are checked at their ceiling so a scale-up cannot
+		// strand pending jobs.
+		n := initialReplicas(cfg)
+		if cfg.Autoscale != nil {
+			n = max(n, cfg.Autoscale.WithDefaults().MaxReplicas)
+		}
+		if err := t.checkReplicaCapacity(cfg, n); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
 // Plan is the reviewable rendering of a deployment: the exact artifact a
@@ -104,103 +220,55 @@ type Plan struct {
 }
 
 // Plan renders the deployment for (pkg, platform, cfg) without executing.
+// It refuses what Deploy refuses: both run the same check.
 func (d *Deployer) Plan(pkg *ContainerPackage, pf Platform, cfg DeployConfig) (*Plan, error) {
-	vendor := d.platformVendor(pf)
-	image, err := pkg.ImageFor(vendor)
+	t, err := d.check(pkg, pf, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	rt := d.Profile.RuntimeFor(pf.Name, pf.Kind)
-	plan := &Plan{Platform: pf, Runtime: rt, Image: image}
-	if cfg.Port == 0 {
-		cfg.Port = pkg.Needs.Port
+	plan := &Plan{Platform: pf, Image: t.image}
+	if pf.Kind == "k8s" {
+		plan.Runtime = "helm"
+		plan.Artifact = string(yamlite.Marshal(d.helmValues(pkg, t.image, cfg)))
+		plan.Notes = append(plan.Notes, "helm install "+pkg.Name+" ./charts/vllm -f values.yaml")
+		return plan, nil
+	}
+	plan.Runtime = t.rt.Name()
+	plan.Artifact = t.rt.Render(d.hpcSpec(pkg, t.image, t.fs, cfg))
+	if cfg.PipelineParallel > 1 {
+		plan.Notes = append(plan.Notes, fmt.Sprintf(
+			"multi-node: %d nodes; Ray cluster bootstrapped via run-cluster.sh head/worker containers, then `vllm serve` exec'd on the head",
+			cfg.nodes(t.gpusPerNode)))
+	}
+	if cfg.Persistent {
+		plan.Notes = append(plan.Notes, "persistent: requires a Compute-as-Login node reservation (operator action) routed via "+site.CaLGateway)
 	}
 	if cfg.Replicas > 1 {
-		// Mirror Deploy: an invalid policy must not render a plan that
-		// deploy would then refuse, on any platform kind.
-		if _, err := ingress.ParsePolicy(cfg.RoutePolicy); err != nil {
-			return nil, err
-		}
+		policy, _ := ingress.ParsePolicy(cfg.RoutePolicy)
+		plan.Notes = append(plan.Notes, fmt.Sprintf(
+			"replica set: %d instances on distinct nodes behind http://%s:%d (%s routing, health-checked, 1-retry failover)",
+			cfg.Replicas, site.ServiceHost(pf.Name), cfg.Port, policy))
 	}
-	switch pf.Kind {
-	case "slurm", "flux":
-		fs := d.platformFS(pf)
-		spec := d.hpcSpec(pkg, image, fs, cfg)
-		switch rt {
-		case "podman":
-			plan.Artifact = AdaptPodman(d.Site.Host, pkg).Render(spec)
-		case "apptainer":
-			plan.Artifact = AdaptApptainer(d.Site.Host, pkg, vendor).Render(spec)
-		default:
-			return nil, fmt.Errorf("core: runtime %q unsupported on %s", rt, pf.Name)
-		}
-		if cfg.PipelineParallel > 1 {
+	if cfg.Autoscale != nil {
+		pol := cfg.Autoscale.WithDefaults()
+		plan.Notes = append(plan.Notes, fmt.Sprintf(
+			"autoscale: elastic %d–%d replicas, target queue %d/replica, scale-to-zero after %s idle (cold-start requests queue at the gateway)",
+			pol.MinReplicas, pol.MaxReplicas, pol.TargetQueueDepth, pol.ScaleToZeroAfter))
+	}
+	// SLO admission and priority classes live on the replica-set gateway; a
+	// single-instance deployment has no gateway to enforce them, so the
+	// plan must not claim they are active.
+	if cfg.replicaSet() {
+		if cfg.SLOTargetP95 > 0 {
 			plan.Notes = append(plan.Notes, fmt.Sprintf(
-				"multi-node: %d nodes; Ray cluster bootstrapped via run-cluster.sh head/worker containers, then `vllm serve` exec'd on the head",
-				cfg.nodes(d.gpusPerNode(pf))))
-		}
-		if cfg.Persistent {
-			plan.Notes = append(plan.Notes, "persistent: requires a Compute-as-Login node reservation (operator action) routed via "+site.CaLGateway)
-		}
-		if cfg.Replicas > 1 {
-			if cfg.Persistent {
-				return nil, fmt.Errorf("core: Persistent (Compute-as-Login) and Replicas>1 are exclusive; the replica gateway already provides the stable endpoint")
-			}
-			policy, err := ingress.ParsePolicy(cfg.RoutePolicy)
-			if err != nil {
-				return nil, err
-			}
-			plan.Notes = append(plan.Notes, fmt.Sprintf(
-				"replica set: %d instances on distinct nodes behind http://%s:%d (%s routing, health-checked, 1-retry failover)",
-				cfg.Replicas, site.ServiceHost(pf.Name), cfg.Port, policy))
-		}
-		if cfg.Autoscale != nil {
-			if err := cfg.Autoscale.Validate(); err != nil {
-				return nil, err
-			}
-			pol := cfg.Autoscale.WithDefaults()
-			plan.Notes = append(plan.Notes, fmt.Sprintf(
-				"autoscale: elastic %d–%d replicas, target queue %d/replica, scale-to-zero after %s idle (cold-start requests queue at the gateway)",
-				pol.MinReplicas, pol.MaxReplicas, pol.TargetQueueDepth, pol.ScaleToZeroAfter))
+				"slo: p95 objective %s; batch-class requests shed while the gateway's rolling p95 breaches it",
+				cfg.SLOTargetP95))
 		}
 		if cfg.PriorityClass != "" {
-			if _, err := sched.ParseClass(cfg.PriorityClass); err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
+			plan.Notes = append(plan.Notes, "priority: requests default to the "+cfg.PriorityClass+" class")
 		}
-		// SLO admission and priority classes live on the replica-set
-		// gateway; a single-instance deployment has no gateway to enforce
-		// them, so the plan must not claim they are active.
-		if cfg.Replicas > 1 || cfg.Autoscale != nil {
-			if cfg.SLOTargetP95 > 0 {
-				plan.Notes = append(plan.Notes, fmt.Sprintf(
-					"slo: p95 objective %s; batch-class requests shed while the gateway's rolling p95 breaches it",
-					cfg.SLOTargetP95))
-			}
-			if cfg.PriorityClass != "" {
-				plan.Notes = append(plan.Notes, "priority: requests default to the "+cfg.PriorityClass+" class")
-			}
-		}
-	case "k8s":
-		if cfg.Autoscale != nil {
-			return nil, fmt.Errorf("core: Autoscale is not supported on Kubernetes platforms (use the cluster's HPA)")
-		}
-		values := d.helmValues(pkg, image, cfg)
-		plan.Artifact = renderValuesYAML(values)
-		plan.Notes = append(plan.Notes, "helm install "+pkg.Name+" ./charts/vllm -f values.yaml")
-	default:
-		return nil, fmt.Errorf("core: unknown platform kind %q", pf.Kind)
 	}
 	return plan, nil
-}
-
-func (d *Deployer) gpusPerNode(pf Platform) int {
-	switch pf.Name {
-	case "goodall":
-		return 2
-	default:
-		return 4
-	}
 }
 
 // hpcSpec builds the runtime-agnostic container spec for HPC deployments.
@@ -223,6 +291,9 @@ func (d *Deployer) hpcSpec(pkg *ContainerPackage, image string, fs *fsim.FS, cfg
 }
 
 // helmValues builds the chart values for Kubernetes deployments (Fig 6).
+// The command's head is the chart's: the PVC path as the model argument,
+// host and port, the served name and Fig 6's TP spelling; the engine flags
+// after it are the ones every platform gets.
 func (d *Deployer) helmValues(pkg *ContainerPackage, image string, cfg DeployConfig) map[string]any {
 	repo, tag := image, "latest"
 	if i := strings.LastIndex(image, ":"); i > strings.LastIndex(image, "/") {
@@ -232,10 +303,9 @@ func (d *Deployer) helmValues(pkg *ContainerPackage, image string, cfg DeployCon
 		"--port", fmt.Sprint(cfg.Port),
 		"--served-model-name", cfg.RouteName(),
 		fmt.Sprintf("--tensor-parallel-size=%d", cfg.TensorParallel),
-		"--disable-log-requests",
 	}
-	if cfg.MaxModelLen > 0 {
-		command = append(command, fmt.Sprintf("--max-model-len=%d", cfg.MaxModelLen))
+	for _, f := range cfg.engineFlags() {
+		command = append(command, f)
 	}
 	env := EnvFor(pkg, cfg.Offline)
 	env["HOME"] = "/data"
@@ -244,17 +314,13 @@ func (d *Deployer) helmValues(pkg *ContainerPackage, image string, cfg DeployCon
 	for _, k := range slices.Sorted(maps.Keys(env)) {
 		envList = append(envList, map[string]any{"name": k, "value": env[k]})
 	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 1
-	}
 	storage := cfg.Model.WeightBytes()*3/2>>30 + 64
 	values := map[string]any{
 		"image": map[string]any{
 			"repository": repo, "tag": tag,
 			"command": command,
 		},
-		"replicas": int64(replicas),
+		"replicas": int64(max(cfg.Replicas, 1)),
 		"port":     int64(cfg.Port),
 		"env":      envList,
 		"resources": map[string]any{
@@ -271,10 +337,6 @@ func (d *Deployer) helmValues(pkg *ContainerPackage, image string, cfg DeployCon
 		values["ingress"] = map[string]any{"enabled": true, "host": cfg.IngressHost}
 	}
 	return values
-}
-
-func renderValuesYAML(values map[string]any) string {
-	return string(yamliteMarshal(values))
 }
 
 // Deployment is a live deployed service.
@@ -299,14 +361,15 @@ type Deployment struct {
 
 	// Replica-set deployments: the child instances and the load-balancing
 	// gateway fronting them (BaseURL points at the gateway endpoint). The
-	// pkg/rcfg pair is the recipe for launching one more replica, so the
-	// set can be resized live; nextReplicaID keeps backend names unique
+	// pkg/rcfg pair is the recipe for launching one more replica, and target
+	// the platform it lands on, so the set can be resized live; nextReplicaID keeps backend names unique
 	// across scale events. Children record their gateway backendName.
 	gateway       *ingress.Gateway
 	replicas      []*Deployment
 	autoscaler    *autoscale.Autoscaler
 	pkg           *ContainerPackage
 	rcfg          DeployConfig
+	target        *target
 	nextReplicaID int
 	backendName   string
 	// draining counts replicas popped from the set whose graceful drain
@@ -388,7 +451,7 @@ func (dp *Deployment) AddReplica(p *sim.Proc) error {
 // keeps the replicas that did come up and reports the first error.
 func (dp *Deployment) addReplicas(p *sim.Proc, k int) error {
 	d := dp.dep
-	if err := d.checkReplicaCapacity(dp.Platform, dp.rcfg, len(dp.replicas)+k); err != nil {
+	if err := dp.target.checkReplicaCapacity(&dp.rcfg, len(dp.replicas)+k); err != nil {
 		return err
 	}
 	type launch struct {
@@ -520,13 +583,9 @@ func (dp *Deployment) LoseRayWorker() {
 
 // Healthy reports whether the service answers its health endpoint.
 func (dp *Deployment) Healthy(p *sim.Proc) bool {
-	client := d2client(dp)
+	client := &vhttp.Client{Net: dp.dep.Site.Net, From: site.LoginHops}
 	resp, err := client.Get(p, dp.BaseURL+"/health")
 	return err == nil && resp.Status == 200
-}
-
-func d2client(dp *Deployment) *vhttpClient {
-	return &vhttpClient{Net: dp.dep.Site.Net, From: site.LoginHops}
 }
 
 // Stop tears the deployment down: containers, jobs, releases, CaL routes,

@@ -169,19 +169,14 @@ type FleetConfig struct {
 	PoolNodes int
 }
 
-// SeedFleet stages each entry's model weights onto the platform's
-// filesystem (the test/demo shortcut mirroring SeedModel) and assembles
-// the FleetModel list: base's per-model knobs with Model, ServedName, and
-// Weight taken from each entry. Shared by the genaictl and benchserve
-// fleet paths.
+// SeedFleet stages each entry's model weights onto the platform (the
+// test/demo shortcut of SeedModelOn) and assembles the FleetModel list:
+// base's per-model knobs with Model, ServedName, and Weight taken from each
+// entry. Shared by the genaictl and benchserve fleet paths.
 func SeedFleet(p *sim.Proc, d *Deployer, pf Platform, base DeployConfig, entries []FleetFlagEntry) ([]FleetModel, error) {
-	fs := d.platformFS(pf)
-	if fs == nil {
-		return nil, fmt.Errorf("core: no staging filesystem on %s (fleets deploy on HPC platforms)", pf.Name)
-	}
 	var out []FleetModel
 	for _, e := range entries {
-		if err := SeedModel(p, fs, e.Model); err != nil {
+		if err := d.SeedModelOn(p, pf, e.Model); err != nil {
 			return nil, err
 		}
 		cfg := base
@@ -265,35 +260,27 @@ func (d *Deployer) DeployFleet(p *sim.Proc, pkg *ContainerPackage, pf Platform, 
 		port = pkg.Needs.Port
 	}
 
-	// Validate the whole fleet before launching anything.
-	gpusPerNode := d.gpusPerNode(pf)
+	// Check the whole fleet before launching anything: every member is a
+	// replica set behind the fleet's router, checked as Deploy checks one.
+	cfgs := make([]DeployConfig, len(models))
+	var t *target
 	seen := make(map[string]bool, len(models))
 	totalInitialNodes := 0
-	for i := range models {
-		cfg := &models[i].Config
+	for i, fm := range models {
+		cfg := fm.Config
+		cfg.Port = port
+		cfg.fleetManaged = true
 		name := cfg.RouteName()
-		if name == "" {
-			return nil, fmt.Errorf("core: fleet model %d names no model", i)
+		var err error
+		if t, err = d.check(pkg, pf, &cfg); err != nil {
+			return nil, fmt.Errorf("core: fleet model %q: %w", name, err)
 		}
 		if seen[name] {
 			return nil, fmt.Errorf("core: fleet route name %q is not unique", name)
 		}
 		seen[name] = true
-		if cfg.Persistent {
-			return nil, fmt.Errorf("core: fleet model %q: Persistent and fleet deployment are exclusive", name)
-		}
-		if _, err := ingress.ParsePolicy(cfg.RoutePolicy); err != nil {
-			return nil, fmt.Errorf("core: fleet model %q: %w", name, err)
-		}
-		if _, err := sched.ParseClass(cfg.PriorityClass); err != nil {
-			return nil, fmt.Errorf("core: fleet model %q: %w", name, err)
-		}
-		if cfg.Autoscale != nil {
-			if err := cfg.Autoscale.Validate(); err != nil {
-				return nil, fmt.Errorf("core: fleet model %q: %w", name, err)
-			}
-		}
-		totalInitialNodes += initialReplicas(cfg) * cfg.nodes(gpusPerNode)
+		totalInitialNodes += initialReplicas(&cfg) * cfg.nodes(t.gpusPerNode)
+		cfgs[i] = cfg
 	}
 	if fc.PoolNodes > 0 && totalInitialNodes > fc.PoolNodes {
 		return nil, fmt.Errorf("core: fleet's initial replicas need %d nodes but the pool holds %d", totalInitialNodes, fc.PoolNodes)
@@ -318,11 +305,7 @@ func (d *Deployer) DeployFleet(p *sim.Proc, pkg *ContainerPackage, pf Platform, 
 		fut  *sim.Future[*Deployment]
 	}
 	launches := make([]launch, 0, len(models))
-	for i := range models {
-		fm := models[i]
-		cfg := fm.Config
-		cfg.Port = port
-		cfg.fleetManaged = true
+	for i, cfg := range cfgs {
 		name := cfg.RouteName()
 		slot := new(*Deployment)
 		if f.pool != nil {
@@ -334,7 +317,7 @@ func (d *Deployer) DeployFleet(p *sim.Proc, pkg *ContainerPackage, pf Platform, 
 			// accounted by occupied nodes (live replicas plus drains in
 			// progress), so a reclaimed node is only re-granted once the
 			// drain actually released it.
-			member, err := f.pool.Join(name, fm.Weight, cfg.nodes(gpusPerNode), initialReplicas(&cfg), func() int {
+			member, err := f.pool.Join(name, models[i].Weight, cfg.nodes(t.gpusPerNode), initialReplicas(&cfg), func() int {
 				if *slot == nil {
 					return 0
 				}
@@ -350,9 +333,8 @@ func (d *Deployer) DeployFleet(p *sim.Proc, pkg *ContainerPackage, pf Platform, 
 		}
 		fut := sim.NewFuture[*Deployment](p.Engine())
 		launches = append(launches, launch{name: name, dp: slot, fut: fut})
-		cfgCopy := cfg
 		p.Engine().Go("deploy-fleet-"+name, func(rp *sim.Proc) {
-			dp, err := d.deployReplicaSet(rp, pkg, pf, cfgCopy)
+			dp, err := d.deployReplicaSet(rp, pkg, t, cfg)
 			fut.Resolve(dp, err)
 		})
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/llm"
 	"repro/internal/sim"
-	"repro/internal/site"
 )
 
 // FetchModel runs the §3.1 workflow: a containerized git clone of the full
@@ -96,18 +95,16 @@ func (d *Deployer) awsEnv() map[string]string {
 // the AWS client container on the platform's login node, so Hops traffic
 // traverses the (possibly misconfigured) Hops↔S3 route of §2.4.
 func (d *Deployer) StageModel(p *sim.Proc, pf Platform, model *llm.ModelSpec) error {
-	fs := d.platformFS(pf)
+	t, err := d.target(pf)
+	if err != nil {
+		return err
+	}
+	fs := t.fs
 	if fs == nil {
 		return fmt.Errorf("core: platform %s has no shared filesystem (use the Helm path)", pf.Name)
 	}
 	if HasModel(fs, model) {
 		return nil
-	}
-	loginNode := d.Site.HopsLogin
-	if pf.Name == "eldorado" {
-		// El Dorado staging flows through its own compute fabric; reuse the
-		// first node as the transfer host.
-		loginNode = d.Site.EldoradoNodes[0]
 	}
 	aws := &cruntime.Podman{Host: d.Site.Host}
 	spec := cruntime.Spec{
@@ -122,7 +119,7 @@ func (d *Deployer) StageModel(p *sim.Proc, pf Platform, model *llm.ModelSpec) er
 			fmt.Sprintf("s3://%s/%s", d.Profile.ModelBucket, model.Name),
 			"./models/" + model.Name},
 	}
-	ctr, err := aws.Run(p, loginNode, spec)
+	ctr, err := aws.Run(p, t.stageHost, spec)
 	if err != nil {
 		return err
 	}
@@ -134,6 +131,22 @@ func (d *Deployer) StageModel(p *sim.Proc, pf Platform, model *llm.ModelSpec) er
 		return fmt.Errorf("core: staging completed but %s still incomplete on %s", model.Name, fs.Name)
 	}
 	return nil
+}
+
+// SeedModelOn writes a model's weights where pf's services read them: onto
+// the parallel filesystem of an HPC platform (SeedModel), or into the site
+// bucket a Kubernetes PVC init container pulls from (SeedModelToS3). It is
+// the fast-path setup for benchmarks and examples, in place of the
+// FetchModel and StageModel workflow.
+func (d *Deployer) SeedModelOn(p *sim.Proc, pf Platform, model *llm.ModelSpec) error {
+	t, err := d.target(pf)
+	if err != nil {
+		return err
+	}
+	if t.fs == nil {
+		return SeedModelToS3(p, d, model)
+	}
+	return SeedModel(p, t.fs, model)
 }
 
 // SeedModel writes a model's files directly onto fs under the conventional
@@ -172,5 +185,3 @@ func SeedModelToS3(p *sim.Proc, d *Deployer, model *llm.ModelSpec) error {
 	}
 	return nil
 }
-
-var _ = site.S3Endpoint
