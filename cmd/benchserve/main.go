@@ -62,8 +62,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// Reject what a DeployConfig cannot express here; Deploy checks the
-	// rest (route policy, priority class, autoscale bounds).
+	// Reject out-of-range flag values here; Deploy checks the route
+	// policy, the priority class and the autoscale bounds.
 	if *replicas < 1 {
 		fatal(fmt.Errorf("-replicas must be at least 1 (got %d)", *replicas))
 	}

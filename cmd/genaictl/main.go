@@ -138,9 +138,9 @@ func deployFlags(fs *flag.FlagSet) *deployOpts {
 	return o
 }
 
-// validate rejects bad flag values that a DeployConfig cannot express and
-// returns the autoscale policy (nil when disabled). Plan and Deploy check
-// the rest, the route policy, priority class and autoscale bounds among it.
+// validate rejects out-of-range flag values and returns the autoscale
+// policy (nil when disabled). Plan and Deploy check the route policy, the
+// priority class and the autoscale bounds.
 func (o *deployOpts) validate() (*autoscale.Policy, error) {
 	if *o.replicas < 1 {
 		return nil, fmt.Errorf("-replicas must be at least 1 (got %d)", *o.replicas)

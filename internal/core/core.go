@@ -147,8 +147,9 @@ type DeployConfig struct {
 	MaxModelLen      int
 	Port             int
 	Offline          bool
-	// Persistent requests Compute-as-Login provisioning on HPC platforms
-	// (survives job time limits); on Kubernetes it is the default behaviour.
+	// Persistent requests Compute-as-Login provisioning (survives job time
+	// limits) for a single-node service on a Slurm platform; Flux platforms
+	// refuse it, and on Kubernetes it is the default behaviour.
 	Persistent bool
 	// Replicas launches N engine instances behind one endpoint. On
 	// Kubernetes it scales the chart's Deployment; on HPC platforms it
