@@ -122,7 +122,7 @@ func deployFlags(fs *flag.FlagSet) *deployOpts {
 	o.tp = fs.Int("tp", 4, "tensor parallel size")
 	o.pp = fs.Int("pp", 1, "pipeline parallel size (>1 = multi-node via Ray)")
 	o.maxLen = fs.Int("max-model-len", 65536, "context length limit")
-	o.persistent = fs.Bool("persistent", false, "Compute-as-Login persistent service (HPC)")
+	o.persistent = fs.Bool("persistent", false, "Compute-as-Login persistent service on a Slurm platform (hops)")
 	o.replicas = fs.Int("replicas", 1, "engine instances behind one endpoint (>1 = replica set + gateway)")
 	o.policy = fs.String("route-policy", "round-robin", "replica-set routing: round-robin, least-loaded, session (KV-cache affinity on the request's session key), prefix (session affinity plus sketch-based cache-aware placement)")
 	o.elastic = fs.Bool("autoscale", false, "elastically resize the replica set from gateway load (HPC)")

@@ -6,22 +6,16 @@
 # cmd/genaictl/plan.golden, and CI diffs a fresh run against it:
 #
 #   bash cmd/genaictl/plan_golden.sh > cmd/genaictl/plan.golden
-#
-# An optional first argument names a prebuilt genaictl binary.
 set -euo pipefail
 
-genaictl=${1:-}
-if [ -z "$genaictl" ]; then
-  bin=$(mktemp -d)
-  trap 'rm -rf "$bin"' EXIT
-  genaictl=$bin/genaictl
-  go build -o "$genaictl" ./cmd/genaictl
-fi
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/genaictl" ./cmd/genaictl
 
 while read -r args; do
   echo "\$ genaictl plan $args"
   # shellcheck disable=SC2086 # each line is a list of flags
-  "$genaictl" plan $args
+  "$bin/genaictl" plan $args
   echo
 done <<'CASES'
 -platform hops

@@ -71,11 +71,6 @@ func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, t *targe
 		}
 		pol = &resolved
 	}
-	single := cfg
-	single.Replicas = 1
-	single.Autoscale = nil
-	single.fleetManaged = false
-
 	name := pkg.Name
 	if cfg.fleetManaged {
 		// Fleet members are named by their route key so replica jobs and
@@ -101,7 +96,7 @@ func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, t *targe
 		dep:      d,
 		gateway:  gw,
 		pkg:      pkg,
-		rcfg:     single,
+		rcfg:     cfg,
 		target:   t,
 	}
 	if err := gw.Start(p.Engine()); err != nil {
@@ -139,12 +134,12 @@ func shortName(s string) string {
 	return strings.ToLower(s)
 }
 
-// checkReplicaCapacity fails fast when n replicas of single cannot fit on
-// the HPC platform t: oversubscribed jobs would otherwise pend behind the
+// checkReplicaCapacity fails fast when n replicas of cfg cannot fit on the
+// HPC platform t: oversubscribed jobs would otherwise pend behind the
 // running replicas' time limits. Shared by check (a set at its autoscale
 // ceiling) and live ScaleTo/AddReplica growth.
-func (t *target) checkReplicaCapacity(single *DeployConfig, n int) error {
-	perReplica := single.nodes(t.gpusPerNode)
+func (t *target) checkReplicaCapacity(cfg *DeployConfig, n int) error {
+	perReplica := cfg.nodes(t.gpusPerNode)
 	if total := len(t.nodes); perReplica*n > total {
 		return fmt.Errorf("core: replica set needs %d nodes (%d replicas × %d nodes each) but %s has %d",
 			perReplica*n, n, perReplica, t.Name, total)

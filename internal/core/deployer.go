@@ -361,9 +361,10 @@ type Deployment struct {
 
 	// Replica-set deployments: the child instances and the load-balancing
 	// gateway fronting them (BaseURL points at the gateway endpoint). The
-	// pkg/rcfg pair is the recipe for launching one more replica, and target
-	// the platform it lands on, so the set can be resized live; nextReplicaID keeps backend names unique
-	// across scale events. Children record their gateway backendName.
+	// pkg/rcfg pair is the checked recipe for launching one more replica,
+	// and target the platform it lands on, so the set can be resized live;
+	// nextReplicaID keeps backend names unique across scale events.
+	// Children record their gateway backendName.
 	gateway       *ingress.Gateway
 	replicas      []*Deployment
 	autoscaler    *autoscale.Autoscaler
@@ -466,7 +467,7 @@ func (dp *Deployment) addReplicas(p *sim.Proc, k int) error {
 		launches = append(launches, launch{name: name, fut: fut})
 		dp.launching++
 		p.Engine().Go("deploy-"+name, func(rp *sim.Proc) {
-			r, err := d.Deploy(rp, dp.pkg, dp.Platform, dp.rcfg)
+			r, err := d.deployHPC(rp, dp.pkg, dp.target, dp.rcfg)
 			fut.Resolve(r, err)
 		})
 	}
