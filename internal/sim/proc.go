@@ -181,6 +181,11 @@ type Signal struct {
 // NewSignal returns an unfired signal bound to e.
 func (e *Engine) NewSignal() *Signal { return &Signal{eng: e} }
 
+// Init binds a zero Signal to e. An owner that holds its Signal by value,
+// as a field of a larger record, calls it in place of NewSignal, so the
+// signal costs no allocation of its own.
+func (s *Signal) Init(e *Engine) { s.eng = e }
+
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 

@@ -134,7 +134,9 @@ func PlanCapacity(cfg Config) (blocks int, err error) {
 	return blocks, nil
 }
 
-// Request is one generation request moving through the engine.
+// Request is one generation request moving through the engine. It is the
+// engine's one record per request: its done signal and its scheduler
+// sequence are fields, so SubmitOpts allocates only the record and its ID.
 type Request struct {
 	ID     string
 	Prompt int // prompt tokens
@@ -149,7 +151,8 @@ type Request struct {
 	CachedTokens int
 	Err          error
 
-	done *sim.Signal
+	done sim.Signal
+	seq  sequence
 }
 
 // SubmitOptions carries the optional request attributes beyond the token
@@ -194,7 +197,7 @@ type SubmitOptions struct {
 }
 
 // Done fires when the request finishes (successfully or with Err set).
-func (r *Request) Done() *sim.Signal { return r.done }
+func (r *Request) Done() *sim.Signal { return &r.done }
 
 // TTFT is the time to first token (0 until produced).
 func (r *Request) TTFT() time.Duration {
@@ -540,13 +543,16 @@ func (e *Engine) Submit(prompt, maxNew int) *Request {
 // called from the simulation loop.
 func (e *Engine) SubmitOpts(o SubmitOptions) *Request {
 	e.seqNum++
+	// The ID is written into a stack buffer, so the string is its one
+	// allocation.
+	var id [24]byte
 	req := &Request{
-		ID:      "req-" + strconv.Itoa(e.seqNum),
+		ID:      string(strconv.AppendInt(append(id[:0], "req-"...), int64(e.seqNum), 10)),
 		Prompt:  o.Prompt,
 		MaxNew:  o.MaxNew,
 		Arrived: e.sim.Now(),
-		done:    e.sim.NewSignal(),
 	}
+	req.done.Init(e.sim)
 	if e.crashed {
 		req.Err = fmt.Errorf("vllm: engine dead: %w", e.crashErr)
 		req.Finished = e.sim.Now()
@@ -562,10 +568,9 @@ func (e *Engine) SubmitOpts(o SubmitOptions) *Request {
 		req.done.Fire()
 		return req
 	}
-	s := &sequence{
-		req: req, class: o.Class, onToken: o.OnToken, tr: o.Trace,
-		arrival: e.seqNum, sloBoost: o.SLOBreach,
-	}
+	s := &req.seq
+	s.req, s.class, s.onToken, s.tr = req, o.Class, o.OnToken, o.Trace
+	s.arrival, s.sloBoost = e.seqNum, o.SLOBreach
 	if o.TTFTTarget > 0 {
 		s.deadline = req.Arrived.Add(o.TTFTTarget)
 		s.hasTarget = true

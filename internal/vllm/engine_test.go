@@ -130,6 +130,34 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitAllocBudget: a request submitted to a warm engine allocates
+// its record and its ID string, nothing else. Its scheduler sequence and
+// done signal are fields of the record, and the waiting queue has room
+// left from earlier traffic.
+func TestSubmitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are distorted by -race instrumentation")
+	}
+	se, e := newEngine(t, hopsScoutConfig())
+	opts := SubmitOptions{Prompt: 64, MaxNew: 4, Class: "interactive", TTFTTarget: time.Second}
+	reqs := make([]*Request, 0, 128)
+	for range cap(reqs) {
+		reqs = append(reqs, e.SubmitOpts(opts))
+	}
+	se.Run()
+	reqs = reqs[:0]
+	allocs := testing.AllocsPerRun(100, func() { reqs = append(reqs, e.SubmitOpts(opts)) })
+	se.Run()
+	for _, r := range reqs {
+		if r.Err != nil || r.Generated != opts.MaxNew || !r.Done().Fired() {
+			t.Fatalf("%s: err %v, %d tokens, done %v", r.ID, r.Err, r.Generated, r.Done().Fired())
+		}
+	}
+	if allocs > 2 {
+		t.Fatalf("SubmitOpts: %.1f allocs per request, budget 2 (the record and its ID)", allocs)
+	}
+}
+
 // TestEnsureTokensGrowsIncrementally: the engine grows a sequence's KV
 // block by block as it decodes, allocating only the delta, and growth past
 // capacity fails without a partial allocation.

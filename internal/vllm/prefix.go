@@ -21,8 +21,10 @@ import (
 // prefixBlock node for its whole life: it sits on the LRU while
 // unreferenced, moves to the host tier on demotion and back on promotion,
 // and once evicted for good goes to a free list that Register draws from.
-// A sequence's references live on its own seqKV; their slice goes back to
-// a spare pool on Release and is drawn again by the next admission.
+// While a fresh cache fills and the free list is empty, nodes come from
+// chunks of blockChunk, one allocation per chunk. A sequence's references
+// live on its own seqKV; their slice goes back to a spare pool on Release
+// and is drawn again by the next admission.
 
 // PrefixStats counts cache effectiveness (cumulative). Engine.Stats embeds
 // it, so each counter is declared once.
@@ -109,6 +111,8 @@ type PrefixIndex struct {
 	// draw on them before allocating.
 	free  *prefixBlock
 	spare [][]*prefixBlock
+	// chunk holds the nodes not yet handed out of the newest chunk.
+	chunk []prefixBlock
 	stats PrefixStats
 	// tier is the host-memory spill tier (nil = disabled): GPU-evicted
 	// blocks demote here instead of losing their identity.
@@ -175,14 +179,22 @@ func (x *PrefixIndex) refsOf(s *seqKV) []*prefixBlock {
 	return refs
 }
 
+// blockChunk is how many prefix-cache nodes one allocation makes while
+// the free list is empty: a 4,096-block cache fills in 16 allocations.
+const blockChunk = 256
+
 // newBlock returns a GPU block node for hash, recycled from the free list
-// when one is there.
+// when one is there, otherwise the next node of the current chunk.
 func (x *PrefixIndex) newBlock(hash uint64, refs int, head bool) *prefixBlock {
 	b := x.free
-	if b == nil {
-		b = new(prefixBlock)
-	} else {
+	if b != nil {
 		x.free = b.next
+	} else {
+		if len(x.chunk) == 0 {
+			x.chunk = make([]prefixBlock, blockChunk)
+		}
+		b = &x.chunk[0]
+		x.chunk = x.chunk[1:]
 	}
 	*b = prefixBlock{hash: hash, refs: refs, head: head}
 	return b

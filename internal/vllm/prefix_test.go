@@ -487,3 +487,53 @@ func TestSketchIsTheSmallestHeadsWhateverTheOrder(t *testing.T) {
 		t.Fatalf("AppendSketch into a sized buffer: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestPrefixFillAllocBudget: while a fresh cache fills and no evicted
+// node is there to reuse, the index takes its block nodes from chunks of
+// blockChunk, one allocation per chunk instead of one per block.
+// Registering 4,096 fresh blocks into an empty index costs at most one
+// allocation per chunk. The index's maps and the sequence's reference
+// slice are grown beforehand: their growth is not the nodes' cost.
+func TestPrefixFillAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are distorted by -race instrumentation")
+	}
+	const blocks = 4096
+	hashes := chainBlocks(tokenStream(1, blocks*16), 16)
+	// AllocsPerRun fills once to warm up and once measured, each into an
+	// index of its own.
+	var idx []*PrefixIndex
+	var seqs []*seqKV
+	for range 2 {
+		kv := NewKVCache(blocks, 16)
+		x := NewPrefixIndex(kv)
+		for _, h := range hashes {
+			x.byHash[h] = nil
+			x.heads[h] = struct{}{}
+		}
+		clear(x.byHash)
+		clear(x.heads)
+		s := &seqKV{refs: make([]*prefixBlock, 0, blocks)}
+		if err := s.allocate(kv, blocks); err != nil {
+			t.Fatal(err)
+		}
+		idx, seqs = append(idx, x), append(seqs, s)
+	}
+	run := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		idx[run].Register(seqs[run], hashes, 0)
+		run++
+	})
+	for i, x := range idx {
+		if x.CachedBlocks() != blocks || len(seqs[i].refs) != blocks {
+			t.Fatalf("index %d caches %d blocks, the sequence references %d, want %d",
+				i, x.CachedBlocks(), len(seqs[i].refs), blocks)
+		}
+		if err := checkPrefixIndex(x, seqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if budget := blocks / blockChunk; allocs > float64(budget) {
+		t.Fatalf("filling %d blocks: %.0f allocs, budget %d (one per %d-node chunk)", blocks, allocs, budget, blockChunk)
+	}
+}
