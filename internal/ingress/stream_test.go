@@ -30,7 +30,7 @@ func (r *streamReplica) Serve(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 		return vhttp.JSON(200, telemetry.Snapshot{}.Encode())
 	}
 	r.hits++
-	s := vhttp.NewBodyStream()
+	s := &vhttp.BodyStream{}
 	// First token exists before the headers return (the APIServer waits for
 	// it); the rest arrive on the producer's timeline.
 	s.Push(vhttp.Chunk{Data: []byte("data: t0\n\n")})

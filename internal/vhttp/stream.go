@@ -47,6 +47,10 @@ type ChunkReader interface {
 // Push copies the chunk's bytes into the stream, so the producer may reuse
 // its buffer at once, and Next lends the reader a slice of the stream's
 // own buffer, valid until the following Next.
+//
+// The zero value is an open, empty stream, so an owner can hold one by
+// value inside its own per-request record. It must not be copied after
+// first use: its buffers start out as arrays inside it.
 type BodyStream struct {
 	// buf holds the pushed bytes back to back: buf[:read] was handed out,
 	// buf[read:] is unread, and queue[head:] are the unread chunks in push
@@ -56,11 +60,25 @@ type BodyStream struct {
 	queue []queued
 	head  int
 	// wake is fired by the producer and reset by the reader before each
-	// park; created at the first park and kept for the stream's life.
-	wake   *sim.Signal
+	// park; the reader binds it to its engine at the first park.
+	wake   sim.Signal
 	closed bool
 	err    error
+	// firstBuf and firstQueue back buf and queue from the first Push, so
+	// a stream held in its owner's record costs no allocation of its own
+	// until it outgrows them.
+	firstBuf   [streamBufBytes]byte
+	firstQueue [streamQueueLen]queued
 }
+
+// The first buffers of a stream: room for streamBufBytes of unread bytes
+// in streamQueueLen chunks. A chat stream's token event is under 200 bytes
+// and its finish event about 250, and a reader that keeps up holds at most
+// a few of them unread, so a steady stream never grows either buffer.
+const (
+	streamBufBytes = 1 << 10
+	streamQueueLen = 8
+)
 
 // queued is one unread chunk: its byte count in buf and its simulated size.
 type queued struct {
@@ -68,15 +86,15 @@ type queued struct {
 	size int64
 }
 
-// NewBodyStream returns an open, empty stream.
-func NewBodyStream() *BodyStream { return &BodyStream{} }
-
 // Push copies a chunk into the stream and wakes a parked reader. Pushing
 // after Close or Fail is a no-op (the terminal state already reached the
 // consumer).
 func (s *BodyStream) Push(c Chunk) {
 	if s.closed {
 		return
+	}
+	if s.queue == nil {
+		s.buf, s.queue = s.firstBuf[:0], s.firstQueue[:0]
 	}
 	s.buf = append(s.buf, c.Data...)
 	s.queue = append(s.queue, queued{n: len(c.Data), size: c.Size})
@@ -107,16 +125,9 @@ func (s *BodyStream) Fail(err error) {
 	s.fireWake()
 }
 
-// Closed reports whether the producer has finished (cleanly or not).
-func (s *BodyStream) Closed() bool { return s.closed }
-
 // fireWake wakes a parked reader. Without one it only marks the signal
 // fired, which queues no event: the reader resets it before parking.
-func (s *BodyStream) fireWake() {
-	if s.wake != nil {
-		s.wake.Fire()
-	}
-}
+func (s *BodyStream) fireWake() { s.wake.Fire() }
 
 // Next implements ChunkReader. The returned Data is capacity-limited, so
 // appending to it cannot overwrite the chunks behind it.
@@ -133,11 +144,9 @@ func (s *BodyStream) Next(p *sim.Proc) (Chunk, bool) {
 		if s.closed {
 			return Chunk{}, false
 		}
-		if s.wake == nil {
-			s.wake = p.Engine().NewSignal()
-		}
+		s.wake.Init(p.Engine())
 		s.wake.Reset()
-		p.Wait(s.wake)
+		p.Wait(&s.wake)
 	}
 }
 
@@ -184,17 +193,3 @@ func (m *meteredStream) Next(p *sim.Proc) (Chunk, bool) {
 
 // Err implements ChunkReader.
 func (m *meteredStream) Err() error { return m.src.Err() }
-
-// DrainStream reads a stream to its end, concatenating chunk data. It
-// returns the stream's terminal error alongside whatever arrived before the
-// truncation — the caller decides whether a partial body is usable.
-func DrainStream(p *sim.Proc, r ChunkReader) ([]byte, error) {
-	var out []byte
-	for {
-		c, ok := r.Next(p)
-		if !ok {
-			return out, r.Err()
-		}
-		out = append(out, c.Data...)
-	}
-}

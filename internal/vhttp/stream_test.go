@@ -20,7 +20,7 @@ import (
 // false after Close, and Err stays nil on a clean end.
 func TestStreamOrderingAndClose(t *testing.T) {
 	e, _ := newTestNet(t)
-	s := NewBodyStream()
+	s := &BodyStream{}
 	var got []string
 	e.Go("producer", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -53,10 +53,10 @@ func TestStreamOrderingAndClose(t *testing.T) {
 // drained queue rewinds onto its backing array.
 func TestStreamSteadyStateDoesNotAllocate(t *testing.T) {
 	e, _ := newTestNet(t)
-	s := NewBodyStream()
+	s := &BodyStream{}
 	chunk := Chunk{Data: []byte("data: x\n\n")}
 	e.Go("producer", func(p *sim.Proc) {
-		for !s.Closed() {
+		for !s.closed {
 			s.Push(chunk)
 			s.Push(chunk)
 			p.Sleep(time.Millisecond)
@@ -89,7 +89,7 @@ func TestStreamSteadyStateDoesNotAllocate(t *testing.T) {
 // to grow; and the producer may reuse its own bytes once Push returns.
 func TestStreamHeldChunkSurvivesPushes(t *testing.T) {
 	e, _ := newTestNet(t)
-	s := NewBodyStream()
+	s := &BodyStream{}
 	check := func(held Chunk, when string) {
 		t.Helper()
 		if string(held.Data) != "held" || held.Size != 100 || held.Bytes() != 100 {
@@ -111,11 +111,11 @@ func TestStreamHeldChunkSurvivesPushes(t *testing.T) {
 			t.Errorf("a 4-byte push grew the buffer from %d to %d", grown, cap(s.buf))
 		}
 		check(held, "push into spare capacity")
-		for i := 0; i < 100; i++ {
+		for i := 0; i < streamBufBytes/4; i++ {
 			s.Push(Chunk{Data: []byte("more")})
 		}
 		if cap(s.buf) == grown {
-			t.Errorf("400 bytes of pushes left the buffer at %d", grown)
+			t.Errorf("%d bytes of pushes left the buffer at %d", streamBufBytes, grown)
 		}
 		check(held, "push past capacity")
 
@@ -128,11 +128,12 @@ func TestStreamHeldChunkSurvivesPushes(t *testing.T) {
 
 // TestStreamBufferBoundedWhenNeverDrained: a reader that stays one chunk
 // behind never drains the stream, and still the buffer keeps no more than
-// about twice the bytes it has not read: chunks handed out are dropped as
-// the reader moves on, not only once it catches up.
+// its first size, or about twice the bytes it has not read when that is
+// more: chunks handed out are dropped as the reader moves on, not only
+// once it catches up.
 func TestStreamBufferBoundedWhenNeverDrained(t *testing.T) {
 	e, _ := newTestNet(t)
-	s := NewBodyStream()
+	s := &BodyStream{}
 	const chunks, size = 20000, 16
 	data := func(i int) string { return fmt.Sprintf("%0*d", size, i) }
 	e.Go("reader", func(p *sim.Proc) {
@@ -145,8 +146,9 @@ func TestStreamBufferBoundedWhenNeverDrained(t *testing.T) {
 				t.Errorf("chunk %d = %q, want %q", i-1, c.Data, data(i-1))
 				return
 			}
-			if limit := 2*peak + size; cap(s.buf) > limit {
-				t.Errorf("after %d chunks cap(buf) = %d, want at most %d (twice the peak %d unread bytes plus one chunk)",
+			// The first buffer is streamBufBytes whatever is unread.
+			if limit := max(streamBufBytes, 2*peak+size); cap(s.buf) > limit {
+				t.Errorf("after %d chunks cap(buf) = %d, want at most %d (the first buffer, or twice the peak %d unread bytes plus one chunk)",
 					i, cap(s.buf), limit, peak)
 				return
 			}
@@ -163,7 +165,7 @@ func TestStreamChunksMetered(t *testing.T) {
 	n.RouteFn = func(from, to string) []*netsim.Link { return []*netsim.Link{wire} }
 	n.BaseLatency = 0
 	n.Listen("api", 8000, ServiceFunc(func(p *sim.Proc, req *Request) *Response {
-		s := NewBodyStream()
+		s := &BodyStream{}
 		for i := 0; i < 5; i++ {
 			s.Push(Chunk{Size: 100}) // 5 × 100 B
 		}
@@ -203,7 +205,7 @@ func TestStreamChunksMetered(t *testing.T) {
 // error on the reader.
 func TestStreamTruncation(t *testing.T) {
 	e, _ := newTestNet(t)
-	s := NewBodyStream()
+	s := &BodyStream{}
 	errBackend := errors.New("engine crashed")
 	var got []string
 	var finalErr error
@@ -237,10 +239,24 @@ func TestStreamTruncation(t *testing.T) {
 	}
 }
 
+// drainStream reads a stream to its end, concatenating chunk data. It
+// returns the stream's terminal error alongside whatever arrived before the
+// truncation.
+func drainStream(p *sim.Proc, r ChunkReader) ([]byte, error) {
+	var out []byte
+	for {
+		c, ok := r.Next(p)
+		if !ok {
+			return out, r.Err()
+		}
+		out = append(out, c.Data...)
+	}
+}
+
 // TestDrainStream concatenates chunk bytes and reports the terminal error.
 func TestDrainStream(t *testing.T) {
 	e, _ := newTestNet(t)
-	clean, dirty := NewBodyStream(), NewBodyStream()
+	clean, dirty := &BodyStream{}, &BodyStream{}
 	clean.Push(Chunk{Data: []byte("hello ")})
 	clean.Push(Chunk{Data: []byte("world")})
 	clean.Close()
@@ -249,9 +265,9 @@ func TestDrainStream(t *testing.T) {
 	var body, partial []byte
 	var err1, err2 error
 	e.Go("drain", func(p *sim.Proc) {
-		body, err1 = DrainStream(p, clean)
+		body, err1 = drainStream(p, clean)
 		dirty.Fail(errCut) // queued chunk is dropped
-		partial, err2 = DrainStream(p, dirty)
+		partial, err2 = drainStream(p, dirty)
 	})
 	e.Run()
 	if string(body) != "hello world" || err1 != nil {
@@ -267,7 +283,7 @@ func TestDrainStream(t *testing.T) {
 func TestStdHandlerStreaming(t *testing.T) {
 	e, _ := newTestNet(t)
 	svc := ServiceFunc(func(p *sim.Proc, req *Request) *Response {
-		s := NewBodyStream()
+		s := &BodyStream{}
 		p.Engine().Go("producer", func(pp *sim.Proc) {
 			for i := 0; i < 8; i++ {
 				s.Push(Chunk{Data: []byte(fmt.Sprintf("data: t%d\n\n", i))})

@@ -316,9 +316,6 @@ func (m *Mux) Handle(prefix string, svc Service) {
 	m.routes = append(m.routes, muxRoute{prefix: prefix, svc: svc})
 }
 
-// HandleFunc registers a handler function for a path prefix.
-func (m *Mux) HandleFunc(prefix string, fn ServiceFunc) { m.Handle(prefix, fn) }
-
 // Serve implements Service by longest-prefix dispatch.
 func (m *Mux) Serve(p *sim.Proc, req *Request) *Response {
 	best := -1

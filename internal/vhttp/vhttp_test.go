@@ -160,9 +160,9 @@ func TestBodyTransferTakesTime(t *testing.T) {
 func TestMuxLongestPrefix(t *testing.T) {
 	e, n := newTestNet(t)
 	mux := &Mux{}
-	mux.HandleFunc("/", func(p *sim.Proc, r *Request) *Response { return Text(200, "root") })
-	mux.HandleFunc("/v1/", func(p *sim.Proc, r *Request) *Response { return Text(200, "v1") })
-	mux.HandleFunc("/v1/chat/", func(p *sim.Proc, r *Request) *Response { return Text(200, "chat") })
+	mux.Handle("/", ServiceFunc(func(p *sim.Proc, r *Request) *Response { return Text(200, "root") }))
+	mux.Handle("/v1/", ServiceFunc(func(p *sim.Proc, r *Request) *Response { return Text(200, "v1") }))
+	mux.Handle("/v1/chat/", ServiceFunc(func(p *sim.Proc, r *Request) *Response { return Text(200, "chat") }))
 	n.Listen("api", 80, mux, ListenOptions{})
 	want := map[string]string{
 		"http://api/":                    "root",

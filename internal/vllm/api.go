@@ -391,34 +391,20 @@ func (a *APIServer) startTrace(p *sim.Proc, req *vhttp.Request) *trace.Trace {
 // replica; once the first byte is out, a failure truncates the stream
 // (Err() on the reader) and is never silently retried.
 func (a *APIServer) chatStream(p *sim.Proc, opts SubmitOptions) *vhttp.Response {
-	stream := vhttp.NewBodyStream()
-	ready := p.Engine().NewSignal()
-	served := a.servedName()
-	var enc deltaEncoder
-	opts.OnToken = func(r *Request, n int) {
-		stream.Push(vhttp.Chunk{Data: enc.event(n)})
-		if n == 1 {
-			ready.Fire()
-		}
-	}
+	cs := &chatStream{prompt: opts.Prompt}
+	cs.ready.Init(p.Engine())
+	opts.OnToken = cs.token
 	r := a.Engine.SubmitOpts(opts)
-	enc = newDeltaEncoder(chatIDPrefix+r.ID, served)
-	r.Done().OnFire(func() {
-		if r.Err != nil {
-			stream.Fail(r.Err)
-		} else {
-			stream.Push(vhttp.Chunk{Data: enc.finish(opts.Prompt, r.Generated)})
-			stream.Push(vhttp.Chunk{Data: sseDone})
-			stream.Close()
-		}
-		ready.Fire()
-	})
-	p.Wait(ready)
+	cs.req = r
+	cs.enc = newDeltaEncoder(chatIDPrefix+r.ID, a.servedName())
+	r.Done().OnFire(cs.done)
+	p.Wait(&cs.ready)
 	if r.Err != nil && r.FirstToken.IsZero() {
 		// Failed before the first byte: a retryable buffered error.
 		return jsonErr(500, r.Err.Error())
 	}
-	resp := &vhttp.Response{Status: 200, Stream: stream}
+	resp := &cs.resp
+	resp.Status, resp.Stream = 200, &cs.stream
 	resp.SetHeader("Content-Type", "text/event-stream")
 	resp.SetHeader("X-Request-Ttft-Micros", strconv.FormatInt(r.TTFT().Microseconds(), 10))
 	if et := opts.Trace; et != nil {
@@ -428,6 +414,41 @@ func (a *APIServer) chatStream(p *sim.Proc, opts SubmitOptions) *vhttp.Response 
 		resp.Trace = et
 	}
 	return resp
+}
+
+// chatStream is the one record of a streamed reply: the body stream, the
+// event encoder writing into it, the signal the handler waits on for the
+// first token, and the response that carries the stream.
+type chatStream struct {
+	stream vhttp.BodyStream
+	enc    deltaEncoder
+	ready  sim.Signal
+	resp   vhttp.Response
+	req    *Request
+	prompt int
+}
+
+// token is the request's OnToken hook: it pushes token n's event and, at
+// the first token, releases the handler to return the headers.
+func (cs *chatStream) token(_ *Request, n int) {
+	cs.stream.Push(vhttp.Chunk{Data: cs.enc.event(n)})
+	if n == 1 {
+		cs.ready.Fire()
+	}
+}
+
+// done runs when the request finishes: it ends the stream with the
+// finish event and the terminator, or fails it, and releases a handler
+// still waiting for a first token that never came.
+func (cs *chatStream) done() {
+	if r := cs.req; r.Err != nil {
+		cs.stream.Fail(r.Err)
+	} else {
+		cs.stream.Push(vhttp.Chunk{Data: cs.enc.finish(cs.prompt, r.Generated)})
+		cs.stream.Push(vhttp.Chunk{Data: sseDone})
+		cs.stream.Close()
+	}
+	cs.ready.Fire()
 }
 
 // chatResponseBody returns a buffered chat completion's body, written
