@@ -635,18 +635,18 @@ func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, cands []sched.Candidat
 	return sched.QueueDepth{MaxWaiting: g.MaxWaiting}.Admit(cands)
 }
 
-// forward sends the request to one backend, tracking in-flight load. A
-// draining backend detaches once its last in-flight request completes.
-// Streamed responses keep their in-flight slot until the consumer drains
-// the body — the replica is still generating after the headers return —
-// released by dispatch's watchedStream.
-func (g *Gateway) forward(p *sim.Proc, b *Backend, req *vhttp.Request) (*vhttp.Response, error) {
-	var inner *vhttp.Request
-	if req.Path == chatPath && len(req.Query) == 0 {
-		inner = proxyTo(req, b.chatURL)
-	} else {
-		inner = proxyRequest(req, b.url)
+// forward sends the request to one backend as inner, the proxied copy it
+// fills in, tracking in-flight load. A draining backend detaches once its
+// last in-flight request completes. Streamed responses keep their
+// in-flight slot until the consumer drains the body — the replica is
+// still generating after the headers return — released by dispatch's
+// watchedStream.
+func (g *Gateway) forward(p *sim.Proc, b *Backend, req, inner *vhttp.Request) (*vhttp.Response, error) {
+	url := b.chatURL
+	if req.Path != chatPath || len(req.Query) != 0 {
+		url = proxyURL(req, b.url)
 	}
+	*inner = proxyTo(req, url)
 	b.inflight++
 	b.requests++
 	resp, err := g.httpClient().Do(p, inner)
@@ -667,12 +667,17 @@ func (g *Gateway) release(b *Backend) {
 }
 
 // watchedStream observes a proxied stream's end without buffering it:
-// chunks pass straight through (zero-copy), and the done callback fires
-// when the consumer reaches end of stream, cleanly or truncated.
+// chunks pass straight through (zero-copy), and done runs when the
+// consumer reaches end of stream, cleanly or truncated.
 type watchedStream struct {
-	src  vhttp.ChunkReader
-	done func(p *sim.Proc, err error)
-	fin  bool
+	src   vhttp.ChunkReader
+	g     *Gateway
+	b     *Backend
+	start time.Time
+	// tr is the gateway's trace of a traced request and et the engine's
+	// span context it merges at the end (both nil when untraced).
+	tr, et *trace.Trace
+	fin    bool
 }
 
 // Next implements vhttp.ChunkReader.
@@ -688,20 +693,20 @@ func (w *watchedStream) Next(p *sim.Proc) (vhttp.Chunk, bool) {
 // Err implements vhttp.ChunkReader.
 func (w *watchedStream) Err() error { return w.src.Err() }
 
-// finishStream arranges end-of-body accounting for a streamed response:
-// the latency sample covers the whole body rather than time-to-headers,
-// the replica's in-flight slot releases when the stream drains, and a
-// truncated stream (replica died mid-generation) is charged as a backend
-// failure. Truncations are never retried — the first byte already reached
-// the client, so failover happens only on the buffered pre-first-byte
-// error path.
+// finishStream arranges end-of-body accounting for a streamed response,
+// watched through w: the latency sample covers the whole body rather than
+// time-to-headers, the replica's in-flight slot releases when the stream
+// drains, and a truncated stream (replica died mid-generation) is charged
+// as a backend failure. Truncations are never retried — the first byte
+// already reached the client, so failover happens only on the buffered
+// pre-first-byte error path.
 //
 // A traced request settles here too: the engine's span context rides
 // Response.Trace (a live pointer — the decode span is recorded at engine
 // finish, before the terminal chunk is drained), the drain span covers
 // decode-end to stream EOF on the shared virtual clock, and the merged
 // trace is recorded once the consumer reaches end of stream.
-func (g *Gateway) finishStream(b *Backend, resp *vhttp.Response, start time.Time, tr *trace.Trace) {
+func (g *Gateway) finishStream(w *watchedStream, b *Backend, resp *vhttp.Response, start time.Time, tr *trace.Trace) {
 	g.stats.Streams++
 	var et *trace.Trace
 	if e, ok := resp.Trace.(*trace.Trace); ok {
@@ -711,36 +716,41 @@ func (g *Gateway) finishStream(b *Backend, resp *vhttp.Response, start time.Time
 	if tr != nil {
 		tr.Streamed = true
 	}
-	resp.Stream = &watchedStream{src: resp.Stream, done: func(p *sim.Proc, err error) {
-		g.release(b)
-		if err != nil {
-			b.failures++
-			g.stats.StreamsTruncated++
-		}
-		now := p.Now()
-		g.latencies.Observe(now, float64(now.Sub(start))/float64(time.Millisecond))
-		if tr == nil {
-			return
-		}
-		tr.Merge(et)
-		if tr.Replica == "" {
-			tr.Replica = b.Name
-		}
-		// Drain: from engine-side completion (decode span end) to the
-		// client consuming the last chunk. Valid cross-layer arithmetic —
-		// every layer shares one virtual clock.
-		drainStart := now
-		if end, ok := tr.SpanEnd(trace.StageDecode); ok && end.Before(now) {
-			drainStart = end
-		}
-		tr.Observe(trace.StageDrain, drainStart, now)
-		errMsg := ""
-		if err != nil {
-			errMsg = "stream truncated: " + err.Error()
-		}
-		tr.Finish(now, errMsg)
-		g.tracer().Record(tr)
-	}}
+	*w = watchedStream{src: resp.Stream, g: g, b: b, start: start, tr: tr, et: et}
+	resp.Stream = w
+}
+
+// done is the stream's end-of-body accounting (see finishStream).
+func (w *watchedStream) done(p *sim.Proc, err error) {
+	g, b, tr := w.g, w.b, w.tr
+	g.release(b)
+	if err != nil {
+		b.failures++
+		g.stats.StreamsTruncated++
+	}
+	now := p.Now()
+	g.latencies.Observe(now, float64(now.Sub(w.start))/float64(time.Millisecond))
+	if tr == nil {
+		return
+	}
+	tr.Merge(w.et)
+	if tr.Replica == "" {
+		tr.Replica = b.Name
+	}
+	// Drain: from engine-side completion (decode span end) to the client
+	// consuming the last chunk. Valid cross-layer arithmetic — every layer
+	// shares one virtual clock.
+	drainStart := now
+	if end, ok := tr.SpanEnd(trace.StageDecode); ok && end.Before(now) {
+		drainStart = end
+	}
+	tr.Observe(trace.StageDrain, drainStart, now)
+	errMsg := ""
+	if err != nil {
+		errMsg = "stream truncated: " + err.Error()
+	}
+	tr.Finish(now, errMsg)
+	g.tracer().Record(tr)
 }
 
 // hold parks a request until a backend becomes routable (cold start) or the
@@ -926,12 +936,24 @@ func (g *Gateway) Observe(now time.Time) telemetry.ModelObservation {
 	return obs
 }
 
+// dispatchRecord is the gateway's one record per dispatched request: the
+// scheduling descriptor, the request proxied to the picked replica, and
+// the watch on a streamed reply's body. A retry proxies through a copy of
+// its own, so the first attempt's stays as its replica saw it.
+type dispatchRecord struct {
+	sreq  sched.Request
+	inner vhttp.Request
+	watch watchedStream
+}
+
 // dispatch is the scheduling path shared by Serve and ServeDescribed:
 // admission, pick (holding through cold starts), forward, one retry.
-func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) *vhttp.Response {
+func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, desc sched.Request) *vhttp.Response {
+	rec := &dispatchRecord{sreq: desc}
+	sreq := &rec.sreq
 	g.stats.Requests++
 	start := p.Now()
-	tr := g.startTrace(req, &sreq, start)
+	tr := g.startTrace(req, sreq, start)
 	if sreq.PrefixKey == 0 && g.Policy == PolicyPrefix && req.Path == chatPath {
 		// Cache-aware placement needs the leading prompt-block key, folded
 		// from the messages Describe scanned without allocating. 0 (short
@@ -949,14 +971,14 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 			g.stats.Held++
 		}
 		holdStart := p.Now()
-		b := g.hold(p, &sreq, holdDeadline)
+		b := g.hold(p, sreq, holdDeadline)
 		tr.Observe(trace.StageHold, holdStart, p.Now())
 		return b
 	}
 	// One routable-set snapshot serves both the admission decision and the
 	// first pick; nothing yields between them.
 	cands, backends := g.views(nil)
-	if out := g.admit(p, &sreq, cands); !out.Admit {
+	if out := g.admit(p, sreq, cands); !out.Admit {
 		g.stats.Rejected++
 		g.noteShed(sreq.Class)
 		g.abortTrace(tr, p.Now(), "shed: "+out.Reason)
@@ -965,7 +987,7 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 		return resp
 	}
 	tr.Observe(trace.StageAdmission, start, p.Now())
-	b := g.pickFrom(cands, backends, &sreq)
+	b := g.pickFrom(cands, backends, sreq)
 	if b == nil && g.HoldColdStart {
 		b = enterHold()
 		if b == nil {
@@ -989,12 +1011,12 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 	// The pick itself is instantaneous in virtual time; the zero-duration
 	// span marks when the decision landed (after any hold) and on whom.
 	tr.Observe(trace.StagePick, p.Now(), p.Now())
-	g.noteAndWarm(&sreq, b, req)
-	g.stampSchedHints(req, &sreq)
-	resp, err := g.forward(p, b, req)
+	g.noteAndWarm(sreq, b, req)
+	g.stampSchedHints(req, sreq)
+	resp, err := g.forward(p, b, req, &rec.inner)
 	if err == nil && resp.Status < 500 {
 		if resp.Stream != nil {
-			g.finishStream(b, resp, start, tr)
+			g.finishStream(&rec.watch, b, resp, start, tr)
 		} else {
 			g.latencies.Observe(p.Now(), float64(p.Now().Sub(start))/float64(time.Millisecond))
 			g.settleTrace(tr, resp, b, p.Now(), "")
@@ -1010,7 +1032,7 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 	if err != nil {
 		b.healthy = false
 	}
-	b2 := g.pickFor(&sreq, b)
+	b2 := g.pickFor(sreq, b)
 	if b2 == nil && err != nil && g.HoldColdStart {
 		// The failed attempt consumed the only routable replica (a fresh
 		// cold-started instance can die on its first request). With
@@ -1037,7 +1059,7 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 	if tr != nil {
 		tr.Retries++
 	}
-	resp2, err2 := g.forward(p, b2, req)
+	resp2, err2 := g.forward(p, b2, req, new(vhttp.Request))
 	if err2 != nil {
 		b2.failures++
 		b2.healthy = false
@@ -1050,7 +1072,7 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, sreq sched.Request) 
 		g.stats.Errors++
 		g.abortTrace(tr, p.Now(), "upstream 5xx on retry")
 	} else if resp2.Stream != nil {
-		g.finishStream(b2, resp2, start, tr)
+		g.finishStream(&rec.watch, b2, resp2, start, tr)
 	} else {
 		g.latencies.Observe(p.Now(), float64(p.Now().Sub(start))/float64(time.Millisecond))
 		g.settleTrace(tr, resp2, b2, p.Now(), "")

@@ -21,17 +21,24 @@ import (
 // preserving method, headers, body, and the query string. Shared by every
 // proxy in this package (SSH tunnel, CaL, gateway) so they cannot diverge.
 func proxyRequest(req *vhttp.Request, base string) *vhttp.Request {
+	inner := proxyTo(req, proxyURL(req, base))
+	return &inner
+}
+
+// proxyURL is req's path and query string on a new target base URL.
+func proxyURL(req *vhttp.Request, base string) string {
 	u := base + req.Path
 	if q := req.Query.Encode(); q != "" {
 		u += "?" + q
 	}
-	return proxyTo(req, u)
+	return u
 }
 
 // proxyTo is proxyRequest with the target URL, path and query included,
-// already built.
-func proxyTo(req *vhttp.Request, url string) *vhttp.Request {
-	return &vhttp.Request{
+// already built. It returns the clone by value, so a proxy that keeps a
+// per-request record holds it there.
+func proxyTo(req *vhttp.Request, url string) vhttp.Request {
+	return vhttp.Request{
 		Method: req.Method,
 		URL:    url,
 		Header: req.Header,
