@@ -93,7 +93,13 @@ type Site struct {
 
 	hostNodes map[string]*hw.Node
 	edgeLink  *netsim.Link
+	// routes memoizes route by host pair: the topology is fixed once New
+	// returns, so each pair's path is computed once.
+	routes map[hostPair][]*netsim.Link
 }
+
+// hostPair is a route's (from, to) key.
+type hostPair struct{ from, to string }
 
 // flux2 aliases the flux instance type without a package-name clash in
 // struct fields.
@@ -109,6 +115,7 @@ func New(opts Options) *Site {
 	s := &Site{
 		Eng: eng, Fabric: fabric, Net: net,
 		hostNodes: make(map[string]*hw.Node),
+		routes:    make(map[hostPair][]*netsim.Link),
 	}
 
 	// --- shared infrastructure -------------------------------------------
@@ -250,8 +257,21 @@ func (s *Site) hostLink(host string) *netsim.Link {
 	return nil
 }
 
-// route computes the link path between hosts for large transfers.
+// route returns the link path between hosts for large transfers. The
+// slice is shared by every call for the pair, so callers must not modify
+// it; netsim copies the routes it keeps.
 func (s *Site) route(from, to string) []*netsim.Link {
+	k := hostPair{from, to}
+	links, ok := s.routes[k]
+	if !ok {
+		links = s.computeRoute(from, to)
+		s.routes[k] = links
+	}
+	return links
+}
+
+// computeRoute builds the link path between hosts from the topology.
+func (s *Site) computeRoute(from, to string) []*netsim.Link {
 	var links []*netsim.Link
 	if l := s.hostLink(from); l != nil {
 		links = append(links, l)

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cruntime"
 	"repro/internal/llm"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/vhttp"
 )
@@ -70,6 +72,75 @@ func TestRoutingTopology(t *testing.T) {
 		if l.ID == "route:hops-s3" {
 			t.Fatal("goodall traffic must not traverse the hops S3 route")
 		}
+	}
+}
+
+// TestRouteMemo: for every pair of the site's hosts, with the S3 and hub
+// names, an off-site host and a pod name among them, the memoized route
+// equals a fresh computation and is the same slice on every call, and a
+// transfer over it leaves the cached slice as it was.
+func TestRouteMemo(t *testing.T) {
+	s := New(Options{Small: true, Seed: 1})
+	hosts := []string{S3Host, HubHost, "laptop", "pod-vllm-1.goodall"}
+	for name := range s.hostNodes {
+		hosts = append(hosts, name)
+	}
+	slices.Sort(hosts)
+	for _, from := range hosts {
+		for _, to := range hosts {
+			got, want := s.Net.RouteFn(from, to), s.computeRoute(from, to)
+			if !slices.Equal(got, want) {
+				t.Fatalf("route %s→%s = %v, computed afresh %v", from, to, got, want)
+			}
+			if again := s.Net.RouteFn(from, to); len(got) > 0 && &again[0] != &got[0] {
+				t.Fatalf("route %s→%s: a second call built a new slice", from, to)
+			}
+		}
+	}
+	// A rate-capped transfer appends a cap link to its route: netsim must
+	// copy the route first, or the append could write into the cached
+	// slice's spare capacity.
+	route := s.Net.RouteFn("hops01", S3Host)
+	before := slices.Clone(route[:cap(route)])
+	var ok bool
+	s.Eng.Go("transfer", func(p *sim.Proc) {
+		ok = s.Fabric.Transfer(p, 1<<20, route, netsim.StartOptions{RateCap: netsim.Gbps(1)})
+	})
+	s.Eng.RunFor(time.Minute)
+	if !ok {
+		t.Fatal("the transfer over the cached route did not complete")
+	}
+	if !slices.Equal(route[:cap(route)], before) || !slices.Equal(s.Net.RouteFn("hops01", S3Host), before[:len(route)]) {
+		t.Fatalf("transfer changed the cached route: %v, was %v", route[:cap(route)], before)
+	}
+}
+
+// TestSiteHopAllocBudget: a hop through vhttp.Client.Do on the site's
+// network allocates only the parsed URL, as a hop on a bare vhttp.Net does
+// (TestClientDoAllocBudget): the route between two hosts is computed once
+// and shared by every later hop between them.
+func TestSiteHopAllocBudget(t *testing.T) {
+	s := New(Options{Small: true, Seed: 1})
+	resp := &vhttp.Response{Status: 200, Body: []byte("{}")}
+	s.Net.Listen("hops02", 8000, vhttp.ServiceFunc(func(*sim.Proc, *vhttp.Request) *vhttp.Response { return resp }),
+		vhttp.ListenOptions{})
+	if len(s.Net.RouteFn("hops01", "hops02")) == 0 {
+		t.Fatal("hops01→hops02 has no metered route")
+	}
+	c := &vhttp.Client{Net: s.Net, From: "hops01"}
+	req := &vhttp.Request{Method: "POST", Body: []byte(`{"model":"m"}`)}
+	var allocs float64
+	s.Eng.Go("client", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			req.URL = "http://hops02:8000/v1/chat/completions"
+			if got, err := c.Do(p, req); err != nil || got != resp {
+				t.Errorf("Do = %v, %v", got, err)
+			}
+		})
+	})
+	s.Eng.RunFor(time.Minute)
+	if allocs > 1 {
+		t.Fatalf("Client.Do on the site: %.1f allocs per hop, budget 1 (the parsed URL)", allocs)
 	}
 }
 
