@@ -638,6 +638,65 @@ func TestCaLPersistentOutlivesJobLimit(t *testing.T) {
 	})
 }
 
+// TestCaLRelaunch: a Compute-as-Login deployment whose engine died comes
+// back by relaunching its own container, with its deployed spec, on its
+// node; the deployment then serves from, and stops, the new container.
+// A batch deployment has no container of its own to relaunch.
+func TestCaLRelaunch(t *testing.T) {
+	s, d := newSite(t)
+	model := llm.Llama318B
+	run(t, s, func(p *sim.Proc) {
+		if err := SeedModel(p, s.HopsLustre, model); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DeployConfig{Model: model, TensorParallel: 1, MaxModelLen: 8192, Offline: true}
+		batch, err := d.Deploy(p, VLLMPackage(), PlatformHops, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer batch.Stop()
+		if err := batch.Relaunch(p); err == nil {
+			t.Fatal("Relaunch of a batch deployment succeeded")
+		}
+		cfg.Persistent = true
+		cal, err := d.Deploy(p, VLLMPackage(), PlatformHops, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := cal.containers[0]
+		old := cal.Engine()
+		old.Crash(fmt.Errorf("memory leak bug: OOM"))
+		p.Sleep(time.Minute)
+		if cal.Healthy(p) {
+			t.Fatal("CaL service healthy after its engine crashed")
+		}
+		if err := cal.Relaunch(p); err != nil {
+			t.Fatalf("Relaunch: %v", err)
+		}
+		if len(cal.containers) != 2 {
+			t.Fatalf("%d containers after a relaunch, want 2", len(cal.containers))
+		}
+		next := cal.containers[1]
+		if next.Node != first.Node || !slices.Equal(next.Spec.Args, first.Spec.Args) || next.Spec.Image != first.Spec.Image {
+			t.Fatalf("relaunched %s %v on %s, deployed %s %v on %s",
+				next.Spec.Image, next.Spec.Args, next.Node.Name, first.Spec.Image, first.Spec.Args, first.Node.Name)
+		}
+		for i := 0; i < 60 && !cal.Healthy(p); i++ {
+			p.Sleep(time.Minute)
+		}
+		if !cal.Healthy(p) {
+			t.Fatal("CaL service not healthy within an hour of its relaunch")
+		}
+		if e := cal.Engine(); e == nil || e == old {
+			t.Fatalf("Engine() = %p after the relaunch, the crashed one was %p", e, old)
+		}
+		cal.Stop()
+		if cal.Healthy(p) {
+			t.Fatal("Stop left the relaunched service up")
+		}
+	})
+}
+
 func TestReplicaSetDeploymentOnFlux(t *testing.T) {
 	// The replica-set path on the Flux platform (El Dorado): three Apptainer
 	// instances on distinct nodes, each a separate Flux allocation, behind

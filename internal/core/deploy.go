@@ -224,7 +224,8 @@ func (d *Deployer) deployCaL(p *sim.Proc, pkg *ContainerPackage, t *target, spec
 	if _, err := s.ProvisionCaL(node.Name, extPort, cfg.Port); err != nil {
 		return nil, err
 	}
-	dp := &Deployment{Name: pkg.Name, Platform: t.Platform, dep: d, calPort: extPort}
+	dp := &Deployment{Name: pkg.Name, Platform: t.Platform, dep: d, calPort: extPort,
+		target: t, calNode: node, calSpec: spec}
 	ctr, err := t.rt.Run(p, node, spec)
 	if err != nil {
 		s.CaL.RemoveRoute(extPort)
@@ -241,6 +242,24 @@ func (d *Deployer) deployCaL(p *sim.Proc, pkg *ContainerPackage, t *target, spec
 	dp.BaseURL = fmt.Sprintf("http://%s:%d", node.Name, cfg.Port)
 	dp.ExternalURL = fmt.Sprintf("http://%s:%d", site.CaLGateway, extPort)
 	return dp, nil
+}
+
+// Relaunch reruns a Compute-as-Login deployment's container on its node
+// with the spec it was deployed with: the command a user's cron job
+// re-runs once the service has died (§3.3). It returns once the container
+// is started, before it is ready; from then on the deployment serves
+// from, and Stop stops, the new container too.
+func (dp *Deployment) Relaunch(p *sim.Proc) error {
+	if dp.calNode == nil {
+		return fmt.Errorf("core: %s is not a Compute-as-Login deployment", dp.Name)
+	}
+	ctr, err := dp.target.rt.Run(p, dp.calNode, dp.calSpec)
+	if err != nil {
+		return err
+	}
+	dp.containers = append(dp.containers, ctr)
+	dp.server = serverOf(ctr)
+	return nil
 }
 
 // holdUntilDead parks the job script while the service lives.

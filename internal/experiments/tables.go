@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cruntime"
 	"repro/internal/hw"
 	"repro/internal/ingress"
 	"repro/internal/k8s"
@@ -232,26 +231,12 @@ func runIngressFailover(p *sim.Proc, s *site.Site, d *core.Deployer, opts Option
 		return nil, err
 	}
 	defer cdp.Stop()
-	var restarts int
-	node := cdp.BaseURL[len("http://") : len(cdp.BaseURL)-len(":8000")]
 	cron := &ingress.CronRestarter{
 		Net: s.Net, From: site.LoginHops,
 		HealthURL: cdp.BaseURL + "/health",
 		Interval:  5 * time.Minute,
-		Redeploy: func(rp *sim.Proc) error {
-			// The user re-runs their podman command on the CaL node.
-			pkg := core.VLLMPackage()
-			image, _ := pkg.ImageFor(hw.NVIDIA)
-			rt := core.AdaptPodman(s.Host, pkg)
-			spec := hpcSpecFor(d, pkg, image, ccfg)
-			ctr, err := rt.Run(rp, s.NodeByName(node), spec)
-			if err != nil {
-				return err
-			}
-			restarts++
-			_ = ctr
-			return nil
-		},
+		// The user re-runs their podman command on the CaL node.
+		Redeploy: cdp.Relaunch,
 	}
 	cron.Start(s.Eng)
 	defer cron.Stop()
@@ -274,20 +259,6 @@ func runIngressFailover(p *sim.Proc, s *site.Site, d *core.Deployer, opts Option
 		res.Notes = append(res.Notes, "Kubernetes self-healing beats cron-restart CaL, as §3.3 argues")
 	}
 	return res, nil
-}
-
-func hpcSpecFor(d *core.Deployer, pkg *core.ContainerPackage, image string, cfg core.DeployConfig) cruntime.Spec {
-	env := core.EnvFor(pkg, cfg.Offline)
-	env["HF_HOME"] = "/root/.cache/huggingface"
-	return cruntime.Spec{
-		Name: pkg.Name, Image: image, Env: env,
-		Mounts:      []cruntime.Mount{{FS: d.Site.HopsLustre, HostPath: "/models", CtrPath: "/vllm-workspace/models"}},
-		WorkingDir:  "/vllm-workspace/models",
-		Entrypoint:  []string{"vllm"},
-		Args:        cfg.ServeArgs(cfg.Model.Name),
-		GPUs:        cruntime.GPURequest{All: true},
-		NetworkHost: true, IPCHost: true, Port: cfg.Port,
-	}
 }
 
 // waitHealthy polls a health URL until 200 or deadline, returning the time
