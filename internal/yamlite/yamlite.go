@@ -11,6 +11,8 @@ package yamlite
 
 import (
 	"fmt"
+	"math"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -352,13 +354,75 @@ func parseScalar(s string) (any, error) {
 	case "false", "False", "FALSE":
 		return false, nil
 	}
-	if i, err := strconv.ParseInt(s, 0, 64); err == nil {
-		return i, nil
+	return coreNumber(s), nil
+}
+
+// The int and float forms of the YAML 1.2 core schema. Anything else that
+// strconv would read as a number — Go's 0b and legacy 0 prefixes, digit
+// separators, hex floats, NaN and Inf spelled without the dot — is a
+// string.
+var (
+	coreDecimal = regexp.MustCompile(`^[-+]?[0-9]+$`)
+	coreOctal   = regexp.MustCompile(`^0o[0-7]+$`)
+	coreHex     = regexp.MustCompile(`^0x[0-9a-fA-F]+$`)
+	coreFloat   = regexp.MustCompile(`^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$`)
+)
+
+// coreNumber reads a plain scalar that is not null or a bool: an int64 or
+// a float64 where the core schema says it is one, otherwise s itself. A
+// decimal int too large for int64 reads as the float nearest it, and a
+// float out of float64's range, or an octal or hex int out of int64's,
+// stays a string.
+func coreNumber(s string) any {
+	switch {
+	case coreOctal.MatchString(s):
+		if i, err := strconv.ParseInt(s[2:], 8, 64); err == nil {
+			return i
+		}
+		return s
+	case coreHex.MatchString(s):
+		if i, err := strconv.ParseInt(s[2:], 16, 64); err == nil {
+			return i
+		}
+		return s
+	case coreDecimal.MatchString(s):
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return i
+		}
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return f, nil
+	switch s {
+	case ".nan", ".NaN", ".NAN":
+		return math.NaN()
+	case ".inf", ".Inf", ".INF", "+.inf", "+.Inf", "+.INF":
+		return math.Inf(1)
+	case "-.inf", "-.Inf", "-.INF":
+		return math.Inf(-1)
 	}
-	return s, nil
+	if coreFloat.MatchString(s) {
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return f
+		}
+	}
+	return s
+}
+
+// formatFloat writes f so that coreNumber reads it back as the same
+// float64: NaN and the infinities in their core-schema spellings, and an
+// integral value with a ".0", which would otherwise read as an int.
+func formatFloat(f float64) string {
+	switch {
+	case math.IsNaN(f):
+		return ".nan"
+	case math.IsInf(f, 1):
+		return ".inf"
+	case math.IsInf(f, -1):
+		return "-.inf"
+	}
+	out := strconv.FormatFloat(f, 'g', -1, 64)
+	if !strings.ContainsAny(out, ".e") {
+		out += ".0"
+	}
+	return out
 }
 
 func unquote(s string) string {
@@ -519,7 +583,7 @@ func writeValue(b *strings.Builder, v any, indent int, inline bool) {
 	case int64:
 		b.WriteString(strconv.FormatInt(t, 10))
 	case float64:
-		b.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
+		b.WriteString(formatFloat(t))
 	default:
 		b.WriteString(fmt.Sprintf("%v", t))
 	}

@@ -1,6 +1,7 @@
 package yamlite
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -39,6 +40,34 @@ empty:
 	}
 	if !reflect.DeepEqual(m, want) {
 		t.Fatalf("got %#v\nwant %#v", m, want)
+	}
+}
+
+// TestCoreSchemaScalars: plain scalars read as ints and floats exactly
+// where the YAML 1.2 core schema says so; Go's other number spellings stay
+// strings.
+func TestCoreSchemaScalars(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want any
+	}{
+		{"080000", int64(80000)}, {"017", int64(17)}, {"+5", int64(5)}, {"0o17", int64(15)}, {"0x1F", int64(31)},
+		{"99999999999999999999", 1e20}, {"1e3", 1000.0}, {"5.", 5.0}, {".5", 0.5}, {"-.inf", math.Inf(-1)},
+		{".Inf", math.Inf(1)}, {"1e400", "1e400"},
+		{"NAN", "NAN"}, {"NaN", "NaN"}, {"Inf", "Inf"}, {"-Infinity", "-Infinity"}, {"1_000", "1_000"},
+		{"0b101", "0b101"}, {"0x1p-2", "0x1p-2"}, {"0X1F", "0X1F"}, {"0o-7", "0o-7"}, {"0xFFFFFFFFFFFFFFFFF", "0xFFFFFFFFFFFFFFFFF"},
+	} {
+		if got := mustParse(t, c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Parse(%q) = %#v, want %#v", c.in, got, c.want)
+		}
+	}
+	if got, ok := mustParse(t, ".nan").(float64); !ok || !math.IsNaN(got) {
+		t.Errorf("Parse(.nan) = %#v, want NaN", got)
+	}
+	for _, f := range []float64{80000, -0.5, 1e20, 1e-7, math.Inf(1), math.NaN()} {
+		if got := mustParse(t, string(Marshal(f))); !sameValue(got, f) {
+			t.Errorf("Marshal(%v) = %q, which parses to %#v", f, Marshal(f), got)
+		}
 	}
 }
 
@@ -419,4 +448,67 @@ func TestGetHelpers(t *testing.T) {
 	if Get(v, "a.missing.path") != nil || GetString(v, "nope", "def") != "def" {
 		t.Fatal("missing path defaults")
 	}
+}
+
+// FuzzParse: whatever Parse accepts, Marshal writes back in a form Parse
+// reads as the same value: core's Helm values go through Marshal and the
+// simulated chart reads them back with Parse.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"str: hello world\nnum: 42\nhex: 0x10\noct: 0o17\nfl: 3.14\nexp: 1e3\nyes: true\nnul: ~\n",
+		"image:\n  repository: \"vllm/vllm-openai\"\n  command: [\"vllm\", \"serve\", \"--port\", \"8000\"]\n",
+		"- a\n- {k: v, n: 1}\n- [1, 2.5, x]\n",
+		"script: |\n  line one\n  line two\nafter: 1\n",
+		"nan: .nan\ninf: -.inf\nzero: -0.0\n",
+		"1_000", "0b101", "0x1p-2", "99999999999999999999",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := Parse(data)
+		if err != nil {
+			return
+		}
+		out := Marshal(v)
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(%q) = %#v; Marshal wrote %q, which does not parse: %v", data, v, out, err)
+		}
+		if !sameValue(back, v) {
+			t.Fatalf("Parse(%q) = %#v; Marshal wrote %q, which parses to %#v", data, v, out, back)
+		}
+	})
+}
+
+// sameValue is reflect.DeepEqual on parsed trees, except that a NaN
+// equals a NaN.
+func sameValue(a, b any) bool {
+	switch a := a.(type) {
+	case map[string]any:
+		b, ok := b.(map[string]any)
+		if !ok || len(a) != len(b) {
+			return false
+		}
+		for k, av := range a {
+			if bv, ok := b[k]; !ok || !sameValue(av, bv) {
+				return false
+			}
+		}
+		return true
+	case []any:
+		b, ok := b.([]any)
+		if !ok || len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if !sameValue(a[i], b[i]) {
+				return false
+			}
+		}
+		return true
+	case float64:
+		b, ok := b.(float64)
+		return ok && (a == b || math.IsNaN(a) && math.IsNaN(b))
+	}
+	return reflect.DeepEqual(a, b)
 }
