@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Parse decodes a single YAML document into map[string]any, []any, or a
@@ -631,7 +632,7 @@ func isEmptyColl(v any) bool {
 }
 
 func quoteKey(k string) string {
-	if k == "" || strings.ContainsAny(k, ":#{}[],\"' ") {
+	if k == "" || strings.ContainsAny(k, ":#{}[],\"' ") || strings.ContainsFunc(k, unicode.IsControl) {
 		return strconv.Quote(k)
 	}
 	return k
@@ -641,8 +642,8 @@ func quoteString(s string) string {
 	if s == "" {
 		return `""`
 	}
-	needs := strings.ContainsAny(s, ":#{}[],&*?|>'\"%@`\n") ||
-		s == "-" || strings.HasPrefix(s, "- ") || s != strings.TrimSpace(s)
+	needs := strings.ContainsAny(s, ":#{}[],&*?|>'\"%@`") || strings.ContainsFunc(s, unicode.IsControl) ||
+		s == "-" || s == "---" || strings.HasPrefix(s, "- ") || s != strings.TrimSpace(s)
 	if !needs {
 		// Strings that would re-parse as another scalar type must be quoted.
 		if v, _ := parseScalar(s); v != s {
