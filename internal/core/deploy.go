@@ -224,8 +224,7 @@ func (d *Deployer) deployCaL(p *sim.Proc, pkg *ContainerPackage, t *target, spec
 	if _, err := s.ProvisionCaL(node.Name, extPort, cfg.Port); err != nil {
 		return nil, err
 	}
-	dp := &Deployment{Name: pkg.Name, Platform: t.Platform, dep: d, calPort: extPort,
-		target: t, calNode: node, calSpec: spec}
+	dp := &Deployment{Name: pkg.Name, Platform: t.Platform, dep: d, calPort: extPort, target: t}
 	ctr, err := t.rt.Run(p, node, spec)
 	if err != nil {
 		s.CaL.RemoveRoute(extPort)
@@ -250,10 +249,11 @@ func (d *Deployer) deployCaL(p *sim.Proc, pkg *ContainerPackage, t *target, spec
 // is started, before it is ready; from then on the deployment serves
 // from, and Stop stops, the new container too.
 func (dp *Deployment) Relaunch(p *sim.Proc) error {
-	if dp.calNode == nil {
+	if dp.calPort == 0 {
 		return fmt.Errorf("core: %s is not a Compute-as-Login deployment", dp.Name)
 	}
-	ctr, err := dp.target.rt.Run(p, dp.calNode, dp.calSpec)
+	c := dp.containers[0]
+	ctr, err := dp.target.rt.Run(p, c.Node, c.Spec)
 	if err != nil {
 		return err
 	}

@@ -299,11 +299,14 @@ func (d *Deployer) helmValues(pkg *ContainerPackage, image string, cfg DeployCon
 	if i := strings.LastIndex(image, ":"); i > strings.LastIndex(image, "/") {
 		repo, tag = image[:i], image[i+1:]
 	}
-	command := append([]string{"vllm", "serve", "/data/", "--host", "0.0.0.0",
+	command := []any{"vllm", "serve", "/data/", "--host", "0.0.0.0",
 		"--port", fmt.Sprint(cfg.Port),
 		"--served-model-name", cfg.RouteName(),
 		fmt.Sprintf("--tensor-parallel-size=%d", cfg.TensorParallel),
-	}, cfg.engineFlags()...)
+	}
+	for _, f := range cfg.engineFlags() {
+		command = append(command, f)
+	}
 	env := EnvFor(pkg, cfg.Offline)
 	env["HOME"] = "/data"
 	env["HF_HOME"] = "/data"
@@ -353,13 +356,8 @@ type Deployment struct {
 	cluster    *k8s.Cluster
 	ray        *ray.Cluster
 	calPort    int
-	// calNode and calSpec are the node and the container spec of a
-	// Compute-as-Login deployment, which Relaunch runs again with
-	// target's runtime.
-	calNode *hw.Node
-	calSpec cruntime.Spec
-	dep     *Deployer
-	stopped bool
+	dep        *Deployer
+	stopped    bool
 
 	// Replica-set deployments: the child instances and the load-balancing
 	// gateway fronting them (BaseURL points at the gateway endpoint). The

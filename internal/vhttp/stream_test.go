@@ -128,9 +128,9 @@ func TestStreamHeldChunkSurvivesPushes(t *testing.T) {
 
 // TestStreamBufferBoundedWhenNeverDrained: a reader that stays one chunk
 // behind never drains the stream, and still the buffer keeps no more than
-// its first size, or about twice the bytes it has not read when that is
-// more: chunks handed out are dropped as the reader moves on, not only
-// once it catches up.
+// about twice the bytes it has not read: chunks handed out are dropped as
+// the reader moves on, not only once it catches up. Its backing array
+// stays within the first buffer, or that same bound when it is larger.
 func TestStreamBufferBoundedWhenNeverDrained(t *testing.T) {
 	e, _ := newTestNet(t)
 	s := &BodyStream{}
@@ -144,6 +144,11 @@ func TestStreamBufferBoundedWhenNeverDrained(t *testing.T) {
 			peak = max(peak, len(s.buf)-s.read)
 			if c, ok := s.Next(p); !ok || string(c.Data) != data(i-1) {
 				t.Errorf("chunk %d = %q, want %q", i-1, c.Data, data(i-1))
+				return
+			}
+			if limit := 2*peak + size; len(s.buf) > limit {
+				t.Errorf("after %d chunks len(buf) = %d, want at most %d (twice the peak %d unread bytes plus one chunk)",
+					i, len(s.buf), limit, peak)
 				return
 			}
 			// The first buffer is streamBufBytes whatever is unread.

@@ -572,9 +572,24 @@ func writeValue(b *strings.Builder, v any, indent int, inline bool) {
 			}
 		}
 	case []any:
-		writeSeq(b, t, pad, indent)
-	case []string:
-		writeSeq(b, t, pad, indent)
+		if len(t) == 0 {
+			b.WriteString("[]")
+			return
+		}
+		for i, item := range t {
+			if i > 0 {
+				b.WriteString("\n")
+			}
+			b.WriteString(pad)
+			b.WriteString("-")
+			if isScalar(item) || isEmptyColl(item) {
+				b.WriteString(" ")
+				writeValue(b, item, 0, true)
+			} else {
+				b.WriteString(" ")
+				writeValue(b, item, indent+2, true)
+			}
+		}
 	case string:
 		b.WriteString(quoteString(t))
 	case bool:
@@ -587,27 +602,6 @@ func writeValue(b *strings.Builder, v any, indent int, inline bool) {
 		b.WriteString(formatFloat(t))
 	default:
 		b.WriteString(fmt.Sprintf("%v", t))
-	}
-}
-
-// writeSeq writes a block sequence, one "- item" per element; a []string
-// is written as the []any of its strings is.
-func writeSeq[E any](b *strings.Builder, items []E, pad string, indent int) {
-	if len(items) == 0 {
-		b.WriteString("[]")
-		return
-	}
-	for i, item := range items {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(pad)
-		b.WriteString("- ")
-		if isScalar(item) || isEmptyColl(item) {
-			writeValue(b, item, 0, true)
-		} else {
-			writeValue(b, item, indent+2, true)
-		}
 	}
 }
 
@@ -624,8 +618,6 @@ func isEmptyColl(v any) bool {
 	case map[string]any:
 		return len(t) == 0
 	case []any:
-		return len(t) == 0
-	case []string:
 		return len(t) == 0
 	}
 	return false
