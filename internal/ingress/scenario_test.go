@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"testing"
@@ -448,6 +449,14 @@ type scenarioResult struct {
 func runScenario(t *testing.T, sc scenario) *scenarioResult {
 	t.Helper()
 	eng := sim.NewEngine(1)
+	// Every executed event folds into one digest, checked against the
+	// scenario's entry in scenarioEventDigests: a change that moves any
+	// event's time or order shows up even where every outcome assertion
+	// still holds.
+	events := fnv.New64a()
+	eng.Trace = func(at time.Time, label string) {
+		fmt.Fprintf(events, "%d %s\n", at.UnixNano(), label)
+	}
 	net := vhttp.NewNet(netsim.New(eng))
 	result := &scenarioResult{
 		meanTTFT:     map[string]float64{},
@@ -863,7 +872,33 @@ func runScenario(t *testing.T, sc scenario) *scenarioResult {
 	if !done {
 		t.Fatal("scenario did not finish within the simulated time budget")
 	}
+	got := fmt.Sprintf("%016x", events.Sum64())
+	if want, ok := scenarioEventDigests[sc.name]; !ok {
+		t.Errorf("scenario %s has no pinned event digest (this run: %s)", sc.name, got)
+	} else if got != want {
+		t.Errorf("scenario %s: event digest %s, pinned %s", sc.name, got, want)
+	}
 	return result
+}
+
+// scenarioEventDigests pins each scenario's FNV-64a digest over every
+// executed sim event ("<unix nanos> <label>" lines). A change that keeps
+// behaviour fixed reproduces every entry; one that declares a behaviour
+// change updates the entries it moves in its own diff.
+var scenarioEventDigests = map[string]string{
+	"model-mix-steady-state":            "88717fe8303a35a1",
+	"burst-with-reclaim":                "87d6e3392e38ac4d",
+	"unknown-model-name":                "0bd3158f0506f467",
+	"slo-shed-under-burst":              "202bd3eda47c63e4",
+	"session-affinity-cache-hit":        "64ef539fd8a2dda0",
+	"single-replica-crash-during-burst": "a598fd547851ad40",
+	"prefix-cache-session":              "dafb0e9c46a6a7f9",
+	"prefix-cache-round-robin":          "96b2d45c01a4a085",
+	"cache-aware-drain":                 "86917f998de83431",
+	"blind-drain":                       "dafce00f606f744a",
+	"deadline-sched":                    "79834c51ff7f86b0",
+	"fcfs-sched":                        "3c2c7f6f9f7a3f4f",
+	"workload-fleet-scale":              "789fa9c2942e5c77",
 }
 
 // runConversations drives a model's multi-turn conversations: strictly
