@@ -25,6 +25,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/site"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/vhttp"
 	"repro/internal/workload"
 )
@@ -144,7 +145,7 @@ func main() {
 			fmt.Printf("# serving %s on %s: %d replicas behind %s (%s routing)\n",
 				m.Short, pf.Name, len(dp.Replicas()), dp.BaseURL, gw.Policy)
 			if *traceOn {
-				gw.TraceSampleEvery = traceSampleStride
+				gw.Tracer = &trace.Recorder{SampleEvery: traceSampleStride}
 			}
 		} else {
 			fmt.Printf("# serving %s on %s at %s\n", m.Short, pf.Name, dp.BaseURL)
@@ -320,7 +321,7 @@ func benchFleet(p *sim.Proc, s *site.Site, d *core.Deployer, pf core.Platform, e
 		len(fl.Models()), pf.Name, fl.BaseURL, bc.poolNodes)
 	if bc.trace {
 		for _, name := range fl.Models() {
-			fl.Deployment(name).Gateway().TraceSampleEvery = traceSampleStride
+			fl.Deployment(name).Gateway().Tracer = &trace.Recorder{SampleEvery: traceSampleStride}
 		}
 	}
 	ds := sharegpt.Synthesize(bc.seed, 4000)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/vhttp"
 )
 
@@ -37,7 +38,7 @@ func requireAllocBudget(t *testing.T, name string, budget float64, fn func()) {
 // untagged traffic — which is exactly the path that must stay alloc-free.
 func enableTracing(router *Router, names []string) {
 	for _, name := range names {
-		router.Gateway(name).TraceSampleEvery = 1 << 30
+		router.Gateway(name).Tracer = &trace.Recorder{SampleEvery: 1 << 30}
 	}
 }
 

@@ -194,14 +194,10 @@ type Gateway struct {
 	AutoscaleStatus func() any
 	// Tracer is the per-gateway trace recorder (created on first use when
 	// nil). Requests carrying an X-Trace-Id header are always traced;
-	// others are sampled per the recorder's rate. Settled traces serve on
-	// /traces.
+	// others are sampled per the recorder's SampleEvery, which the default
+	// recorder leaves at 0: it traces only explicit X-Trace-Id requests.
+	// Settled traces serve on /traces.
 	Tracer *trace.Recorder
-	// TraceSampleEvery, when positive, overrides the recorder's sampling
-	// rate (1 = trace everything; re-synced every request so post-Start
-	// changes take effect). 0 leaves the recorder's own setting — the
-	// default recorder then traces only explicit X-Trace-Id requests.
-	TraceSampleEvery int
 
 	eng      *sim.Engine
 	backends []*Backend
@@ -210,8 +206,8 @@ type Gateway struct {
 	stats telemetry.GatewayCounters
 	holdq sched.Queue // requests parked waiting for a routable replica
 	// client is the pooled transport shared by the probe loop and every
-	// forward; vhttp.Client carries no per-request state, so one instance
-	// replaces the old per-call allocation.
+	// forward, built by Start; vhttp.Client carries no per-request state,
+	// so one instance replaces the old per-call allocation.
 	client *vhttp.Client
 	// cands and candBackends back the candidate snapshot handed to
 	// admission and the picker, index for index. The request path
@@ -252,7 +248,7 @@ func (g *Gateway) AddBackend(name, host string, port int) *Backend {
 	b.url = "http://" + host + ":" + strconv.Itoa(port)
 	b.chatURL = b.url + chatPath
 	g.backends = append(g.backends, b)
-	g.wakeHeld()
+	g.holdq.WakeAll()
 	return b
 }
 
@@ -291,12 +287,6 @@ func (g *Gateway) detach(b *Backend) {
 	if b.drained != nil {
 		b.drained.Fire()
 	}
-}
-
-// wakeHeld releases requests parked waiting for a routable backend, in
-// priority order (interactive before batch, FIFO within a class).
-func (g *Gateway) wakeHeld() {
-	g.holdq.WakeAll()
 }
 
 // Backends lists registered backends (draining ones included until detach).
@@ -413,6 +403,7 @@ func (g *Gateway) Start(eng *sim.Engine) error {
 		}
 	}
 	g.eng = eng
+	g.client = &vhttp.Client{Net: g.Net, From: g.Host}
 	g.started = true
 	eng.Go("gateway-"+g.Host, func(p *sim.Proc) {
 		for !g.stopped {
@@ -441,7 +432,7 @@ func (g *Gateway) Stop() {
 		return
 	}
 	g.stopped = true
-	g.wakeHeld()
+	g.holdq.WakeAll()
 	if !g.Unbound {
 		g.Net.Unlisten(g.Host, g.Port)
 	}
@@ -459,30 +450,21 @@ func (g *Gateway) Serviceable() bool {
 // only — so placement and scaling see the engine's full signal set
 // (KV usage, cache hit rates, class mix) rather than two scraped gauges.
 func (g *Gateway) probe(p *sim.Proc, b *Backend) {
-	client := g.httpClient()
-	resp, err := client.Get(p, b.URL()+"/health")
+	resp, err := g.client.Get(p, b.URL()+"/health")
 	wasRoutable := b.routable()
 	b.healthy = err == nil && resp.Status == 200
 	if !b.healthy {
 		return
 	}
 	if !wasRoutable && b.routable() {
-		g.wakeHeld()
+		g.holdq.WakeAll()
 	}
-	if tresp, err := client.Get(p, b.URL()+telemetry.Path); err == nil && tresp.Status == 200 {
+	if tresp, err := g.client.Get(p, b.URL()+telemetry.Path); err == nil && tresp.Status == 200 {
 		if snap, derr := telemetry.Decode(tresp.Body); derr == nil {
 			b.snap = snap
 			b.scrapeInflight = b.inflight
 		}
 	}
-}
-
-// httpClient returns the gateway's pooled transport, created on first use.
-func (g *Gateway) httpClient() *vhttp.Client {
-	if g.client == nil {
-		g.client = &vhttp.Client{Net: g.Net, From: g.Host}
-	}
-	return g.client
 }
 
 // views builds the scheduling layer's candidates for the routable
@@ -544,14 +526,6 @@ func (g *Gateway) pickFrom(cands []sched.Candidate, backends []*Backend, sreq *s
 		return backends[i]
 	}
 	return nil
-}
-
-// describe derives the request's scheduling attributes from headers and
-// the JSON body (lenient: a non-JSON body just yields defaults).
-func (g *Gateway) describe(req *vhttp.Request) sched.Request {
-	sreq, _ := sched.Describe(req.Header, req.Body)
-	g.normalize(&sreq)
-	return sreq
 }
 
 // normalize pins the descriptor to this replica set, resolves the default
@@ -639,8 +613,8 @@ func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, cands []sched.Candidat
 // fills in, tracking in-flight load. A draining backend detaches once its
 // last in-flight request completes. Streamed responses keep their
 // in-flight slot until the consumer drains the body — the replica is
-// still generating after the headers return — released by dispatch's
-// watchedStream.
+// still generating after the headers return — released by the dispatch
+// record when the stream ends.
 func (g *Gateway) forward(p *sim.Proc, b *Backend, req, inner *vhttp.Request) (*vhttp.Response, error) {
 	url := b.chatURL
 	if req.Path != chatPath || len(req.Query) != 0 {
@@ -649,7 +623,7 @@ func (g *Gateway) forward(p *sim.Proc, b *Backend, req, inner *vhttp.Request) (*
 	*inner = proxyTo(req, url)
 	b.inflight++
 	b.requests++
-	resp, err := g.httpClient().Do(p, inner)
+	resp, err := g.client.Do(p, inner)
 	if err == nil && resp.Stream != nil && resp.Status < 500 {
 		return resp, nil
 	}
@@ -666,131 +640,23 @@ func (g *Gateway) release(b *Backend) {
 	}
 }
 
-// watchedStream observes a proxied stream's end without buffering it:
-// chunks pass straight through (zero-copy), and done runs when the
-// consumer reaches end of stream, cleanly or truncated.
-type watchedStream struct {
-	src   vhttp.ChunkReader
-	g     *Gateway
-	b     *Backend
-	start time.Time
-	// tr is the gateway's trace of a traced request and et the engine's
-	// span context it merges at the end (both nil when untraced).
-	tr, et *trace.Trace
-	fin    bool
-}
-
-// Next implements vhttp.ChunkReader.
-func (w *watchedStream) Next(p *sim.Proc) (vhttp.Chunk, bool) {
-	c, ok := w.src.Next(p)
-	if !ok && !w.fin {
-		w.fin = true
-		w.done(p, w.src.Err())
-	}
-	return c, ok
-}
-
-// Err implements vhttp.ChunkReader.
-func (w *watchedStream) Err() error { return w.src.Err() }
-
-// finishStream arranges end-of-body accounting for a streamed response,
-// watched through w: the latency sample covers the whole body rather than
-// time-to-headers, the replica's in-flight slot releases when the stream
-// drains, and a truncated stream (replica died mid-generation) is charged
-// as a backend failure. Truncations are never retried — the first byte
-// already reached the client, so failover happens only on the buffered
-// pre-first-byte error path.
-//
-// A traced request settles here too: the engine's span context rides
-// Response.Trace (a live pointer — the decode span is recorded at engine
-// finish, before the terminal chunk is drained), the drain span covers
-// decode-end to stream EOF on the shared virtual clock, and the merged
-// trace is recorded once the consumer reaches end of stream.
-func (g *Gateway) finishStream(w *watchedStream, b *Backend, resp *vhttp.Response, start time.Time, tr *trace.Trace) {
-	g.stats.Streams++
-	var et *trace.Trace
-	if e, ok := resp.Trace.(*trace.Trace); ok {
-		et = e
-		resp.Trace = nil
-	}
-	if tr != nil {
-		tr.Streamed = true
-	}
-	*w = watchedStream{src: resp.Stream, g: g, b: b, start: start, tr: tr, et: et}
-	resp.Stream = w
-}
-
-// done is the stream's end-of-body accounting (see finishStream).
-func (w *watchedStream) done(p *sim.Proc, err error) {
-	g, b, tr := w.g, w.b, w.tr
-	g.release(b)
-	if err != nil {
-		b.failures++
-		g.stats.StreamsTruncated++
-	}
-	now := p.Now()
-	g.latencies.Observe(now, float64(now.Sub(w.start))/float64(time.Millisecond))
-	if tr == nil {
-		return
-	}
-	tr.Merge(w.et)
-	if tr.Replica == "" {
-		tr.Replica = b.Name
-	}
-	// Drain: from engine-side completion (decode span end) to the client
-	// consuming the last chunk. Valid cross-layer arithmetic — every layer
-	// shares one virtual clock.
-	drainStart := now
-	if end, ok := tr.SpanEnd(trace.StageDecode); ok && end.Before(now) {
-		drainStart = end
-	}
-	tr.Observe(trace.StageDrain, drainStart, now)
-	errMsg := ""
-	if err != nil {
-		errMsg = "stream truncated: " + err.Error()
-	}
-	tr.Finish(now, errMsg)
-	g.tracer().Record(tr)
-}
-
-// hold parks a request until a backend becomes routable (cold start) or the
-// deadline passes, queued by priority class. Returns the picked backend, or
-// nil on timeout/stop. The deadline is fixed at request arrival so a
-// request re-held after its replica died cannot wait more than one
-// ColdStartWait in total.
-func (g *Gateway) hold(p *sim.Proc, sreq *sched.Request, deadline time.Time) *Backend {
-	ticket := g.holdq.Push(sreq.Class)
-	defer g.holdq.Remove(ticket)
-	for !g.stopped {
-		remain := deadline.Sub(p.Now())
-		if remain <= 0 {
-			return nil
-		}
-		wake := p.Engine().NewSignal()
-		ticket.SetWake(wake.Fire)
-		p.WaitTimeout(wake, remain)
-		if b := g.pickFor(sreq, nil); b != nil {
-			return b
-		}
-	}
-	return nil
-}
-
 // Serve implements vhttp.Service: the virtual endpoint's request path.
+// Inference traffic's scheduling attributes come from its headers and JSON
+// body, read leniently: a non-JSON body just yields defaults.
 func (g *Gateway) Serve(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 	if resp := g.control(p, req); resp != nil {
 		return resp
 	}
-	return g.dispatch(p, req, g.describe(req))
+	sreq, _ := sched.Describe(req.Header, req.Body)
+	return g.ServeDescribed(p, req, sreq)
 }
 
-// ServeDescribed is Serve for a request whose scheduling attributes were
-// already derived — a fronting Router parses the body once and hands the
-// descriptor down, so the per-model gateway does not re-parse.
+// ServeDescribed dispatches inference traffic whose scheduling attributes
+// were already derived — a fronting Router parses the body once and hands
+// the descriptor down, so the per-model gateway does not re-parse. It
+// answers none of the gateway's own endpoints: the Router calls it only
+// for the chat and completions paths, which control never serves.
 func (g *Gateway) ServeDescribed(p *sim.Proc, req *vhttp.Request, sreq sched.Request) *vhttp.Response {
-	if resp := g.control(p, req); resp != nil {
-		return resp
-	}
 	g.normalize(&sreq)
 	return g.dispatch(p, req, sreq)
 }
@@ -936,24 +802,46 @@ func (g *Gateway) Observe(now time.Time) telemetry.ModelObservation {
 	return obs
 }
 
-// dispatchRecord is the gateway's one record per dispatched request: the
-// scheduling descriptor, the request proxied to the picked replica, and
-// the watch on a streamed reply's body. A retry proxies through a copy of
-// its own, so the first attempt's stays as its replica saw it.
+// dispatchRecord is the gateway's one record per dispatched request, and
+// the one place a request ends: every exit of dispatch settles through it.
+// It holds the scheduling descriptor, the request proxied to the picked
+// replica, the cold-start budget, the trace, and the answering replica
+// with, for a streamed reply, the upstream body. A retry proxies through a
+// copy of its own, so the first attempt's stays as its replica saw it.
+//
+// For a streamed reply the record is the body the client drains: chunks
+// pass straight through (zero-copy), and the end of the stream, clean or
+// truncated, settles the request.
 type dispatchRecord struct {
+	g     *Gateway
 	sreq  sched.Request
 	inner vhttp.Request
-	watch watchedStream
+	start time.Time
+	// deadline is the request's one cold-start budget, fixed at arrival and
+	// shared between the arrival hold and a possible re-hold after a
+	// forward failure; held marks that the request was counted held.
+	deadline time.Time
+	held     bool
+	// tr is the gateway's trace of a traced request and et the engine's
+	// span context it merges when the request settles (both nil when
+	// untraced).
+	tr, et *trace.Trace
+	// b is the replica whose reply the client gets (nil until one
+	// answers), and body that reply's upstream stream when it streams.
+	b    *Backend
+	body vhttp.ChunkReader
+	fin  bool
 }
 
 // dispatch is the scheduling path shared by Serve and ServeDescribed:
 // admission, pick (holding through cold starts), forward, one retry.
 func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, desc sched.Request) *vhttp.Response {
-	rec := &dispatchRecord{sreq: desc}
-	sreq := &rec.sreq
 	g.stats.Requests++
 	start := p.Now()
+	rec := &dispatchRecord{g: g, sreq: desc, start: start, deadline: start.Add(g.ColdStartWait)}
+	sreq := &rec.sreq
 	tr := g.startTrace(req, sreq, start)
+	rec.tr = tr
 	if sreq.PrefixKey == 0 && g.Policy == PolicyPrefix && req.Path == chatPath {
 		// Cache-aware placement needs the leading prompt-block key, folded
 		// from the messages Describe scanned without allocating. 0 (short
@@ -961,27 +849,13 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, desc sched.Request) 
 		// routing.
 		sreq.PrefixKey = vllm.ChatPrefixKeyOf(vllm.DefaultBlockSize, sreq.Messages)
 	}
-	// One cold-start budget and one Held count per request, shared between
-	// the arrival hold and a possible re-hold after a forward failure.
-	holdDeadline := start.Add(g.ColdStartWait)
-	held := false
-	enterHold := func() *Backend {
-		if !held {
-			held = true
-			g.stats.Held++
-		}
-		holdStart := p.Now()
-		b := g.hold(p, sreq, holdDeadline)
-		tr.Observe(trace.StageHold, holdStart, p.Now())
-		return b
-	}
 	// One routable-set snapshot serves both the admission decision and the
 	// first pick; nothing yields between them.
 	cands, backends := g.views(nil)
 	if out := g.admit(p, sreq, cands); !out.Admit {
 		g.stats.Rejected++
 		g.noteShed(sreq.Class)
-		g.abortTrace(tr, p.Now(), "shed: "+out.Reason)
+		rec.settle(p.Now(), "shed: "+out.Reason)
 		resp := vhttp.Text(503, "503 Service Unavailable (gateway): "+out.Reason)
 		resp.SetHeader("Retry-After", strconv.Itoa(out.RetryAfter))
 		return resp
@@ -989,14 +863,11 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, desc sched.Request) 
 	tr.Observe(trace.StageAdmission, start, p.Now())
 	b := g.pickFrom(cands, backends, sreq)
 	if b == nil && g.HoldColdStart {
-		b = enterHold()
-		if b == nil {
-			g.stats.Errors++
-			g.abortTrace(tr, p.Now(), "cold-start hold expired")
-			return vhttp.Text(503, "503 Service Unavailable (gateway): no replica became available within the cold-start window")
+		if b = rec.hold(p); b == nil {
+			return rec.fail(p, 503, coldStartExpired, "cold-start hold expired")
 		}
 	}
-	if !held {
+	if !rec.held {
 		// A routable replica was there on arrival: record the hold stage
 		// as zero-duration so every settled trace carries the full stage
 		// decomposition and a waterfall never has to guess whether a
@@ -1004,80 +875,187 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, desc sched.Request) 
 		tr.Observe(trace.StageHold, p.Now(), p.Now())
 	}
 	if b == nil {
-		g.stats.Errors++
-		g.abortTrace(tr, p.Now(), "no healthy replicas")
-		return vhttp.Text(502, "502 Bad Gateway (gateway): no healthy replicas")
+		return rec.fail(p, 502, "502 Bad Gateway (gateway): no healthy replicas", "no healthy replicas")
 	}
 	// The pick itself is instantaneous in virtual time; the zero-duration
 	// span marks when the decision landed (after any hold) and on whom.
 	tr.Observe(trace.StagePick, p.Now(), p.Now())
 	g.noteAndWarm(sreq, b, req)
 	g.stampSchedHints(req, sreq)
-	resp, err := g.forward(p, b, req, &rec.inner)
-	if err == nil && resp.Status < 500 {
-		if resp.Stream != nil {
-			g.finishStream(&rec.watch, b, resp, start, tr)
-		} else {
-			g.latencies.Observe(p.Now(), float64(p.Now().Sub(start))/float64(time.Millisecond))
-			g.settleTrace(tr, resp, b, p.Now(), "")
+	inner := &rec.inner
+	for retry := false; ; retry = true {
+		resp, err := g.forward(p, b, req, inner)
+		if err == nil && resp.Status < 500 {
+			return rec.deliver(p, b, resp)
 		}
-		return resp
-	}
-	// First choice failed: a transport error means the replica endpoint is
-	// gone (engine crashed, container exited) — take it out of rotation
-	// until a probe revives it. A 5xx with a live endpoint (request failed
-	// mid-flight on a dying engine) is retried without marking, since the
-	// next probe decides. Either way: one retry on a different replica.
-	b.failures++
-	if err != nil {
-		b.healthy = false
-	}
-	b2 := g.pickFor(sreq, b)
-	if b2 == nil && err != nil && g.HoldColdStart {
-		// The failed attempt consumed the only routable replica (a fresh
-		// cold-started instance can die on its first request). With
-		// cold-start holding on, park the request again — on its original
-		// budget — rather than surface a 502 the next scale-up would have
-		// absorbed.
-		b2 = enterHold()
-		if b2 == nil {
-			g.stats.Errors++
-			g.abortTrace(tr, p.Now(), "cold-start hold expired after replica failure")
-			return vhttp.Text(503, "503 Service Unavailable (gateway): no replica became available within the cold-start window")
-		}
-	}
-	if b2 == nil {
-		g.stats.Errors++
+		// The attempt failed: a transport error means the replica endpoint
+		// is gone (engine crashed, container exited) — take it out of
+		// rotation until a probe revives it. A 5xx with a live endpoint
+		// (request failed mid-flight on a dying engine) is retried without
+		// marking, since the next probe decides. Either way the first
+		// failure gets one retry on a different replica.
+		b.failures++
 		if err != nil {
-			g.abortTrace(tr, p.Now(), "replica unreachable: "+err.Error())
-			return vhttp.Text(502, "502 Bad Gateway (gateway): replica "+b.Name+" unreachable: "+err.Error())
+			b.healthy = false
 		}
-		g.abortTrace(tr, p.Now(), "upstream 5xx with no retry candidate")
+		var next *Backend
+		if !retry {
+			next = g.pickFor(sreq, b)
+			if next == nil && err != nil && g.HoldColdStart {
+				// The failed attempt consumed the only routable replica (a
+				// fresh cold-started instance can die on its first
+				// request). With cold-start holding on, park the request
+				// again — on its original budget — rather than surface a
+				// 502 the next scale-up would have absorbed.
+				if next = rec.hold(p); next == nil {
+					return rec.fail(p, 503, coldStartExpired, "cold-start hold expired after replica failure")
+				}
+			}
+		}
+		if next == nil {
+			switch {
+			case err != nil && retry:
+				return rec.fail(p, 502, "502 Bad Gateway (gateway): retry on "+b.Name+" failed: "+err.Error(), "retry unreachable: "+err.Error())
+			case err != nil:
+				return rec.fail(p, 502, "502 Bad Gateway (gateway): replica "+b.Name+" unreachable: "+err.Error(), "replica unreachable: "+err.Error())
+			}
+			// A live replica's 5xx reaches the client as it came.
+			msg := "upstream 5xx with no retry candidate"
+			if retry {
+				msg = "upstream 5xx on retry"
+			}
+			g.stats.Errors++
+			rec.settle(p.Now(), msg)
+			return resp
+		}
+		g.stats.Retries++
+		if tr != nil {
+			tr.Retries++
+		}
+		b, inner = next, new(vhttp.Request)
+	}
+}
+
+// coldStartExpired is the 503 text of a request whose cold-start budget
+// ran out before any replica became routable.
+const coldStartExpired = "503 Service Unavailable (gateway): no replica became available within the cold-start window"
+
+// hold parks the request until a backend becomes routable (cold start) or
+// its cold-start budget runs out, queued by priority class, and records
+// the hold span. Returns the picked backend, or nil on timeout/stop. The
+// request counts as held once however often it parks, and the budget is
+// fixed at arrival, so a request re-held after its replica died cannot
+// wait more than one ColdStartWait in total.
+func (r *dispatchRecord) hold(p *sim.Proc) *Backend {
+	g := r.g
+	if !r.held {
+		r.held = true
+		g.stats.Held++
+	}
+	holdStart := p.Now()
+	ticket := g.holdq.Push(r.sreq.Class)
+	defer g.holdq.Remove(ticket)
+	var b *Backend
+	for !g.stopped && b == nil {
+		remain := r.deadline.Sub(p.Now())
+		if remain <= 0 {
+			break
+		}
+		wake := p.Engine().NewSignal()
+		ticket.SetWake(wake.Fire)
+		p.WaitTimeout(wake, remain)
+		b = g.pickFor(&r.sreq, nil)
+	}
+	r.tr.Observe(trace.StageHold, holdStart, p.Now())
+	return b
+}
+
+// deliver hands b's reply to the client. The engine's span context rides
+// Response.Trace and never propagates past the gateway — clients read
+// settled traces from /traces, not response internals. A buffered reply
+// settles now. A streamed one settles when the client drains it, so its
+// latency sample covers the whole body rather than time-to-headers, and
+// the replica keeps its in-flight slot until then: the record takes the
+// upstream body's place.
+func (r *dispatchRecord) deliver(p *sim.Proc, b *Backend, resp *vhttp.Response) *vhttp.Response {
+	r.b = b
+	if et, ok := resp.Trace.(*trace.Trace); ok {
+		r.et, resp.Trace = et, nil
+	}
+	if resp.Stream == nil {
+		r.settle(p.Now(), "")
 		return resp
 	}
-	g.stats.Retries++
-	if tr != nil {
-		tr.Retries++
+	r.g.stats.Streams++
+	if r.tr != nil {
+		r.tr.Streamed = true
 	}
-	resp2, err2 := g.forward(p, b2, req, new(vhttp.Request))
-	if err2 != nil {
-		b2.failures++
-		b2.healthy = false
-		g.stats.Errors++
-		g.abortTrace(tr, p.Now(), "retry unreachable: "+err2.Error())
-		return vhttp.Text(502, "502 Bad Gateway (gateway): retry on "+b2.Name+" failed: "+err2.Error())
+	r.body, resp.Stream = resp.Stream, r
+	return resp
+}
+
+// Next implements vhttp.ChunkReader. At the end of the stream the replica's
+// in-flight slot is released, and a truncated stream (replica died
+// mid-generation) is charged as a backend failure. Truncations are never
+// retried — the first byte already reached the client, so failover happens
+// only on the buffered pre-first-byte error path.
+func (r *dispatchRecord) Next(p *sim.Proc) (vhttp.Chunk, bool) {
+	c, ok := r.body.Next(p)
+	if ok || r.fin {
+		return c, ok
 	}
-	if resp2.Status >= 500 {
-		b2.failures++
-		g.stats.Errors++
-		g.abortTrace(tr, p.Now(), "upstream 5xx on retry")
-	} else if resp2.Stream != nil {
-		g.finishStream(&rec.watch, b2, resp2, start, tr)
-	} else {
-		g.latencies.Observe(p.Now(), float64(p.Now().Sub(start))/float64(time.Millisecond))
-		g.settleTrace(tr, resp2, b2, p.Now(), "")
+	r.fin = true
+	r.g.release(r.b)
+	errMsg := ""
+	if err := r.body.Err(); err != nil {
+		r.b.failures++
+		r.g.stats.StreamsTruncated++
+		errMsg = "stream truncated: " + err.Error()
 	}
-	return resp2
+	r.settle(p.Now(), errMsg)
+	return c, ok
+}
+
+// Err implements vhttp.ChunkReader.
+func (r *dispatchRecord) Err() error { return r.body.Err() }
+
+// fail ends the request with the gateway's own error reply: one error
+// counted, the trace settled with traceMsg, and status with text returned.
+func (r *dispatchRecord) fail(p *sim.Proc, status int, text, traceMsg string) *vhttp.Response {
+	r.g.stats.Errors++
+	r.settle(p.Now(), traceMsg)
+	return vhttp.Text(status, text)
+}
+
+// settle records the request's end at now. A request a replica answered
+// gives its end-to-end latency sample. A traced request's trace merges the
+// engine's spans, adopts the answering replica (a request that got no reply
+// has neither), and is finished and recorded. A streamed reply also gets
+// its drain span, from engine-side completion (decode span end) to the
+// client consuming the last chunk — the decode span is recorded at engine
+// finish, before the terminal chunk is drained. Valid cross-layer
+// arithmetic: every layer shares one virtual clock.
+func (r *dispatchRecord) settle(now time.Time, errMsg string) {
+	if r.b != nil {
+		r.g.latencies.Observe(now, float64(now.Sub(r.start))/float64(time.Millisecond))
+	}
+	tr := r.tr
+	if tr == nil {
+		return
+	}
+	tr.Merge(r.et)
+	if tr.Replica == "" && r.b != nil {
+		tr.Replica = r.b.Name
+	}
+	if r.body != nil {
+		drainStart := now
+		if end, ok := tr.SpanEnd(trace.StageDecode); ok && end.Before(now) {
+			drainStart = end
+		}
+		tr.Observe(trace.StageDrain, drainStart, now)
+	}
+	tr.Finish(now, errMsg)
+	r.g.tracer().Record(tr)
 }
 
 // startTrace makes the trace-or-not decision at the front of dispatch.
@@ -1097,44 +1075,12 @@ func (g *Gateway) startTrace(req *vhttp.Request, sreq *sched.Request, now time.T
 	return tr
 }
 
-// tracer resolves the recorder, creating a default one on first use and
-// re-syncing the sampling override so post-Start changes take effect.
+// tracer resolves the recorder, creating a default one on first use.
 func (g *Gateway) tracer() *trace.Recorder {
 	if g.Tracer == nil {
 		g.Tracer = &trace.Recorder{}
 	}
-	if g.TraceSampleEvery > 0 {
-		g.Tracer.SampleEvery = g.TraceSampleEvery
-	}
 	return g.Tracer
-}
-
-// settleTrace completes a trace on the buffered success path: merge the
-// engine-side spans off the response, adopt the serving replica, record.
-// The engine's span context never propagates past the gateway — clients
-// read settled traces from /traces, not response internals.
-func (g *Gateway) settleTrace(tr *trace.Trace, resp *vhttp.Response, b *Backend, now time.Time, errMsg string) {
-	if tr == nil {
-		return
-	}
-	if et, ok := resp.Trace.(*trace.Trace); ok && et != nil {
-		tr.Merge(et)
-		resp.Trace = nil
-	}
-	if tr.Replica == "" && b != nil {
-		tr.Replica = b.Name
-	}
-	tr.Finish(now, errMsg)
-	g.tracer().Record(tr)
-}
-
-// abortTrace settles a trace on a request-path error.
-func (g *Gateway) abortTrace(tr *trace.Trace, now time.Time, msg string) {
-	if tr == nil {
-		return
-	}
-	tr.Finish(now, msg)
-	g.tracer().Record(tr)
 }
 
 // noteShed counts one admission rejection against the request's class.

@@ -144,6 +144,6 @@ func (g *Gateway) fireWarmup(b *Backend, body []byte) {
 			},
 			Body: body,
 		}
-		_, _ = g.httpClient().Do(p, req)
+		_, _ = g.client.Do(p, req)
 	})
 }

@@ -217,31 +217,6 @@ func formatFloat(v float64) string {
 	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.4f", v), "0"), ".")
 }
 
-// Counter is a monotonically increasing instrument.
-type Counter struct{ v float64 }
-
-// Add increases the counter by d (negative deltas are ignored).
-func (c *Counter) Add(d float64) {
-	if d > 0 {
-		c.v += d
-	}
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.v }
-
-// Gauge is a point-in-time instrument.
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Registry is an ordered set of named instruments rendered together in
 // Prometheus text exposition format. Instruments register once at setup;
 // Func variants sample a callback at render time so existing typed
@@ -254,24 +229,8 @@ type Registry struct {
 type registryItem struct {
 	name, help string
 	kind       string // "counter", "gauge", "histogram"
-	counter    *Counter
-	gauge      *Gauge
 	hist       *Histogram
 	fn         func() float64
-}
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.items = append(r.items, registryItem{name: name, help: help, kind: "counter", counter: c})
-	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.items = append(r.items, registryItem{name: name, help: help, kind: "gauge", gauge: g})
-	return g
 }
 
 // CounterFunc registers a counter whose value is sampled at render time.
@@ -311,10 +270,6 @@ func (r *Registry) Render(now time.Time) string {
 			it.hist.writeProm(&b, it.name)
 		case it.fn != nil:
 			fmt.Fprintf(&b, "%s %s\n", it.name, formatFloat(it.fn()))
-		case it.counter != nil:
-			fmt.Fprintf(&b, "%s %s\n", it.name, formatFloat(it.counter.Value()))
-		case it.gauge != nil:
-			fmt.Fprintf(&b, "%s %s\n", it.name, formatFloat(it.gauge.Value()))
 		}
 	}
 	return b.String()

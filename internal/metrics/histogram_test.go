@@ -101,14 +101,11 @@ func TestHistogramBucketIdxMonotone(t *testing.T) {
 
 func TestRegistryRender(t *testing.T) {
 	r := &Registry{}
-	c := r.Counter("gw_requests_total", "client requests")
-	g := r.Gauge("gw_inflight", "in-flight requests")
+	r.CounterFunc("gw_requests_total", "client requests", func() float64 { return 3 })
+	r.GaugeFunc("gw_inflight", "in-flight requests", func() float64 { return 7 })
 	r.GaugeFunc("gw_backends", "healthy backends", func() float64 { return 3 })
 	h := r.Histogram("gw_request_latency_ms", "request latency", nil)
 
-	c.Inc()
-	c.Add(2)
-	g.Set(7)
 	h.Observe(h0, 12.5)
 	h.Observe(h0, 80)
 

@@ -1,33 +1,24 @@
 package sched
 
-import (
-	"container/heap"
-	"sort"
-)
+import "slices"
 
-// Queue is the gateway's hold queue, replacing PR 2's FIFO wakeup: tickets
-// order by priority class (interactive before batch) and FIFO within a
-// class, so when capacity appears — a cold-started replica registering, a
-// dead replica's replacement — interactive work is dequeued (woken) first.
+// Queue is the gateway's hold queue: tickets wake by priority class
+// (interactive before batch) and FIFO within a class, so when capacity
+// appears — a cold-started replica registering, a dead replica's
+// replacement — interactive work is woken first.
 //
 // Holders Push a ticket on entry, point it at their current wakeup via
 // SetWake, and Remove it when they stop waiting. The zero value is ready
 // to use.
 type Queue struct {
-	tickets ticketHeap
-	seq     uint64
+	tickets []*Ticket // arrival order
 }
 
 // Ticket is one held request's place in the queue.
 type Ticket struct {
 	class Class
-	seq   uint64
-	index int
 	wake  func()
 }
-
-// Class returns the ticket's priority class.
-func (t *Ticket) Class() Class { return t.class }
 
 // SetWake points the ticket at the holder's current wakeup callback.
 // Holders re-arm it each time they park on a fresh signal.
@@ -38,78 +29,30 @@ func (q *Queue) Len() int { return len(q.tickets) }
 
 // Push enqueues a ticket for class (ClassUnset queues as interactive).
 func (q *Queue) Push(class Class) *Ticket {
-	q.seq++
-	t := &Ticket{class: class.Or(ClassInteractive), seq: q.seq}
-	heap.Push(&q.tickets, t)
+	t := &Ticket{class: class.Or(ClassInteractive)}
+	q.tickets = append(q.tickets, t)
 	return t
 }
 
-// Remove takes a ticket out of the queue (no-op if already popped).
+// Remove takes a ticket out of the queue (no-op if already removed).
 func (q *Queue) Remove(t *Ticket) {
-	if t.index >= 0 && t.index < len(q.tickets) && q.tickets[t.index] == t {
-		heap.Remove(&q.tickets, t.index)
+	if i := slices.Index(q.tickets, t); i >= 0 {
+		q.tickets = slices.Delete(q.tickets, i, i+1)
 	}
 }
 
-// Pop removes and returns the highest-priority ticket: interactive
-// preempts batch, FIFO within a class. Returns nil when empty.
-func (q *Queue) Pop() *Ticket {
-	if len(q.tickets) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.tickets).(*Ticket)
-}
-
-// WakeAll invokes every queued ticket's wake callback in priority order
-// without removing the tickets — holders re-check for capacity themselves
-// and Remove on success. Firing in priority order is what makes
-// interactive requests win the race for a single fresh replica: the
-// simulation schedules woken processes in fire order.
+// WakeAll invokes every queued ticket's wake callback in priority order —
+// the interactive tickets, then the rest, each in arrival order — without
+// removing the tickets: holders re-check for capacity themselves and
+// Remove on success. Firing in priority order is what makes interactive
+// requests win the race for a single fresh replica: the simulation
+// schedules woken processes in fire order.
 func (q *Queue) WakeAll() {
-	if len(q.tickets) == 0 {
-		return
-	}
-	ordered := make([]*Ticket, len(q.tickets))
-	copy(ordered, q.tickets)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].class != ordered[j].class {
-			return ordered[i].class > ordered[j].class
-		}
-		return ordered[i].seq < ordered[j].seq
-	})
-	for _, t := range ordered {
-		if t.wake != nil {
-			t.wake()
+	for _, interactive := range [...]bool{true, false} {
+		for _, t := range q.tickets {
+			if (t.class == ClassInteractive) == interactive && t.wake != nil {
+				t.wake()
+			}
 		}
 	}
-}
-
-// ticketHeap orders by (class desc, seq asc).
-type ticketHeap []*Ticket
-
-func (h ticketHeap) Len() int { return len(h) }
-func (h ticketHeap) Less(i, j int) bool {
-	if h[i].class != h[j].class {
-		return h[i].class > h[j].class
-	}
-	return h[i].seq < h[j].seq
-}
-func (h ticketHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *ticketHeap) Push(x any) {
-	t := x.(*Ticket)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *ticketHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
 }

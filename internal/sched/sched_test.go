@@ -306,19 +306,29 @@ func TestSLOHysteresis(t *testing.T) {
 
 func TestQueuePriorityOrdering(t *testing.T) {
 	var q Queue
-	b1 := q.Push(ClassBatch)
-	i1 := q.Push(ClassInteractive)
-	b2 := q.Push(ClassBatch)
-	i2 := q.Push(ClassUnset) // queues as interactive
+	var woken []string
+	push := func(name string, class Class) *Ticket {
+		t := q.Push(class)
+		t.SetWake(func() { woken = append(woken, name) })
+		return t
+	}
+	tickets := []*Ticket{
+		push("b1", ClassBatch),
+		push("i1", ClassInteractive),
+		push("b2", ClassBatch),
+		push("i2", ClassUnset), // queues as interactive
+	}
 	if q.Len() != 4 {
 		t.Fatalf("len = %d", q.Len())
 	}
-	for n, want := range []*Ticket{i1, i2, b1, b2} {
-		if got := q.Pop(); got != want {
-			t.Fatalf("pop %d = %+v, want %+v (interactive preempts batch, FIFO within class)", n, got, want)
-		}
+	q.WakeAll()
+	if got, want := fmt.Sprint(woken), "[i1 i2 b1 b2]"; got != want {
+		t.Fatalf("wake order = %s, want %s (interactive preempts batch, FIFO within class)", got, want)
 	}
-	if q.Pop() != nil || q.Len() != 0 {
+	for _, tk := range tickets {
+		q.Remove(tk)
+	}
+	if q.Len() != 0 {
 		t.Fatal("drained queue should be empty")
 	}
 }

@@ -318,9 +318,6 @@ func (s *Site) S3Client(from string) *objstore.Client {
 	}
 }
 
-// NodeByName resolves any node on the site.
-func (s *Site) NodeByName(name string) *hw.Node { return s.hostNodes[name] }
-
 // ServiceHost returns the externally reachable gateway host fronting a
 // platform's services. Hops reuses the Compute-as-Login service node; the
 // other platforms get an equivalent per-platform gateway host. Replica-set

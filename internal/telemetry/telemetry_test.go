@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -61,6 +62,30 @@ func TestSnapshotDerivedRates(t *testing.T) {
 	if odd.KVPressure() != 0 {
 		t.Fatalf("pressure must clamp at zero, got %g", odd.KVPressure())
 	}
+}
+
+// FuzzDecode: whatever Decode accepts, Encode writes a document that
+// Decode reads back and Encode writes out again byte for byte. Bytes are
+// compared rather than values: a decoded CapturedAt carries the location
+// its offset was parsed with, which DeepEqual tells apart from the same
+// instant in another location.
+// The seed corpus is testdata/fuzz/FuzzDecode/: a snapshot with every
+// field set, "{}" and "null".
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := Decode(raw)
+		if err != nil {
+			return
+		}
+		first := s.Encode()
+		again, err := Decode(first)
+		if err != nil {
+			t.Fatalf("Decode rejects its own Encode %q: %v", first, err)
+		}
+		if second := again.Encode(); !bytes.Equal(first, second) {
+			t.Fatalf("round trip moved the document:\n first: %s\nsecond: %s", first, second)
+		}
+	})
 }
 
 func BenchmarkSnapshotEncode(b *testing.B) {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/netsim"
@@ -299,34 +298,4 @@ func (c *Client) Do(p *sim.Proc, req *Request) (*Response, error) {
 // Get is a convenience wrapper for bodyless GETs.
 func (c *Client) Get(p *sim.Proc, url string) (*Response, error) {
 	return c.Do(p, &Request{Method: "GET", URL: url})
-}
-
-// Mux routes by longest matching path prefix.
-type Mux struct {
-	routes []muxRoute
-}
-
-type muxRoute struct {
-	prefix string
-	svc    Service
-}
-
-// Handle registers svc for paths beginning with prefix.
-func (m *Mux) Handle(prefix string, svc Service) {
-	m.routes = append(m.routes, muxRoute{prefix: prefix, svc: svc})
-}
-
-// Serve implements Service by longest-prefix dispatch.
-func (m *Mux) Serve(p *sim.Proc, req *Request) *Response {
-	best := -1
-	bestLen := -1
-	for i, r := range m.routes {
-		if strings.HasPrefix(req.Path, r.prefix) && len(r.prefix) > bestLen {
-			best, bestLen = i, len(r.prefix)
-		}
-	}
-	if best == -1 {
-		return Text(404, "not found: "+req.Path)
-	}
-	return m.routes[best].svc.Serve(p, req)
 }

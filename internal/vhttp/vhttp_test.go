@@ -157,31 +157,6 @@ func TestBodyTransferTakesTime(t *testing.T) {
 	}
 }
 
-func TestMuxLongestPrefix(t *testing.T) {
-	e, n := newTestNet(t)
-	mux := &Mux{}
-	mux.Handle("/", ServiceFunc(func(p *sim.Proc, r *Request) *Response { return Text(200, "root") }))
-	mux.Handle("/v1/", ServiceFunc(func(p *sim.Proc, r *Request) *Response { return Text(200, "v1") }))
-	mux.Handle("/v1/chat/", ServiceFunc(func(p *sim.Proc, r *Request) *Response { return Text(200, "chat") }))
-	n.Listen("api", 80, mux, ListenOptions{})
-	want := map[string]string{
-		"http://api/":                    "root",
-		"http://api/health":              "root",
-		"http://api/v1/models":           "v1",
-		"http://api/v1/chat/completions": "chat",
-	}
-	e.Go("client", func(p *sim.Proc) {
-		c := &Client{Net: n}
-		for url, expect := range want {
-			resp, err := c.Get(p, url)
-			if err != nil || string(resp.Body) != expect {
-				t.Errorf("%s → %v/%q, want %q", url, err, resp.Body, expect)
-			}
-		}
-	})
-	e.Run()
-}
-
 func TestDoubleBindFails(t *testing.T) {
 	_, n := newTestNet(t)
 	if err := n.Listen("h", 80, echo(), ListenOptions{}); err != nil {

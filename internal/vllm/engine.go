@@ -309,8 +309,10 @@ type Engine struct {
 	running []*sequence
 	seqNum  int
 
-	loop     *sim.Proc
-	idleSig  *sim.Signal
+	loop *sim.Proc
+	// idle wakes the loop parked with no work; it is reset before each
+	// park, so firing it while the loop runs posts nothing.
+	idle     sim.Signal
 	crashed  bool
 	crashErr error
 	onCrash  []func(error)
@@ -360,6 +362,7 @@ func New(simEng *sim.Engine, cfg Config) (*Engine, error) {
 		wq:       waitQueue{fcfs: c.SchedulerPolicy == SchedulerFCFS},
 		transfer: time.Duration(c.KVTransferMicros) * time.Microsecond,
 	}
+	e.idle.Init(simEng)
 	if !c.NoPrefixCache {
 		e.idx.EnableHostTier(c.CPUOffloadBlocks)
 	}
@@ -488,9 +491,8 @@ func (e *Engine) Run() {
 	e.loop = e.sim.Go("vllm-engine", func(p *sim.Proc) {
 		for !e.crashed {
 			if len(e.wq.seqs) == 0 && len(e.running) == 0 {
-				e.idleSig = e.sim.NewSignal()
-				p.Wait(e.idleSig)
-				e.idleSig = nil
+				e.idle.Reset()
+				p.Wait(&e.idle)
 				continue
 			}
 			e.step(p)
@@ -521,9 +523,7 @@ func (e *Engine) Crash(err error) {
 	}
 	e.running = nil
 	e.wq.seqs = nil
-	if e.idleSig != nil {
-		e.idleSig.Fire()
-	}
+	e.idle.Fire()
 	if e.loop != nil {
 		e.loop.Kill()
 	}
@@ -582,9 +582,7 @@ func (e *Engine) SubmitOpts(o SubmitOptions) *Request {
 		s.hashes = o.PromptHashes
 	}
 	e.wq.push(s, e.sim.Now())
-	if e.idleSig != nil {
-		e.idleSig.Fire()
-	}
+	e.idle.Fire()
 	return req
 }
 

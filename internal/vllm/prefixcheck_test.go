@@ -265,9 +265,8 @@ func TestEngineKVConservation(t *testing.T) {
 	e.loop = se.Go("vllm-engine", func(p *sim.Proc) {
 		for !e.crashed {
 			if len(e.wq.seqs) == 0 && len(e.running) == 0 {
-				e.idleSig = se.NewSignal()
-				p.Wait(e.idleSig)
-				e.idleSig = nil
+				e.idle.Reset()
+				p.Wait(&e.idle)
 				continue
 			}
 			e.step(p)
