@@ -69,6 +69,7 @@ func TestSnapshotDerivedRates(t *testing.T) {
 // compared rather than values: a decoded CapturedAt carries the location
 // its offset was parsed with, which DeepEqual tells apart from the same
 // instant in another location.
+//
 // The seed corpus is testdata/fuzz/FuzzDecode/: a snapshot with every
 // field set, "{}" and "null".
 func FuzzDecode(f *testing.F) {

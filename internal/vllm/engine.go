@@ -309,13 +309,13 @@ type Engine struct {
 	running []*sequence
 	seqNum  int
 
-	loop *sim.Proc
-	// idle wakes the loop parked with no work; it is reset before each
-	// park, so firing it while the loop runs posts nothing.
-	idle     sim.Signal
+	loop     *sim.Proc
 	crashed  bool
 	crashErr error
 	onCrash  []func(error)
+	// idle wakes the loop parked with no work. It is reset before each
+	// park, so firing it while the loop runs posts nothing.
+	idle sim.Signal
 
 	stats       Stats
 	missByClass map[string]int    // deadline misses by class (lazy)
