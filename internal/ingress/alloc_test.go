@@ -98,3 +98,47 @@ func TestRouterDispatchDecisionAllocBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestStampSchedHintsAllocBudget: stamping the scheduler hints formats each
+// class's TTFT target once; stamping a warm request whose header map has
+// room allocates nothing. A client-supplied target and a TTFTTarget changed
+// on a running gateway are stamped as they are.
+func TestStampSchedHintsAllocBudget(t *testing.T) {
+	gw := &Gateway{TTFTTarget: 150 * time.Millisecond}
+	stamp := func(sreq sched.Request) *vhttp.Request {
+		req := &vhttp.Request{Header: map[string]string{}}
+		gw.normalize(&sreq)
+		gw.stampSchedHints(req, &sreq)
+		return req
+	}
+	for _, c := range []struct {
+		sreq sched.Request
+		want string
+	}{
+		{sched.Request{Class: sched.ClassInteractive}, "150000"},
+		{sched.Request{Class: sched.ClassBatch}, "600000"},
+		{sched.Request{Class: sched.ClassInteractive, TTFTTarget: 40 * time.Millisecond}, "40000"},
+		{sched.Request{}, "150000"},
+	} {
+		if got := stamp(c.sreq).Header[sched.TTFTTargetHeader]; got != c.want {
+			t.Fatalf("%+v stamped %q, want %q", c.sreq, got, c.want)
+		}
+	}
+	gw.TTFTTarget = 200 * time.Millisecond
+	if got := stamp(sched.Request{Class: sched.ClassBatch}).Header[sched.TTFTTargetHeader]; got != "800000" {
+		t.Fatalf("batch after a target change stamped %q, want 800000", got)
+	}
+
+	sreqs := []sched.Request{{Class: sched.ClassInteractive}, {Class: sched.ClassBatch}}
+	reqs := make([]*vhttp.Request, len(sreqs))
+	for i := range sreqs {
+		gw.normalize(&sreqs[i])
+		reqs[i] = &vhttp.Request{Header: map[string]string{}}
+		gw.stampSchedHints(reqs[i], &sreqs[i])
+	}
+	i := 0
+	requireAllocBudget(t, "stamp-sched-hints", 0, func() {
+		gw.stampSchedHints(reqs[i%2], &sreqs[i%2])
+		i++
+	})
+}

@@ -215,6 +215,9 @@ type Gateway struct {
 	// calls is safe and keeps the pick path alloc-free.
 	cands        []sched.Candidate
 	candBackends []*Backend
+	// ttftHints memoizes the TTFT target header text last stamped for
+	// interactive (0) and batch (1) requests.
+	ttftHints [2]ttftHint
 	// Policy-derived sched instances, created on first use so flipping
 	// Policy / MaxWaiting / SLOTargetP95 on a running gateway still takes
 	// effect (stateful ones persist: the round-robin cursor, the session
@@ -560,6 +563,27 @@ func (g *Gateway) ttftFor(c sched.Class) time.Duration {
 	return base
 }
 
+// ttftHint is a TTFT target in microseconds and its header text.
+type ttftHint struct {
+	micros int64
+	text   string
+}
+
+// ttftText returns the header text of a TTFT target of us microseconds on
+// a class c request. Each class keeps its last text and formats afresh
+// only when the target differs, so a client-supplied target or a
+// TTFTTarget changed on a running gateway is stamped as it is.
+func (g *Gateway) ttftText(c sched.Class, us int64) string {
+	h := &g.ttftHints[0]
+	if c == sched.ClassBatch {
+		h = &g.ttftHints[1]
+	}
+	if h.text == "" || h.micros != us {
+		h.micros, h.text = us, strconv.FormatInt(us, 10)
+	}
+	return h.text
+}
+
 // stampSchedHints stamps the engine scheduler's request hints onto the
 // forwarded request: the resolved TTFT deadline budget, the resolved
 // priority class (so the engine's class view matches the gateway's), and
@@ -572,7 +596,7 @@ func (g *Gateway) stampSchedHints(req *vhttp.Request, sreq *sched.Request) {
 	if req.Header == nil {
 		req.Header = make(map[string]string, 3)
 	}
-	req.Header[sched.TTFTTargetHeader] = strconv.FormatInt(sreq.TTFTTarget.Microseconds(), 10)
+	req.Header[sched.TTFTTargetHeader] = g.ttftText(sreq.Class, sreq.TTFTTarget.Microseconds())
 	if req.Header[sched.PriorityHeader] == "" && sreq.Class != sched.ClassUnset {
 		req.Header[sched.PriorityHeader] = sreq.Class.String()
 	}
@@ -864,7 +888,7 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, desc sched.Request) 
 	b := g.pickFrom(cands, backends, sreq)
 	if b == nil && g.HoldColdStart {
 		if b = rec.hold(p); b == nil {
-			return rec.fail(p, 503, coldStartExpired, "cold-start hold expired")
+			return rec.unheld(p, "")
 		}
 	}
 	if !rec.held {
@@ -908,7 +932,7 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, desc sched.Request) 
 				// again — on its original budget — rather than surface a
 				// 502 the next scale-up would have absorbed.
 				if next = rec.hold(p); next == nil {
-					return rec.fail(p, 503, coldStartExpired, "cold-start hold expired after replica failure")
+					return rec.unheld(p, " after replica failure")
 				}
 			}
 		}
@@ -936,9 +960,12 @@ func (g *Gateway) dispatch(p *sim.Proc, req *vhttp.Request, desc sched.Request) 
 	}
 }
 
-// coldStartExpired is the 503 text of a request whose cold-start budget
-// ran out before any replica became routable.
-const coldStartExpired = "503 Service Unavailable (gateway): no replica became available within the cold-start window"
+// The 503 texts of a held request that got no replica: its cold-start
+// budget ran out, or the gateway stopped first.
+const (
+	coldStartExpired = "503 Service Unavailable (gateway): no replica became available within the cold-start window"
+	holdStopped      = "503 Service Unavailable (gateway): the gateway stopped before a replica became available"
+)
 
 // hold parks the request until a backend becomes routable (cold start) or
 // its cold-start budget runs out, queued by priority class, and records
@@ -968,6 +995,16 @@ func (r *dispatchRecord) hold(p *sim.Proc) *Backend {
 	}
 	r.tr.Observe(trace.StageHold, holdStart, p.Now())
 	return b
+}
+
+// unheld ends a request whose hold returned no replica, for the reason the
+// hold ended: the gateway stopped, or the cold-start budget ran out. after
+// qualifies the trace message of a re-hold.
+func (r *dispatchRecord) unheld(p *sim.Proc, after string) *vhttp.Response {
+	if r.g.stopped {
+		return r.fail(p, 503, holdStopped, "gateway stopped during cold-start hold"+after)
+	}
+	return r.fail(p, 503, coldStartExpired, "cold-start hold expired"+after)
 }
 
 // deliver hands b's reply to the client. The engine's span context rides

@@ -9,6 +9,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/vhttp"
 )
 
@@ -486,12 +487,13 @@ func TestGatewayColdStartWaitDeadline503(t *testing.T) {
 	a.up = false // transport error on the only replica → re-hold
 
 	var status int
+	var body string
 	var elapsed time.Duration
 	eng.Go("client", func(p *sim.Proc) {
 		start := p.Now()
 		c := &vhttp.Client{Net: net, From: "user"}
 		if resp, err := c.Get(p, "http://gw:8000/v1/chat/completions"); err == nil {
-			status = resp.Status
+			status, body = resp.Status, string(resp.Body)
 			elapsed = p.Now().Sub(start)
 		}
 	})
@@ -504,6 +506,43 @@ func TestGatewayColdStartWaitDeadline503(t *testing.T) {
 	}
 	if st := gw.Stats(); st.Held != 1 || st.Errors != 1 {
 		t.Fatalf("stats = %+v, want one hold and one error", st)
+	}
+	if body != coldStartExpired {
+		t.Fatalf("503 body %q, want %q", body, coldStartExpired)
+	}
+}
+
+func TestGatewayStopEndsColdStartHold(t *testing.T) {
+	// Stop releases a held request before its budget runs out: the reply
+	// and the trace say the gateway stopped, not that the window expired.
+	eng, net, gw := newGateway(t, PolicyRoundRobin)
+	gw.HoldColdStart = true
+	gw.ColdStartWait = 30 * time.Minute
+	gw.Tracer = &trace.Recorder{SampleEvery: 1}
+
+	var status int
+	var body string
+	var elapsed time.Duration
+	eng.Go("client", func(p *sim.Proc) {
+		start := p.Now()
+		c := &vhttp.Client{Net: net, From: "user"}
+		if resp, err := c.Get(p, "http://gw:8000/v1/chat/completions"); err == nil {
+			status, body, elapsed = resp.Status, string(resp.Body), p.Now().Sub(start)
+		}
+	})
+	eng.Go("operator", func(p *sim.Proc) {
+		p.Sleep(time.Minute)
+		gw.Stop()
+	})
+	eng.RunFor(time.Hour)
+	if status != 503 || body != holdStopped || elapsed != time.Minute {
+		t.Fatalf("held request on a stopped gateway = %d %q after %s, want 503 %q after 1m0s", status, body, elapsed, holdStopped)
+	}
+	if st := gw.Stats(); st.Held != 1 || st.Errors != 1 {
+		t.Fatalf("stats = %+v, want one hold and one error", st)
+	}
+	if recent := gw.Tracer.Recent(); len(recent) != 1 || recent[0].Err != "gateway stopped during cold-start hold" {
+		t.Fatalf("traces = %+v, want one ended by the stop", recent)
 	}
 }
 

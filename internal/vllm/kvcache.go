@@ -26,7 +26,7 @@ type KVCache struct {
 // in chain order.
 type seqKV struct {
 	private int
-	refs    []*prefixBlock
+	refs    []blockID
 }
 
 // allocate claims n more private blocks for s from kv, failing atomically

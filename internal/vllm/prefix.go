@@ -1,6 +1,7 @@
 package vllm
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/sched"
@@ -17,14 +18,20 @@ import (
 // last referencing sequence stay resident as reusable cache and are
 // LRU-evicted only when the allocator needs room.
 //
-// The index allocates nothing in steady state. A cached block is one
-// prefixBlock node for its whole life: it sits on the LRU while
-// unreferenced, moves to the host tier on demotion and back on promotion,
-// and once evicted for good goes to a free list that Register draws from.
-// While a fresh cache fills and the free list is empty, nodes come from
-// chunks of blockChunk, one allocation per chunk. A sequence's references
-// live on its own seqKV; their slice goes back to a spare pool on Release
-// and is drawn again by the next admission.
+// The index allocates nothing in steady state, and none of its nodes
+// holds a pointer. Every cached block is one prefixBlock node in a slab the
+// index owns, named for its whole life by its blockID, an index into the
+// slab: it sits on the LRU while unreferenced, moves to the host tier on
+// demotion and back on promotion, and once evicted for good goes to a free
+// list that Register draws from. The LRUs, the free list, the tier and
+// each sequence's references hold IDs, and both hash lookups, the GPU
+// index's and the host tier's, are open-addressing tables of IDs that read
+// each key from its node. A cached block costs its 24-byte node, a 4-byte
+// slot kept under three-quarters load, and the slack both keep for
+// growth: about 34 bytes of heap under the LRU's churn, none of which the
+// garbage collector scans. While a fresh cache fills, the slab grows by
+// append and each table doubles. A sequence's reference slice goes back
+// to a spare pool on Release and is drawn again by the next admission.
 
 // PrefixStats counts cache effectiveness (cumulative). Engine.Stats embeds
 // it, so each counter is declared once.
@@ -48,71 +55,184 @@ type PrefixStats struct {
 	HostDrops      int64
 }
 
+// blockID names a prefix-cache node by its index in the index's slab.
+// Unlike a pointer into the slab, it survives the slab's growth.
+type blockID int32
+
+// The reserved IDs: noBlock, the zero ID, names no block, and gpuRoot and
+// tierRoot are the root nodes of the GPU LRU and the host tier's LRU.
+// Cached blocks take the IDs from firstBlock on.
+const (
+	noBlock blockID = iota
+	gpuRoot
+	tierRoot
+	firstBlock
+)
+
 // prefixBlock is one cached KV block, GPU-resident or parked in the host
 // tier, and the node of the intrusive list it sits on.
 type prefixBlock struct {
 	hash uint64
-	refs int
+	refs int32
+	// prev and next link the block into the index's LRU while it is GPU-
+	// resident and unreferenced, or into the host tier's LRU while parked
+	// there (both noBlock otherwise). On the index's free list only next is
+	// used.
+	prev, next blockID
 	// head marks a depth-0 block: the first block of a prompt chain, the
 	// granularity the prefix-membership sketch publishes (chain hashing
 	// means deeper blocks exist only where their head does).
 	head bool
-	// prev and next link the block into the index's LRU while it is GPU-
-	// resident and unreferenced, or into the host tier's LRU while parked
-	// there (both nil otherwise). On the index's free list only next is
-	// used.
-	prev, next *prefixBlock
 }
 
-// blockList is an intrusive doubly linked LRU of prefixBlocks threaded
+// blockList is an intrusive doubly linked LRU of slab nodes threaded
 // through their prev/next links, oldest at the front. It is circular
-// through a sentinel, so a node is on a list exactly when its next is set.
-// init must run before first use, and the list must not be copied after.
+// through its root node, so a node is on a list exactly when its next is
+// set. Its methods take the slab the nodes live in.
 type blockList struct {
-	root prefixBlock // root.next is the front, root.prev the back
+	root blockID // the root's next is the front, its prev the back
 	len  int
 }
 
-func (l *blockList) init() { l.root.prev, l.root.next = &l.root, &l.root }
+// newBlockList makes the empty list rooted at the reserved node root.
+func newBlockList(nodes []prefixBlock, root blockID) blockList {
+	nodes[root].prev, nodes[root].next = root, root
+	return blockList{root: root}
+}
 
-// front returns the oldest node, nil when the list is empty.
-func (l *blockList) front() *prefixBlock {
+// front returns the oldest node, noBlock when the list is empty.
+func (l *blockList) front(nodes []prefixBlock) blockID {
 	if l.len == 0 {
-		return nil
+		return noBlock
 	}
-	return l.root.next
+	return nodes[l.root].next
 }
 
 // pushBack links the unlinked node b at the back.
-func (l *blockList) pushBack(b *prefixBlock) {
-	last := l.root.prev
-	b.prev, b.next = last, &l.root
-	last.next, l.root.prev = b, b
+func (l *blockList) pushBack(nodes []prefixBlock, b blockID) {
+	last := nodes[l.root].prev
+	nodes[b].prev, nodes[b].next = last, l.root
+	nodes[last].next, nodes[l.root].prev = b, b
 	l.len++
 }
 
 // remove unlinks b, which must be on l.
-func (l *blockList) remove(b *prefixBlock) {
-	b.prev.next, b.next.prev = b.next, b.prev
-	b.prev, b.next = nil, nil
+func (l *blockList) remove(nodes []prefixBlock, b blockID) {
+	n := &nodes[b]
+	nodes[n.prev].next, nodes[n.next].prev = n.next, n.prev
+	n.prev, n.next = noBlock, noBlock
 	l.len--
+}
+
+// blockTable maps a block hash to the ID of the slab node holding it:
+// open addressing with linear probing over a power-of-two array of IDs,
+// each key read from its node, so a slot is 4 bytes and no pointer. A
+// hash's home slot is the high bits of its product with the 64-bit golden
+// ratio. A deletion shifts the rest of its probe run back, so the LRU's
+// churn leaves no tombstones. The table is allocated on its first insert
+// and doubles at three-quarters load. Its methods take the slab.
+type blockTable struct {
+	slots []blockID
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+// minTableSlots is a table's size at its first insert, 16 KB: a fresh
+// cache fills its first 3,072 blocks without a doubling.
+const minTableSlots = 4096
+
+// home returns hash's home slot.
+func (t *blockTable) home(hash uint64) int { return int(hash * 0x9E3779B97F4A7C15 >> t.shift) }
+
+// find returns the node holding hash, noBlock when the table has none.
+func (t *blockTable) find(nodes []prefixBlock, hash uint64) blockID {
+	if t.n == 0 {
+		return noBlock
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(hash); ; i = (i + 1) & mask {
+		if b := t.slots[i]; b == noBlock || nodes[b].hash == hash {
+			return b
+		}
+	}
+}
+
+// insert adds node b, whose hash the table must not hold yet.
+func (t *blockTable) insert(nodes []prefixBlock, b blockID) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.resize(nodes, max(2*len(t.slots), minTableSlots))
+	}
+	t.place(nodes[b].hash, b)
+	t.n++
+}
+
+// place puts b in the first empty slot from hash's home on.
+func (t *blockTable) place(hash uint64, b blockID) {
+	mask := len(t.slots) - 1
+	i := t.home(hash)
+	for t.slots[i] != noBlock {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = b
+}
+
+// resize rehashes the table into size slots, a power of two.
+func (t *blockTable) resize(nodes []prefixBlock, size int) {
+	old := t.slots
+	t.slots = make([]blockID, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, b := range old {
+		if b != noBlock {
+			t.place(nodes[b].hash, b)
+		}
+	}
+}
+
+// remove deletes hash and returns the node that held it, noBlock when the
+// table has none. Each later entry of the probe run moves back into the
+// hole when the hole lies between its home slot and its slot, which keeps
+// every entry reachable from its home without tombstones.
+func (t *blockTable) remove(nodes []prefixBlock, hash uint64) blockID {
+	if t.n == 0 {
+		return noBlock
+	}
+	mask := len(t.slots) - 1
+	i := t.home(hash)
+	for t.slots[i] != noBlock && nodes[t.slots[i]].hash != hash {
+		i = (i + 1) & mask
+	}
+	gone := t.slots[i]
+	if gone == noBlock {
+		return noBlock
+	}
+	for j := (i + 1) & mask; t.slots[j] != noBlock; j = (j + 1) & mask {
+		b := t.slots[j]
+		if (j-t.home(nodes[b].hash))&mask >= (j-i)&mask {
+			t.slots[i], i = b, j
+		}
+	}
+	t.slots[i] = noBlock
+	t.n--
+	return gone
 }
 
 // PrefixIndex is the hash→block map over a KVCache. It holds one
 // allocator block per GPU-cached hash. The sequences referencing a block
 // carry the reference in their seqKV, and the block's refs counts them.
 type PrefixIndex struct {
-	kv     *KVCache
-	byHash map[uint64]*prefixBlock
+	kv *KVCache
+	// nodes is the slab of every block node, GPU-resident, parked in the
+	// host tier or free; a blockID indexes it, and the first firstBlock
+	// entries are reserved.
+	nodes  []prefixBlock
+	byHash blockTable
 	// lru holds unreferenced cached blocks, oldest at the front.
 	lru blockList
 	// free chains (through next) the nodes of evicted blocks no tier
 	// holds; spare holds emptied reference slices. Register and Acquire
 	// draw on them before allocating.
-	free  *prefixBlock
-	spare [][]*prefixBlock
-	// chunk holds the nodes not yet handed out of the newest chunk.
-	chunk []prefixBlock
+	free  blockID
+	spare [][]blockID
 	stats PrefixStats
 	// tier is the host-memory spill tier (nil = disabled): GPU-evicted
 	// blocks demote here instead of losing their identity.
@@ -130,19 +250,20 @@ type PrefixIndex struct {
 // NewPrefixIndex builds an empty index over kv.
 func NewPrefixIndex(kv *KVCache) *PrefixIndex {
 	x := &PrefixIndex{
-		kv:     kv,
-		byHash: make(map[uint64]*prefixBlock),
-		heads:  make(map[uint64]struct{}),
+		kv:    kv,
+		nodes: make([]prefixBlock, firstBlock),
+		heads: make(map[uint64]struct{}),
 	}
-	x.lru.init()
+	x.lru = newBlockList(x.nodes, gpuRoot)
 	return x
 }
 
 // EnableHostTier attaches a host-memory spill tier holding at most blocks
-// demoted blocks (<= 0 leaves tiering off).
+// demoted blocks (<= 0 leaves tiering off). The tier keeps its nodes in
+// the index's slab.
 func (x *PrefixIndex) EnableHostTier(blocks int) {
 	if blocks > 0 {
-		x.tier = NewHostTier(blocks)
+		x.tier = &HostTier{capacity: blocks, nodes: &x.nodes, lru: newBlockList(x.nodes, tierRoot)}
 	}
 }
 
@@ -153,7 +274,7 @@ func (x *PrefixIndex) HostTier() *HostTier { return x.tier }
 func (x *PrefixIndex) Stats() PrefixStats { return x.stats }
 
 // CachedBlocks returns all cache-resident blocks (referenced or not).
-func (x *PrefixIndex) CachedBlocks() int { return len(x.byHash) }
+func (x *PrefixIndex) CachedBlocks() int { return x.byHash.n }
 
 // Evictable returns the cache-resident blocks no sequence references —
 // the reclaimable-on-demand population.
@@ -161,15 +282,16 @@ func (x *PrefixIndex) Evictable() int { return x.lru.len }
 
 // ref takes one reference on b, removing it from the LRU if it was
 // unreferenced.
-func (x *PrefixIndex) ref(b *prefixBlock) {
-	if b.refs == 0 && b.next != nil {
-		x.lru.remove(b)
+func (x *PrefixIndex) ref(b blockID) {
+	n := &x.nodes[b]
+	if n.refs == 0 && n.next != noBlock {
+		x.lru.remove(x.nodes, b)
 	}
-	b.refs++
+	n.refs++
 }
 
 // refsOf returns s's reference slice, or a spare one when s holds none.
-func (x *PrefixIndex) refsOf(s *seqKV) []*prefixBlock {
+func (x *PrefixIndex) refsOf(s *seqKV) []blockID {
 	n := len(x.spare)
 	if s.refs != nil || n == 0 {
 		return s.refs
@@ -179,31 +301,25 @@ func (x *PrefixIndex) refsOf(s *seqKV) []*prefixBlock {
 	return refs
 }
 
-// blockChunk is how many prefix-cache nodes one allocation makes while
-// the free list is empty: a 4,096-block cache fills in 16 allocations.
-const blockChunk = 256
-
 // newBlock returns a GPU block node for hash, recycled from the free list
-// when one is there, otherwise the next node of the current chunk.
-func (x *PrefixIndex) newBlock(hash uint64, refs int, head bool) *prefixBlock {
+// when one is there, otherwise appended to the slab. The append may move
+// the slab, so no pointer into it may be held across this call.
+func (x *PrefixIndex) newBlock(hash uint64, refs int32, head bool) blockID {
 	b := x.free
-	if b != nil {
-		x.free = b.next
+	if b == noBlock {
+		b = blockID(len(x.nodes))
+		x.nodes = append(x.nodes, prefixBlock{})
 	} else {
-		if len(x.chunk) == 0 {
-			x.chunk = make([]prefixBlock, blockChunk)
-		}
-		b = &x.chunk[0]
-		x.chunk = x.chunk[1:]
+		x.free = x.nodes[b].next
 	}
-	*b = prefixBlock{hash: hash, refs: refs, head: head}
+	x.nodes[b] = prefixBlock{hash: hash, refs: refs, head: head}
 	return b
 }
 
 // recycle puts the node of a block that is cached nowhere any more on the
 // free list.
-func (x *PrefixIndex) recycle(b *prefixBlock) {
-	*b = prefixBlock{next: x.free}
+func (x *PrefixIndex) recycle(b blockID) {
+	x.nodes[b] = prefixBlock{next: x.free}
 	x.free = b
 }
 
@@ -216,7 +332,7 @@ func (x *PrefixIndex) Lookup(hashes []uint64, limit int) int {
 	}
 	n := 0
 	for n < limit {
-		if _, ok := x.byHash[hashes[n]]; !ok {
+		if x.byHash.find(x.nodes, hashes[n]) == noBlock {
 			if x.tier == nil || !x.tier.Contains(hashes[n]) {
 				break
 			}
@@ -242,9 +358,9 @@ func (x *PrefixIndex) Acquire(s *seqKV, hashes []uint64, limit int) int {
 	hit := 0
 	refs := x.refsOf(s)
 	for hit < limit {
-		b, ok := x.byHash[hashes[hit]]
-		if !ok {
-			if b, ok = x.promote(hashes[hit]); !ok {
+		b := x.byHash.find(x.nodes, hashes[hit])
+		if b == noBlock {
+			if b = x.promote(hashes[hit]); b == noBlock {
 				break
 			}
 		}
@@ -263,23 +379,24 @@ func (x *PrefixIndex) Acquire(s *seqKV, hashes []uint64, limit int) int {
 // one GPU block is allocated — evicting, and possibly demoting, colder
 // unreferenced cache if needed. On failure the block returns to the tier
 // un-promoted; that put drops nothing, because an EnsureFree(1) that fails
-// has evicted nothing into the tier.
-func (x *PrefixIndex) promote(hash uint64) (*prefixBlock, bool) {
+// has evicted nothing into the tier. It returns the promoted block, or
+// noBlock.
+func (x *PrefixIndex) promote(hash uint64) blockID {
 	if x.tier == nil {
-		return nil, false
+		return noBlock
 	}
-	b, ok := x.tier.take(hash)
-	if !ok {
-		return nil, false
+	b := x.tier.take(hash)
+	if b == noBlock {
+		return noBlock
 	}
 	if !x.EnsureFree(1) || x.kv.Allocate(1) != nil {
 		x.tier.put(b)
-		return nil, false
+		return noBlock
 	}
-	x.byHash[hash] = b
+	x.byHash.insert(x.nodes, b)
 	x.stats.TierPromotions++
 	x.promoted++
-	return b, true
+	return b
 }
 
 // DrainPromoted returns the host→GPU transfers since the last call; the
@@ -299,7 +416,7 @@ func (x *PrefixIndex) DrainPromoted() int {
 func (x *PrefixIndex) Register(s *seqKV, hashes []uint64, from int) {
 	refs := x.refsOf(s)
 	for i := from; i < len(hashes); i++ {
-		if b, ok := x.byHash[hashes[i]]; ok {
+		if b := x.byHash.find(x.nodes, hashes[i]); b != noBlock {
 			x.ref(b)
 			refs = append(refs, b)
 			// The sequence prefilled this block privately; the shared copy
@@ -320,10 +437,10 @@ func (x *PrefixIndex) Register(s *seqKV, hashes []uint64, from int) {
 		// does not change.
 		s.private--
 		b := x.newBlock(hashes[i], 1, i == 0)
-		x.byHash[hashes[i]] = b
+		x.byHash.insert(x.nodes, b)
 		refs = append(refs, b)
-		if b.head {
-			x.heads[b.hash] = struct{}{}
+		if i == 0 {
+			x.heads[hashes[i]] = struct{}{}
 		}
 	}
 	s.refs = refs
@@ -349,9 +466,10 @@ func (x *PrefixIndex) Abort(s *seqKV, hit, limit int) {
 func (x *PrefixIndex) Release(s *seqKV) {
 	for i := len(s.refs) - 1; i >= 0; i-- {
 		b := s.refs[i]
-		b.refs--
-		if b.refs == 0 {
-			x.lru.pushBack(b)
+		n := &x.nodes[b]
+		n.refs--
+		if n.refs == 0 {
+			x.lru.pushBack(x.nodes, b)
 		}
 	}
 	if cap(s.refs) > 0 {
@@ -368,17 +486,17 @@ func (x *PrefixIndex) Release(s *seqKV) {
 // cheap later re-promotion instead of a full re-prefill.
 func (x *PrefixIndex) EnsureFree(n int) bool {
 	for x.kv.FreeBlocks() < n {
-		b := x.lru.front()
-		if b == nil {
+		b := x.lru.front(x.nodes)
+		if b == noBlock {
 			return false
 		}
-		x.lru.remove(b)
-		delete(x.byHash, b.hash)
+		x.lru.remove(x.nodes, b)
+		x.byHash.remove(x.nodes, x.nodes[b].hash)
 		x.kv.Release(1)
 		x.stats.PrefixEvictions++
 		if x.tier == nil {
-			if b.head {
-				delete(x.heads, b.hash)
+			if n := x.nodes[b]; n.head {
+				delete(x.heads, n.hash)
 			}
 			x.recycle(b)
 			continue
@@ -388,13 +506,13 @@ func (x *PrefixIndex) EnsureFree(n int) bool {
 		case dropped == b:
 			// Already parked: the tier's copy stands in for this one.
 			x.recycle(b)
-		case dropped != nil:
+		case dropped != noBlock:
 			x.stats.HostDrops++
 			// A head leaves the sketch only when its last copy is gone —
 			// a fresh GPU-resident re-registration of the same chain may
 			// shadow the stale tier copy.
-			if _, gpu := x.byHash[dropped.hash]; dropped.head && !gpu {
-				delete(x.heads, dropped.hash)
+			if d := x.nodes[dropped]; d.head && x.byHash.find(x.nodes, d.hash) == noBlock {
+				delete(x.heads, d.hash)
 			}
 			x.recycle(dropped)
 		}

@@ -2,6 +2,7 @@ package vllm
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -489,16 +490,16 @@ func TestSketchIsTheSmallestHeadsWhateverTheOrder(t *testing.T) {
 }
 
 // TestPrefixFillAllocBudget: while a fresh cache fills and no evicted
-// node is there to reuse, the index takes its block nodes from chunks of
-// blockChunk, one allocation per chunk instead of one per block.
-// Registering 4,096 fresh blocks into an empty index costs at most one
-// allocation per chunk. The index's maps and the sequence's reference
-// slice are grown beforehand: their growth is not the nodes' cost.
+// node is there to reuse, the index allocates only to grow: the slab by
+// append, the block table by doubling. Registering 4,096 fresh blocks into
+// an empty index costs at most fillAllocBudget allocations, where one per
+// block would cost 4,096. The heads map and the sequence's reference slice
+// are grown beforehand: their growth is not the index's cost.
 func TestPrefixFillAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are distorted by -race instrumentation")
 	}
-	const blocks = 4096
+	const blocks, fillAllocBudget = 4096, 16
 	hashes := chainBlocks(tokenStream(1, blocks*16), 16)
 	// AllocsPerRun fills once to warm up and once measured, each into an
 	// index of its own.
@@ -508,12 +509,10 @@ func TestPrefixFillAllocBudget(t *testing.T) {
 		kv := NewKVCache(blocks, 16)
 		x := NewPrefixIndex(kv)
 		for _, h := range hashes {
-			x.byHash[h] = nil
 			x.heads[h] = struct{}{}
 		}
-		clear(x.byHash)
 		clear(x.heads)
-		s := &seqKV{refs: make([]*prefixBlock, 0, blocks)}
+		s := &seqKV{refs: make([]blockID, 0, blocks)}
 		if err := s.allocate(kv, blocks); err != nil {
 			t.Fatal(err)
 		}
@@ -533,7 +532,53 @@ func TestPrefixFillAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if budget := blocks / blockChunk; allocs > float64(budget) {
-		t.Fatalf("filling %d blocks: %.0f allocs, budget %d (one per %d-node chunk)", blocks, allocs, budget, blockChunk)
+	if allocs > fillAllocBudget {
+		t.Fatalf("filling %d blocks: %.0f allocs, budget %d (slab and table growth)", blocks, allocs, fillAllocBudget)
 	}
+	t.Logf("filling %d blocks: %.0f allocs (budget %d)", blocks, allocs, fillAllocBudget)
+}
+
+// TestPrefixRetainedHeapAllocBudget: a full cache under the LRU's churn
+// keeps at most 48 bytes of heap per cached block: its slab node, its
+// table slot and the slack both keep for growth. The index fills 32,768
+// blocks through eight cache-fulls of 64-block chains of random keys, so
+// every cache-full after the first evicts the one before it block by
+// block.
+func TestPrefixRetainedHeapAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are distorted by -race instrumentation")
+	}
+	const blocks, chain, budget = 32768, 64, 48.0
+	hashes := make([]uint64, chain)
+	rng := rand.New(rand.NewSource(1))
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+
+	kv := NewKVCache(blocks, 16)
+	idx := NewPrefixIndex(kv)
+	seq := &seqKV{}
+	for range 8 * blocks / chain {
+		for i := range hashes {
+			hashes[i] = rng.Uint64()
+		}
+		if !idx.EnsureFree(chain) || seq.allocate(kv, chain) != nil {
+			t.Fatalf("cannot admit a %d-block chain", chain)
+		}
+		idx.Register(seq, hashes, 0)
+		idx.Release(seq)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if idx.CachedBlocks() != blocks || idx.Stats().PrefixEvictions != 7*blocks {
+		t.Fatalf("%d blocks cached after %d evictions, want %d after %d",
+			idx.CachedBlocks(), idx.Stats().PrefixEvictions, blocks, 7*blocks)
+	}
+	perBlock := float64(int64(ms.HeapAlloc)-int64(before)) / blocks
+	runtime.KeepAlive(idx)
+	if perBlock > budget {
+		t.Fatalf("the index retains %.1f heap bytes per cached block, budget %.0f", perBlock, budget)
+	}
+	t.Logf("the index retains %.1f heap bytes per cached block (budget %.0f)", perBlock, budget)
 }

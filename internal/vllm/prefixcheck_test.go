@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,13 +12,19 @@ import (
 	"repro/internal/sim"
 )
 
-// checkPrefixIndex walks every intrusive list of x — the GPU LRU, the host
-// tier's LRU and the free list — and cross-checks them, and the handles of
-// the live sequences, against the maps and counters they must agree with:
+// checkPrefixIndex walks every slot of x's block tables and every
+// intrusive list of its slab — the GPU LRU, the host tier's LRU and the
+// free list — and cross-checks them, and the references of the live
+// sequences, against the counters they must agree with:
+//   - each table's count is its filled slots, within three-quarters load,
+//     each entry is found from its home slot, and no hash is in a table
+//     twice (checkBlockTable);
 //   - the GPU LRU holds exactly the cached blocks with no references, so
 //     its length is Evictable();
-//   - the tier's list holds exactly tier.byHash, within Capacity();
-//   - no node is on two lists or twice on one, and free nodes are blank;
+//   - the tier's list holds exactly the tier's table, within Capacity();
+//   - no node is on two lists or twice on one, free nodes are blank and in
+//     no table, every node past the reserved ones is in a table or free,
+//     and the noBlock node stays blank;
 //   - each cached block's refs is the number of live references to it
 //     (never negative);
 //   - spare reference slices are empty and share no array with a live one
@@ -29,64 +36,98 @@ import (
 // A node recycled while still linked or referenced fails one of these.
 // live must hold every sequence that holds KV.
 func checkPrefixIndex(x *PrefixIndex, live ...*seqKV) error {
-	on := map[*prefixBlock]string{}
-	walk := func(list string, l *blockList, owner map[uint64]*prefixBlock) error {
-		n, prev := 0, &l.root
-		for b := l.root.next; b != &l.root; prev, b = b, b.next {
-			if b == nil || b.prev != prev {
+	nodes := x.nodes
+	if nodes[noBlock] != (prefixBlock{}) {
+		return fmt.Errorf("the noBlock node was written: %+v", nodes[noBlock])
+	}
+	gpu, err := checkBlockTable(&x.byHash, nodes)
+	if err != nil {
+		return fmt.Errorf("gpu table: %v", err)
+	}
+	on := map[blockID]string{}
+	walk := func(list string, l *blockList, owner map[uint64]blockID) error {
+		n, prev := 0, l.root
+		for b := nodes[l.root].next; b != l.root; prev, b = b, nodes[b].next {
+			if b < firstBlock || int(b) >= len(nodes) || nodes[b].prev != prev {
 				return fmt.Errorf("%s: broken link after %d nodes", list, n)
 			}
 			if where, dup := on[b]; dup {
-				return fmt.Errorf("block %#x is on %s and %s", b.hash, where, list)
+				return fmt.Errorf("block %#x is on %s and %s", nodes[b].hash, where, list)
 			}
 			on[b] = list
-			if owner[b.hash] != b {
-				return fmt.Errorf("%s: block %#x is not the one its map holds", list, b.hash)
+			if owner[nodes[b].hash] != b {
+				return fmt.Errorf("%s: block %#x is not the one its table holds", list, nodes[b].hash)
 			}
-			if b.refs != 0 {
-				return fmt.Errorf("%s: block %#x has %d refs", list, b.hash, b.refs)
+			if nodes[b].refs != 0 {
+				return fmt.Errorf("%s: block %#x has %d refs", list, nodes[b].hash, nodes[b].refs)
 			}
 			n++
 		}
-		if l.root.prev != prev || n != l.len {
+		if nodes[l.root].prev != prev || n != l.len {
 			return fmt.Errorf("%s: %d nodes linked, len %d", list, n, l.len)
 		}
 		return nil
 	}
-	if err := walk("gpu lru", &x.lru, x.byHash); err != nil {
+	if err := walk("gpu lru", &x.lru, gpu); err != nil {
 		return err
 	}
 	if x.Evictable() != x.lru.len {
 		return fmt.Errorf("Evictable() = %d, lru holds %d", x.Evictable(), x.lru.len)
 	}
-	for b := x.free; b != nil; b = b.next {
-		if where, dup := on[b]; dup {
-			return fmt.Errorf("free block is also on %s", where)
-		}
-		on[b] = "free list"
-		if b.hash != 0 || b.refs != 0 || b.head || b.prev != nil {
-			return fmt.Errorf("free block not blank: %+v", *b)
-		}
+	inTable := map[blockID]string{}
+	for _, b := range gpu {
+		inTable[b] = "gpu table"
 	}
 	heads := map[uint64]struct{}{}
 	if t := x.tier; t != nil {
-		if err := walk("tier lru", &t.lru, t.byHash); err != nil {
+		if t.nodes != &x.nodes {
+			return fmt.Errorf("tier reads a slab other than the index's")
+		}
+		parked, err := checkBlockTable(&t.byHash, nodes)
+		if err != nil {
+			return fmt.Errorf("tier table: %v", err)
+		}
+		if err := walk("tier lru", &t.lru, parked); err != nil {
 			return err
 		}
-		if len(t.byHash) != t.Len() || t.Len() > t.Capacity() {
-			return fmt.Errorf("tier: %d mapped, %d linked, capacity %d", len(t.byHash), t.Len(), t.Capacity())
+		if len(parked) != t.Len() || t.Len() > t.Capacity() {
+			return fmt.Errorf("tier: %d mapped, %d linked, capacity %d", len(parked), t.Len(), t.Capacity())
 		}
-		for h, b := range t.byHash {
+		for h, b := range parked {
 			if on[b] != "tier lru" {
 				return fmt.Errorf("tier maps block %#x, which is on %q", h, on[b])
 			}
-			if b.head {
+			if where, dup := inTable[b]; dup {
+				return fmt.Errorf("block %#x is in the tier table and the %s", h, where)
+			}
+			inTable[b] = "tier table"
+			if nodes[b].head {
 				heads[h] = struct{}{}
 			}
 		}
 	}
-	refs := map[*prefixBlock]int{}
-	arrays := map[**prefixBlock]string{}
+	for b := x.free; b != noBlock; b = nodes[b].next {
+		if b < firstBlock || int(b) >= len(nodes) {
+			return fmt.Errorf("free list links ID %d, outside the slab's blocks", b)
+		}
+		if where, dup := on[b]; dup {
+			return fmt.Errorf("free block is also on %s", where)
+		}
+		on[b] = "free list"
+		if where, cached := inTable[b]; cached {
+			return fmt.Errorf("free block %d is in the %s", b, where)
+		}
+		if n := nodes[b]; n.hash != 0 || n.refs != 0 || n.head || n.prev != noBlock {
+			return fmt.Errorf("free block not blank: %+v", n)
+		}
+	}
+	for b := firstBlock; int(b) < len(nodes); b++ {
+		if _, cached := inTable[b]; !cached && on[b] != "free list" {
+			return fmt.Errorf("block %d (%+v) is in no table and not free", b, nodes[b])
+		}
+	}
+	refs := map[blockID]int{}
+	arrays := map[*blockID]string{}
 	private := 0
 	for i, s := range live {
 		seq := fmt.Sprintf("sequence %d", i)
@@ -101,8 +142,8 @@ func checkPrefixIndex(x *PrefixIndex, live ...*seqKV) error {
 			arrays[&s.refs[:1][0]] = seq
 		}
 		for _, b := range s.refs {
-			if x.byHash[b.hash] != b {
-				return fmt.Errorf("%s references block %#x, which is not GPU-cached (on %q)", seq, b.hash, on[b])
+			if int(b) >= len(nodes) || gpu[nodes[b].hash] != b {
+				return fmt.Errorf("%s references block %d, which is not GPU-cached (on %q)", seq, b, on[b])
 			}
 			refs[b]++
 		}
@@ -116,18 +157,18 @@ func checkPrefixIndex(x *PrefixIndex, live ...*seqKV) error {
 		}
 		arrays[&spare[:1][0]] = "a spare"
 	}
-	for h, b := range x.byHash {
-		switch {
-		case b.refs < 0:
-			return fmt.Errorf("block %#x has %d refs", h, b.refs)
-		case b.refs != refs[b]:
-			return fmt.Errorf("block %#x counts %d refs, sequences hold %d", h, b.refs, refs[b])
-		case b.refs == 0 && on[b] != "gpu lru":
+	for h, b := range gpu {
+		switch n := nodes[b]; {
+		case n.refs < 0:
+			return fmt.Errorf("block %#x has %d refs", h, n.refs)
+		case int(n.refs) != refs[b]:
+			return fmt.Errorf("block %#x counts %d refs, sequences hold %d", h, n.refs, refs[b])
+		case n.refs == 0 && on[b] != "gpu lru":
 			return fmt.Errorf("unreferenced block %#x is on %q, not the gpu lru", h, on[b])
-		case b.refs > 0 && (on[b] != "" || b.next != nil):
+		case n.refs > 0 && (on[b] != "" || n.next != noBlock):
 			return fmt.Errorf("referenced block %#x is linked (on %q)", h, on[b])
 		}
-		if b.head {
+		if nodes[b].head {
 			heads[h] = struct{}{}
 		}
 	}
@@ -139,6 +180,46 @@ func checkPrefixIndex(x *PrefixIndex, live ...*seqKV) error {
 			used, private, x.CachedBlocks())
 	}
 	return nil
+}
+
+// checkBlockTable checks one block table against the slab its IDs index
+// and returns its entries by hash: the count is the filled slots, within
+// three-quarters load; every ID names a block node; no hash is there
+// twice; and every entry is found from its home slot, with no empty slot
+// between the two.
+func checkBlockTable(t *blockTable, nodes []prefixBlock) (map[uint64]blockID, error) {
+	size := len(t.slots)
+	if size&(size-1) != 0 || size > 0 && t.shift != uint(64-bits.TrailingZeros(uint(size))) {
+		return nil, fmt.Errorf("%d slots at shift %d", size, t.shift)
+	}
+	entries := map[uint64]blockID{}
+	for i, b := range t.slots {
+		if b == noBlock {
+			continue
+		}
+		if b < firstBlock || int(b) >= len(nodes) {
+			return nil, fmt.Errorf("slot %d holds ID %d, outside the slab's blocks", i, b)
+		}
+		h := nodes[b].hash
+		if other, dup := entries[h]; dup {
+			return nil, fmt.Errorf("hash %#x is in blocks %d and %d", h, other, b)
+		}
+		entries[h] = b
+		for j := t.home(h); j != i; j = (j + 1) & (size - 1) {
+			if t.slots[j] == noBlock {
+				return nil, fmt.Errorf("hash %#x in slot %d is cut off from its home slot %d by empty slot %d", h, i, t.home(h), j)
+			}
+		}
+	}
+	if t.n != len(entries) || 4*t.n > 3*size {
+		return nil, fmt.Errorf("counts %d entries, %d of %d slots filled", t.n, len(entries), size)
+	}
+	for h, b := range entries {
+		if got := t.find(nodes, h); got != b {
+			return nil, fmt.Errorf("find(%#x) = %d, the table holds %d", h, got, b)
+		}
+	}
+	return entries, nil
 }
 
 // TestPrefixCacheAllocBudget: a warm prefix cache allocates nothing per
@@ -233,7 +314,7 @@ func TestEngineKVConservation(t *testing.T) {
 	check := func() error {
 		var live []*seqKV
 		private := 0
-		refs := map[*prefixBlock]int{}
+		refs := map[blockID]int{}
 		for _, s := range e.running {
 			live = append(live, &s.kv)
 			private += s.kv.private
@@ -248,9 +329,9 @@ func TestEngineKVConservation(t *testing.T) {
 		if used, cached := e.KV().UsedBlocks(), e.Prefix().CachedBlocks(); used != private+cached {
 			return fmt.Errorf("%d blocks used, running sequences hold %d private and %d are cached", used, private, cached)
 		}
-		for h, b := range e.idx.byHash {
-			if b.refs != refs[b] {
-				return fmt.Errorf("block %#x counts %d refs, running sequences hold %d", h, b.refs, refs[b])
+		for _, b := range e.idx.byHash.slots {
+			if n := e.idx.nodes[b]; b != noBlock && int(n.refs) != refs[b] {
+				return fmt.Errorf("block %#x counts %d refs, running sequences hold %d", n.hash, n.refs, refs[b])
 			}
 		}
 		for _, s := range e.wq.seqs {
@@ -329,4 +410,61 @@ func TestEngineKVConservation(t *testing.T) {
 	}
 	t.Logf("%d steps: %d evictions, %d preemptions, %d demotions, %d promotions over %d requests",
 		steps, st.PrefixEvictions, st.Preemptions, st.TierDemotions, st.TierPromotions, len(reqs))
+}
+
+// FuzzBlockTable drives a block table and a Go map through the same
+// inserts, finds and deletes, one byte an op: its top two bits pick the op
+// (insert, find, delete, insert) and its low six bits the hash. The 64
+// hashes crowd the table's two ends at every size: half have their home in
+// the last slots, so their probe runs wrap past the end, and half in the
+// first slots, where the wrapped runs land. After every op the table and
+// the map agree, and checkBlockTable finds every entry from its home slot.
+// The table starts at 8 slots, so it doubles too.
+func FuzzBlockTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		// A hash whose product with the table's multiplier has top bits j
+		// has its home at slot j>>(7-log2(slots)) at every size up to 128.
+		inv := uint64(0x9E3779B97F4A7C15)
+		for range 5 {
+			inv *= 2 - 0x9E3779B97F4A7C15*inv // Newton's step for the inverse mod 2^64
+		}
+		var keys [64]uint64
+		for j := range uint64(32) {
+			keys[j] = (^uint64(0) - j<<57) * inv // homes at the end
+			keys[32+j] = (j << 57) * inv         // homes at the start
+		}
+		nodes := make([]prefixBlock, firstBlock)
+		var tab blockTable
+		tab.resize(nodes, 8)
+		want := map[uint64]blockID{}
+		for i, op := range ops {
+			h := keys[op&63]
+			switch op >> 6 {
+			case 1:
+				if got := tab.find(nodes, h); got != want[h] {
+					t.Fatalf("op %d: find(%#x) = %d, want %d", i, h, got, want[h])
+				}
+			case 2:
+				if got := tab.remove(nodes, h); got != want[h] {
+					t.Fatalf("op %d: remove(%#x) = %d, want %d", i, h, got, want[h])
+				}
+				delete(want, h)
+			default:
+				if want[h] != noBlock {
+					continue // the table holds each hash once
+				}
+				b := blockID(len(nodes))
+				nodes = append(nodes, prefixBlock{hash: h})
+				tab.insert(nodes, b)
+				want[h] = b
+			}
+			got, err := checkBlockTable(&tab, nodes)
+			if err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("op %d: the table holds %v, the map %v", i, got, want)
+			}
+		}
+	})
 }

@@ -11,23 +11,15 @@ package vllm
 // tokens — the avoidable-recompute cost the paper's long-lived chat
 // services keep paying without a spill tier.
 
-// HostTier is the bounded host-memory spill tier: a hash→block map plus
+// HostTier is the bounded host-memory spill tier: a hash→block table plus
 // its own LRU so capacity pressure drops the coldest demoted block first.
+// Its nodes live in the prefix index's slab, which EnableHostTier hands it.
 type HostTier struct {
 	capacity int
-	byHash   map[uint64]*prefixBlock
+	nodes    *[]prefixBlock
+	byHash   blockTable
 	// lru holds the tier's blocks, oldest demotion at the front.
 	lru blockList
-}
-
-// NewHostTier builds an empty tier holding at most capacity blocks.
-func NewHostTier(capacity int) *HostTier {
-	t := &HostTier{
-		capacity: capacity,
-		byHash:   make(map[uint64]*prefixBlock),
-	}
-	t.lru.init()
-	return t
 }
 
 // Capacity returns the tier's block bound.
@@ -37,43 +29,37 @@ func (t *HostTier) Capacity() int { return t.capacity }
 func (t *HostTier) Len() int { return t.lru.len }
 
 // Contains reports whether hash is parked in the tier.
-func (t *HostTier) Contains(hash uint64) bool {
-	_, ok := t.byHash[hash]
-	return ok
-}
+func (t *HostTier) Contains(hash uint64) bool { return t.byHash.find(*t.nodes, hash) != noBlock }
 
 // put parks the demoted block b and returns the node the caller must
-// recycle, if any: nil when b was parked with room to spare; the oldest
-// resident, dropped to make room, when the tier was full; b itself when
-// it was not parked — its hash is already parked (that copy's LRU position
-// is refreshed instead of duplicating) or the tier has no capacity.
-func (t *HostTier) put(b *prefixBlock) (dropped *prefixBlock) {
-	if t.capacity <= 0 {
-		return b
-	}
-	if old, ok := t.byHash[b.hash]; ok {
-		t.lru.remove(old)
-		t.lru.pushBack(old)
+// recycle, if any: noBlock when b was parked with room to spare; the
+// oldest resident, dropped to make room, when the tier was full; b itself
+// when its hash is already parked (that copy's LRU position is refreshed
+// instead of duplicating).
+func (t *HostTier) put(b blockID) (dropped blockID) {
+	nodes := *t.nodes
+	if old := t.byHash.find(nodes, nodes[b].hash); old != noBlock {
+		t.lru.remove(nodes, old)
+		t.lru.pushBack(nodes, old)
 		return b
 	}
 	if t.lru.len >= t.capacity {
-		dropped = t.lru.front()
-		t.lru.remove(dropped)
-		delete(t.byHash, dropped.hash)
+		dropped = t.lru.front(nodes)
+		t.lru.remove(nodes, dropped)
+		t.byHash.remove(nodes, nodes[dropped].hash)
 	}
-	t.lru.pushBack(b)
-	t.byHash[b.hash] = b
+	t.lru.pushBack(nodes, b)
+	t.byHash.insert(nodes, b)
 	return dropped
 }
 
 // take removes hash from the tier (the promotion path), returning its
-// node.
-func (t *HostTier) take(hash uint64) (*prefixBlock, bool) {
-	b, ok := t.byHash[hash]
-	if !ok {
-		return nil, false
+// node, or noBlock when hash is not parked.
+func (t *HostTier) take(hash uint64) blockID {
+	nodes := *t.nodes
+	b := t.byHash.remove(nodes, hash)
+	if b != noBlock {
+		t.lru.remove(nodes, b)
 	}
-	t.lru.remove(b)
-	delete(t.byHash, hash)
-	return b, true
+	return b
 }

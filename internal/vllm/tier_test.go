@@ -8,34 +8,38 @@ import (
 )
 
 func TestHostTierLRUAndCapacity(t *testing.T) {
-	tier := NewHostTier(3)
+	idx := NewPrefixIndex(NewKVCache(0, 16))
+	idx.EnableHostTier(3)
+	tier := idx.HostTier()
 	if tier.Capacity() != 3 || tier.Len() != 0 {
 		t.Fatalf("fresh tier: cap=%d len=%d", tier.Capacity(), tier.Len())
 	}
+	// put takes a node of the index's slab, as a GPU eviction hands it.
+	put := func(h uint64) blockID { return tier.put(idx.newBlock(h, 0, false)) }
 	for h := uint64(1); h <= 3; h++ {
-		if dropped := tier.put(&prefixBlock{hash: h}); dropped != nil {
-			t.Fatalf("put %d dropped %v with room left", h, dropped.hash)
+		if dropped := put(h); dropped != noBlock {
+			t.Fatalf("put %d dropped %#x with room left", h, idx.nodes[dropped].hash)
 		}
 	}
 	// Refresh 1 (now most recently demoted), then overflow: 2 is oldest.
-	tier.put(&prefixBlock{hash: 1})
+	put(1)
 	if tier.Len() != 3 {
 		t.Fatalf("duplicate put grew the tier to %d", tier.Len())
 	}
-	dropped := tier.put(&prefixBlock{hash: 4})
-	if dropped == nil || dropped.hash != 2 {
-		t.Fatalf("overflow dropped %+v, want hash 2 (LRU)", dropped)
+	dropped := put(4)
+	if dropped == noBlock || idx.nodes[dropped].hash != 2 {
+		t.Fatalf("overflow dropped %+v, want hash 2 (LRU)", idx.nodes[dropped])
 	}
 	if tier.Contains(2) || !tier.Contains(1) || !tier.Contains(4) {
 		t.Fatal("membership after overflow is wrong")
 	}
-	if _, ok := tier.take(3); !ok {
+	if tier.take(3) == noBlock {
 		t.Fatal("take(3) failed")
 	}
 	if tier.Contains(3) || tier.Len() != 2 {
 		t.Fatalf("take left len=%d contains(3)=%v", tier.Len(), tier.Contains(3))
 	}
-	if _, ok := tier.take(3); ok {
+	if tier.take(3) != noBlock {
 		t.Fatal("double take succeeded")
 	}
 }
@@ -233,7 +237,7 @@ func TestTierInvariantsUnderRandomTraffic(t *testing.T) {
 			n := idx.Lookup(hashes, len(hashes))
 			for i := 0; i < n; i++ {
 				h := hashes[i]
-				_, gpu := idx.byHash[h]
+				gpu := idx.byHash.find(idx.nodes, h) != noBlock
 				if !gpu && !idx.HostTier().Contains(h) {
 					t.Fatalf("step %d: Lookup said block %d available but it is in neither tier", step, i)
 				}
