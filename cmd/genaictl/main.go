@@ -10,7 +10,7 @@
 //	genaictl platforms                        # list platforms
 //	genaictl plan  -platform hops   -model meta-llama/Llama-4-Scout-17B-16E-Instruct -tp 4 -max-model-len 65536
 //	genaictl plan  -platform eldorado ...     # same package, Apptainer+ROCm plan
-//	genaictl plan  -platform goodall  ...     # same package, Helm values
+//	genaictl plan  -platform cee      ...     # same package, Helm values
 //	genaictl deploy -platform hops  -model meta-llama/Llama-3.1-8B-Instruct -tp 1 -max-model-len 8192 -query "hello"
 //	genaictl deploy -platform hops  -tp 1 -max-model-len 8192 -autoscale -pool-nodes 4 \
 //	    -models "chat=meta-llama/Llama-3.1-8B-Instruct:2,code=Qwen/Qwen2.5-Coder-7B-Instruct:1" -query "hello"
@@ -444,8 +444,12 @@ func runTrace(args []string) {
 			}
 		}
 		tresp, err := client.Get(p, dp.BaseURL+trace.Path+"?id="+*id)
-		if err != nil || tresp.Status != 200 {
-			failure = fmt.Errorf("fetch trace %s: status=%d err=%v", *id, tresp.Status, err)
+		if err != nil {
+			failure = fmt.Errorf("fetch trace %s: %w", *id, err)
+			return
+		}
+		if tresp.Status != 200 {
+			failure = fmt.Errorf("fetch trace %s: status=%d", *id, tresp.Status)
 			return
 		}
 		var tr trace.Trace
@@ -508,8 +512,12 @@ func runObserve(args []string) {
 		// fresh per-replica telemetry instead of "never scraped".
 		p.Sleep(20 * time.Second)
 		resp, err := client.Get(p, dp.BaseURL+telemetry.ObservePath)
-		if err != nil || resp.Status != 200 {
-			failure = fmt.Errorf("fetch /observe: status=%d err=%v", resp.Status, err)
+		if err != nil {
+			failure = fmt.Errorf("fetch /observe: %w", err)
+			return
+		}
+		if resp.Status != 200 {
+			failure = fmt.Errorf("fetch /observe: status=%d", resp.Status)
 			return
 		}
 		f, err := telemetry.DecodeFleet(resp.Body)

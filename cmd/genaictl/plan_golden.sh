@@ -2,8 +2,10 @@
 # Prints `genaictl plan` for every platform at its defaults and for the
 # configurations whose artifacts differ most: a replica set with autoscale,
 # SLO and priority class, a multi-node (Ray) plan, and a Helm plan with the
-# engine's prefix caching off. The output is committed as
-# cmd/genaictl/plan.golden, and CI diffs a fresh run against it:
+# engine's prefix caching off. A plan the tool refuses prints its error
+# and exit status, so a refusal is pinned like an artifact. The output is
+# committed as cmd/genaictl/plan.golden, and CI diffs a fresh run against
+# it:
 #
 #   bash cmd/genaictl/plan_golden.sh > cmd/genaictl/plan.golden
 set -euo pipefail
@@ -14,8 +16,12 @@ go build -o "$bin/genaictl" ./cmd/genaictl
 
 while read -r args; do
   echo "\$ genaictl plan $args"
+  status=0
   # shellcheck disable=SC2086 # each line is a list of flags
-  "$bin/genaictl" plan $args
+  "$bin/genaictl" plan $args 2>&1 || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "# exit status $status"
+  fi
   echo
 done <<'CASES'
 -platform hops

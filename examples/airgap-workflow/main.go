@@ -76,8 +76,12 @@ func main() {
 			Header: map[string]string{"Content-Type": "application/json", "Authorization": "Bearer secret-api-key"},
 			Body:   body,
 		})
-		if err != nil || resp.Status != 200 {
-			failure = fmt.Errorf("gateway query: %v (%d)", err, resp.Status)
+		if err != nil {
+			failure = fmt.Errorf("gateway query: %w", err)
+			return
+		}
+		if resp.Status != 200 {
+			failure = fmt.Errorf("gateway query: status %d", resp.Status)
 			return
 		}
 		fmt.Println("      laptop → CaL gateway → compute node round trip OK")

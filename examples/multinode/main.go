@@ -56,8 +56,12 @@ func main() {
 		})
 		t0 := p.Now()
 		resp, err := client.Do(p, &vhttp.Request{Method: "POST", URL: dp.BaseURL + "/v1/chat/completions", Body: body})
-		if err != nil || resp.Status != 200 {
-			failure = fmt.Errorf("chat: %v (%d)", err, resp.Status)
+		if err != nil {
+			failure = fmt.Errorf("chat: %w", err)
+			return
+		}
+		if resp.Status != 200 {
+			failure = fmt.Errorf("chat: status %d", resp.Status)
 			return
 		}
 		dur := p.Now().Sub(t0)

@@ -36,13 +36,9 @@ type Policy struct {
 	MaxReplicas int
 	// TargetQueueDepth is the per-replica demand (gateway in-flight plus
 	// scraped waiting/running) the controller sizes the set for (default 8).
+	// The set grows when per-replica load is above it, and shrinks toward
+	// the load's demand when per-replica load is below a quarter of it.
 	TargetQueueDepth int
-	// ScaleUpThreshold is the per-replica load above which the set grows
-	// (default: TargetQueueDepth).
-	ScaleUpThreshold float64
-	// ScaleDownThreshold is the per-replica load below which the set
-	// shrinks toward the load's demand (default: TargetQueueDepth/4).
-	ScaleDownThreshold float64
 	// ScaleUpCooldown is the minimum spacing between scale-ups (default 1m).
 	// Cold starts from zero replicas bypass it: a request is waiting.
 	ScaleUpCooldown time.Duration
@@ -55,9 +51,6 @@ type Policy struct {
 	ScaleToZeroAfter time.Duration
 	// Interval is the control-loop tick (default 30s).
 	Interval time.Duration
-	// RateHalflife is the EWMA halflife smoothing the request-rate and
-	// p95-latency signals (default 1m).
-	RateHalflife time.Duration
 	// SLOTargetP95 is the per-model latency objective shared with the
 	// gateway's SLO admission breaker. The p95 is read from the gateway's
 	// windowed latency histogram (LatencyQuantile) and EWMA-smoothed
@@ -76,12 +69,6 @@ func (pol Policy) WithDefaults() Policy {
 	if out.TargetQueueDepth <= 0 {
 		out.TargetQueueDepth = 8
 	}
-	if out.ScaleUpThreshold <= 0 {
-		out.ScaleUpThreshold = float64(out.TargetQueueDepth)
-	}
-	if out.ScaleDownThreshold <= 0 {
-		out.ScaleDownThreshold = float64(out.TargetQueueDepth) / 4
-	}
 	if out.ScaleUpCooldown <= 0 {
 		out.ScaleUpCooldown = time.Minute
 	}
@@ -93,9 +80,6 @@ func (pol Policy) WithDefaults() Policy {
 	}
 	if out.Interval <= 0 {
 		out.Interval = 30 * time.Second
-	}
-	if out.RateHalflife <= 0 {
-		out.RateHalflife = time.Minute
 	}
 	return out
 }
@@ -111,10 +95,6 @@ func (pol Policy) Validate() error {
 	}
 	if p.MaxReplicas < p.MinReplicas {
 		return fmt.Errorf("autoscale: MaxReplicas (%d) must be >= MinReplicas (%d)", p.MaxReplicas, p.MinReplicas)
-	}
-	if p.ScaleDownThreshold >= p.ScaleUpThreshold {
-		return fmt.Errorf("autoscale: ScaleDownThreshold (%g) must be below ScaleUpThreshold (%g)",
-			p.ScaleDownThreshold, p.ScaleUpThreshold)
 	}
 	return nil
 }
@@ -198,8 +178,6 @@ func (a *Autoscaler) Start(eng *sim.Engine) error {
 		a.Name = a.Gateway.Host
 	}
 	a.pol = a.Policy.WithDefaults()
-	a.rate.Halflife = a.pol.RateHalflife
-	a.p95.Halflife = a.pol.RateHalflife
 	a.prevRequests, a.prevTick = a.Gateway.Stats().Requests, eng.Now()
 	a.started = true
 	eng.Go("autoscale-"+a.Name, func(p *sim.Proc) {
@@ -393,8 +371,9 @@ func (a *Autoscaler) desired(now time.Time, cur, load, holding, newArrivals int,
 	}
 
 	per := float64(load) / float64(cur)
+	up, down := float64(pol.TargetQueueDepth), float64(pol.TargetQueueDepth)/4
 
-	if per > pol.ScaleUpThreshold && cur < pol.MaxReplicas {
+	if per > up && cur < pol.MaxReplicas {
 		if !a.lastUp.IsZero() && now.Sub(a.lastUp) < pol.ScaleUpCooldown {
 			return cur, "scale-up in cooldown"
 		}
@@ -402,7 +381,7 @@ func (a *Autoscaler) desired(now time.Time, cur, load, holding, newArrivals int,
 		if n <= cur {
 			n = cur + 1
 		}
-		return a.clamp(n, cur), fmt.Sprintf("per-replica load %.1f above threshold %.1f", per, pol.ScaleUpThreshold)
+		return a.clamp(n, cur), fmt.Sprintf("per-replica load %.1f above threshold %.1f", per, up)
 	}
 
 	// Scale-to-zero (or to the floor) after sustained idleness.
@@ -421,7 +400,7 @@ func (a *Autoscaler) desired(now time.Time, cur, load, holding, newArrivals int,
 	}
 	// Never shrink while the latency objective is breached (possible at
 	// MaxReplicas with shallow queues: the engines are slow, not idle).
-	if per < pol.ScaleDownThreshold && cur > floor && !breached {
+	if per < down && cur > floor && !breached {
 		if !a.lastDown.IsZero() && now.Sub(a.lastDown) < pol.ScaleDownCooldown {
 			return cur, "scale-down in cooldown"
 		}
@@ -438,7 +417,7 @@ func (a *Autoscaler) desired(now time.Time, cur, load, holding, newArrivals int,
 		if n >= cur {
 			return cur, "steady"
 		}
-		return n, fmt.Sprintf("per-replica load %.1f below threshold %.1f", per, pol.ScaleDownThreshold)
+		return n, fmt.Sprintf("per-replica load %.1f below threshold %.1f", per, down)
 	}
 	return cur, "steady"
 }

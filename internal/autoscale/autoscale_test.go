@@ -108,7 +108,6 @@ func TestPolicyValidate(t *testing.T) {
 		{MinReplicas: -1, MaxReplicas: 4},
 		{MaxReplicas: 0},
 		{MinReplicas: 5, MaxReplicas: 2},
-		{MaxReplicas: 4, ScaleUpThreshold: 2, ScaleDownThreshold: 3},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("policy %+v should be rejected", bad)
@@ -120,9 +119,6 @@ func TestPolicyDefaults(t *testing.T) {
 	pol := Policy{MaxReplicas: 4}.WithDefaults()
 	if pol.TargetQueueDepth != 8 || pol.Interval != 30*time.Second {
 		t.Fatalf("defaults = %+v", pol)
-	}
-	if pol.ScaleUpThreshold != 8 || pol.ScaleDownThreshold != 2 {
-		t.Fatalf("threshold defaults = %+v", pol)
 	}
 }
 
@@ -173,7 +169,7 @@ func TestScaleUpOnSLOBreachBeforeQueues(t *testing.T) {
 	// until the ceiling.
 	pol := Policy{MinReplicas: 2, MaxReplicas: 4, TargetQueueDepth: 8,
 		Interval: 10 * time.Second, ScaleUpCooldown: 30 * time.Second,
-		RateHalflife: 15 * time.Second, SLOTargetP95: time.Second}
+		SLOTargetP95: time.Second}
 	eng, net, _, sc, as := fixture(t, pol, 2)
 	sc.latency = 3 * time.Second
 	for _, r := range sc.replicas {
@@ -220,7 +216,7 @@ func TestBreachAtMaxHoldsSteadyAndSurfacesViaStatus(t *testing.T) {
 	// flow into telemetry.FleetSnapshot.
 	pol := Policy{MinReplicas: 1, MaxReplicas: 2, TargetQueueDepth: 8,
 		Interval: 10 * time.Second, ScaleDownCooldown: 30 * time.Second,
-		RateHalflife: 15 * time.Second, SLOTargetP95: time.Second}
+		SLOTargetP95: time.Second}
 	eng, net, _, sc, as := fixture(t, pol, 2)
 	sc.latency = 3 * time.Second
 	for _, r := range sc.replicas {
@@ -288,7 +284,7 @@ func TestScaleDownTowardFloor(t *testing.T) {
 func TestScaleToZeroAfterIdleAndColdStartRecovery(t *testing.T) {
 	pol := Policy{MinReplicas: 0, MaxReplicas: 4, TargetQueueDepth: 8,
 		Interval: 10 * time.Second, ScaleDownCooldown: 30 * time.Second,
-		ScaleToZeroAfter: 5 * time.Minute, RateHalflife: 30 * time.Second}
+		ScaleToZeroAfter: 5 * time.Minute}
 	eng, net, gw, sc, as := fixture(t, pol, 2)
 
 	// Idle long enough: the set drains to zero.

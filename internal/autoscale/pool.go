@@ -47,9 +47,6 @@ func NewPool(capacityNodes int) *Pool {
 	return &Pool{capacity: capacityNodes}
 }
 
-// Capacity returns the pool's node budget.
-func (pl *Pool) Capacity() int { return pl.capacity }
-
 // Member is one replica set's stake in a Pool. It implements Arbiter for
 // that set's Autoscaler.
 type Member struct {

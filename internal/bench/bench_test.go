@@ -275,7 +275,7 @@ type flakyTarget struct {
 func (f *flakyTarget) Do(p *sim.Proc, prompt, maxNew int) (Outcome, error) {
 	f.count++
 	if f.count%f.n == 0 {
-		return Outcome{}, fmt.Errorf("http 503: all replicas past waiting-queue threshold")
+		return Outcome{}, fmt.Errorf("http 503: p95 2s over SLO 1s; batch traffic shed")
 	}
 	return f.inner.Do(p, prompt, maxNew)
 }

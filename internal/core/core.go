@@ -166,10 +166,6 @@ type DeployConfig struct {
 	// On Kubernetes the cluster Service round-robins across pods
 	// regardless of this setting.
 	RoutePolicy string
-	// GatewayMaxWaiting enables queue-aware admission control on replica
-	// sets: the gateway sheds load with 503 once every replica's waiting
-	// queue is past this depth. 0 disables.
-	GatewayMaxWaiting int
 	// SLOTargetP95 sets a per-model p95 latency objective on the replica
 	// set's gateway: while the rolling p95 breaches it, batch-class
 	// requests are shed with 503 (interactive traffic is never SLO-shed).

@@ -447,6 +447,9 @@ func TestPlanAndDeployRefuseAlike(t *testing.T) {
 		{"pipeline parallel on kubernetes", PlatformGoodall, edit(func(c *DeployConfig) {
 			c.PipelineParallel = 2
 		}), "Ray bootstrap"},
+		{"tensor parallel wider than a kubernetes node", PlatformGoodall, edit(func(c *DeployConfig) {
+			c.TensorParallel = 4
+		}), "goodall nodes hold 2"},
 		{"nil model", PlatformHops, edit(func(c *DeployConfig) { c.Model = nil }), "Model is required"},
 		{"unknown platform", Platform{Name: "frontier", Kind: "slurm"}, base, "unknown platform"},
 	}
@@ -854,7 +857,7 @@ func TestAutoscaleElasticReplicaSet(t *testing.T) {
 }
 
 func TestScaleToManual(t *testing.T) {
-	// ScaleTo/AddReplica/RemoveReplica as a user-facing API, no autoscaler.
+	// ScaleTo/RemoveReplica as a user-facing API, no autoscaler.
 	s, d := newSite(t)
 	model := llm.Llama318B
 	run(t, s, func(p *sim.Proc) {

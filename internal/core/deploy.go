@@ -84,7 +84,6 @@ func (d *Deployer) deployReplicaSet(p *sim.Proc, pkg *ContainerPackage, t *targe
 		Model:         cfg.RouteName(),
 		Unbound:       cfg.fleetManaged,
 		Policy:        policy,
-		MaxWaiting:    cfg.GatewayMaxWaiting,
 		SLOTargetP95:  cfg.SLOTargetP95,
 		TTFTTarget:    cfg.TTFTTarget,
 		DefaultClass:  class,
@@ -137,7 +136,7 @@ func shortName(s string) string {
 // checkReplicaCapacity fails fast when n replicas of cfg cannot fit on the
 // HPC platform t: oversubscribed jobs would otherwise pend behind the
 // running replicas' time limits. Shared by check (a set at its autoscale
-// ceiling) and live ScaleTo/AddReplica growth.
+// ceiling) and live ScaleTo growth.
 func (t *target) checkReplicaCapacity(cfg *DeployConfig, n int) error {
 	perReplica := cfg.nodes(t.gpusPerNode)
 	if total := len(t.nodes); perReplica*n > total {

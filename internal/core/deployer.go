@@ -174,6 +174,9 @@ func (d *Deployer) check(pkg *ContainerPackage, pf Platform, cfg *DeployConfig) 
 			return nil, fmt.Errorf("core: Autoscale is not supported on Kubernetes platforms (use the cluster's HPA)")
 		case cfg.PipelineParallel > 1:
 			return nil, fmt.Errorf("core: PipelineParallel>1 needs a Ray bootstrap, which the Helm chart does not run; deploy multi-node services on an HPC platform")
+		case cfg.TensorParallel > t.gpusPerNode:
+			return nil, fmt.Errorf("core: TensorParallel=%d needs %d GPUs in one pod, but %s nodes hold %d; lower the tensor-parallel width or deploy on an HPC platform",
+				cfg.TensorParallel, cfg.TensorParallel, pf.Name, t.gpusPerNode)
 		}
 		return t, nil
 	}
@@ -435,14 +438,6 @@ func (dp *Deployment) ScaleTo(p *sim.Proc, n int) error {
 		}
 	}
 	return nil
-}
-
-// AddReplica grows the replica set by one instance.
-func (dp *Deployment) AddReplica(p *sim.Proc) error {
-	if dp.gateway == nil {
-		return fmt.Errorf("core: %s is not a replica-set deployment", dp.Name)
-	}
-	return dp.addReplicas(p, 1)
 }
 
 // addReplicas launches k single-instance deployments concurrently (weight

@@ -34,14 +34,6 @@ type FleetFlagEntry struct {
 	RoutePolicy string
 }
 
-// RouteName is the route key the entry deploys under.
-func (e FleetFlagEntry) RouteName() string {
-	if e.Alias != "" {
-		return e.Alias
-	}
-	return e.Model.Name
-}
-
 // ParseFleetFlag parses the CLI fleet spec shared by genaictl and
 // benchserve: comma-separated `alias=hf-name[:opt...]` items, with alias
 // optional. Each colon-separated option after the model name is either a
@@ -150,8 +142,7 @@ type FleetModel struct {
 	// Config is the model's deployment request. Its RouteName (ServedName
 	// alias or Model.Name) is the `model` value clients send; it must be
 	// unique within the fleet. Per-model Replicas, RoutePolicy,
-	// GatewayMaxWaiting, SLOTargetP95, TTFTTarget, PriorityClass, and
-	// Autoscale all apply.
+	// SLOTargetP95, TTFTTarget, PriorityClass, and Autoscale all apply.
 	Config DeployConfig
 	// Weight is the model's relative priority in pool arbitration under
 	// contention (default 1).
@@ -217,9 +208,6 @@ type Fleet struct {
 
 // Router returns the fleet's model-routing front door.
 func (f *Fleet) Router() *ingress.Router { return f.router }
-
-// Pool returns the shared-capacity arbiter (nil when PoolNodes was 0).
-func (f *Fleet) Pool() *autoscale.Pool { return f.pool }
 
 // Models lists the fleet's route names in registration order.
 func (f *Fleet) Models() []string { return append([]string(nil), f.names...) }

@@ -57,7 +57,7 @@ func TestDeployFleetRoutesModelsEndToEnd(t *testing.T) {
 		}
 		// Fixed-size members still count against the shared pool: their
 		// nodes must be visible to arbitration, not just elastic members'.
-		if pst := fleet.Pool().Status(); pst.UsedNodes != 3 || len(pst.Members) != 2 {
+		if pst := fleet.pool.Status(); pst.UsedNodes != 3 || len(pst.Members) != 2 {
 			t.Errorf("pool sees %d nodes across %d members, want 3 across 2: %+v",
 				pst.UsedNodes, len(pst.Members), pst)
 		}
@@ -201,12 +201,12 @@ func TestDeployFleetPoolReclaimUnderContention(t *testing.T) {
 		if got := fleet.Deployment("chat").CurrentReplicas(); got < 3 {
 			t.Errorf("chat never reclaimed to 3 replicas (at %d); chat=%+v code=%+v pool=%+v",
 				got, fleet.Deployment("chat").Autoscaler().Status(),
-				fleet.Deployment("code").Autoscaler().Status(), fleet.Pool().Status())
+				fleet.Deployment("code").Autoscaler().Status(), fleet.pool.Status())
 		}
 		if got := fleet.Deployment("code").CurrentReplicas(); got != 1 {
 			t.Errorf("code kept %d replicas, want preempted to 1", got)
 		}
-		if used := fleet.Pool().Status().UsedNodes; used > 4 {
+		if used := fleet.pool.Status().UsedNodes; used > 4 {
 			t.Errorf("pool used %d nodes, capacity 4", used)
 		}
 		if failures > 0 {
@@ -305,9 +305,9 @@ func TestOccupiedReplicasCountsInFlightLaunches(t *testing.T) {
 		defer dp.Stop()
 		done := sim.NewFuture[int](p.Engine())
 		p.Engine().Go("grow", func(rp *sim.Proc) {
-			err := dp.AddReplica(rp)
+			err := dp.ScaleTo(rp, 3)
 			if err != nil {
-				t.Errorf("AddReplica: %v", err)
+				t.Errorf("ScaleTo: %v", err)
 			}
 			done.Resolve(0, err)
 		})

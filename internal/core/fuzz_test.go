@@ -23,6 +23,10 @@ func FuzzServeArgs(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(1), uint16(8192), true, uint16(64), uint16(250), uint16(2000), uint16(9000), "chat")
 	f.Add(uint8(2), uint8(4), uint8(2), uint16(8192), false, uint16(4096), uint16(0), uint16(2048), uint16(8000), "code/large")
 	d := NewDeployer(site.New(site.Options{Small: true, Seed: 1}))
+	goodall, err := d.target(PlatformGoodall)
+	if err != nil {
+		f.Fatal(err)
+	}
 	models := llm.Catalog()
 	f.Fuzz(func(t *testing.T, model, tp, pp uint8, maxLen uint16, noPrefix bool, offload, xfer, ovr, port uint16, served string) {
 		cfg := DeployConfig{
@@ -36,8 +40,8 @@ func FuzzServeArgs(f *testing.F) {
 			t.Fatalf("check refused %+v: %v", cfg, err)
 		}
 		platforms := []Platform{PlatformHops, PlatformEldorado, PlatformGoodall}
-		if want.PipelineParallel > 1 {
-			platforms = platforms[:2] // the Helm chart runs no Ray bootstrap
+		if want.PipelineParallel > 1 || want.TensorParallel > goodall.gpusPerNode {
+			platforms = platforms[:2] // the Helm chart runs no Ray bootstrap, and a pod holds one node's GPUs
 		}
 		for _, pf := range platforms {
 			plan, err := d.Plan(VLLMPackage(), pf, cfg)

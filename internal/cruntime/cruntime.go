@@ -83,7 +83,6 @@ type Spec struct {
 type State string
 
 const (
-	StatePulling  State = "pulling"
 	StateStarting State = "starting"
 	StateRunning  State = "running"
 	StateExited   State = "exited"
@@ -168,9 +167,6 @@ func (c *ExecContext) SetReady(ready bool) {
 		c.container.readySig.Fire()
 	}
 }
-
-// Container returns the handle for this execution.
-func (c *ExecContext) Container() *Container { return c.container }
 
 // Program is a simulated containerized application. Run executes on the
 // container's process and returns when the program exits; a non-nil error is
@@ -324,8 +320,7 @@ func (h *Host) nextID(prefix string) string {
 }
 
 // resolveImage pulls the image (or reads its flattened file) and returns its
-// config and accelerator arch. The container is in StatePulling for the
-// duration.
+// config and accelerator arch.
 func (h *Host) resolveImage(p *sim.Proc, node *hw.Node, spec Spec) (oci.Config, string, error) {
 	if spec.FlattenedFile != nil {
 		m := spec.FlattenedFile

@@ -19,7 +19,6 @@ import (
 type State string
 
 const (
-	StateDepend   State = "DEPEND"
 	StateSched    State = "SCHED"
 	StateRun      State = "RUN"
 	StateComplete State = "COMPLETED"
@@ -106,9 +105,6 @@ func NewInstance(eng *sim.Engine, name string, nodes []*hw.Node) *Instance {
 		defaultDuration: 4 * time.Hour,
 	}
 }
-
-// Nodes returns the instance resource set.
-func (in *Instance) Nodes() []*hw.Node { return in.nodes }
 
 // FreeNodes returns currently unallocated, healthy nodes.
 func (in *Instance) FreeNodes() []*hw.Node {

@@ -78,16 +78,6 @@ func New(fabric *netsim.Fabric, cfg Config) *FS {
 	return fs
 }
 
-// ReadLink returns the link that meters reads from this filesystem; callers
-// compose it with NIC links when the reader is across the network.
-func (fs *FS) ReadLink() *netsim.Link { return fs.read }
-
-// WriteLink returns the link that meters writes.
-func (fs *FS) WriteLink() *netsim.Link { return fs.write }
-
-// Used returns the bytes currently stored.
-func (fs *FS) Used() int64 { return fs.used }
-
 func clean(p string) string {
 	p = path.Clean("/" + p)
 	return p
@@ -147,20 +137,6 @@ func (fs *FS) Remove(p string) error {
 	fs.used -= f.Size
 	delete(fs.files, p)
 	return nil
-}
-
-// RemoveAll deletes every file under prefix (a directory-like prefix).
-func (fs *FS) RemoveAll(prefix string) int {
-	prefix = clean(prefix)
-	n := 0
-	for p, f := range fs.files {
-		if p == prefix || strings.HasPrefix(p, prefix+"/") {
-			fs.used -= f.Size
-			delete(fs.files, p)
-			n++
-		}
-	}
-	return n
 }
 
 // List returns files under prefix sorted by path.

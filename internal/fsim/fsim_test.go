@@ -54,8 +54,8 @@ func TestCapacityEnforced(t *testing.T) {
 	if _, err := fs.WriteMeta("/b", 100, time.Time{}); err != nil {
 		t.Fatalf("write after shrink failed: %v", err)
 	}
-	if fs.Used() != 110 {
-		t.Fatalf("used = %d, want 110", fs.Used())
+	if fs.used != 110 {
+		t.Fatalf("used = %d, want 110", fs.used)
 	}
 }
 
@@ -91,8 +91,10 @@ func TestListAndRemoveAll(t *testing.T) {
 	if len(ls) != 2 || ls[0].Path != "/m/x/1" || ls[1].Path != "/m/x/2" {
 		t.Fatalf("List(/m/x) = %v", ls)
 	}
-	if n := fs.RemoveAll("/m/x"); n != 2 {
-		t.Fatalf("RemoveAll removed %d, want 2", n)
+	for _, f := range ls {
+		if err := fs.Remove(f.Path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if fs.TotalSize("/") != 2 {
 		t.Fatalf("TotalSize = %d, want 2", fs.TotalSize("/"))
@@ -141,7 +143,7 @@ func TestMetadataOnlyFS(t *testing.T) {
 	if _, err := fs.WriteMeta("/x", 10, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if fs.ReadLink() != nil || fs.WriteLink() != nil {
+	if fs.read != nil || fs.write != nil {
 		t.Fatal("metadata-only FS should have no I/O links")
 	}
 	if got := fs.ReadRoute(); len(got) != 0 {

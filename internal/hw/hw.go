@@ -74,9 +74,6 @@ type GPU struct {
 // Allocated reports whether the GPU is claimed.
 func (g *GPU) Allocated() bool { return g.busyBy != "" }
 
-// Owner returns the current owner tag.
-func (g *GPU) Owner() string { return g.busyBy }
-
 // Node is one compute, service, or login node.
 type Node struct {
 	Name     string
@@ -185,21 +182,4 @@ func (n *Node) ReleaseGPUs(owner string) {
 			g.memUsed = 0
 		}
 	}
-}
-
-// GPUModelName returns the node's GPU SKU name ("" when GPU-less).
-func (n *Node) GPUModelName() string {
-	if len(n.GPUs) == 0 {
-		return ""
-	}
-	return n.GPUs[0].Model.Name
-}
-
-// FastestLink returns IB when present, otherwise the NIC: the path large
-// intra-cluster transfers take.
-func (n *Node) FastestLink() *netsim.Link {
-	if n.IB != nil {
-		return n.IB
-	}
-	return n.NIC
 }

@@ -69,22 +69,9 @@ func TestReleaseOnlyOwner(t *testing.T) {
 		t.Fatalf("free = %d, want 2", len(free))
 	}
 	for _, g := range n.GPUs {
-		if g.Owner() == "a" {
+		if g.busyBy == "a" {
 			t.Fatal("owner a still holds a GPU")
 		}
-	}
-}
-
-func TestFastestLinkPrefersIB(t *testing.T) {
-	e := sim.NewEngine(1)
-	fb := netsim.New(e)
-	withIB := NewNode(fb, NodeSpec{Name: "ib-node", IBBW: netsim.Gbps(400)})
-	if withIB.FastestLink() != withIB.IB {
-		t.Fatal("FastestLink should return IB when present")
-	}
-	without := NewNode(fb, NodeSpec{Name: "eth-node"})
-	if without.FastestLink() != without.NIC {
-		t.Fatal("FastestLink should fall back to NIC")
 	}
 }
 

@@ -77,7 +77,7 @@ type Backend struct {
 	snap telemetry.Snapshot
 	// scrapeInflight records inflight at the last scrape: requests the
 	// gateway already had outstanding then are part of the scraped queue
-	// depths, so admission must not count them twice.
+	// depths, so Load must not count them twice.
 	scrapeInflight int
 	requests       int
 	failures       int
@@ -85,12 +85,6 @@ type Backend struct {
 
 // URL is the backend's base URL.
 func (b *Backend) URL() string { return b.url }
-
-// Healthy reports the backend's state as of the last probe or forward.
-func (b *Backend) Healthy() bool { return b.healthy }
-
-// Draining reports whether the backend is being gracefully removed.
-func (b *Backend) Draining() bool { return b.draining }
 
 // Requests returns how many requests the gateway has sent this backend.
 func (b *Backend) Requests() int { return b.requests }
@@ -116,26 +110,16 @@ func (b *Backend) queueEstimate() int {
 // routable reports whether the backend may receive new requests.
 func (b *Backend) routable() bool { return b.healthy && !b.draining }
 
-// pressure is the scraped waiting depth plus requests forwarded since
-// that scrape — the admission estimate, clamped at zero: requests that
-// complete between scrapes shrink inflight below its scrape-time level,
-// and a negative pressure would make the replica look emptier than idle
-// to admission.
-func (b *Backend) pressure() int {
-	return max(b.snap.Waiting+b.inflight-b.scrapeInflight, 0)
-}
-
 // Gateway is the load-balancing front door for a replica set: one virtual
 // endpoint that routes across healthy replicas, health-checks them, retries
-// a failed request once on a different replica, and sheds load when every
-// replica's waiting queue is past a threshold. It generalizes the CaL
+// a failed request once on a different replica, and sheds batch traffic
+// while its p95 latency breaches an objective. It generalizes the CaL
 // proxy's static one-route-per-user shape into the control plane the
 // related work (OpenTela, Chat AI) runs in front of transient instances.
 //
 // All three request-path policy decisions — admission, hold-queue order,
 // and replica choice — are delegated to the internal/sched layer. The
-// Policy / MaxWaiting / SLOTargetP95 knobs resolve to concrete sched
-// implementations.
+// Policy and SLOTargetP95 knobs resolve to concrete sched implementations.
 //
 // Backends may be registered and removed while the gateway serves: the
 // autoscaler grows the set with AddBackend and shrinks it with
@@ -161,10 +145,6 @@ type Gateway struct {
 	Policy Policy
 	// HealthInterval between health/metrics probe rounds (default 15s).
 	HealthInterval time.Duration
-	// MaxWaiting is the queue-aware admission threshold: when every healthy
-	// replica's scraped waiting depth exceeds it, new requests get 503 with
-	// a Retry-After instead of piling onto saturated engines. 0 disables.
-	MaxWaiting int
 	// SLOTargetP95 is the per-model latency objective: while the gateway's
 	// rolling p95 breaches it, batch-class requests are shed with 503
 	// (interactive traffic is never SLO-shed). 0 disables.
@@ -219,9 +199,9 @@ type Gateway struct {
 	// interactive (0) and batch (1) requests.
 	ttftHints [2]ttftHint
 	// Policy-derived sched instances, created on first use so flipping
-	// Policy / MaxWaiting / SLOTargetP95 on a running gateway still takes
-	// effect (stateful ones persist: the round-robin cursor, the session
-	// spill counter, the SLO breaker's hysteresis).
+	// Policy or SLOTargetP95 on a running gateway still takes effect
+	// (stateful ones persist: the round-robin cursor, the session spill
+	// counter, the SLO breaker's hysteresis).
 	rr      *sched.RoundRobin
 	session *sched.Session
 	prefix  *sched.Prefix
@@ -481,7 +461,7 @@ func (g *Gateway) views(exclude *Backend) (cands []sched.Candidate, backends []*
 	cands, backends = g.cands[:0], g.candBackends[:0]
 	for _, b := range g.backends {
 		if b.routable() && b != exclude {
-			cands = append(cands, sched.Candidate{Key: b.Name, Score: b.load(), Pressure: b.pressure(), Snap: &b.snap})
+			cands = append(cands, sched.Candidate{Key: b.Name, Score: b.load(), Snap: &b.snap})
 			backends = append(backends, b)
 		}
 	}
@@ -607,30 +587,23 @@ func (g *Gateway) stampSchedHints(req *vhttp.Request, sreq *sched.Request) {
 	}
 }
 
-// admit runs admission against the arrival-time replica snapshot: the
-// SLO breaker (when SLOTargetP95 is set) first, then the queue-depth
-// breaker (MaxWaiting; a no-op at 0).
+// admit runs the SLO breaker against the arrival-time replica snapshot.
 func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, cands []sched.Candidate) sched.Outcome {
-	// No admission configured (the default) admits, and so does an empty
-	// routable set: that is the hold path's case, not admission's — a
-	// breached p95 must not 503 a request the next cold-started replica
-	// would have completed.
-	if (g.SLOTargetP95 <= 0 && g.MaxWaiting <= 0) || len(cands) == 0 {
+	// No objective (the default) admits, and so does an empty routable
+	// set: that is the hold path's case, not admission's — a breached p95
+	// must not 503 a request the next cold-started replica would have
+	// completed.
+	if g.SLOTargetP95 <= 0 || len(cands) == 0 {
 		return sched.Admitted
 	}
-	if g.SLOTargetP95 > 0 {
-		if g.slo == nil {
-			g.slo = &sched.SLO{}
-		}
-		// Re-sync the objective every decision so post-Start changes take
-		// effect (only the breaker's hysteresis state and counter persist);
-		// dropping SLOTargetP95 to 0 disables the breaker entirely.
-		g.slo.Target = g.SLOTargetP95
-		if out := g.slo.Admit(sreq, g.LatencyQuantile(p.Now(), 0.95)); !out.Admit {
-			return out
-		}
+	if g.slo == nil {
+		g.slo = &sched.SLO{}
 	}
-	return sched.QueueDepth{MaxWaiting: g.MaxWaiting}.Admit(cands)
+	// Re-sync the objective every decision so post-Start changes take
+	// effect (only the breaker's hysteresis state and counter persist);
+	// dropping SLOTargetP95 to 0 disables the breaker entirely.
+	g.slo.Target = g.SLOTargetP95
+	return g.slo.Admit(sreq, g.LatencyQuantile(p.Now(), 0.95))
 }
 
 // forward sends the request to one backend as inner, the proxied copy it
@@ -762,7 +735,7 @@ func (g *Gateway) instruments() *metrics.Registry {
 	r := &metrics.Registry{}
 	r.CounterFunc("gateway_requests_total", "forwarded client requests", func() float64 { return float64(g.stats.Requests) })
 	r.CounterFunc("gateway_retries_total", "second attempts after a replica failure", func() float64 { return float64(g.stats.Retries) })
-	r.CounterFunc("gateway_rejected_total", "admission rejections (queue depth and SLO sheds)", func() float64 { return float64(g.stats.Rejected) })
+	r.CounterFunc("gateway_rejected_total", "admission rejections (SLO sheds)", func() float64 { return float64(g.stats.Rejected) })
 	r.CounterFunc("gateway_errors_total", "requests failed on every attempted replica", func() float64 { return float64(g.stats.Errors) })
 	r.CounterFunc("gateway_held_total", "requests held for a cold start", func() float64 { return float64(g.stats.Held) })
 	r.CounterFunc("gateway_streams_total", "streamed responses proxied", func() float64 { return float64(g.stats.Streams) })

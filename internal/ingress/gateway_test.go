@@ -166,27 +166,6 @@ func TestGatewayHealthCheckRevivesReplica(t *testing.T) {
 	}
 }
 
-func TestGatewayAdmissionControl503(t *testing.T) {
-	a := &replica{name: "a", up: true, waiting: 40}
-	b := &replica{name: "b", up: true, waiting: 60}
-	eng, net, gw := newGateway(t, PolicyRoundRobin, a, b)
-	gw.MaxWaiting = 32
-	eng.RunFor(time.Second) // scrape the saturated queue depths
-	status, body := get(eng, net, "user", "http://gw:8000/v1/chat/completions")
-	if status != 503 || !strings.Contains(body, "waiting-queue") {
-		t.Fatalf("status=%d body=%q, want 503 shed", status, body)
-	}
-	if st := gw.Stats(); st.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", st.Rejected)
-	}
-	// One replica draining below threshold re-admits traffic.
-	a.waiting = 4
-	eng.RunFor(30 * time.Second)
-	if status, _ := get(eng, net, "user", "http://gw:8000/v1/chat/completions"); status != 200 {
-		t.Fatalf("post-drain status = %d, want 200", status)
-	}
-}
-
 func TestGatewayHealthAndStatusEndpoints(t *testing.T) {
 	a := &replica{name: "a", up: true}
 	b := &replica{name: "b", up: true}
@@ -265,7 +244,7 @@ func TestGatewayRemoveBackendDrainsGracefully(t *testing.T) {
 	if drained.Fired() {
 		t.Fatal("backend with an in-flight request detached immediately")
 	}
-	if len(gw.Backends()) != 2 || !gw.Backends()[0].Draining() {
+	if len(gw.Backends()) != 2 || !gw.Backends()[0].draining {
 		t.Fatal("draining backend should stay attached until idle")
 	}
 	// New traffic all lands on b while a drains.
@@ -755,14 +734,11 @@ func TestGatewaySLOShedsBatchKeepsInteractive(t *testing.T) {
 }
 
 func TestGatewayAdmissionShedsSLOBeforeQueueDepth(t *testing.T) {
-	// With both breakers configured, the SLO breaker decides first: while
-	// it is engaged a batch request is shed on SLO grounds before the
-	// queue-depth breaker is consulted, and an interactive request passes
-	// it only to be shed by the queue-depth breaker.
+	// While the SLO breaker is engaged it sheds a batch request, and an
+	// interactive request passes it to be served.
 	slow := &replica{name: "slow", up: true, latency: 10 * time.Second}
 	eng, net, gw := newGateway(t, PolicyRoundRobin, slow)
 	gw.SLOTargetP95 = 2 * time.Second
-	gw.MaxWaiting = 32
 
 	post := func(priority string) (int, string) {
 		var status int
@@ -780,35 +756,31 @@ func TestGatewayAdmissionShedsSLOBeforeQueueDepth(t *testing.T) {
 		return status, body
 	}
 
-	// A 10s completion breaches the 2s objective; then the replica's
-	// scraped queue passes MaxWaiting.
+	// A 10s completion breaches the 2s objective.
 	if status, _ := post("batch"); status != 200 {
 		t.Fatalf("pre-breach batch = %d, want 200", status)
 	}
-	slow.waiting = 40
-	eng.RunFor(30 * time.Second)
 
 	status, body := post("batch")
 	if status != 503 || !strings.Contains(body, "over SLO") {
-		t.Fatalf("batch under both breakers = %d %q, want the SLO shed", status, body)
+		t.Fatalf("batch under the engaged breaker = %d %q, want the SLO shed", status, body)
 	}
-	status, body = post("interactive")
-	if status != 503 || !strings.Contains(body, "waiting-queue") {
-		t.Fatalf("interactive under both breakers = %d %q, want the queue-depth shed", status, body)
+	if status, body = post("interactive"); status != 200 {
+		t.Fatalf("interactive under the engaged breaker = %d %q, want 200", status, body)
 	}
 	if slo, ok := gw.SLO(); !ok || !slo.Engaged || slo.Sheds != 1 {
 		t.Fatalf("slo status = %+v ok=%v, want engaged with the batch shed alone", slo, ok)
 	}
-	if st := gw.Stats(); st.Rejected != 2 {
-		t.Fatalf("rejected = %d, want 2", st.Rejected)
+	if st := gw.Stats(); st.Rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", st.Rejected)
 	}
-	// With no routable replica both breakers stand aside, even while the
-	// SLO breaker is engaged: the hold path owns the request.
+	// With no routable replica the breaker stands aside, even while it is
+	// engaged: the hold path owns the request.
 	gw.HoldColdStart = true
 	gw.RemoveBackend("slow")
 	post("batch")
 	post("interactive")
-	if gw.Holding() != 2 || gw.Stats().Rejected != 2 {
+	if gw.Holding() != 2 || gw.Stats().Rejected != 1 {
 		t.Fatalf("holding = %d, rejected = %d, want both requests held and no new shed", gw.Holding(), gw.Stats().Rejected)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/vhttp"
@@ -205,15 +206,16 @@ func serveTwice(eng *sim.Engine, svc vhttp.Service, a, b string) (ra, rb *vhttp.
 // autoscale and pool documents included.
 func TestStatusPathsServeTheObserveDocument(t *testing.T) {
 	t.Run("gateway", func(t *testing.T) {
-		a := &replica{name: "a", up: true, waiting: 3, latency: 40 * time.Millisecond}
-		b := &replica{name: "b", up: true, latency: 40 * time.Millisecond}
+		a := &replica{name: "a", up: true, waiting: 3, latency: 2 * time.Second}
+		b := &replica{name: "b", up: true, latency: 2 * time.Second}
 		eng, net, gw := newGateway(t, PolicyLeastLoaded, a, b)
 		gw.SLOTargetP95 = time.Second
-		gw.MaxWaiting = 2
 		gw.AutoscaleStatus = func() any { return map[string]int{"target": 2} }
 		for i := 0; i < 4; i++ {
 			if i == 2 {
-				b.waiting = 3 // both replicas past MaxWaiting: the rest shed
+				// Two 2 s answers breach the 1 s objective: the rest,
+				// batch class, are SLO-shed.
+				gw.DefaultClass = sched.ClassBatch
 				eng.RunFor(10 * time.Second)
 			}
 			get(eng, net, "user", "http://gw:8000/v1/chat/completions")
@@ -233,7 +235,7 @@ func TestStatusPathsServeTheObserveDocument(t *testing.T) {
 			t.Fatalf("status document = %s", status.Body)
 		}
 		m := f.Models[0]
-		if m.Counters.Requests != 4 || m.Counters.ShedByClass["interactive"] != 2 || m.SLO == nil ||
+		if m.Counters.Requests != 4 || m.Counters.ShedByClass["batch"] != 2 || m.SLO == nil ||
 			m.LatencyMillis["p95"] <= 0 || len(m.Replicas) != 2 || m.Replicas[0].Snapshot.Waiting != 3 {
 			t.Fatalf("status document = %s", status.Body)
 		}

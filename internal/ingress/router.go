@@ -18,7 +18,7 @@ import (
 // (unbound) Gateway. It inspects the `model` field of /v1/chat/completions
 // and /v1/completions bodies and dispatches to the matching gateway, so
 // every per-model policy — least-loaded balancing, retry-on-distinct-
-// replica, queue-aware shed, cold-start holding — applies unchanged per
+// replica, SLO shed, cold-start holding — applies unchanged per
 // model. GET /v1/models aggregates the fleet's served names. This is the
 // Chat AI shape from the related work: route by model name to per-model
 // Slurm-backed instances behind a single stable URL.

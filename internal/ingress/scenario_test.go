@@ -757,6 +757,19 @@ func runScenario(t *testing.T, sc scenario) *scenarioResult {
 			}
 		}
 		inflight.WaitAll(p)
+		// Every client has its answer: no request may stay held at a
+		// gateway or in flight on a replica.
+		for _, rig := range rigs {
+			obs := rig.gw.Observe(p.Now())
+			if obs.Holding != 0 {
+				t.Errorf("%s: %d requests still held after every client finished", rig.spec.name, obs.Holding)
+			}
+			for _, r := range obs.Replicas {
+				if r.Inflight != 0 {
+					t.Errorf("%s: replica %s has %d requests in flight after every client finished", rig.spec.name, r.Name, r.Inflight)
+				}
+			}
+		}
 
 		// Post-load probes and the acceptance contract.
 		if sc.expect.probe404 != "" {

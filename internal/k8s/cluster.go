@@ -72,9 +72,6 @@ func NewCluster(eng *sim.Engine, net *vhttp.Net, fabric *netsim.Fabric, host *cr
 // Store exposes the API object database (kubectl).
 func (c *Cluster) Store() *Store { return c.store }
 
-// IngressHost is the host terminating ingress traffic.
-func (c *Cluster) IngressHost() string { return c.ingressHost }
-
 // AddNode joins a worker node; its kubelet starts immediately.
 func (c *Cluster) AddNode(n *hw.Node) {
 	c.nodes = append(c.nodes, n)

@@ -81,24 +81,6 @@ func (m *ModelSpec) KVBytesPerToken() int64 {
 	return int64(2 * m.Layers * m.KVHeads * m.HeadDim * 2)
 }
 
-// MinGPUs returns the minimum number of GPUs of memBytes capacity needed to
-// hold the weights at the given memory utilization fraction, accounting for
-// per-GPU runtime overhead.
-func (m *ModelSpec) MinGPUs(memBytes int64, util float64) int {
-	per := float64(memBytes)*util - float64(RuntimeOverheadBytes)
-	if per <= 0 {
-		return 1 << 20 // impossible
-	}
-	n := 1
-	for float64(m.WeightBytes())/float64(n) > per {
-		n++
-		if n > 1024 {
-			break
-		}
-	}
-	return n
-}
-
 // FileSpec is one file in a model's repository.
 type FileSpec struct {
 	Name string

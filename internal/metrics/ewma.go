@@ -11,24 +11,20 @@ import (
 // sampling intervals decay correctly. The zero value is usable; the first
 // observation seeds the average.
 type EWMA struct {
-	// Halflife is the age at which an observation's influence has decayed
-	// to one half (default 1 minute).
-	Halflife time.Duration
-
 	val  float64
 	last time.Time
 	set  bool
 }
+
+// ewmaHalflife is the age at which an observation's influence has decayed
+// to one half.
+const ewmaHalflife = time.Minute
 
 // Observe folds v into the average at time now and returns the new value.
 // Observations at the same instant as the previous one are averaged with
 // full weight on the older value; callers sampling on a fixed tick (the
 // autoscaler) never hit that case.
 func (e *EWMA) Observe(now time.Time, v float64) float64 {
-	hl := e.Halflife
-	if hl <= 0 {
-		hl = time.Minute
-	}
 	if !e.set {
 		e.val, e.last, e.set = v, now, true
 		return v
@@ -37,14 +33,8 @@ func (e *EWMA) Observe(now time.Time, v float64) float64 {
 	if dt < 0 {
 		dt = 0
 	}
-	w := math.Pow(0.5, float64(dt)/float64(hl))
+	w := math.Pow(0.5, float64(dt)/float64(ewmaHalflife))
 	e.val = w*e.val + (1-w)*v
 	e.last = now
 	return e.val
 }
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.val }
-
-// Initialized reports whether at least one observation has been folded in.
-func (e *EWMA) Initialized() bool { return e.set }

@@ -17,23 +17,12 @@ import (
 //     from the histogram recovers after a burst instead of latching on
 //     all-time history.
 //
-// Bucket upper bounds grow geometrically: Min, Min·Growth, Min·Growth²,
-// …, with one final +Inf overflow bucket. With the defaults (0.1 ms
-// first bound, 15% growth, 112 finite buckets) the range covers 0.1 ms
-// to ~9 minutes at ≤15% relative error per bucket — well inside the SLO
-// breaker's 0.85 hysteresis margin.
+// Every histogram shares one set of bucket upper bounds, histBounds.
 //
 // The zero value is usable; configuration fields are read at the first
 // Observe. No locking — the simulation's cooperative scheduler
 // serializes access.
 type Histogram struct {
-	// Min is the upper bound of the first bucket (default 0.1; the
-	// serving stack observes milliseconds).
-	Min float64
-	// Growth is the geometric factor between bucket bounds (default 1.15).
-	Growth float64
-	// Buckets is the number of finite buckets (default 112).
-	Buckets int
 	// MaxAge is the trailing window Quantile answers over (default 5
 	// minutes).
 	MaxAge time.Duration
@@ -41,8 +30,7 @@ type Histogram struct {
 	// observations expire in MaxAge/AgeBuckets steps.
 	AgeBuckets int
 
-	bounds  []float64 // finite bucket upper bounds
-	cum     []uint64  // all-time per-bucket counts; last slot is +Inf
+	cum     []uint64 // all-time per-bucket counts; last slot is +Inf
 	count   uint64
 	sum     float64
 	ring    [][]uint64 // per-age-slot counts, same layout as cum
@@ -50,18 +38,32 @@ type Histogram struct {
 	scratch []uint64 // reused merge buffer for Quantile
 }
 
+// Bucket upper bounds grow geometrically: histMin, histMin·histGrowth,
+// histMin·histGrowth², …, with one final +Inf overflow bucket. The range
+// covers 0.1 ms to ~9 minutes at ≤15% relative error per bucket — well
+// inside the SLO breaker's 0.85 hysteresis margin.
+const (
+	histMin     = 0.1 // first bucket's upper bound; the serving stack observes milliseconds
+	histGrowth  = 1.15
+	histBuckets = 112 // finite buckets
+)
+
+var (
+	// histBounds are the finite bucket upper bounds.
+	histBounds = func() (bounds [histBuckets]float64) {
+		b := histMin
+		for i := range bounds {
+			bounds[i] = b
+			b *= histGrowth
+		}
+		return bounds
+	}()
+	logGrowth = math.Log(histGrowth)
+)
+
 func (h *Histogram) lazyInit(now time.Time) {
-	if h.bounds != nil {
+	if h.cum != nil {
 		return
-	}
-	if h.Min <= 0 {
-		h.Min = 0.1
-	}
-	if h.Growth <= 1 {
-		h.Growth = 1.15
-	}
-	if h.Buckets <= 0 {
-		h.Buckets = 112
 	}
 	if h.MaxAge <= 0 {
 		h.MaxAge = 5 * time.Minute
@@ -69,18 +71,12 @@ func (h *Histogram) lazyInit(now time.Time) {
 	if h.AgeBuckets <= 0 {
 		h.AgeBuckets = 5
 	}
-	h.bounds = make([]float64, h.Buckets)
-	b := h.Min
-	for i := range h.bounds {
-		h.bounds[i] = b
-		b *= h.Growth
-	}
-	h.cum = make([]uint64, h.Buckets+1)
+	h.cum = make([]uint64, histBuckets+1)
 	h.ring = make([][]uint64, h.AgeBuckets)
 	for i := range h.ring {
-		h.ring[i] = make([]uint64, h.Buckets+1)
+		h.ring[i] = make([]uint64, histBuckets+1)
 	}
-	h.scratch = make([]uint64, h.Buckets+1)
+	h.scratch = make([]uint64, histBuckets+1)
 	h.age.end = now.Add(h.MaxAge / time.Duration(h.AgeBuckets))
 }
 
@@ -90,16 +86,16 @@ func (h *Histogram) rotate(now time.Time) {
 }
 
 // bucketIdx maps a value to its bucket (the last index is +Inf).
-func (h *Histogram) bucketIdx(v float64) int {
-	if v <= h.Min {
+func bucketIdx(v float64) int {
+	if v <= histMin {
 		return 0
 	}
-	i := int(math.Ceil(math.Log(v/h.Min) / math.Log(h.Growth)))
-	if i >= len(h.bounds) {
-		return len(h.bounds) // +Inf
+	i := int(math.Ceil(math.Log(v/histMin) / logGrowth))
+	if i >= histBuckets {
+		return histBuckets // +Inf
 	}
 	// Guard against log rounding placing v just past its bound.
-	for i > 0 && h.bounds[i-1] >= v {
+	for i > 0 && histBounds[i-1] >= v {
 		i--
 	}
 	return i
@@ -109,7 +105,7 @@ func (h *Histogram) bucketIdx(v float64) int {
 func (h *Histogram) Observe(now time.Time, v float64) {
 	h.lazyInit(now)
 	h.rotate(now)
-	i := h.bucketIdx(v)
+	i := bucketIdx(v)
 	h.cum[i]++
 	h.count++
 	h.sum += v
@@ -119,13 +115,10 @@ func (h *Histogram) Observe(now time.Time, v float64) {
 // Count returns the all-time observation count.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the all-time observation sum.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // WindowCount returns the number of observations inside the trailing
 // window at time now.
 func (h *Histogram) WindowCount(now time.Time) uint64 {
-	if h.bounds == nil {
+	if h.cum == nil {
 		return 0
 	}
 	h.rotate(now)
@@ -143,7 +136,7 @@ func (h *Histogram) WindowCount(now time.Time) uint64 {
 // bucket. Returns 0 for an empty window; values in the overflow bucket
 // clamp to the largest finite bound.
 func (h *Histogram) Quantile(now time.Time, q float64) float64 {
-	if h.bounds == nil {
+	if h.cum == nil {
 		return 0
 	}
 	h.rotate(now)
@@ -176,19 +169,19 @@ func (h *Histogram) Quantile(now time.Time, q float64) float64 {
 		}
 		next := cum + float64(c)
 		if next >= target {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1] // overflow: clamp
+			if i >= histBuckets {
+				return histBounds[histBuckets-1] // overflow: clamp
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = histBounds[i-1]
 			}
 			frac := (target - cum) / float64(c)
-			return lo + (h.bounds[i]-lo)*frac
+			return lo + (histBounds[i]-lo)*frac
 		}
 		cum = next
 	}
-	return h.bounds[len(h.bounds)-1]
+	return histBounds[histBuckets-1]
 }
 
 // writeProm renders the histogram in Prometheus text exposition format.
@@ -204,8 +197,8 @@ func (h *Histogram) writeProm(b *strings.Builder, name string) {
 			continue
 		}
 		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i])
+		if i < histBuckets {
+			le = formatFloat(histBounds[i])
 		}
 		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, le, cum)
 	}
@@ -264,9 +257,7 @@ func (r *Registry) Render(now time.Time) string {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", it.name, it.kind)
 		switch {
 		case it.hist != nil:
-			if it.hist.bounds == nil {
-				it.hist.lazyInit(now)
-			}
+			it.hist.lazyInit(now)
 			it.hist.writeProm(&b, it.name)
 		case it.fn != nil:
 			fmt.Fprintf(&b, "%s %s\n", it.name, formatFloat(it.fn()))

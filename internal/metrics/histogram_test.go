@@ -81,19 +81,17 @@ func TestHistogramGradualRotation(t *testing.T) {
 }
 
 func TestHistogramBucketIdxMonotone(t *testing.T) {
-	h := &Histogram{}
-	h.Observe(h0, 1)
 	prev := -1
 	for v := 0.01; v < 1e6; v *= 1.07 {
-		i := h.bucketIdx(v)
+		i := bucketIdx(v)
 		if i < prev {
 			t.Fatalf("bucketIdx not monotone at %v: %d < %d", v, i, prev)
 		}
-		if i < len(h.bounds) && h.bounds[i] < v {
-			t.Fatalf("value %v above its bucket bound %v", v, h.bounds[i])
+		if i < len(histBounds) && histBounds[i] < v {
+			t.Fatalf("value %v above its bucket bound %v", v, histBounds[i])
 		}
-		if i > 0 && i <= len(h.bounds) && h.bounds[i-1] >= v {
-			t.Fatalf("value %v not above previous bound %v", v, h.bounds[i-1])
+		if i > 0 && i <= len(histBounds) && histBounds[i-1] >= v {
+			t.Fatalf("value %v not above previous bound %v", v, histBounds[i-1])
 		}
 		prev = i
 	}

@@ -78,44 +78,6 @@ func (d *Dist) Median() float64 { return d.Quantile(0.5) }
 // P99 returns the 99th percentile.
 func (d *Dist) P99() float64 { return d.Quantile(0.99) }
 
-// Min returns the smallest sample.
-func (d *Dist) Min() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.samples[0]
-}
-
-// Max returns the largest sample.
-func (d *Dist) Max() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.samples[len(d.samples)-1]
-}
-
-// Stddev returns the population standard deviation.
-func (d *Dist) Stddev() float64 {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	m := d.Mean()
-	var ss float64
-	for _, v := range d.samples {
-		ss += (v - m) * (v - m)
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Summary renders "mean/median/p99" with a unit suffix.
-func (d *Dist) Summary(unit string) string {
-	return fmt.Sprintf("mean %.2f%s median %.2f%s p99 %.2f%s",
-		d.Mean(), unit, d.Median(), unit, d.P99(), unit)
-}
-
 // Point is one (x, y) datum of a series.
 type Point struct {
 	X float64

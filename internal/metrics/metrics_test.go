@@ -24,17 +24,11 @@ func TestDistBasics(t *testing.T) {
 	if got := d.P99(); got < 99 || got > 100 {
 		t.Fatalf("P99 = %v", got)
 	}
-	if d.Min() != 1 || d.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", d.Min(), d.Max())
-	}
-	if got := d.Stddev(); math.Abs(got-28.866) > 0.01 {
-		t.Fatalf("Stddev = %v", got)
-	}
 }
 
 func TestDistEmpty(t *testing.T) {
 	var d Dist
-	if d.Mean() != 0 || d.Median() != 0 || d.P99() != 0 || d.Min() != 0 || d.Max() != 0 {
+	if d.Mean() != 0 || d.Median() != 0 || d.P99() != 0 {
 		t.Fatal("empty dist should return zeros")
 	}
 }
@@ -59,9 +53,6 @@ func TestAddDuration(t *testing.T) {
 	d.AddDuration(1500 * time.Millisecond)
 	if d.Mean() != 1500 {
 		t.Fatalf("duration stored as %v ms", d.Mean())
-	}
-	if s := d.Summary("ms"); !strings.Contains(s, "1500.00ms") {
-		t.Fatalf("Summary = %q", s)
 	}
 }
 

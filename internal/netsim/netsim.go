@@ -54,15 +54,6 @@ type Flow struct {
 	canceled bool
 }
 
-// Done returns a signal fired when the transfer completes (or is canceled).
-func (f *Flow) Done() *sim.Signal { return f.done }
-
-// Canceled reports whether the flow was canceled before completing.
-func (f *Flow) Canceled() bool { return f.canceled }
-
-// Rate returns the flow's current allocated rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Fabric owns links and flows and drives completions on a sim engine.
 type Fabric struct {
 	eng   *sim.Engine
@@ -77,9 +68,6 @@ func New(eng *sim.Engine) *Fabric {
 	return &Fabric{eng: eng, links: make(map[string]*Link)}
 }
 
-// Engine returns the simulation engine the fabric runs on.
-func (fb *Fabric) Engine() *sim.Engine { return fb.eng }
-
 // AddLink creates a link with the given capacity (bytes/second).
 // It panics on a duplicate ID so wiring mistakes fail fast.
 func (fb *Fabric) AddLink(id string, capacity float64, latency time.Duration) *Link {
@@ -90,9 +78,6 @@ func (fb *Fabric) AddLink(id string, capacity float64, latency time.Duration) *L
 	fb.links[id] = l
 	return l
 }
-
-// Link returns the link with the given ID, or nil.
-func (fb *Fabric) Link(id string) *Link { return fb.links[id] }
 
 // SetCapacity changes a link's capacity and reallocates active flows.
 // This models the paper's routing change that improved Hops→S3 bandwidth by
@@ -317,14 +302,8 @@ func (fb *Fabric) scheduleNext() {
 	})
 }
 
-// ActiveFlows reports the number of in-progress transfers (for tests).
-func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
-
 // Gbps converts gigabits/second to the bytes/second unit links use.
 func Gbps(g float64) float64 { return g * 1e9 / 8 }
 
 // GBps converts gigabytes/second to bytes/second.
 func GBps(g float64) float64 { return g * 1e9 }
-
-// MBps converts megabytes/second to bytes/second.
-func MBps(m float64) float64 { return m * 1e6 }

@@ -77,11 +77,11 @@ func TestBottleneckMaxMin(t *testing.T) {
 	fbf := fb.Start(1e9, []*Link{big, small}, StartOptions{})
 	fc := fb.Start(1e9, []*Link{big, small}, StartOptions{})
 	e.RunFor(time.Second)
-	if !almostEqual(fa.Rate(), 90, 0.01) {
-		t.Fatalf("A rate = %.2f, want 90", fa.Rate())
+	if !almostEqual(fa.rate, 90, 0.01) {
+		t.Fatalf("A rate = %.2f, want 90", fa.rate)
 	}
-	if !almostEqual(fbf.Rate(), 5, 0.01) || !almostEqual(fc.Rate(), 5, 0.01) {
-		t.Fatalf("B,C rates = %.2f,%.2f want 5,5", fbf.Rate(), fc.Rate())
+	if !almostEqual(fbf.rate, 5, 0.01) || !almostEqual(fc.rate, 5, 0.01) {
+		t.Fatalf("B,C rates = %.2f,%.2f want 5,5", fbf.rate, fc.rate)
 	}
 	fb.Cancel(fa)
 	fb.Cancel(fbf)
@@ -129,17 +129,17 @@ func TestCancelFiresDoneWithoutOnDone(t *testing.T) {
 	f := fb.Start(1e9, []*Link{l}, StartOptions{OnDone: func() { onDone = true }})
 	e.Schedule(time.Second, func() { fb.Cancel(f) })
 	e.Run()
-	if !f.Done().Fired() {
+	if !f.done.Fired() {
 		t.Fatal("done signal not fired on cancel")
 	}
-	if !f.Canceled() {
+	if !f.canceled {
 		t.Fatal("flow not marked canceled")
 	}
 	if onDone {
 		t.Fatal("OnDone invoked for canceled flow")
 	}
-	if fb.ActiveFlows() != 0 {
-		t.Fatalf("active flows = %d, want 0", fb.ActiveFlows())
+	if len(fb.flows) != 0 {
+		t.Fatalf("active flows = %d, want 0", len(fb.flows))
 	}
 }
 
@@ -281,8 +281,5 @@ func TestUnitHelpers(t *testing.T) {
 	}
 	if GBps(2) != 2e9 {
 		t.Fatalf("GBps(2) = %v", GBps(2))
-	}
-	if MBps(3) != 3e6 {
-		t.Fatalf("MBps(3) = %v", MBps(3))
 	}
 }

@@ -153,18 +153,6 @@ func (c *Client) ListObjects(p *sim.Proc, bucket, prefix string) ([]ObjectInfo, 
 	return out, nil
 }
 
-// DeleteObject removes a key.
-func (c *Client) DeleteObject(p *sim.Proc, bucket, key string) error {
-	resp, err := c.do(p, c.newRequest("DELETE", "/"+bucket+"/"+key, ""))
-	if err != nil {
-		return err
-	}
-	if resp.Status >= 300 {
-		return apiError(resp)
-	}
-	return nil
-}
-
 // SyncStats summarizes a sync run.
 type SyncStats struct {
 	Uploaded     int

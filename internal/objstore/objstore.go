@@ -59,9 +59,12 @@ type Server struct {
 	LegacyChecksums bool
 
 	// replication
-	replicas  []*replTarget
-	replDelay time.Duration
+	replicas []*replTarget
 }
+
+// replicationDelay is how long after a write its async replication to
+// each target starts.
+const replicationDelay = 30 * time.Second
 
 type replTarget struct {
 	dst   *Server
@@ -72,11 +75,10 @@ type replTarget struct {
 // NewServer creates an empty S3 site.
 func NewServer(eng *sim.Engine, name string) *Server {
 	return &Server{
-		Name:      name,
-		eng:       eng,
-		buckets:   make(map[string]*bucket),
-		creds:     make(map[string]string),
-		replDelay: 30 * time.Second,
+		Name:    name,
+		eng:     eng,
+		buckets: make(map[string]*bucket),
+		creds:   make(map[string]string),
 	}
 }
 
@@ -185,13 +187,10 @@ func (s *Server) ReplicateTo(dst *Server, fab *netsim.Fabric, route []*netsim.Li
 	s.replicas = append(s.replicas, &replTarget{dst: dst, route: route, fab: fab})
 }
 
-// SetReplicationDelay adjusts the replication trigger delay.
-func (s *Server) SetReplicationDelay(d time.Duration) { s.replDelay = d }
-
 func (s *Server) scheduleReplication(bucketName string, obj *Object) {
 	for _, rt := range s.replicas {
 		rt := rt
-		s.eng.Schedule(s.replDelay, func() {
+		s.eng.Schedule(replicationDelay, func() {
 			s.eng.Go("s3-repl", func(p *sim.Proc) {
 				if len(rt.route) > 0 && obj.Size > 0 {
 					rt.fab.Transfer(p, float64(obj.Size), rt.route, netsim.StartOptions{})

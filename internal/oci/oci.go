@@ -95,14 +95,6 @@ func ParseRef(ref string) (repo, tag string) {
 	return ref, "latest"
 }
 
-// FlattenedName returns the conventional single-file image name for a ref,
-// e.g. "vllm-cuda.sif" style naming used in the paper's Apptainer example.
-func FlattenedName(ref, format string) string {
-	repo, tag := ParseRef(ref)
-	base := strings.ReplaceAll(repo, "/", "-")
-	return fmt.Sprintf("%s-%s.%s", base, tag, format)
-}
-
 // Flattened is a single-file image (SIF or SquashFS): the whole filesystem
 // squashed into one artifact that parallel filesystems serve efficiently.
 type Flattened struct {

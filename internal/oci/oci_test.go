@@ -82,13 +82,6 @@ func TestFlatten(t *testing.T) {
 	}
 }
 
-func TestFlattenedName(t *testing.T) {
-	got := FlattenedName("vllm/vllm-openai:v0.9.1", "sif")
-	if got != "vllm-vllm-openai-v0.9.1.sif" {
-		t.Fatalf("FlattenedName = %q", got)
-	}
-}
-
 func TestCatalogShape(t *testing.T) {
 	imgs := Catalog()
 	byRepo := map[string]*Image{}

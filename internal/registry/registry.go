@@ -65,9 +65,6 @@ func New(fabric *netsim.Fabric, cfg Config) *Registry {
 	}
 }
 
-// Egress exposes the registry's egress link (for tests and topology wiring).
-func (r *Registry) Egress() *netsim.Link { return r.egress }
-
 // Push stores an image. With scanning enabled a deterministic report is
 // generated from the manifest digest.
 func (r *Registry) Push(im *oci.Image) {
@@ -93,15 +90,6 @@ func (r *Registry) Resolve(ref string) *oci.Image {
 
 // Scan returns the scan report for ref (nil when unscanned).
 func (r *Registry) Scan(ref string) *ScanReport { return r.scans[ref] }
-
-// List returns all stored refs (unordered).
-func (r *Registry) List() []string {
-	var refs []string
-	for ref := range r.images {
-		refs = append(refs, ref)
-	}
-	return refs
-}
 
 // Mirror copies ref from src, transferring bytes across both registries'
 // links; layers already present by digest are skipped (content addressing).

@@ -38,8 +38,8 @@ func TestPushResolve(t *testing.T) {
 	if got := r.Resolve("team/missing:v1"); got != nil {
 		t.Fatal("missing image resolved")
 	}
-	if len(r.List()) != 1 {
-		t.Fatalf("List = %v", r.List())
+	if len(r.images) != 1 {
+		t.Fatalf("images = %v", r.images)
 	}
 }
 

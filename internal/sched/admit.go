@@ -18,28 +18,6 @@ type Outcome struct {
 // Admitted is the accepting outcome.
 var Admitted = Outcome{Admit: true}
 
-// QueueDepth sheds when every routable replica's estimated waiting queue
-// is past MaxWaiting — the gateway's queue-aware breaker.
-// MaxWaiting <= 0 disables the breaker.
-type QueueDepth struct {
-	MaxWaiting int
-}
-
-// Admit sheds when every candidate's Pressure is past MaxWaiting. The
-// caller admits a request with no candidates itself: the hold path owns
-// that case.
-func (a QueueDepth) Admit(candidates []Candidate) Outcome {
-	if a.MaxWaiting <= 0 {
-		return Admitted
-	}
-	for i := range candidates {
-		if candidates[i].Pressure <= a.MaxWaiting {
-			return Admitted
-		}
-	}
-	return Outcome{Reason: "all replicas past waiting-queue threshold", RetryAfter: 30}
-}
-
 // sloRelease is the fraction of the SLO target the p95 must drop below
 // before an engaged breaker clears.
 const sloRelease = 0.85

@@ -11,8 +11,7 @@
 //   - Admission decides whether a request is served at all: the SLO
 //     breaker sheds the lowest priority class while the gateway's rolling
 //     p95 breaches a per-model latency objective (with hysteresis, so it
-//     does not flap), then the queue-depth breaker sheds when every
-//     replica's waiting queue is past a threshold.
+//     does not flap).
 //   - A Queue orders requests held at the gateway (cold starts, dead
 //     replica windows) by priority class: interactive work dequeues before
 //     batch, FIFO within a class.
@@ -224,10 +223,6 @@ type Candidate struct {
 	// Score is the routing load score (lower routes first): gateway
 	// in-flight plus the queue depths from the last telemetry scrape.
 	Score int
-	// Pressure estimates the backend's waiting queue for admission: the
-	// last scraped waiting depth plus requests forwarded since that
-	// scrape (never negative).
-	Pressure int
 	// Snap points at the replica's last typed engine snapshot (never
 	// nil). The zero value (KVBlocksTotal == 0) means "never scraped" —
 	// pickers treat absent KV information as no signal, not as an empty

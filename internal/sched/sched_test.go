@@ -255,21 +255,6 @@ func TestSessionKeylessFallsBackToLeastLoaded(t *testing.T) {
 	}
 }
 
-func TestQueueDepthAdmitter(t *testing.T) {
-	a := QueueDepth{MaxWaiting: 8}
-	cands := []Candidate{{Key: "a", Pressure: 12}, {Key: "b", Pressure: 3}}
-	if out := a.Admit(cands); !out.Admit {
-		t.Fatalf("one clear replica should admit: %+v", out)
-	}
-	cands[1].Pressure = 9
-	if out := a.Admit(cands); out.Admit {
-		t.Fatal("every replica past threshold should shed")
-	}
-	if out := (QueueDepth{}).Admit(cands); !out.Admit {
-		t.Fatal("MaxWaiting 0 disables the breaker")
-	}
-}
-
 func TestSLOHysteresis(t *testing.T) {
 	slo := &SLO{Target: 4 * time.Second}
 	batch := &Request{Class: ClassBatch}

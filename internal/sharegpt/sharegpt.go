@@ -5,12 +5,10 @@
 // generates a statistically equivalent corpus — log-normal prompt and
 // response token lengths whose moments match the public dataset after
 // vLLM benchmark_serving's filtering (mean prompt ≈ 220 tokens, mean output
-// ≈ 190 tokens, both clamped to [4, 2048]). LoadJSON additionally parses the
-// real file format for sites that have it.
+// ≈ 190 tokens, both clamped to [4, 2048]).
 package sharegpt
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -94,41 +92,4 @@ func (d *Dataset) Means() (prompt, output float64) {
 	}
 	n := float64(len(d.Entries))
 	return ps / n, os / n
-}
-
-// conversation mirrors the ShareGPT_V3_unfiltered_cleaned_split.json schema.
-type conversation struct {
-	ID            string `json:"id"`
-	Conversations []struct {
-		From  string `json:"from"`
-		Value string `json:"value"`
-	} `json:"conversations"`
-}
-
-// LoadJSON parses the real ShareGPT file format, pairing each human turn
-// with the following gpt turn and estimating tokens at 4 chars/token,
-// filtering out degenerate pairs exactly as benchmark_serving does.
-func LoadJSON(data []byte) (*Dataset, error) {
-	var convs []conversation
-	if err := json.Unmarshal(data, &convs); err != nil {
-		return nil, fmt.Errorf("sharegpt: bad JSON: %w", err)
-	}
-	d := &Dataset{Name: "sharegpt-json"}
-	for _, c := range convs {
-		for i := 0; i+1 < len(c.Conversations); i++ {
-			if c.Conversations[i].From != "human" || c.Conversations[i+1].From != "gpt" {
-				continue
-			}
-			p := (len(c.Conversations[i].Value) + 3) / 4
-			o := (len(c.Conversations[i+1].Value) + 3) / 4
-			if p < MinTokens || o < MinTokens || p > MaxTokens || o > MaxTokens {
-				continue
-			}
-			d.Entries = append(d.Entries, Entry{PromptTokens: p, OutputTokens: o})
-		}
-	}
-	if len(d.Entries) == 0 {
-		return nil, fmt.Errorf("sharegpt: no usable human/gpt pairs found")
-	}
-	return d, nil
 }

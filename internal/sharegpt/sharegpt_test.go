@@ -69,44 +69,3 @@ func TestSampleEmptyDataset(t *testing.T) {
 		t.Fatalf("empty dataset means = %.1f/%.1f, want 0/0", p, o)
 	}
 }
-
-func TestLoadJSON(t *testing.T) {
-	data := []byte(`[
-	  {"id":"c1","conversations":[
-	    {"from":"human","value":"` + makeString(400) + `"},
-	    {"from":"gpt","value":"` + makeString(800) + `"},
-	    {"from":"human","value":"tiny"},
-	    {"from":"gpt","value":"` + makeString(100) + `"}
-	  ]},
-	  {"id":"c2","conversations":[
-	    {"from":"gpt","value":"orphan assistant turn"},
-	    {"from":"human","value":"` + makeString(40) + `"},
-	    {"from":"gpt","value":"` + makeString(60) + `"}
-	  ]}
-	]`)
-	d, err := LoadJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pairs: (400,800) ok; ("tiny"=1 token → filtered); (40,60) ok.
-	if len(d.Entries) != 2 {
-		t.Fatalf("entries = %d, want 2: %+v", len(d.Entries), d.Entries)
-	}
-	if d.Entries[0].PromptTokens != 100 || d.Entries[0].OutputTokens != 200 {
-		t.Fatalf("entry 0 = %+v", d.Entries[0])
-	}
-	if _, err := LoadJSON([]byte(`not json`)); err == nil {
-		t.Fatal("bad JSON should error")
-	}
-	if _, err := LoadJSON([]byte(`[]`)); err == nil {
-		t.Fatal("empty corpus should error")
-	}
-}
-
-func makeString(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = 'a'
-	}
-	return string(b)
-}

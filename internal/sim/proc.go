@@ -134,9 +134,6 @@ func (p *Proc) park() {
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name returns the process name (for diagnostics).
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Time { return p.eng.Now() }
 
@@ -157,9 +154,6 @@ func (p *Proc) Kill() {
 		}
 	}})
 }
-
-// Done reports whether the process has finished (normally or via Kill).
-func (p *Proc) Done() bool { return p.done }
 
 // String implements fmt.Stringer.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
@@ -282,12 +276,6 @@ func (f *Future[T]) Resolve(v T, err error) {
 	f.val, f.err = v, err
 	f.sig.Fire()
 }
-
-// Ready reports whether the future has been resolved.
-func (f *Future[T]) Ready() bool { return f.sig.Fired() }
-
-// Value returns the resolved value; valid only after Ready.
-func (f *Future[T]) Value() (T, error) { return f.val, f.err }
 
 // Await suspends the process until the future resolves, returning its value.
 func Await[T any](p *Proc, f *Future[T]) (T, error) {

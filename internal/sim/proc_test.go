@@ -83,7 +83,7 @@ func TestKillDeferredSleepCompletes(t *testing.T) {
 	if cleanedAt != time.Minute+time.Second {
 		t.Fatalf("cleanup finished at %v, want 1m1s", cleanedAt)
 	}
-	if !victim.Done() {
+	if !victim.done {
 		t.Fatal("killed process not marked done")
 	}
 }
@@ -98,7 +98,7 @@ func TestStaleWakeSkipsReusedCoroutine(t *testing.T) {
 	e.RunFor(time.Second)
 	victim.Kill()
 	e.RunFor(time.Second)
-	if !victim.Done() {
+	if !victim.done {
 		t.Fatal("victim not killed")
 	}
 	wokeAt := time.Duration(-1)

@@ -235,7 +235,7 @@ func TestProcKill(t *testing.T) {
 	if reached {
 		t.Fatal("killed process continued past Sleep")
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("killed process not marked done")
 	}
 }

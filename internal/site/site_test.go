@@ -19,10 +19,10 @@ func TestSiteAssembly(t *testing.T) {
 	if len(s.HopsNodes) != 8 || len(s.EldoradoNodes) != 8 {
 		t.Fatalf("node counts: hops=%d eldo=%d", len(s.HopsNodes), len(s.EldoradoNodes))
 	}
-	if s.HopsNodes[0].GPUModelName() != "H100-SXM-80GB" {
+	if s.HopsNodes[0].GPUs[0].Model.Name != "H100-SXM-80GB" {
 		t.Fatal("hops GPU model wrong")
 	}
-	if s.EldoradoNodes[0].GPUModelName() != "MI300A-128GB" {
+	if s.EldoradoNodes[0].GPUs[0].Model.Name != "MI300A-128GB" {
 		t.Fatal("eldorado GPU model wrong")
 	}
 	if got := len(s.Goodall.Nodes()); got != 4 {

@@ -52,15 +52,11 @@ type Job struct {
 	EndAt     time.Time
 	Reason    string // pending reason or failure message
 	Nodes     []*hw.Node
-	done      *sim.Signal
 	proc      *sim.Proc
 	limitTm   *sim.Timer
 	cleanups  []func()
 	timeLimit time.Duration
 }
-
-// Done fires when the job reaches a terminal state.
-func (j *Job) Done() *sim.Signal { return j.done }
 
 // NodeNames lists allocated node names.
 func (j *Job) NodeNames() []string {
@@ -134,15 +130,6 @@ func (c *Cluster) AddPartition(name string, nodes []*hw.Node, defaultLimit, maxL
 	}
 }
 
-// Partition returns the nodes of a partition.
-func (c *Cluster) Partition(name string) []*hw.Node {
-	p := c.partitions[name]
-	if p == nil {
-		return nil
-	}
-	return p.nodes
-}
-
 // Submit queues a job (sbatch). Validation errors return immediately.
 func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
 	partName := spec.Partition
@@ -170,8 +157,7 @@ func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
 	c.nextID++
 	job := &Job{
 		ID: c.nextID, Spec: spec, State: StatePending,
-		SubmitAt: c.eng.Now(), done: c.eng.NewSignal(),
-		Reason: "Priority", timeLimit: limit,
+		SubmitAt: c.eng.Now(), Reason: "Priority", timeLimit: limit,
 	}
 	c.queue = append(c.queue, job)
 	c.kick()
@@ -193,9 +179,6 @@ func (c *Cluster) Cancel(job *Job) {
 		c.terminate(job, StateCancelled, "scancel")
 	}
 }
-
-// Queue returns pending jobs in order (squeue).
-func (c *Cluster) Queue() []*Job { return append([]*Job(nil), c.queue...) }
 
 // Running returns jobs currently executing.
 func (c *Cluster) Running() []*Job { return append([]*Job(nil), c.running...) }
@@ -447,5 +430,4 @@ func (c *Cluster) finish(job *Job, state State, reason string) {
 		job.cleanups[i]()
 	}
 	job.cleanups = nil
-	job.done.Fire()
 }

@@ -219,12 +219,12 @@ func TestNodeReservationForCaL(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunFor(time.Minute)
-	if len(c.Queue()) != 1 {
+	if len(c.queue) != 1 {
 		t.Fatal("2-node job should be stuck pending with one node reserved")
 	}
 	c.ReleaseReservation("hops02")
 	eng.Run()
-	if len(c.Queue()) != 0 {
+	if len(c.queue) != 0 {
 		t.Fatal("job should run after reservation release")
 	}
 	// Reserving a busy node fails.

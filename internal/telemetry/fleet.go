@@ -33,7 +33,7 @@ type ReplicaHealth struct {
 type GatewayCounters struct {
 	Requests         int            `json:"requests"`                // forwarded client requests (control paths excluded)
 	Retries          int            `json:"retries"`                 // second attempts after a first-choice replica failed
-	Rejected         int            `json:"rejected"`                // 503s from admission (queue-depth and SLO sheds)
+	Rejected         int            `json:"rejected"`                // 503s from admission (SLO sheds)
 	Errors           int            `json:"errors"`                  // requests that failed on every attempted replica
 	Held             int            `json:"held"`                    // requests queued for a cold start
 	Streams          int            `json:"streams"`                 // SSE responses proxied unbuffered

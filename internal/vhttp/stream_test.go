@@ -166,7 +166,7 @@ func TestStreamBufferBoundedWhenNeverDrained(t *testing.T) {
 // against the route, so a streamed body takes bandwidth-bound virtual time.
 func TestStreamChunksMetered(t *testing.T) {
 	e, n := newTestNet(t)
-	wire := n.Fabric().AddLink("wire", 100, 0) // 100 B/s
+	wire := n.fabric.AddLink("wire", 100, 0) // 100 B/s
 	n.RouteFn = func(from, to string) []*netsim.Link { return []*netsim.Link{wire} }
 	n.BaseLatency = 0
 	n.Listen("api", 8000, ServiceFunc(func(p *sim.Proc, req *Request) *Response {

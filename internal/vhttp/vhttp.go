@@ -154,9 +154,6 @@ func NewNet(fabric *netsim.Fabric) *Net {
 	}
 }
 
-// Fabric returns the underlying netsim fabric.
-func (n *Net) Fabric() *netsim.Fabric { return n.fabric }
-
 func key(host string, port int) string { return fmt.Sprintf("%s:%d", host, port) }
 
 // ListenOptions configure an endpoint.

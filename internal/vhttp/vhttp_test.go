@@ -135,7 +135,7 @@ func TestAliasChainAndRemoval(t *testing.T) {
 
 func TestBodyTransferTakesTime(t *testing.T) {
 	e, n := newTestNet(t)
-	wire := n.Fabric().AddLink("wire", 100, 0) // 100 B/s
+	wire := n.fabric.AddLink("wire", 100, 0) // 100 B/s
 	n.RouteFn = func(from, to string) []*netsim.Link { return []*netsim.Link{wire} }
 	n.BaseLatency = 0
 	n.Listen("s3", 9000, ServiceFunc(func(p *sim.Proc, req *Request) *Response {

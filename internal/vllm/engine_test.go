@@ -43,18 +43,30 @@ func TestPlanCapacityGates(t *testing.T) {
 	if _, err := New(sim.NewEngine(1), hopsScoutConfig()); err != nil {
 		t.Fatalf("65536 context should fit: %v", err)
 	}
-	// Scout on a single GPU OOMs on weights.
-	cfg = hopsScoutConfig()
-	cfg.TensorParallel = 1
-	if _, err := New(sim.NewEngine(1), cfg); err == nil {
-		t.Fatal("Scout on one 80GiB GPU should OOM")
-	} else if !strings.Contains(err.Error(), "CUDA out of memory") {
-		t.Fatalf("err = %v", err)
+	// Scout's weights need at least four 80GiB GPUs (§3.4): fewer OOM.
+	for tp := 1; tp < 4; tp++ {
+		cfg = hopsScoutConfig()
+		cfg.TensorParallel = tp
+		if _, err := PlanCapacity(cfg); err == nil || !strings.Contains(err.Error(), "CUDA out of memory") {
+			t.Fatalf("Scout on %d 80GiB GPUs: err = %v, want a weights OOM", tp, err)
+		}
 	}
-	// Quantized Scout fits TP2 (Fig 10 configuration).
-	q := Config{Model: llm.ScoutW4A16, GPU: hw.H100NVL, TensorParallel: 2, MaxModelLen: 65536}
-	if _, err := New(sim.NewEngine(1), q); err != nil {
-		t.Fatalf("quantized Scout TP2 should fit: %v", err)
+	// Quantized Scout fits TP2 (Fig 10 configuration), on 80GiB GPUs too.
+	for _, gpu := range []hw.GPUModel{hw.H100NVL, hw.H100SXM} {
+		q := Config{Model: llm.ScoutW4A16, GPU: gpu, TensorParallel: 2, MaxModelLen: 65536}
+		if _, err := New(sim.NewEngine(1), q); err != nil {
+			t.Fatalf("quantized Scout TP2 on %s should fit: %v", gpu.Name, err)
+		}
+	}
+	// 405B's weights need more than eight 80GiB GPUs and fit the 16 of
+	// its §3.5 deployment (TP4 × PP4).
+	big := Config{Model: llm.Llama31405B, GPU: hw.H100SXM, TensorParallel: 4, PipelineParallel: 2, MaxModelLen: 8192}
+	if _, err := PlanCapacity(big); err == nil || !strings.Contains(err.Error(), "CUDA out of memory") {
+		t.Fatalf("405B on 8 GPUs: err = %v, want a weights OOM", err)
+	}
+	big.PipelineParallel = 4
+	if _, err := PlanCapacity(big); err != nil {
+		t.Fatalf("405B on 16 GPUs should fit: %v", err)
 	}
 }
 

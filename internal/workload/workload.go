@@ -110,19 +110,6 @@ type Arrivals struct {
 	Cycles int `json:"cycles,omitempty"`
 }
 
-// Duration is the schedule's total span.
-func (a Arrivals) Duration() time.Duration {
-	var d time.Duration
-	for _, p := range a.Periods {
-		d += p.Dur
-	}
-	c := a.Cycles
-	if c < 1 {
-		c = 1
-	}
-	return d * time.Duration(c)
-}
-
 // Spec is the full declarative workload: everything Generate needs, and
 // nothing else — the same (Spec, Seed) always yields the same stream.
 type Spec struct {

@@ -191,20 +191,15 @@ func TestLengthDistDefaultsToShareGPTCalibration(t *testing.T) {
 
 func TestArrivalsCycles(t *testing.T) {
 	spec := twoPhaseSpec()
-	if spec.Arrivals.Duration() != 2*time.Minute {
-		t.Fatalf("duration = %v", spec.Arrivals.Duration())
-	}
 	spec.Arrivals.Cycles = 2
-	if spec.Arrivals.Duration() != 4*time.Minute {
-		t.Fatalf("cycled duration = %v", spec.Arrivals.Duration())
-	}
 	reqs, err := Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The second cycle's high period (minute 3..4) must again carry ~5x
-	// the starts of the preceding low period (minute 2..3).
-	var lo2, hi2 int
+	// the starts of the preceding low period (minute 2..3), and no start
+	// falls past the two cycles' 4 minutes.
+	var lo2, hi2, late int
 	for _, r := range reqs {
 		if r.Turn != 0 {
 			continue
@@ -214,10 +209,12 @@ func TestArrivalsCycles(t *testing.T) {
 			lo2++
 		case r.At() >= 3*time.Minute && r.At() < 4*time.Minute:
 			hi2++
+		case r.At() >= 4*time.Minute:
+			late++
 		}
 	}
-	if lo2 == 0 || hi2 == 0 || float64(hi2)/float64(lo2) < 3 {
-		t.Fatalf("cycle 2 starts lo=%d hi=%d, want the diurnal shape to repeat", lo2, hi2)
+	if lo2 == 0 || hi2 == 0 || float64(hi2)/float64(lo2) < 3 || late != 0 {
+		t.Fatalf("cycle 2 starts lo=%d hi=%d, %d after 4m; want the diurnal shape to repeat once", lo2, hi2, late)
 	}
 }
 

@@ -18,15 +18,6 @@ func Decode(v any, out any) error {
 	return assign(v, rv.Elem(), "")
 }
 
-// Unmarshal parses data and decodes into out in one step.
-func Unmarshal(data []byte, out any) error {
-	v, err := Parse(data)
-	if err != nil {
-		return err
-	}
-	return Decode(v, out)
-}
-
 func assign(v any, dst reflect.Value, path string) error {
 	if v == nil {
 		return nil // leave zero value
@@ -197,25 +188,6 @@ func Get(v any, path string) any {
 func GetString(v any, path, def string) string {
 	if s, ok := Get(v, path).(string); ok {
 		return s
-	}
-	return def
-}
-
-// GetInt returns the integer at path, or def.
-func GetInt(v any, path string, def int) int {
-	switch t := Get(v, path).(type) {
-	case int64:
-		return int(t)
-	case float64:
-		return int(t)
-	}
-	return def
-}
-
-// GetBool returns the bool at path, or def.
-func GetBool(v any, path string, def bool) bool {
-	if b, ok := Get(v, path).(bool); ok {
-		return b
 	}
 	return def
 }

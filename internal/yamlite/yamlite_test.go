@@ -89,9 +89,6 @@ command: ["vllm", "serve", "/data/", "--port", "8000"]
 	if got := GetString(v, "image.repository", ""); got != "vllm/vllm-openai" {
 		t.Fatalf("image.repository = %q", got)
 	}
-	if got := GetInt(v, "resources.limits.nvidia\\.com/gpu", -1); got != -1 {
-		_ = got // dotted key with dots inside is not addressable via Get; direct check below
-	}
 	lim := Get(v, "resources.limits").(map[string]any)
 	if lim["nvidia.com/gpu"] != int64(4) {
 		t.Fatalf("gpu limit = %v", lim["nvidia.com/gpu"])
@@ -379,7 +376,7 @@ extra:
 ignored_key: whatever
 `
 	var v vllmValues
-	if err := Unmarshal([]byte(src), &v); err != nil {
+	if err := Decode(mustParse(t, src), &v); err != nil {
 		t.Fatal(err)
 	}
 	if v.Image.Repository != "vllm/vllm-openai" || v.Image.Tag != "v0.9.1" {
@@ -403,7 +400,7 @@ func TestDecodeErrors(t *testing.T) {
 	var s struct {
 		N int `yaml:"n"`
 	}
-	if err := Unmarshal([]byte("n: notanumber"), &s); err == nil {
+	if err := Decode(mustParse(t, "n: notanumber"), &s); err == nil {
 		t.Fatal("string into int should error")
 	}
 	if err := Decode(map[string]any{}, s); err == nil {
@@ -442,8 +439,8 @@ func TestGetHelpers(t *testing.T) {
 	if GetString(v, "a.b.1.name", "") != "deep" {
 		t.Fatal("a.b.1.name")
 	}
-	if !GetBool(v, "flag", false) || GetInt(v, "num", 0) != 7 {
-		t.Fatal("scalar getters")
+	if Get(v, "flag") != true || Get(v, "num") != int64(7) {
+		t.Fatal("scalar paths")
 	}
 	if Get(v, "a.missing.path") != nil || GetString(v, "nope", "def") != "def" {
 		t.Fatal("missing path defaults")
