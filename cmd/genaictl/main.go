@@ -1,7 +1,8 @@
 // Command genaictl is the unified container-deployment tool the paper's §4
-// proposes: one interface that plans and executes GenAI service deployments
-// across HPC (Slurm/Flux with Podman/Apptainer) and Kubernetes platforms,
-// resolving runtime, platform, and site differences from package metadata.
+// proposes: one interface that plans, executes and benchmarks GenAI service
+// deployments across HPC (Slurm/Flux with Podman/Apptainer) and Kubernetes
+// platforms, resolving runtime, platform, and site differences from package
+// metadata.
 //
 // Everything runs against the simulated converged site, so every command is
 // reproducible on a laptop:
@@ -14,23 +15,31 @@
 //	genaictl deploy -platform hops  -model meta-llama/Llama-3.1-8B-Instruct -tp 1 -max-model-len 8192 -query "hello"
 //	genaictl deploy -platform hops  -tp 1 -max-model-len 8192 -autoscale -pool-nodes 4 \
 //	    -models "chat=meta-llama/Llama-3.1-8B-Instruct:2,code=Qwen/Qwen2.5-Coder-7B-Instruct:1" -query "hello"
+//	genaictl bench -platform eldorado -concurrencies 1,16,256 -num-prompts 200   # Fig 8 sweep
+//	genaictl bench -replicas 2 -route-policy session -workload diurnal-chat -artifact BENCH_workload.json
 //	genaictl fetch -model meta-llama/Llama-3.1-8B-Instruct    # hub → S3 workflow
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"maps"
 	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/ingress"
 	"repro/internal/llm"
+	"repro/internal/metrics"
+	"repro/internal/sharegpt"
 	"repro/internal/sim"
 	"repro/internal/site"
 	"repro/internal/telemetry"
@@ -66,6 +75,8 @@ func main() {
 		runPlan(args)
 	case "deploy":
 		runDeploy(args)
+	case "bench":
+		runBench(args)
 	case "trace":
 		runTrace(args)
 	case "observe":
@@ -91,100 +102,204 @@ commands:
   models        list known models
   plan          render the deployment artifact for a platform
   deploy        deploy on the simulated site and optionally send a query
+  bench         deploy, then sweep request concurrency or run an open-loop workload
   trace         deploy, send one traced request, print its stage waterfall
   observe       deploy, apply brief load, print the /observe fleet snapshot
   fetch         run the model download → object storage workflow
   experiments   list reproducible experiments (see cmd/figures)`)
 }
 
-// deployOpts collects the flags shared by plan and deploy.
-type deployOpts struct {
-	platform, model  *string
-	tp, pp, maxLen   *int
-	persistent       *bool
-	replicas         *int
-	policy           *string
-	elastic          *bool
-	minReps, maxReps *int
-	targetQueue      *int
-	sloP95           *time.Duration
-	ttftTarget       *time.Duration
-	priority         *string
-	models           *string
-	poolNodes        *int
-	prefixCache      *bool
+// deployment is what the deployment flags describe. deployFlags binds
+// each flag to a field, most of them to the DeployConfig's, and resolve
+// checks them and finds the platform and the model, or a fleet's members;
+// cfg is then the DeployConfig of the one model or, for a fleet, the base
+// every member's config starts from (core.SeedFleet sets each member's
+// model, alias and per-model options on a copy).
+type deployment struct {
+	cfg                        core.DeployConfig
+	policy                     autoscale.Policy // cfg.Autoscale under -autoscale
+	platform, model, fleetSpec string
+	elastic, prefixCache       bool
+	pool                       int
+
+	pf      core.Platform
+	members []core.FleetFlagEntry // nil for a single deployment
 }
 
-func deployFlags(fs *flag.FlagSet) *deployOpts {
-	o := &deployOpts{}
-	o.platform = fs.String("platform", "hops", "target platform (hops, eldorado, goodall, cee)")
-	o.model = fs.String("model", llm.Scout.Name, "model name")
-	o.tp = fs.Int("tp", 4, "tensor parallel size")
-	o.pp = fs.Int("pp", 1, "pipeline parallel size (>1 = multi-node via Ray)")
-	o.maxLen = fs.Int("max-model-len", 65536, "context length limit")
-	o.persistent = fs.Bool("persistent", false, "Compute-as-Login persistent service on a Slurm platform (hops)")
-	o.replicas = fs.Int("replicas", 1, "engine instances behind one endpoint (>1 = replica set + gateway)")
-	o.policy = fs.String("route-policy", "round-robin", "replica-set routing: round-robin, least-loaded, session (KV-cache affinity on the request's session key), prefix (session affinity plus sketch-based cache-aware placement)")
-	o.elastic = fs.Bool("autoscale", false, "elastically resize the replica set from gateway load (HPC)")
-	o.minReps = fs.Int("min-replicas", 0, "autoscale floor (0 = scale to zero when idle)")
-	o.maxReps = fs.Int("max-replicas", 4, "autoscale ceiling")
-	o.targetQueue = fs.Int("target-queue-depth", 0, "autoscale per-replica queue target (0 = default)")
-	o.sloP95 = fs.Duration("slo-p95", 0, "p95 latency objective: shed batch-class requests while the gateway's rolling p95 breaches it (0 = off)")
-	o.ttftTarget = fs.Duration("ttft-target", 0, "time-to-first-token objective stamped onto requests for the engine's deadline scheduler; batch class gets a relaxed multiple (0 = fall back to -slo-p95)")
-	o.priority = fs.String("priority", "", "default priority class for unlabeled requests: interactive (default) or batch")
-	o.models = fs.String("models", "", "multi-model fleet spec: alias=hf-name[:weight][:p95=dur][:ttft=dur][:class=name][:policy=name],... (e.g. \"chat=meta-llama/Llama-3.1-8B-Instruct:2:p95=30s,code=Qwen/Qwen2.5-Coder-7B-Instruct:1:class=batch\")")
-	o.poolNodes = fs.Int("pool-nodes", 0, "shared node pool arbitrated across the fleet's models (0 = no arbitration)")
-	o.prefixCache = fs.Bool("prefix-cache", true, "automatic prefix caching in the engine (vLLM --enable-prefix-caching); multi-turn sessions routed to their replica skip cached prefill")
-	return o
+// deployFlags declares the deployment flags plan, deploy, bench, trace
+// and observe share.
+func deployFlags(fs *flag.FlagSet) *deployment {
+	dep := &deployment{cfg: core.DeployConfig{Offline: true}}
+	fs.StringVar(&dep.platform, "platform", "hops", "target platform (hops, eldorado, goodall, cee)")
+	fs.StringVar(&dep.model, "model", llm.Scout.Name, "model name")
+	fs.IntVar(&dep.cfg.TensorParallel, "tp", 4, "tensor parallel size")
+	fs.IntVar(&dep.cfg.PipelineParallel, "pp", 1, "pipeline parallel size (>1 = multi-node via Ray)")
+	fs.IntVar(&dep.cfg.MaxModelLen, "max-model-len", 65536, "context length limit")
+	fs.BoolVar(&dep.cfg.Persistent, "persistent", false, "Compute-as-Login persistent service on a Slurm platform (hops)")
+	fs.IntVar(&dep.cfg.Replicas, "replicas", 1, "engine instances behind one endpoint (>1 = replica set + gateway)")
+	fs.StringVar(&dep.cfg.RoutePolicy, "route-policy", "round-robin", "replica-set routing: round-robin, least-loaded, session (KV-cache affinity on the request's session key), prefix (session affinity plus sketch-based cache-aware placement)")
+	fs.BoolVar(&dep.elastic, "autoscale", false, "elastically resize the replica set from gateway load (HPC)")
+	fs.IntVar(&dep.policy.MinReplicas, "min-replicas", 0, "autoscale floor (0 = scale to zero when idle)")
+	fs.IntVar(&dep.policy.MaxReplicas, "max-replicas", 4, "autoscale ceiling")
+	fs.IntVar(&dep.policy.TargetQueueDepth, "target-queue-depth", 0, "autoscale per-replica queue target (0 = default)")
+	fs.DurationVar(&dep.cfg.SLOTargetP95, "slo-p95", 0, "p95 latency objective: shed batch-class requests while the gateway's rolling p95 breaches it (0 = off)")
+	fs.DurationVar(&dep.cfg.TTFTTarget, "ttft-target", 0, "time-to-first-token objective stamped onto requests for the engine's deadline scheduler; batch class gets a relaxed multiple (0 = fall back to -slo-p95)")
+	fs.StringVar(&dep.cfg.PriorityClass, "priority", "", "default priority class for unlabeled requests: interactive (default) or batch")
+	fs.StringVar(&dep.fleetSpec, "models", "", "multi-model fleet spec: alias=hf-name[:weight][:p95=dur][:ttft=dur][:class=name][:policy=name],... (e.g. \"chat=meta-llama/Llama-3.1-8B-Instruct:2:p95=30s,code=Qwen/Qwen2.5-Coder-7B-Instruct:1:class=batch\"); deploy and bench only")
+	fs.IntVar(&dep.pool, "pool-nodes", 0, "shared node pool arbitrated across the fleet's models (0 = no arbitration)")
+	fs.BoolVar(&dep.prefixCache, "prefix-cache", true, "automatic prefix caching in the engine (vLLM --enable-prefix-caching); multi-turn sessions routed to their replica skip cached prefill")
+	fs.IntVar(&dep.cfg.CPUOffloadBlocks, "cpu-offload-blocks", 0, "host-memory KV tier capacity in blocks per replica (vLLM --cpu-offload-blocks); evicted prefix blocks demote to host memory and re-promote on a hit instead of re-prefilling (0 = off)")
+	fs.IntVar(&dep.cfg.KVTransferMicros, "kv-transfer-micros", 0, "host-to-GPU KV promotion cost per block in microseconds (0 = engine default)")
+	fs.IntVar(&dep.cfg.NumGPUBlocksOverride, "gpu-blocks-override", 0, "pin the GPU KV cache to this many blocks (vLLM --num-gpu-blocks-override); small values force eviction to exercise the host tier (0 = profile-derived)")
+	return dep
 }
 
-// validate rejects out-of-range flag values and returns the autoscale
-// policy (nil when disabled). Plan and Deploy check the route policy, the
-// priority class and the autoscale bounds.
-func (o *deployOpts) validate() (*autoscale.Policy, error) {
-	if *o.replicas < 1 {
-		return nil, fmt.Errorf("-replicas must be at least 1 (got %d)", *o.replicas)
+// resolve rejects out-of-range flag values and resolves the platform and
+// the model or, when the command deploys fleets and -models is set, the
+// fleet's members. Plan and Deploy check the route policy, the priority
+// class and the autoscale bounds.
+func (dep *deployment) resolve(fleets bool) (err error) {
+	if dep.cfg.Replicas < 1 {
+		return fmt.Errorf("-replicas must be at least 1 (got %d)", dep.cfg.Replicas)
 	}
-	if *o.sloP95 < 0 {
-		return nil, fmt.Errorf("-slo-p95 must be >= 0 (got %s)", *o.sloP95)
+	if dep.cfg.SLOTargetP95 < 0 {
+		return fmt.Errorf("-slo-p95 must be >= 0 (got %s)", dep.cfg.SLOTargetP95)
 	}
-	if *o.ttftTarget < 0 {
-		return nil, fmt.Errorf("-ttft-target must be >= 0 (got %s)", *o.ttftTarget)
+	if dep.cfg.TTFTTarget < 0 {
+		return fmt.Errorf("-ttft-target must be >= 0 (got %s)", dep.cfg.TTFTTarget)
 	}
-	if !*o.elastic {
-		return nil, nil
+	if dep.pf, err = core.PlatformByName(dep.platform); err != nil {
+		return err
 	}
-	return &autoscale.Policy{
-		MinReplicas:      *o.minReps,
-		MaxReplicas:      *o.maxReps,
-		TargetQueueDepth: *o.targetQueue,
-	}, nil
+	if dep.elastic {
+		dep.cfg.Autoscale = &dep.policy
+	}
+	dep.cfg.DisablePrefixCache = !dep.prefixCache
+	if fleets && dep.fleetSpec != "" {
+		dep.members, err = core.ParseFleetFlag(dep.fleetSpec)
+	} else {
+		dep.cfg.Model, err = llm.ByName(dep.model)
+	}
+	return err
 }
 
-func (o *deployOpts) config(m *llm.ModelSpec, pol *autoscale.Policy) core.DeployConfig {
-	return core.DeployConfig{
-		Model: m, TensorParallel: *o.tp, PipelineParallel: *o.pp,
-		MaxModelLen: *o.maxLen, Offline: true, Persistent: *o.persistent,
-		Replicas: *o.replicas, RoutePolicy: *o.policy, Autoscale: pol,
-		SLOTargetP95: *o.sloP95, TTFTTarget: *o.ttftTarget,
-		PriorityClass:      *o.priority,
-		DisablePrefixCache: !*o.prefixCache,
+// served is a live deployment as the commands drive it: one model's
+// instance or replica set, or a fleet of them behind one routing endpoint.
+type served struct {
+	url   string
+	dp    *core.Deployment // nil for a fleet
+	fleet *core.Fleet      // nil for a single deployment
+}
+
+// deploy stages the model weights and deploys: one model (SeedModelOn and
+// Deploy) or every fleet member behind one router (SeedFleet and
+// DeployFleet). took is the deploy time, the staging excluded.
+func (dep *deployment) deploy(p *sim.Proc, d *core.Deployer) (sv served, took time.Duration, err error) {
+	if dep.members == nil {
+		if err = d.SeedModelOn(p, dep.pf, dep.cfg.Model); err != nil {
+			return sv, 0, err
+		}
+		start := p.Now()
+		if sv.dp, err = d.Deploy(p, core.VLLMPackage(), dep.pf, dep.cfg); err != nil {
+			return sv, 0, err
+		}
+		sv.url = sv.dp.BaseURL
+		return sv, p.Now().Sub(start), nil
 	}
+	models, err := core.SeedFleet(p, d, dep.pf, dep.cfg, dep.members)
+	if err != nil {
+		return sv, 0, err
+	}
+	start := p.Now()
+	if sv.fleet, err = d.DeployFleet(p, core.VLLMPackage(), dep.pf, core.FleetConfig{PoolNodes: dep.pool}, models); err != nil {
+		return sv, 0, err
+	}
+	sv.url = sv.fleet.BaseURL
+	return sv, p.Now().Sub(start), nil
+}
+
+func (sv served) stop() {
+	if sv.fleet != nil {
+		sv.fleet.Stop()
+	} else {
+		sv.dp.Stop()
+	}
+}
+
+// models lists the model names a client sends to the endpoint: each fleet
+// member's route name, or "" for a single deployment's one model.
+func (sv served) models() []string {
+	if sv.fleet != nil {
+		return sv.fleet.Models()
+	}
+	return []string{""}
+}
+
+// gateway returns the gateway serving a name models lists (nil for a
+// single bare engine).
+func (sv served) gateway(model string) *ingress.Gateway {
+	if sv.fleet != nil {
+		return sv.fleet.Deployment(model).Gateway()
+	}
+	return sv.dp.Gateway()
+}
+
+// reply is what a client saw of one chat completion.
+type reply struct {
+	streamed bool
+	ttft     time.Duration // arrival of the first streamed delta
+	tokens   int           // deltas streamed, or a buffered answer's completion tokens
+	took     time.Duration
+}
+
+// ask sends one chat completion to the endpoint at url and reads the whole
+// answer, a streamed one chunk by chunk.
+func ask(p *sim.Proc, c *vhttp.Client, url string, req vllm.ChatRequest, header map[string]string) (reply, error) {
+	body, _ := json.Marshal(req)
+	t0 := p.Now()
+	resp, err := c.Do(p, &vhttp.Request{Method: "POST", URL: url + "/v1/chat/completions", Body: body, Header: header})
+	if err != nil {
+		return reply{}, err
+	}
+	if resp.Stream == nil {
+		// An error envelope decodes to zero completion tokens.
+		var cr vllm.ChatResponse
+		_ = json.Unmarshal(resp.Body, &cr)
+		return reply{tokens: cr.Usage.CompletionTokens, took: p.Now().Sub(t0)}, nil
+	}
+	r := reply{streamed: true}
+	for {
+		chunk, ok := resp.Stream.Next(p)
+		if !ok {
+			break
+		}
+		if payload, isEvent := vllm.ParseSSE(chunk.Data); isEvent && string(payload) != "[DONE]" {
+			if r.tokens == 0 {
+				r.ttft = p.Now().Sub(t0)
+			}
+			r.tokens++
+		}
+	}
+	if err := resp.Stream.Err(); err != nil {
+		return reply{}, fmt.Errorf("stream truncated: %w", err)
+	}
+	r.took = p.Now().Sub(t0)
+	return r, nil
+}
+
+// loginClient is a client on the site's login node, where users run
+// their tools.
+func loginClient(d *core.Deployer) *vhttp.Client {
+	return &vhttp.Client{Net: d.Site.Net, From: site.LoginHops}
 }
 
 func runPlan(args []string) {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
-	opts := deployFlags(fs)
+	dep := deployFlags(fs)
 	fs.Parse(args)
-	pol, err := opts.validate()
-	fatalIf(err)
-	pf, err := core.PlatformByName(*opts.platform)
-	fatalIf(err)
-	m, err := llm.ByName(*opts.model)
-	fatalIf(err)
-	s := site.New(site.Options{Small: true, Seed: 1})
-	d := core.NewDeployer(s)
-	plan, err := d.Plan(core.VLLMPackage(), pf, opts.config(m, pol))
+	fatalIf(dep.resolve(false))
+	d := core.NewDeployer(site.New(site.Options{Small: true, Seed: 1}))
+	plan, err := d.Plan(core.VLLMPackage(), dep.pf, dep.cfg)
 	fatalIf(err)
 	fmt.Printf("# platform: %s   runtime: %s   image: %s\n", plan.Platform.Name, plan.Runtime, plan.Image)
 	fmt.Println(plan.Artifact)
@@ -195,192 +310,261 @@ func runPlan(args []string) {
 
 func runDeploy(args []string) {
 	fs := flag.NewFlagSet("deploy", flag.ExitOnError)
-	opts := deployFlags(fs)
-	query := fs.String("query", "", "send one chat completion after deploying")
+	dep := deployFlags(fs)
+	prompt := fs.String("query", "", "send one chat completion after deploying (to every model of a fleet)")
 	stream := fs.Bool("stream", false, "stream the -query response over SSE, reporting time to first token")
-	wl := fs.String("workload", "", "drive a workload preset or spec file against the deployment (e.g. steady, diurnal-chat)")
-	wlTrace := fs.String("trace-file", "", "workload trace JSONL: replay it if the file exists, else record the generated workload to it")
-	wlArtifact := fs.String("workload-artifact", "", "write per-cohort workload results to this JSON file (e.g. BENCH_workload.json)")
 	fs.Parse(args)
-	pol, err := opts.validate()
-	fatalIf(err)
-	if *opts.models != "" {
-		if *wl != "" || *wlTrace != "" {
-			fatalIf(fmt.Errorf("-workload/-trace-file drive a single-model deployment (drop -models)"))
-		}
-		runDeployFleet(opts, pol, *query)
-		return
-	}
-	pf, err := core.PlatformByName(*opts.platform)
-	fatalIf(err)
-	m, err := llm.ByName(*opts.model)
-	fatalIf(err)
-
-	s := site.New(site.Options{Small: true, Seed: 1})
-	d := core.NewDeployer(s)
-	var failure error
-	done := false
-	s.Eng.Go("genaictl", func(p *sim.Proc) {
-		defer func() { done = true }()
-		// The fetch/stage pipeline is exercised by `genaictl fetch` and the
-		// test suite.
-		if failure = d.SeedModelOn(p, pf, m); failure != nil {
-			return
-		}
-		start := p.Now()
-		dp, err := d.Deploy(p, core.VLLMPackage(), pf, opts.config(m, pol))
+	fatalIf(dep.resolve(true))
+	fatalIf(run(1, func(p *sim.Proc, d *core.Deployer) error {
+		sv, took, err := dep.deploy(p, d)
 		if err != nil {
-			failure = err
-			return
+			return err
 		}
-		fmt.Printf("deployed %s on %s in %s (simulated)\n", m.Short, pf.Name, p.Now().Sub(start).Round(time.Second))
-		fmt.Printf("  endpoint: %s\n", dp.BaseURL)
-		if dp.ExternalURL != "" && dp.ExternalURL != dp.BaseURL {
-			fmt.Printf("  external: %s\n", dp.ExternalURL)
+		defer sv.stop()
+		if fl := sv.fleet; fl != nil {
+			fmt.Printf("deployed %d-model fleet on %s in %s (simulated)\n", len(fl.Models()), dep.pf.Name, took.Round(time.Second))
+			fmt.Printf("  endpoint: %s (routes on the request's `model` field)\n", sv.url)
+			if dep.pool > 0 {
+				fmt.Printf("  pool:     %d nodes shared across the fleet\n", dep.pool)
+			}
+			for _, name := range fl.Models() {
+				fmt.Printf("  model %-40s %d replicas (%s routing)\n", name, fl.Deployment(name).CurrentReplicas(), sv.gateway(name).Policy)
+			}
+		} else {
+			fmt.Printf("deployed %s on %s in %s (simulated)\n", dep.cfg.Model.Short, dep.pf.Name, took.Round(time.Second))
+			fmt.Printf("  endpoint: %s\n", sv.url)
+			if ext := sv.dp.ExternalURL; ext != "" && ext != sv.url {
+				fmt.Printf("  external: %s\n", ext)
+			}
+			if gw := sv.dp.Gateway(); gw != nil {
+				fmt.Printf("  replicas: %d (%s routing)\n", len(sv.dp.Replicas()), gw.Policy)
+				for _, r := range sv.dp.Replicas() {
+					fmt.Printf("    - %s\n", r.BaseURL)
+				}
+				if pol := dep.cfg.Autoscale; pol != nil {
+					resolved := pol.WithDefaults()
+					fmt.Printf("  autoscale: %d–%d replicas, target queue %d/replica, scale-to-zero after %s idle\n",
+						resolved.MinReplicas, resolved.MaxReplicas, resolved.TargetQueueDepth, resolved.ScaleToZeroAfter)
+				}
+				if dep.cfg.SLOTargetP95 > 0 {
+					fmt.Printf("  slo: p95 objective %s (batch-class requests shed while breached)\n", dep.cfg.SLOTargetP95)
+				}
+				if dep.cfg.TTFTTarget > 0 {
+					fmt.Printf("  ttft: %s objective (engines admit by deadline urgency)\n", dep.cfg.TTFTTarget)
+				}
+				if dep.cfg.PriorityClass != "" {
+					fmt.Printf("  priority: unlabeled requests default to the %s class\n", dep.cfg.PriorityClass)
+				}
+			}
 		}
-		if gw := dp.Gateway(); gw != nil {
-			fmt.Printf("  replicas: %d (%s routing)\n", len(dp.Replicas()), gw.Policy)
-			for _, r := range dp.Replicas() {
-				fmt.Printf("    - %s\n", r.BaseURL)
-			}
-			if pol != nil {
-				resolved := pol.WithDefaults()
-				fmt.Printf("  autoscale: %d–%d replicas, target queue %d/replica, scale-to-zero after %s idle\n",
-					resolved.MinReplicas, resolved.MaxReplicas, resolved.TargetQueueDepth, resolved.ScaleToZeroAfter)
-			}
-			if *opts.sloP95 > 0 {
-				fmt.Printf("  slo: p95 objective %s (batch-class requests shed while breached)\n", *opts.sloP95)
-			}
-			if *opts.ttftTarget > 0 {
-				fmt.Printf("  ttft: %s objective (engines admit by deadline urgency)\n", *opts.ttftTarget)
-			}
-			if *opts.priority != "" {
-				fmt.Printf("  priority: unlabeled requests default to the %s class\n", *opts.priority)
-			}
+		if *prompt == "" {
+			return nil
 		}
-		if *query != "" {
-			client := &vhttp.Client{Net: s.Net, From: site.LoginHops}
-			body, _ := json.Marshal(vllm.ChatRequest{
-				Messages: []vllm.ChatMessage{{Role: "user", Content: *query}}, MaxTokens: 64,
+		for _, name := range sv.models() {
+			r, err := ask(p, loginClient(d), sv.url, vllm.ChatRequest{
+				Model: name, Messages: []vllm.ChatMessage{{Role: "user", Content: *prompt}}, MaxTokens: 64,
 				Stream: *stream,
-			})
-			t0 := p.Now()
-			resp, err := client.Do(p, &vhttp.Request{Method: "POST", URL: dp.BaseURL + "/v1/chat/completions", Body: body})
+			}, nil)
 			if err != nil {
-				failure = err
-				return
+				return err
 			}
-			if resp.Stream != nil {
-				// Consume the SSE body chunk by chunk; the first delta's
-				// arrival is the client-observed time to first token.
-				tokens, ttft := 0, time.Duration(0)
-				for {
-					c, ok := resp.Stream.Next(p)
-					if !ok {
-						break
-					}
-					if payload, isEvent := vllm.ParseSSE(c.Data); isEvent && string(payload) != "[DONE]" {
-						if tokens == 0 {
-							ttft = p.Now().Sub(t0)
-						}
-						tokens++
-					}
-				}
-				if err := resp.Stream.Err(); err != nil {
-					failure = fmt.Errorf("stream truncated: %w", err)
-					return
-				}
-				fmt.Printf("  query streamed: first token in %s, %d chunks, done in %s\n",
-					ttft.Round(time.Millisecond), tokens, p.Now().Sub(t0).Round(time.Millisecond))
+			label := "  query"
+			if name != "" {
+				label = fmt.Sprintf("  query %-40s", name)
+			}
+			if r.streamed {
+				fmt.Printf("%s streamed: first token in %s, %d chunks, done in %s\n",
+					label, r.ttft.Round(time.Millisecond), r.tokens, r.took.Round(time.Millisecond))
 			} else {
-				var cr vllm.ChatResponse
-				json.Unmarshal(resp.Body, &cr)
-				fmt.Printf("  query answered in %s: %d completion tokens\n",
-					p.Now().Sub(t0).Round(time.Millisecond), cr.Usage.CompletionTokens)
+				fmt.Printf("%s answered in %s: %d completion tokens\n", label, r.took.Round(time.Millisecond), r.tokens)
 			}
 		}
-		if *wl != "" || *wlTrace != "" {
-			wlSpec, wlReqs, src, err := bench.ResolveWorkload(*wl, m.Name, *wlTrace)
-			if err != nil {
-				failure = err
-				return
-			}
-			sum := workload.Summarize(wlReqs)
-			fmt.Printf("  workload: %s (%d sessions, %d clients, %s span)\n", src, sum.Sessions, sum.Clients, sum.Span)
-			client := &vhttp.Client{Net: s.Net, From: site.LoginHops}
-			res := bench.RunWorkload(p, &bench.HTTPTarget{Client: client, BaseURL: dp.BaseURL}, wlSpec.Name, wlReqs)
-			fmt.Print(res)
-			if *wlArtifact != "" {
-				label := fmt.Sprintf("%s %s x%d", pf.Name, m.Short, *opts.replicas)
-				if err := bench.WriteWorkloadArtifact(*wlArtifact, bench.NewWorkloadArtifact(label, wlSpec, wlReqs, res)); err != nil {
-					failure = err
-					return
-				}
-				fmt.Printf("  wrote %s\n", *wlArtifact)
-			}
-		}
-		dp.Stop()
-	})
-	drive(s, &done)
-	fatalIf(failure)
+		return nil
+	}))
 }
 
-// runDeployFleet deploys a multi-model fleet behind one routing endpoint.
-func runDeployFleet(opts *deployOpts, pol *autoscale.Policy, query string) {
-	entries, err := core.ParseFleetFlag(*opts.models)
-	fatalIf(err)
-	pf, err := core.PlatformByName(*opts.platform)
-	fatalIf(err)
-
-	s := site.New(site.Options{Small: true, Seed: 1})
-	d := core.NewDeployer(s)
-	var failure error
-	done := false
-	s.Eng.Go("genaictl", func(p *sim.Proc) {
-		defer func() { done = true }()
-		models, err := core.SeedFleet(p, d, pf, opts.config(nil, pol), entries)
+// runBench is the serving benchmark (the Fig 8 workflow): it deploys, then
+// sweeps maximum request concurrency, printing a benchmark_serving.py-style
+// summary per point and a gnuplot-ready series, or with -workload or
+// -trace-file replays an open-loop workload at its recorded arrival times.
+// A fleet's members are swept one after another through the shared routing
+// endpoint, so per-model throughput reflects pool arbitration and
+// model-aware routing, not a private replica set.
+func runBench(args []string) {
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	dep := deployFlags(fs)
+	prompts := fs.Int("num-prompts", 1000, "requests per point")
+	concs := fs.String("concurrencies", "", "comma list (default 1..1024 powers of 2)")
+	seed := fs.Int64("seed", 0, "dataset sampling seed")
+	stream := fs.Bool("stream", false, "request SSE streaming (stream: true); TTFT and inter-token latency measured at the client as chunks arrive")
+	artifact := fs.String("artifact", "", "write the results as a JSON artifact to this path (e.g. BENCH_streaming.json; BENCH_workload.json-shaped under -workload)")
+	traceOn := fs.Bool("trace", false, "sample request traces at the gateway during the run and print the slowest trace's stage waterfall (needs -replicas > 1 or -models)")
+	observe := fs.String("observe-artifact", "", "write the post-run /observe fleet snapshot as JSON to this path (e.g. OBSERVE_fleet.json)")
+	wl := fs.String("workload", "", "open-loop workload mode: a preset name (diurnal-chat, steady) or a spec JSON path replaces the closed-loop concurrency sweep")
+	wlTrace := fs.String("trace-file", "", "workload JSONL trace: replayed if the file exists, else the generated stream is recorded here for deterministic replays")
+	fs.Parse(args)
+	fatalIf(dep.resolve(true))
+	points := bench.SweepConcurrencies()
+	if *concs != "" {
+		points = nil
+		for _, part := range strings.Split(*concs, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			fatalIf(err)
+			points = append(points, n)
+		}
+	}
+	open := *wl != "" || *wlTrace != ""
+	if open && dep.members != nil {
+		fatalIf(fmt.Errorf("-workload/-trace-file drive a single model's endpoint (drop -models)"))
+	}
+	fatalIf(run(*seed+3, func(p *sim.Proc, d *core.Deployer) error {
+		sv, _, err := dep.deploy(p, d)
 		if err != nil {
-			failure = err
-			return
+			return err
 		}
-		start := p.Now()
-		fleet, err := d.DeployFleet(p, core.VLLMPackage(), pf, core.FleetConfig{PoolNodes: *opts.poolNodes}, models)
-		if err != nil {
-			failure = err
-			return
-		}
-		defer fleet.Stop()
-		fmt.Printf("deployed %d-model fleet on %s in %s (simulated)\n", len(models), pf.Name, p.Now().Sub(start).Round(time.Second))
-		fmt.Printf("  endpoint: %s (routes on the request's `model` field)\n", fleet.BaseURL)
-		if *opts.poolNodes > 0 {
-			fmt.Printf("  pool:     %d nodes shared across the fleet\n", *opts.poolNodes)
-		}
-		for _, name := range fleet.Models() {
-			dp := fleet.Deployment(name)
-			fmt.Printf("  model %-40s %d replicas (%s routing)\n", name, dp.CurrentReplicas(), dp.Gateway().Policy)
-		}
-		if query != "" {
-			client := &vhttp.Client{Net: s.Net, From: site.LoginHops}
-			for _, name := range fleet.Models() {
-				body, _ := json.Marshal(vllm.ChatRequest{
-					Model:    name,
-					Messages: []vllm.ChatMessage{{Role: "user", Content: query}}, MaxTokens: 64,
-				})
-				t0 := p.Now()
-				resp, err := client.Do(p, &vhttp.Request{Method: "POST", URL: fleet.BaseURL + "/v1/chat/completions", Body: body})
-				if err != nil {
-					failure = err
-					return
+		defer sv.stop()
+		names := sv.models()
+		label, title := "fleet", "output token throughput vs max concurrency (per model)"
+		if sv.fleet != nil {
+			fmt.Printf("# serving %d-model fleet on %s behind %s (pool: %d nodes)\n", len(names), dep.pf.Name, sv.url, dep.pool)
+		} else {
+			m := dep.cfg.Model
+			label, title = fmt.Sprintf("%s %s TP%d", dep.pf.Name, m.Short, dep.cfg.TensorParallel), "output token throughput vs max concurrency"
+			if dep.cfg.Replicas > 1 {
+				label = fmt.Sprintf("%s x%d (%s)", label, dep.cfg.Replicas, dep.cfg.RoutePolicy)
+			}
+			if gw := sv.dp.Gateway(); gw != nil {
+				fmt.Printf("# serving %s on %s: %d replicas behind %s (%s routing)\n",
+					m.Short, dep.pf.Name, len(sv.dp.Replicas()), sv.url, gw.Policy)
+			} else {
+				fmt.Printf("# serving %s on %s at %s\n", m.Short, dep.pf.Name, sv.url)
+				if *traceOn {
+					fmt.Println("# -trace needs a gateway (-replicas > 1); no traces will be sampled")
 				}
-				var cr vllm.ChatResponse
-				json.Unmarshal(resp.Body, &cr)
-				fmt.Printf("  query %-40s answered in %s: %d completion tokens\n",
-					name, p.Now().Sub(t0).Round(time.Millisecond), cr.Usage.CompletionTokens)
 			}
 		}
-	})
-	drive(s, &done)
-	fatalIf(failure)
+		for _, name := range names {
+			if gw := sv.gateway(name); *traceOn && gw != nil {
+				gw.Tracer = &trace.Recorder{SampleEvery: traceSampleStride}
+			}
+		}
+
+		var write func() error // writes the -artifact
+		var series []metrics.Series
+		if open {
+			spec, reqs, src, err := bench.ResolveWorkload(*wl, dep.cfg.Model.Name, *wlTrace)
+			if err != nil {
+				return err
+			}
+			st := workload.Summarize(reqs)
+			fmt.Printf("# workload: %s (%d sessions, %d clients, %s span)\n", src, st.Sessions, st.Clients, st.Span)
+			res := bench.RunWorkload(p, &bench.HTTPTarget{Client: loginClient(d), BaseURL: sv.url, Stream: *stream}, spec.Name, reqs)
+			fmt.Print(res)
+			write = func() error {
+				return bench.WriteWorkloadArtifact(*artifact, bench.NewWorkloadArtifact(label, spec, reqs, res))
+			}
+		} else {
+			ds := sharegpt.Synthesize(*seed, 4000)
+			var all []*bench.Result
+			for _, name := range names {
+				target := &bench.HTTPTarget{Client: loginClient(d), BaseURL: sv.url, Model: name, Stream: *stream}
+				cfg := bench.Config{Name: name, Dataset: ds, NumPrompts: *prompts, Seed: *seed, ContinueOnError: sv.gateway(name) != nil}
+				key := name
+				if name == "" {
+					cfg.Name, key = dep.platform, label
+				}
+				results := bench.Sweep(p, target, cfg, points)
+				for _, r := range results {
+					fmt.Println(r)
+				}
+				all = append(all, results...)
+				series = append(series, bench.ToSeries(key, results))
+			}
+			write = func() error { return bench.WriteArtifact(*artifact, label, *stream, all) }
+		}
+
+		if fl := sv.fleet; fl != nil {
+			rst := fl.Router().Stats()
+			fmt.Printf("# router: %d routed, %d unknown-model\n", rst.Requests, rst.Unknown)
+			for _, name := range names {
+				st := sv.gateway(name).Stats()
+				fmt.Printf("# model %s: %d requests, %d retries, %d rejected, %d errors, %d holds\n",
+					name, st.Requests, st.Retries, st.Rejected, st.Errors, st.Held)
+			}
+		} else if gw := sv.dp.Gateway(); gw != nil {
+			st := gw.Stats()
+			fmt.Printf("# gateway: %d requests, %d retries, %d rejected, %d errors; %d/%d replicas healthy\n",
+				st.Requests, st.Retries, st.Rejected, st.Errors, gw.HealthyBackends(), len(gw.Backends()))
+			if slo, ok := gw.SLO(); ok {
+				fmt.Printf("# slo: p95 objective %s, %d batch sheds (breaker engaged: %v)\n",
+					gw.SLOTargetP95, slo.Sheds, slo.Engaged)
+			}
+			if spills := gw.SessionSpills(); spills > 0 {
+				fmt.Printf("# session routing: %d saturation spills off the affine replica\n", spills)
+			}
+			if as := sv.dp.Autoscaler(); as != nil {
+				ast := as.Status()
+				fmt.Printf("# autoscaler: %d replicas (target %d), %d scale-ups, %d scale-downs, %d cold-start holds\n",
+					ast.Current, ast.Target, ast.ScaleUps, ast.ScaleDowns, st.Held)
+			}
+		}
+		if !open {
+			fmt.Println(metrics.DatFile(title, series))
+		}
+		if *artifact != "" {
+			if err := write(); err != nil {
+				return err
+			}
+			fmt.Printf("# wrote %s\n", *artifact)
+		}
+		for _, name := range names {
+			if gw := sv.gateway(name); *traceOn && gw != nil {
+				if name != "" {
+					fmt.Printf("# model %s:\n", name)
+				}
+				printSlowestTrace(gw)
+			}
+		}
+		if *observe != "" && sv.gateway(names[0]) != nil { // a bare engine serves no /observe
+			return writeObserveArtifact(p, loginClient(d), sv.url, *observe)
+		}
+		return nil
+	}))
+}
+
+// traceSampleStride traces one request in every 16 during a bench run —
+// enough settled traces to populate the slow-request flight recorder
+// without the per-trace allocations distorting the measured path.
+const traceSampleStride = 16
+
+// printSlowestTrace renders the slowest sampled trace's stage waterfall,
+// the per-request decomposition behind the run's tail latency.
+func printSlowestTrace(gw *ingress.Gateway) {
+	slow := gw.Tracer.Slowest()
+	if len(slow) == 0 {
+		fmt.Println("# no traces sampled")
+		return
+	}
+	_, sampled := gw.Tracer.Counts()
+	fmt.Printf("# slowest of %d sampled traces:\n", sampled)
+	fmt.Print(slow[0].Waterfall())
+}
+
+// writeObserveArtifact fetches the /observe fleet snapshot and writes the
+// JSON document to path.
+func writeObserveArtifact(p *sim.Proc, client *vhttp.Client, baseURL, path string) error {
+	resp, err := client.Get(p, baseURL+telemetry.ObservePath)
+	if err != nil {
+		return fmt.Errorf("fetch %s: %w", telemetry.ObservePath, err)
+	}
+	if resp.Status != 200 {
+		return fmt.Errorf("fetch %s: status %d", telemetry.ObservePath, resp.Status)
+	}
+	if err := os.WriteFile(path, resp.Body, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("# wrote %s\n", path)
+	return nil
 }
 
 // runTrace deploys a replica set, sends one streamed request tagged with
@@ -388,147 +572,84 @@ func runDeployFleet(opts *deployOpts, pol *autoscale.Policy, query string) {
 // back from the gateway's /traces endpoint.
 func runTrace(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	opts := deployFlags(fs)
-	query := fs.String("query", "Trace this request end to end.", "prompt for the traced request")
+	dep := deployFlags(fs)
+	prompt := fs.String("query", "Trace this request end to end.", "prompt for the traced request")
 	id := fs.String("id", "genaictl-trace-1", "trace ID sent as the X-Trace-Id header")
 	fs.Parse(args)
-	if *opts.replicas < 2 {
-		// Tracing lives in the gateway; a single bare engine has no
-		// /traces endpoint to fetch the settled trace from.
-		*opts.replicas = 2
-	}
-	pol, err := opts.validate()
-	fatalIf(err)
-	pf, err := core.PlatformByName(*opts.platform)
-	fatalIf(err)
-	m, err := llm.ByName(*opts.model)
-	fatalIf(err)
-
-	s := site.New(site.Options{Small: true, Seed: 1})
-	d := core.NewDeployer(s)
-	var failure error
-	done := false
-	s.Eng.Go("genaictl", func(p *sim.Proc) {
-		defer func() { done = true }()
-		if failure = d.SeedModelOn(p, pf, m); failure != nil {
-			return
-		}
-		dp, err := d.Deploy(p, core.VLLMPackage(), pf, opts.config(m, pol))
+	// Tracing lives in the gateway; a single bare engine has no /traces
+	// endpoint to fetch the settled trace from.
+	dep.cfg.Replicas = max(dep.cfg.Replicas, 2)
+	fatalIf(dep.resolve(false))
+	fatalIf(run(1, func(p *sim.Proc, d *core.Deployer) error {
+		sv, _, err := dep.deploy(p, d)
 		if err != nil {
-			failure = err
-			return
+			return err
 		}
-		defer dp.Stop()
-		client := &vhttp.Client{Net: s.Net, From: site.LoginHops}
-		body, _ := json.Marshal(vllm.ChatRequest{
-			Messages:  []vllm.ChatMessage{{Role: "user", Content: *query}},
+		defer sv.stop()
+		client := loginClient(d)
+		if _, err := ask(p, client, sv.url, vllm.ChatRequest{
+			Messages:  []vllm.ChatMessage{{Role: "user", Content: *prompt}},
 			MaxTokens: 64, Stream: true,
-		})
-		resp, err := client.Do(p, &vhttp.Request{
-			Method: "POST", URL: dp.BaseURL + "/v1/chat/completions", Body: body,
-			Header: map[string]string{trace.Header: *id},
-		})
+		}, map[string]string{trace.Header: *id}); err != nil {
+			return err
+		}
+		resp, err := client.Get(p, sv.url+trace.Path+"?id="+*id)
 		if err != nil {
-			failure = err
-			return
+			return fmt.Errorf("fetch trace %s: %w", *id, err)
 		}
-		if resp.Stream != nil {
-			for {
-				if _, ok := resp.Stream.Next(p); !ok {
-					break
-				}
-			}
-			if err := resp.Stream.Err(); err != nil {
-				failure = fmt.Errorf("stream truncated: %w", err)
-				return
-			}
-		}
-		tresp, err := client.Get(p, dp.BaseURL+trace.Path+"?id="+*id)
-		if err != nil {
-			failure = fmt.Errorf("fetch trace %s: %w", *id, err)
-			return
-		}
-		if tresp.Status != 200 {
-			failure = fmt.Errorf("fetch trace %s: status=%d", *id, tresp.Status)
-			return
+		if resp.Status != 200 {
+			return fmt.Errorf("fetch trace %s: status=%d", *id, resp.Status)
 		}
 		var tr trace.Trace
-		if err := json.Unmarshal(tresp.Body, &tr); err != nil {
-			failure = err
-			return
+		if err := json.Unmarshal(resp.Body, &tr); err != nil {
+			return err
 		}
 		fmt.Print(tr.Waterfall())
-	})
-	drive(s, &done)
-	fatalIf(failure)
+		return nil
+	}))
 }
 
 // runObserve deploys a replica set, applies a brief burst of load, and
 // pretty-prints the one-stop /observe fleet snapshot.
 func runObserve(args []string) {
 	fs := flag.NewFlagSet("observe", flag.ExitOnError)
-	opts := deployFlags(fs)
+	dep := deployFlags(fs)
 	load := fs.Int("load", 8, "requests to send before snapshotting")
 	fs.Parse(args)
-	if *opts.replicas < 2 {
-		*opts.replicas = 2
-	}
-	pol, err := opts.validate()
-	fatalIf(err)
-	pf, err := core.PlatformByName(*opts.platform)
-	fatalIf(err)
-	m, err := llm.ByName(*opts.model)
-	fatalIf(err)
-
-	s := site.New(site.Options{Small: true, Seed: 1})
-	d := core.NewDeployer(s)
-	var failure error
-	done := false
-	s.Eng.Go("genaictl", func(p *sim.Proc) {
-		defer func() { done = true }()
-		if failure = d.SeedModelOn(p, pf, m); failure != nil {
-			return
-		}
-		dp, err := d.Deploy(p, core.VLLMPackage(), pf, opts.config(m, pol))
+	dep.cfg.Replicas = max(dep.cfg.Replicas, 2)
+	fatalIf(dep.resolve(false))
+	fatalIf(run(1, func(p *sim.Proc, d *core.Deployer) error {
+		sv, _, err := dep.deploy(p, d)
 		if err != nil {
-			failure = err
-			return
+			return err
 		}
-		defer dp.Stop()
-		client := &vhttp.Client{Net: s.Net, From: site.LoginHops}
+		defer sv.stop()
+		client := loginClient(d)
 		for i := 0; i < *load; i++ {
-			body, _ := json.Marshal(vllm.ChatRequest{
+			if _, err := ask(p, client, sv.url, vllm.ChatRequest{
 				Messages:  []vllm.ChatMessage{{Role: "user", Content: fmt.Sprintf("load %d", i)}},
 				MaxTokens: 32,
-			})
-			if _, err := client.Do(p, &vhttp.Request{
-				Method: "POST", URL: dp.BaseURL + "/v1/chat/completions", Body: body,
-			}); err != nil {
-				failure = err
-				return
+			}, nil); err != nil {
+				return err
 			}
 		}
 		// Let the gateway's next probe round land so the snapshot carries
 		// fresh per-replica telemetry instead of "never scraped".
 		p.Sleep(20 * time.Second)
-		resp, err := client.Get(p, dp.BaseURL+telemetry.ObservePath)
+		resp, err := client.Get(p, sv.url+telemetry.ObservePath)
 		if err != nil {
-			failure = fmt.Errorf("fetch /observe: %w", err)
-			return
+			return fmt.Errorf("fetch /observe: %w", err)
 		}
 		if resp.Status != 200 {
-			failure = fmt.Errorf("fetch /observe: status=%d", resp.Status)
-			return
+			return fmt.Errorf("fetch /observe: status=%d", resp.Status)
 		}
 		f, err := telemetry.DecodeFleet(resp.Body)
 		if err != nil {
-			failure = err
-			return
+			return err
 		}
 		printFleet(f)
-	})
-	drive(s, &done)
-	fatalIf(failure)
+		return nil
+	}))
 }
 
 // printFleet renders a FleetSnapshot for the terminal.
@@ -585,32 +706,32 @@ func runFetch(args []string) {
 	fs.Parse(args)
 	m, err := llm.ByName(*model)
 	fatalIf(err)
-	s := site.New(site.Options{Small: true, Seed: 1})
-	d := core.NewDeployer(s)
-	var failure error
-	done := false
-	s.Eng.Go("genaictl", func(p *sim.Proc) {
-		defer func() { done = true }()
+	fatalIf(run(1, func(p *sim.Proc, d *core.Deployer) error {
 		start := p.Now()
-		if failure = d.FetchModel(p, m, *token); failure != nil {
-			return
+		if err := d.FetchModel(p, m, *token); err != nil {
+			return err
 		}
 		fmt.Printf("fetched %s: %.1f GiB cloned on %s, synced to s3://%s/%s in %s (simulated)\n",
 			m.Short, float64(m.RepoBytes())/(1<<30), site.BuildHost, site.ModelBucket, m.Name,
 			p.Now().Sub(start).Round(time.Second))
-	})
-	drive(s, &done)
-	fatalIf(failure)
+		return nil
+	}))
 }
 
-// drive advances the simulation until the command's process completes.
-func drive(s *site.Site, done *bool) {
-	for i := 0; i < 100000 && !*done; i++ {
-		s.Eng.RunFor(10 * time.Minute)
+// run starts fn as the command's process on a fresh small site seeded
+// with seed, and advances the simulation until fn returns.
+func run(seed int64, fn func(p *sim.Proc, d *core.Deployer) error) error {
+	d := core.NewDeployer(site.New(site.Options{Small: true, Seed: seed}))
+	err := errors.New("simulation did not converge")
+	done := false
+	d.Site.Eng.Go("genaictl", func(p *sim.Proc) {
+		err = fn(p, d)
+		done = true
+	})
+	for i := 0; i < 100000 && !done; i++ {
+		d.Site.Eng.RunFor(10 * time.Minute)
 	}
-	if !*done {
-		fatalIf(fmt.Errorf("simulation did not converge"))
-	}
+	return err
 }
 
 func fatalIf(err error) {

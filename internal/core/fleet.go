@@ -34,8 +34,8 @@ type FleetFlagEntry struct {
 	RoutePolicy string
 }
 
-// ParseFleetFlag parses the CLI fleet spec shared by genaictl and
-// benchserve: comma-separated `alias=hf-name[:opt...]` items, with alias
+// ParseFleetFlag parses genaictl's `-models` fleet spec (deploy and
+// bench): comma-separated `alias=hf-name[:opt...]` items, with alias
 // optional. Each colon-separated option after the model name is either a
 // bare positive integer (the pool-arbitration weight, default 1),
 // `p95=<duration>` (a per-model p95 latency objective), `ttft=<duration>`
@@ -163,7 +163,8 @@ type FleetConfig struct {
 // SeedFleet stages each entry's model weights onto the platform (the
 // test/demo shortcut of SeedModelOn) and assembles the FleetModel list:
 // base's per-model knobs with Model, ServedName, and Weight taken from each
-// entry. Shared by the genaictl and benchserve fleet paths.
+// entry. genaictl's deploy and bench commands seed their fleets through
+// it.
 func SeedFleet(p *sim.Proc, d *Deployer, pf Platform, base DeployConfig, entries []FleetFlagEntry) ([]FleetModel, error) {
 	var out []FleetModel
 	for _, e := range entries {

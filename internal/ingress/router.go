@@ -144,17 +144,10 @@ func (r *Router) Serve(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 	case trace.Path:
 		return r.traces(req)
 	case "/v1/models":
-		// Aggregated and deduplicated across the fleet: the authoritative
-		// list lives here, not on whichever replica a probe would hit.
-		seen := make(map[string]bool, len(r.routes))
-		var ids []string
-		for _, rt := range r.routes {
-			if !seen[rt.model] {
-				seen[rt.model] = true
-				ids = append(ids, rt.model)
-			}
-		}
-		return vhttp.JSON(200, vllm.ModelListBody(ids...))
+		// Aggregated across the fleet (AddModel keeps route names unique):
+		// the authoritative list lives here, not on whichever replica a
+		// probe would hit.
+		return vhttp.JSON(200, vllm.ModelListBody(r.Models()...))
 	}
 
 	if !inferencePath(req.Path) {

@@ -67,6 +67,17 @@ func ParseClass(s string) (Class, error) {
 	return ClassUnset, fmt.Errorf("sched: unknown priority class %q (want %q or %q)", s, ClassInteractive, ClassBatch)
 }
 
+// ClassOf reads a priority class name by the rule every layer applies:
+// "" is ClassUnset, a known name its class, and any other name ClassBatch —
+// mislabeled traffic must not claim interactive priority. It does not
+// allocate, and a name converted from bytes need not escape.
+func ClassOf(name string) Class {
+	if c, ok := lookupClass(name); ok {
+		return c
+	}
+	return ClassBatch
+}
+
 // lookupClass is ParseClass without the error, so a name converted from
 // bytes need not escape.
 func lookupClass(s string) (Class, bool) {
@@ -189,9 +200,7 @@ func Describe(header map[string]string, body []byte) (Request, error) {
 	if cls == "" {
 		cls = string(c.Priority)
 	}
-	if r.Class, ok = lookupClass(cls); !ok {
-		r.Class = ClassBatch
-	}
+	r.Class = ClassOf(cls)
 	if v := header[TTFTTargetHeader]; v != "" {
 		if us, perr := strconv.ParseInt(v, 10, 64); perr == nil && us > 0 {
 			r.TTFTTarget = time.Duration(us) * time.Microsecond

@@ -287,7 +287,7 @@ func (t *Trace) UnmarshalJSON(data []byte) error {
 
 // Waterfall renders the trace as a text stage waterfall: one row per
 // span, offset-indented bars scaled to the end-to-end duration. The
-// output is what `genaictl trace` and `benchserve -trace` print.
+// output is what `genaictl trace` and `genaictl bench -trace` print.
 func (t *Trace) Waterfall() string {
 	if t == nil {
 		return "(no trace)\n"

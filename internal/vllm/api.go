@@ -317,7 +317,7 @@ func readChat(blockSize int, body []byte) (chatParams, error) {
 	if !ok {
 		return decodeChat(blockSize, body)
 	}
-	cr := chatParams{model: c.Model, maxTokens: c.MaxTokens, class: className(c.Priority), stream: c.Stream}
+	cr := chatParams{model: c.Model, maxTokens: c.MaxTokens, class: className(string(c.Priority)), stream: c.Stream}
 	cr.prompt, cr.hashes = chatPrompt(blockSize, c.Messages)
 	return cr, nil
 }
@@ -330,7 +330,7 @@ func decodeChat(blockSize int, body []byte) (chatParams, error) {
 	}
 	cr := chatParams{
 		model: []byte(req.Model), hashes: ChatPromptHashes(blockSize, req.Messages),
-		maxTokens: req.MaxTokens, class: req.Priority, stream: req.Stream,
+		maxTokens: req.MaxTokens, class: className(req.Priority), stream: req.Stream,
 	}
 	for _, m := range req.Messages {
 		cr.prompt += messageTokens(m)
@@ -338,15 +338,14 @@ func decodeChat(blockSize int, body []byte) (chatParams, error) {
 	return cr, nil
 }
 
-// className returns string(priority), without allocating for the class
-// names.
-func className(priority []byte) string {
-	for _, c := range [...]sched.Class{sched.ClassInteractive, sched.ClassBatch} {
-		if name := c.String(); string(priority) == name {
-			return name
-		}
+// className reads a body's or a header's priority class name by
+// sched.ClassOf's rule, so a name the gateway treats as batch is batch here
+// too, and returns the class's name ("" when unset) without allocating.
+func className(name string) string {
+	if c := sched.ClassOf(name); c != sched.ClassUnset {
+		return c.String()
 	}
-	return string(priority)
+	return ""
 }
 
 // applySchedHints folds the gateway-stamped scheduling headers into the
@@ -357,7 +356,7 @@ func className(priority []byte) string {
 // gateways) keep the body-derived behaviour.
 func applySchedHints(opts *SubmitOptions, header map[string]string) {
 	if cls := header[sched.PriorityHeader]; cls != "" {
-		opts.Class = cls
+		opts.Class = className(cls)
 	}
 	if v := header[sched.TTFTTargetHeader]; v != "" {
 		if us, err := strconv.ParseInt(v, 10, 64); err == nil && us > 0 {

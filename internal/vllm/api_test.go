@@ -9,6 +9,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/llm"
 	"repro/internal/netsim"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/vhttp"
 )
@@ -241,5 +242,53 @@ func TestEstimateAndSynthesize(t *testing.T) {
 	got := EstimateTokens(text)
 	if got < 95 || got > 105 {
 		t.Fatalf("round trip estimate = %d, want ~100", got)
+	}
+}
+
+// TestEngineReadsClassNamesAsTheGateway: the engine reads a priority class
+// name by the scheduling layer's rule, so a name it does not know — an
+// X-Priority header "Batch", a body priority "vip" — is batch at the engine
+// as at the gateway: counted as batch, and a victim the deadline rescue
+// evicts for at-risk interactive work, not interactive work itself.
+func TestEngineReadsClassNamesAsTheGateway(t *testing.T) {
+	cfg := hopsScoutConfig()
+	cfg.MaxNumSeqs = 2
+	se, e := newEngine(t, cfg)
+	net := vhttp.NewNet(netsim.New(se))
+	if err := net.Listen("hops15", 8000, &APIServer{Engine: e, ServedName: llm.Scout.Name}, vhttp.ListenOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	send := func(header map[string]string, body string) {
+		se.Go("client", func(p *sim.Proc) {
+			resp, err := (&vhttp.Client{Net: net}).Do(p, &vhttp.Request{
+				Method: "POST", URL: "http://hops15:8000/v1/chat/completions", Header: header, Body: []byte(body),
+			})
+			if err != nil {
+				t.Error(err)
+			} else if resp.Status != 200 {
+				t.Errorf("%s: status %d", body, resp.Status)
+			}
+		})
+	}
+	const report = `{"messages":[{"role":"user","content":"write the quarterly report"}],"max_tokens":400`
+	send(map[string]string{sched.PriorityHeader: "Batch"}, report+`}`)
+	send(nil, report+`,"priority":"vip"}`)
+	var classes map[string]int
+	se.Go("probe", func(p *sim.Proc) {
+		p.Sleep(500 * time.Millisecond)
+		classes = e.Telemetry().RunningByClass
+		// Two at-risk interactive requests against a full running batch:
+		// each rescue evicts one batch victim.
+		urgent := map[string]string{sched.PriorityHeader: "interactive", sched.TTFTTargetHeader: "1000"}
+		send(urgent, `{"messages":[{"role":"user","content":"hi"}],"max_tokens":4}`)
+		send(urgent, `{"messages":[{"role":"user","content":"hello"}],"max_tokens":4}`)
+	})
+	se.Run()
+	if classes["batch"] != 2 || len(classes) != 1 {
+		t.Errorf("RunningByClass = %v, want batch:2 alone", classes)
+	}
+	if st := e.Stats(); st.Preemptions != 2 || st.PeakSeqPreempts != 1 {
+		t.Errorf("%d preemptions, a sequence preempted at most %d times; want both batch requests evicted once",
+			st.Preemptions, st.PeakSeqPreempts)
 	}
 }

@@ -236,22 +236,27 @@ func TestChatAnswersAsDecoded(t *testing.T) {
 
 // TestChatParseAllocBudget: scanning a body and folding its block keys
 // allocates the key slice and nothing else, however many messages the
-// body holds, and nothing for a prompt shorter than one block.
+// body holds, and nothing for a prompt shorter than one block; reading its
+// priority class allocates nothing, for a name the scheduling layer does
+// not know too.
 func TestChatParseAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are distorted by the race detector")
 	}
 	history := chatHistory()
 	for _, tc := range []struct {
-		name   string
-		msgs   []ChatMessage
-		budget float64
+		name     string
+		msgs     []ChatMessage
+		priority string
+		budget   float64
 	}{
-		{"1-message", history[:1], 1},
-		{"9-message", history, 1},
-		{"sub-block", []ChatMessage{{Role: "user", Content: "hi"}}, 0},
+		{"1-message", history[:1], "", 1},
+		{"9-message", history, "", 1},
+		{"sub-block", []ChatMessage{{Role: "user", Content: "hi"}}, "", 0},
+		{"batch-class", history[:1], "batch", 1},
+		{"unknown-class", history[:1], "vip", 1},
 	} {
-		body, err := json.Marshal(ChatRequest{Model: llm.Scout.Name, Messages: tc.msgs, MaxTokens: 64, SessionID: "conv-1", Stream: true})
+		body, err := json.Marshal(ChatRequest{Model: llm.Scout.Name, Messages: tc.msgs, MaxTokens: 64, SessionID: "conv-1", Stream: true, Priority: tc.priority})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,6 +16,8 @@ package vllm
 import (
 	"container/heap"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // Scheduler policies (Config.SchedulerPolicy).
@@ -50,11 +52,10 @@ const (
 	// finishes (anti-starvation). KV-pressure preemption is exempt — it
 	// is a correctness matter, not a policy one.
 	maxDeadlinePreempts = 2
-	// classBatch is the batch priority-class name as it arrives on
-	// SubmitOptions.Class (sched.ClassBatch.String(); vllm cannot import
-	// sched, which imports trace and telemetry from below).
-	classBatch = "batch"
 )
+
+// classBatch is the batch priority class's name as sequences carry it.
+var classBatch = sched.ClassBatch.String()
 
 // urgency is the time-varying heap key: weight over remaining slack, so it
 // grows hyperbolically as the deadline nears and saturates at
