@@ -189,7 +189,8 @@ func BenchmarkSimEngine(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkYAMLParse measures the manifest parser on the vLLM chart values.
+// BenchmarkYAMLParse measures yamlite.Parse reading a vLLM chart values
+// file, the Fig 6 artifact a Kubernetes plan writes.
 func BenchmarkYAMLParse(b *testing.B) {
 	b.ReportAllocs()
 	doc := []byte(`

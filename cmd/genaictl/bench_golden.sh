@@ -2,14 +2,17 @@
 # Prints `genaictl bench` for the serving benchmark's main shapes: one
 # instance; a streamed replica set with traces and both artifacts; CI's
 # two open-loop workload sweeps; a traced fleet; a pooled autoscaled
-# fleet; autoscale with an SLO and a default class; El Dorado; CEE; and a
-# refused -replicas 0. A last case pins `genaictl deploy -models ... -query
-# -stream`, whose every model streams its answer. Each case runs in a
-# fresh temporary directory, writes its artifacts under fixed relative
-# names, and is followed by a sha256 of every file it wrote, so an
-# artifact is pinned byte for byte beside the printed output. A command
-# that fails prints its error and exit status. The output is committed as
-# cmd/genaictl/bench.golden, and CI diffs a fresh run against it:
+# fleet; autoscale with an SLO and a default class; El Dorado; CEE; CEE
+# with -replicas 2, -trace and -observe-artifact, which has no gateway to
+# trace at or snapshot, so it notes both and writes no file; and a
+# refused -replicas 0. A last case pins `genaictl deploy -models ...
+# -query -stream`, whose every model streams its answer. Each case runs
+# in a fresh temporary directory, writes its artifacts under fixed
+# relative names, and is followed by a sha256 of every file it wrote, so
+# an artifact is pinned byte for byte beside the printed output. A
+# command that fails prints its error and exit status. The output is
+# committed as cmd/genaictl/bench.golden, and CI diffs a fresh run
+# against it:
 #
 #   bash cmd/genaictl/bench_golden.sh > cmd/genaictl/bench.golden
 set -euo pipefail
@@ -42,6 +45,7 @@ bench -tp 1 -max-model-len 8192 -pool-nodes 4 -autoscale -max-replicas 3 -models
 bench -model meta-llama/Llama-3.1-8B-Instruct -tp 1 -max-model-len 8192 -autoscale -min-replicas 1 -max-replicas 3 -slo-p95 10s -priority batch -concurrencies 8,32 -num-prompts 100
 bench -platform eldorado -concurrencies 1,16 -num-prompts 50 -seed 7
 bench -platform cee -concurrencies 1,16 -num-prompts 50 -stream -artifact BENCH_cee.json
+bench -platform cee -replicas 2 -concurrencies 1,16 -num-prompts 50 -trace -observe-artifact OBSERVE_fleet.json
 bench -replicas 0
 deploy -platform hops -tp 1 -max-model-len 8192 -models chat=meta-llama/Llama-3.1-8B-Instruct:2,code=Qwen/Qwen2.5-Coder-7B-Instruct:1 -query hello -stream
 CASES

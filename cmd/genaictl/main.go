@@ -398,8 +398,8 @@ func runBench(args []string) {
 	seed := fs.Int64("seed", 0, "dataset sampling seed")
 	stream := fs.Bool("stream", false, "request SSE streaming (stream: true); TTFT and inter-token latency measured at the client as chunks arrive")
 	artifact := fs.String("artifact", "", "write the results as a JSON artifact to this path (e.g. BENCH_streaming.json; BENCH_workload.json-shaped under -workload)")
-	traceOn := fs.Bool("trace", false, "sample request traces at the gateway during the run and print the slowest trace's stage waterfall (needs -replicas > 1 or -models)")
-	observe := fs.String("observe-artifact", "", "write the post-run /observe fleet snapshot as JSON to this path (e.g. OBSERVE_fleet.json)")
+	traceOn := fs.Bool("trace", false, "sample request traces at the gateway during the run and print the slowest trace's stage waterfall (needs "+gatewayNeeds+")")
+	observe := fs.String("observe-artifact", "", "write the post-run /observe fleet snapshot as JSON to this path (e.g. OBSERVE_fleet.json; needs "+gatewayNeeds+")")
 	wl := fs.String("workload", "", "open-loop workload mode: a preset name (diurnal-chat, steady) or a spec JSON path replaces the closed-loop concurrency sweep")
 	wlTrace := fs.String("trace-file", "", "workload JSONL trace: replayed if the file exists, else the generated stream is recorded here for deterministic replays")
 	fs.Parse(args)
@@ -439,7 +439,10 @@ func runBench(args []string) {
 			} else {
 				fmt.Printf("# serving %s on %s at %s\n", m.Short, dep.pf.Name, sv.url)
 				if *traceOn {
-					fmt.Println("# -trace needs a gateway (-replicas > 1); no traces will be sampled")
+					fmt.Println("# -trace needs a gateway (" + gatewayNeeds + "); no traces will be sampled")
+				}
+				if *observe != "" {
+					fmt.Println("# -observe-artifact needs a gateway (" + gatewayNeeds + "); no snapshot will be written")
 				}
 			}
 		}
@@ -525,12 +528,17 @@ func runBench(args []string) {
 				printSlowestTrace(gw)
 			}
 		}
-		if *observe != "" && sv.gateway(names[0]) != nil { // a bare engine serves no /observe
+		if *observe != "" && sv.gateway(names[0]) != nil { // only a gateway serves /observe
 			return writeObserveArtifact(p, loginClient(d), sv.url, *observe)
 		}
 		return nil
 	}))
 }
+
+// gatewayNeeds names what deploys the gateway that -trace samples at and
+// -observe-artifact fetches /observe from: a bare engine or a Kubernetes
+// Service has none.
+const gatewayNeeds = "a replica set or fleet on an HPC platform"
 
 // traceSampleStride traces one request in every 16 during a bench run —
 // enough settled traces to populate the slow-request flight recorder

@@ -11,7 +11,6 @@ import (
 	"repro/internal/helm"
 	"repro/internal/hw"
 	"repro/internal/ingress"
-	"repro/internal/k8s"
 	"repro/internal/ray"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -349,14 +348,6 @@ func (d *Deployer) deployK8s(p *sim.Proc, pkg *ContainerPackage, t *target, cfg 
 				dp.ExternalURL = fmt.Sprintf("http://%s:%d", cfg.IngressHost, cfg.Port)
 			}
 			return dp, nil
-		}
-		// Surface unrecoverable pod failures early.
-		for _, pod := range cluster.Pods(map[string]string{"app": pkg.Name}) {
-			if pod.Status.Phase == k8s.PodFailed && pod.Status.Restarts == 0 && pod.Status.Message != "" {
-				// Deployment controller will retry; keep waiting unless we
-				// time out below.
-				break
-			}
 		}
 		if p.Now().After(deadline) {
 			dp.Stop()

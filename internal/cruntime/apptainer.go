@@ -37,8 +37,7 @@ func (ap *Apptainer) Name() string { return "apptainer" }
 // Run implements Runtime with Apptainer semantics.
 func (ap *Apptainer) Run(p *sim.Proc, node *hw.Node, spec Spec) (*Container, error) {
 	h := ap.Host
-	id := h.nextID("apptainer")
-	cfg, arch, err := h.resolveImage(p, node, spec)
+	cfg, arch, err := h.ResolveImage(p, node, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +75,7 @@ func (ap *Apptainer) Run(p *sim.Proc, node *hw.Node, spec Spec) (*Container, err
 	}
 	ctx := &ExecContext{
 		Node:           node,
-		Env:            mergeEnv(layers...),
+		Env:            MergeEnv(layers...),
 		User:           user,
 		Home:           home,
 		HomeWritable:   homeWritable,
@@ -94,7 +93,7 @@ func (ap *Apptainer) Run(p *sim.Proc, node *hw.Node, spec Spec) (*Container, err
 		Net:            h.Net,
 		Fabric:         h.Fabric,
 	}
-	return h.launch(node, spec, ctx, id)
+	return h.Launch(node, spec, ctx, "apptainer")
 }
 
 // Render returns the equivalent `apptainer exec` command line, mirroring the

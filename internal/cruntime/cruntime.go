@@ -314,14 +314,9 @@ func (h *Host) cacheFor(node *hw.Node) *registry.LayerCache {
 	return c
 }
 
-func (h *Host) nextID(prefix string) string {
-	h.seq++
-	return fmt.Sprintf("%s-%d", prefix, h.seq)
-}
-
-// resolveImage pulls the image (or reads its flattened file) and returns its
-// config and accelerator arch.
-func (h *Host) resolveImage(p *sim.Proc, node *hw.Node, spec Spec) (oci.Config, string, error) {
+// ResolveImage pulls the image (or reads its flattened file) for spec onto
+// node and returns its OCI config and accelerator arch.
+func (h *Host) ResolveImage(p *sim.Proc, node *hw.Node, spec Spec) (oci.Config, string, error) {
 	if spec.FlattenedFile != nil {
 		m := spec.FlattenedFile
 		f := m.FS.Stat(m.HostPath)
@@ -344,8 +339,9 @@ func (h *Host) resolveImage(p *sim.Proc, node *hw.Node, spec Spec) (oci.Config, 
 	return im.Config, im.Arch, nil
 }
 
-// mergeEnv layers maps left to right (later wins) into a fresh map.
-func mergeEnv(layers ...map[string]string) map[string]string {
+// MergeEnv layers environment maps left to right (later wins) into a
+// fresh map.
+func MergeEnv(layers ...map[string]string) map[string]string {
 	out := map[string]string{}
 	for _, l := range layers {
 		for k, v := range l {
@@ -355,12 +351,17 @@ func mergeEnv(layers ...map[string]string) map[string]string {
 	return out
 }
 
-// launch starts the program on its own process and manages lifecycle state.
-func (h *Host) launch(node *hw.Node, spec Spec, ctx *ExecContext, id string) (*Container, error) {
+// Launch starts spec's program on node with the ExecContext a runtime built
+// for it (Podman's, Apptainer's or the kubelet's CRI semantics), on its own
+// process, and manages its lifecycle: the container's ID (idPrefix and a
+// host-wide sequence number), GPU allocation and release, and exit state.
+func (h *Host) Launch(node *hw.Node, spec Spec, ctx *ExecContext, idPrefix string) (*Container, error) {
 	prog, err := h.Programs.Lookup(spec.Image)
 	if err != nil {
 		return nil, err
 	}
+	h.seq++
+	id := fmt.Sprintf("%s-%d", idPrefix, h.seq)
 	c := &Container{
 		ID: id, Spec: spec, Node: node, State: StateStarting,
 		Program:  prog,
@@ -398,24 +399,6 @@ func (h *Host) launch(node *hw.Node, spec Spec, ctx *ExecContext, id string) (*C
 	})
 	return c, nil
 }
-
-// ResolveImage pulls the image (or reads its flattened form) for spec onto
-// node, returning its OCI config and accelerator arch. Exported for
-// orchestration layers (the kubelet) that build their own ExecContexts.
-func (h *Host) ResolveImage(p *sim.Proc, node *hw.Node, spec Spec) (oci.Config, string, error) {
-	return h.resolveImage(p, node, spec)
-}
-
-// LaunchCustom starts a container with a caller-constructed ExecContext,
-// used by orchestration layers that implement their own runtime semantics
-// (Kubernetes CRI). The context's container linkage, GPU allocation, and
-// lifecycle management are handled here exactly as for Podman/Apptainer.
-func (h *Host) LaunchCustom(node *hw.Node, spec Spec, ctx *ExecContext, idPrefix string) (*Container, error) {
-	return h.launch(node, spec, ctx, h.nextID(idPrefix))
-}
-
-// MergeEnv layers environment maps left to right (later wins).
-func MergeEnv(layers ...map[string]string) map[string]string { return mergeEnv(layers...) }
 
 // NewDetachedContainer creates a container record not managed by any
 // runtime: a harness for driving Programs directly in tests.

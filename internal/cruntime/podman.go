@@ -26,8 +26,7 @@ func (pd *Podman) Name() string { return "podman" }
 // Run implements Runtime with Podman default semantics.
 func (pd *Podman) Run(p *sim.Proc, node *hw.Node, spec Spec) (*Container, error) {
 	h := pd.Host
-	id := h.nextID("podman")
-	cfg, arch, err := h.resolveImage(p, node, spec)
+	cfg, arch, err := h.ResolveImage(p, node, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +42,7 @@ func (pd *Podman) Run(p *sim.Proc, node *hw.Node, spec Spec) (*Container, error)
 		Node: node,
 		// Isolated environment: image env, then explicit -e flags. HOME is
 		// root's because the container user is root.
-		Env:            mergeEnv(cfg.Env, spec.Env, map[string]string{"HOME": "/root"}),
+		Env:            MergeEnv(cfg.Env, spec.Env, map[string]string{"HOME": "/root"}),
 		User:           "root",
 		Home:           "/root",
 		HomeWritable:   true,
@@ -61,7 +60,7 @@ func (pd *Podman) Run(p *sim.Proc, node *hw.Node, spec Spec) (*Container, error)
 		Net:            h.Net,
 		Fabric:         h.Fabric,
 	}
-	return h.launch(node, spec, ctx, id)
+	return h.Launch(node, spec, ctx, "podman")
 }
 
 // Render returns the equivalent `podman run` command line, mirroring the

@@ -1,147 +1,68 @@
 // Package helm implements the Helm workflow the paper migrated to for
-// Kubernetes deployments (§3.2, Fig 6): charts are text/template manifests
-// rendered against layered values, installed as releases into a simulated
-// Kubernetes cluster, and uninstalled as a unit.
+// Kubernetes deployments (§3.2, Fig 6): a chart's default values are
+// layered under a release's values file, the chart builds its Kubernetes
+// objects from the merged values, and the release installs them into a
+// simulated Kubernetes cluster and uninstalls them as a unit.
 package helm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"text/template"
 
 	"repro/internal/k8s"
 	"repro/internal/yamlite"
 )
 
-// Chart is a named set of manifest templates plus default values.
+// Chart is a named chart: its default values and the function that builds
+// a release's objects from the merged values.
 type Chart struct {
-	Name      string
-	Version   string
-	Values    map[string]any    // defaults (values.yaml)
-	Templates map[string]string // filename → template source
+	Name   string
+	Values map[string]any // defaults (values.yaml)
+	Build  func(release, namespace string, values map[string]any) (*Objects, error)
+}
+
+// Objects are the Kubernetes objects one release applies. Ingress is nil
+// when the values leave it off.
+type Objects struct {
+	Deployment *k8s.Deployment
+	Ingress    *k8s.Ingress
+	PVC        *k8s.PersistentVolumeClaim
+	Service    *k8s.Service
 }
 
 // Release is an installed chart instance.
 type Release struct {
 	Name      string
 	Namespace string
-	Chart     *Chart
-	Values    map[string]any
 	// Objects tracks what was applied, as (kind, key) pairs for uninstall.
 	Objects [][2]string
 }
 
-// funcMap provides the sprig-subset used by the vLLM chart.
-func funcMap() template.FuncMap {
-	return template.FuncMap{
-		"default": func(def, val any) any {
-			if val == nil || val == "" {
-				return def
-			}
-			return val
-		},
-		"quote": func(v any) string { return fmt.Sprintf("%q", fmt.Sprint(v)) },
-		"toYaml": func(v any) string {
-			return strings.TrimSuffix(string(yamlite.Marshal(v)), "\n")
-		},
-		"indent": func(n int, s string) string {
-			pad := strings.Repeat(" ", n)
-			lines := strings.Split(s, "\n")
-			for i := range lines {
-				if lines[i] != "" {
-					lines[i] = pad + lines[i]
-				}
-			}
-			return strings.Join(lines, "\n")
-		},
-		"nindent": func(n int, s string) string {
-			pad := strings.Repeat(" ", n)
-			lines := strings.Split(s, "\n")
-			for i := range lines {
-				if lines[i] != "" {
-					lines[i] = pad + lines[i]
-				}
-			}
-			return "\n" + strings.Join(lines, "\n")
-		},
-		"required": func(msg string, val any) (any, error) {
-			if val == nil || val == "" {
-				return nil, fmt.Errorf("required value: %s", msg)
-			}
-			return val, nil
-		},
-		"printf": fmt.Sprintf,
-	}
-}
-
-// renderContext is the template dot.
-type renderContext struct {
-	Values  map[string]any
-	Release struct {
-		Name      string
-		Namespace string
-	}
-	Chart struct {
-		Name    string
-		Version string
-	}
-}
-
-// Render produces the manifest documents for a release without applying
-// them. Override values deep-merge onto chart defaults.
-func Render(chart *Chart, releaseName, namespace string, overrides map[string]any) ([]string, error) {
-	values, _ := yamlite.Merge(chart.Values, overrides).(map[string]any)
-	if values == nil {
-		values = map[string]any{}
-	}
-	ctx := renderContext{Values: values}
-	ctx.Release.Name = releaseName
-	ctx.Release.Namespace = namespace
-	ctx.Chart.Name = chart.Name
-	ctx.Chart.Version = chart.Version
-
-	names := make([]string, 0, len(chart.Templates))
-	for n := range chart.Templates {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	var docs []string
-	for _, name := range names {
-		tpl, err := template.New(name).Funcs(funcMap()).Parse(chart.Templates[name])
-		if err != nil {
-			return nil, fmt.Errorf("helm: parse %s/%s: %w", chart.Name, name, err)
-		}
-		var b strings.Builder
-		if err := tpl.Execute(&b, ctx); err != nil {
-			return nil, fmt.Errorf("helm: render %s/%s: %w", chart.Name, name, err)
-		}
-		for _, doc := range strings.Split(b.String(), "\n---\n") {
-			if strings.TrimSpace(doc) == "" {
-				continue
-			}
-			docs = append(docs, doc)
-		}
-	}
-	return docs, nil
-}
-
-// Install renders the chart and applies every object to the cluster
-// (`helm install NAME CHART -f values.yaml -n NS`).
+// Install deep-merges the override values onto the chart's defaults,
+// builds the chart's objects from them and applies the Deployment, the
+// Ingress when there is one, the PVC and the Service, in that order
+// (`helm install NAME CHART -f values.yaml -n NS`). A chart that refuses
+// its values applies nothing.
 func Install(cluster *k8s.Cluster, chart *Chart, releaseName, namespace string, overrides map[string]any) (*Release, error) {
-	docs, err := Render(chart, releaseName, namespace, overrides)
+	values, _ := yamlite.Merge(chart.Values, overrides).(map[string]any)
+	objs, err := chart.Build(releaseName, namespace, values)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("helm: chart %s: %w", chart.Name, err)
 	}
-	rel := &Release{Name: releaseName, Namespace: namespace, Chart: chart, Values: overrides}
-	for _, doc := range docs {
-		kind, key, err := applyDoc(cluster, namespace, doc)
-		if err != nil {
-			return nil, fmt.Errorf("helm: %s: %w", releaseName, err)
-		}
-		rel.Objects = append(rel.Objects, [2]string{kind, key})
+	rel := &Release{Name: releaseName, Namespace: namespace}
+	applied := func(kind string, meta k8s.ObjectMeta) {
+		rel.Objects = append(rel.Objects, [2]string{kind, meta.NamespacedName()})
 	}
+	cluster.ApplyDeployment(objs.Deployment)
+	applied(k8s.KindDeployment, objs.Deployment.Meta)
+	if ing := objs.Ingress; ing != nil {
+		cluster.ApplyIngress(ing)
+		applied(k8s.KindIngress, ing.Meta)
+	}
+	cluster.ApplyPVC(objs.PVC)
+	applied(k8s.KindPVC, objs.PVC.Meta)
+	cluster.ApplyService(objs.Service)
+	applied(k8s.KindService, objs.Service.Meta)
 	return rel, nil
 }
 
@@ -157,53 +78,4 @@ func Uninstall(cluster *k8s.Cluster, rel *Release) {
 		}
 	}
 	rel.Objects = nil
-}
-
-// applyDoc decodes one manifest by kind and applies it.
-func applyDoc(cluster *k8s.Cluster, namespace, doc string) (string, string, error) {
-	tree, err := yamlite.Parse([]byte(doc))
-	if err != nil {
-		return "", "", fmt.Errorf("bad manifest: %w\n%s", err, doc)
-	}
-	kind := yamlite.GetString(tree, "kind", "")
-	setNS := func(m *k8s.ObjectMeta) {
-		if m.Namespace == "" {
-			m.Namespace = namespace
-		}
-	}
-	switch kind {
-	case "Deployment":
-		var d k8s.Deployment
-		if err := yamlite.Decode(tree, &d); err != nil {
-			return "", "", err
-		}
-		setNS(&d.Meta)
-		cluster.ApplyDeployment(&d)
-		return k8s.KindDeployment, d.Meta.NamespacedName(), nil
-	case "Service":
-		var s k8s.Service
-		if err := yamlite.Decode(tree, &s); err != nil {
-			return "", "", err
-		}
-		setNS(&s.Meta)
-		cluster.ApplyService(&s)
-		return k8s.KindService, s.Meta.NamespacedName(), nil
-	case "Ingress":
-		var ing k8s.Ingress
-		if err := yamlite.Decode(tree, &ing); err != nil {
-			return "", "", err
-		}
-		setNS(&ing.Meta)
-		cluster.ApplyIngress(&ing)
-		return k8s.KindIngress, ing.Meta.NamespacedName(), nil
-	case "PersistentVolumeClaim":
-		var pvc k8s.PersistentVolumeClaim
-		if err := yamlite.Decode(tree, &pvc); err != nil {
-			return "", "", err
-		}
-		setNS(&pvc.Meta)
-		cluster.ApplyPVC(&pvc)
-		return k8s.KindPVC, pvc.Meta.NamespacedName(), nil
-	}
-	return "", "", fmt.Errorf("unsupported manifest kind %q", kind)
 }

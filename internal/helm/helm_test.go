@@ -14,7 +14,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/vhttp"
-	"repro/internal/yamlite"
 )
 
 func scoutOverrides() map[string]any {
@@ -37,58 +36,26 @@ func scoutOverrides() map[string]any {
 	}
 }
 
-func TestRenderVLLMChart(t *testing.T) {
-	docs, err := Render(VLLMChart(), "scout", "ai", scoutOverrides())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 4 {
-		t.Fatalf("docs = %d, want 4 (pvc, deployment, ingress, service)", len(docs))
-	}
-	all := strings.Join(docs, "\n---\n")
-	for _, want := range []string{
-		`"vllm/vllm-openai:v0.9.1"`,
-		"--tensor-parallel-size=4",
-		"--max-model-len=65536",
-		"s3://huggingface.co/meta-llama/Llama-4-Scout-17B-16E-Instruct",
-		"claimName: scout-storage",
-		`nvidia.com/gpu: "4"`,
-		"host: scout.apps.goodall.example.gov",
-		"name: HF_HUB_OFFLINE",
-	} {
-		if !strings.Contains(all, want) {
-			t.Errorf("rendered chart missing %q", want)
-		}
-	}
-	// Every document must parse as YAML with a kind.
-	for _, doc := range docs {
-		tree, err := yamlite.Parse([]byte(doc))
-		if err != nil {
-			t.Fatalf("unparseable doc: %v\n%s", err, doc)
-		}
-		if yamlite.GetString(tree, "kind", "") == "" {
-			t.Fatalf("doc missing kind:\n%s", doc)
-		}
-	}
-}
-
+// TestRenderValidation: the chart refuses an empty model.path and applies
+// nothing, and with the ingress off it builds no Ingress.
 func TestRenderValidation(t *testing.T) {
-	// model.path is required.
+	_, cluster, _ := newK8sFixture(t)
 	over := scoutOverrides()
-	delete(over["model"].(map[string]any), "path")
 	over["model"].(map[string]any)["path"] = ""
-	if _, err := Render(VLLMChart(), "x", "ai", over); err == nil || !strings.Contains(err.Error(), "model.path") {
+	if _, err := Install(cluster, VLLMChart(), "x", "ai", over); err == nil || !strings.Contains(err.Error(), "model.path") {
 		t.Fatalf("err = %v, want required-value failure", err)
 	}
-	// Disabled ingress drops the document.
+	if got := cluster.Store().List(k8s.KindDeployment); len(got) != 0 {
+		t.Fatalf("refused install applied %v", got)
+	}
 	over = scoutOverrides()
 	over["ingress"] = map[string]any{"enabled": false}
-	docs, err := Render(VLLMChart(), "x", "ai", over)
+	rel, err := Install(cluster, VLLMChart(), "x", "ai", over)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 3 {
-		t.Fatalf("docs = %d, want 3 without ingress", len(docs))
+	if len(rel.Objects) != 3 || cluster.Store().Get(k8s.KindIngress, "ai/x") != nil {
+		t.Fatalf("release objects = %v, want 3 without an ingress", rel.Objects)
 	}
 }
 
@@ -161,43 +128,5 @@ func TestInstallCreatesObjects(t *testing.T) {
 	}
 	if cluster.Store().Get(k8s.KindService, "ai/scout") != nil {
 		t.Fatal("service survived uninstall")
-	}
-}
-
-func TestTemplateFuncs(t *testing.T) {
-	chart := &Chart{
-		Name: "t", Values: map[string]any{"a": "", "b": "set", "list": []any{"x", "y"}},
-		Templates: map[string]string{
-			"t.yaml": `kind: Service
-metadata:
-  name: {{ .Values.a | default "fallback" }}
-  namespace: {{ .Values.b | default "nope" }}
-  labels:
-    l: {{ .Values.b | quote }}
-spec:
-  selector: {{ .Values.list | toYaml | nindent 4 }}
-`,
-		},
-	}
-	docs, err := Render(chart, "r", "ns", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := docs[0]
-	for _, want := range []string{"name: fallback", "namespace: set", `l: "set"`, "- x"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestInstallRejectsBadManifests(t *testing.T) {
-	_, cluster, _ := newK8sFixture(t)
-	chart := &Chart{
-		Name:      "bad",
-		Templates: map[string]string{"x.yaml": "kind: Gremlin\nmetadata:\n  name: g\n"},
-	}
-	if _, err := Install(cluster, chart, "r", "ns", nil); err == nil || !strings.Contains(err.Error(), "unsupported manifest kind") {
-		t.Fatalf("err = %v", err)
 	}
 }

@@ -186,7 +186,7 @@ func (kl *kubelet) runContainer(p *sim.Proc, pod *Pod, ctr Container, mounts []c
 		Net:            kl.cluster.net,
 		Fabric:         kl.cluster.fabric,
 	}
-	return kl.cluster.host.LaunchCustom(kl.node, spec, ctx, "k8s")
+	return kl.cluster.host.Launch(kl.node, spec, ctx, "k8s")
 }
 
 // runPod drives the pod lifecycle: init containers, main container,

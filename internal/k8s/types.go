@@ -18,9 +18,9 @@ import (
 
 // ObjectMeta is shared object metadata.
 type ObjectMeta struct {
-	Name      string            `yaml:"name"`
-	Namespace string            `yaml:"namespace"`
-	Labels    map[string]string `yaml:"labels"`
+	Name      string
+	Namespace string
+	Labels    map[string]string
 }
 
 // NamespacedName keys an object within a kind.
@@ -34,19 +34,19 @@ func (m ObjectMeta) NamespacedName() string {
 
 // EnvVar is one container environment entry.
 type EnvVar struct {
-	Name  string `yaml:"name"`
-	Value string `yaml:"value"`
+	Name  string
+	Value string
 }
 
 // ContainerPort declares a served port.
 type ContainerPort struct {
-	ContainerPort int `yaml:"containerPort"`
+	ContainerPort int
 }
 
 // ResourceRequirements carries limits; the only schedulable extended
 // resources in this simulation are GPUs (nvidia.com/gpu, amd.com/gpu).
 type ResourceRequirements struct {
-	Limits map[string]string `yaml:"limits"`
+	Limits map[string]string
 }
 
 // GPURequest extracts the GPU count and vendor resource name from limits.
@@ -62,21 +62,21 @@ func (r ResourceRequirements) GPURequest() (resource string, count int) {
 
 // VolumeMount binds a pod volume into a container path.
 type VolumeMount struct {
-	Name      string `yaml:"name"`
-	MountPath string `yaml:"mountPath"`
-	ReadOnly  bool   `yaml:"readOnly"`
+	Name      string
+	MountPath string
+	ReadOnly  bool
 }
 
 // Container is one container in a pod.
 type Container struct {
-	Name         string               `yaml:"name"`
-	Image        string               `yaml:"image"`
-	Command      []string             `yaml:"command"`
-	Args         []string             `yaml:"args"`
-	Env          []EnvVar             `yaml:"env"`
-	Ports        []ContainerPort      `yaml:"ports"`
-	Resources    ResourceRequirements `yaml:"resources"`
-	VolumeMounts []VolumeMount        `yaml:"volumeMounts"`
+	Name         string
+	Image        string
+	Command      []string
+	Args         []string
+	Env          []EnvVar
+	Ports        []ContainerPort
+	Resources    ResourceRequirements
+	VolumeMounts []VolumeMount
 }
 
 // EnvMap converts Env to a map.
@@ -90,23 +90,23 @@ func (c Container) EnvMap() map[string]string {
 
 // Volume declares a pod volume source.
 type Volume struct {
-	Name                  string     `yaml:"name"`
-	EmptyDir              *struct{}  `yaml:"emptyDir"`
-	PersistentVolumeClaim *PVCSource `yaml:"persistentVolumeClaim"`
+	Name                  string
+	EmptyDir              *struct{}
+	PersistentVolumeClaim *PVCSource
 }
 
 // PVCSource references a claim.
 type PVCSource struct {
-	ClaimName string `yaml:"claimName"`
+	ClaimName string
 }
 
 // PodSpec is the pod's desired state.
 type PodSpec struct {
-	Containers     []Container       `yaml:"containers"`
-	InitContainers []Container       `yaml:"initContainers"`
-	NodeSelector   map[string]string `yaml:"nodeSelector"`
-	Volumes        []Volume          `yaml:"volumes"`
-	RestartPolicy  string            `yaml:"restartPolicy"` // Always (default) | Never
+	Containers     []Container
+	InitContainers []Container
+	NodeSelector   map[string]string
+	Volumes        []Volume
+	RestartPolicy  string // Always (default) | Never
 }
 
 // PodPhase is the pod lifecycle phase.
@@ -131,48 +131,48 @@ type PodStatus struct {
 
 // Pod is the schedulable unit.
 type Pod struct {
-	Meta   ObjectMeta `yaml:"metadata"`
-	Spec   PodSpec    `yaml:"spec"`
-	Status PodStatus  `yaml:"-"`
+	Meta   ObjectMeta
+	Spec   PodSpec
+	Status PodStatus
 }
 
 // PodTemplate is a pod stamped out by a controller.
 type PodTemplate struct {
-	Meta ObjectMeta `yaml:"metadata"`
-	Spec PodSpec    `yaml:"spec"`
+	Meta ObjectMeta
+	Spec PodSpec
 }
 
 // DeploymentSpec declares replicas of a template.
 type DeploymentSpec struct {
-	Replicas int `yaml:"replicas"`
+	Replicas int
 	Selector struct {
-		MatchLabels map[string]string `yaml:"matchLabels"`
-	} `yaml:"selector"`
-	Template PodTemplate `yaml:"template"`
+		MatchLabels map[string]string
+	}
+	Template PodTemplate
 }
 
 // Deployment manages identical pods.
 type Deployment struct {
-	Meta ObjectMeta     `yaml:"metadata"`
-	Spec DeploymentSpec `yaml:"spec"`
+	Meta ObjectMeta
+	Spec DeploymentSpec
 }
 
 // ServicePort maps a service port to pod targets.
 type ServicePort struct {
-	Port       int `yaml:"port"`
-	TargetPort int `yaml:"targetPort"`
+	Port       int
+	TargetPort int
 }
 
 // ServiceSpec selects backend pods.
 type ServiceSpec struct {
-	Selector map[string]string `yaml:"selector"`
-	Ports    []ServicePort     `yaml:"ports"`
+	Selector map[string]string
+	Ports    []ServicePort
 }
 
 // Service is a stable virtual endpoint over ready pods.
 type Service struct {
-	Meta ObjectMeta  `yaml:"metadata"`
-	Spec ServiceSpec `yaml:"spec"`
+	Meta ObjectMeta
+	Spec ServiceSpec
 }
 
 // Endpoints is the controller-maintained ready-backend list.
@@ -184,23 +184,23 @@ type Endpoints struct {
 
 // IngressSpec routes an external host to a service.
 type IngressSpec struct {
-	Host        string `yaml:"host"`
-	ServiceName string `yaml:"serviceName"`
-	ServicePort int    `yaml:"servicePort"`
+	Host        string
+	ServiceName string
+	ServicePort int
 }
 
 // Ingress exposes a service at an external URL.
 type Ingress struct {
-	Meta ObjectMeta  `yaml:"metadata"`
-	Spec IngressSpec `yaml:"spec"`
+	Meta ObjectMeta
+	Spec IngressSpec
 }
 
 // PVCSpec requests storage.
 type PVCSpec struct {
-	StorageClassName string `yaml:"storageClassName"`
+	StorageClassName string
 	Resources        struct {
-		Requests map[string]string `yaml:"requests"`
-	} `yaml:"resources"`
+		Requests map[string]string
+	}
 }
 
 // PVCPhase tracks claim binding.
@@ -213,12 +213,12 @@ const (
 
 // PersistentVolumeClaim requests a volume.
 type PersistentVolumeClaim struct {
-	Meta   ObjectMeta `yaml:"metadata"`
-	Spec   PVCSpec    `yaml:"spec"`
+	Meta   ObjectMeta
+	Spec   PVCSpec
 	Status struct {
 		Phase      PVCPhase
 		VolumeName string
-	} `yaml:"-"`
+	}
 }
 
 // PersistentVolume is provisioned storage backed by a simulated filesystem.

@@ -2,8 +2,10 @@
 // mappings and sequences, scalars with the core schema (null, bool, int,
 // float, string), quoted strings, flow sequences/mappings, comments, literal
 // block scalars, and multi-document streams — entirely on the standard
-// library. Helm values files (the paper's Figure 6) and Kubernetes manifests
-// round-trip through it.
+// library. Marshal writes the Helm values file of a Kubernetes plan (the
+// paper's Figure 6), Merge layers a release's values over a chart's
+// defaults, and Parse reads a values file back: the tests read the engine
+// flags out of a plan's file with it and check Marshal's round trip.
 //
 // Unsupported on purpose: anchors/aliases, tags, folded scalars, and complex
 // keys. Parse errors carry line numbers.
@@ -527,7 +529,7 @@ func parseFlowMap(s string) (any, error) {
 }
 
 // Marshal renders v as YAML with two-space indentation and sorted map keys,
-// producing deterministic output for golden tests and Helm rendering.
+// so a plan's Helm values file (Fig 6) is the same on every run.
 func Marshal(v any) []byte {
 	var b strings.Builder
 	writeValue(&b, v, 0, false)

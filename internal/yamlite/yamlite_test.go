@@ -86,7 +86,7 @@ env:
     value: "1"
 command: ["vllm", "serve", "/data/", "--port", "8000"]
 `)
-	if got := GetString(v, "image.repository", ""); got != "vllm/vllm-openai" {
+	if got := Get(v, "image.repository"); got != "vllm/vllm-openai" {
 		t.Fatalf("image.repository = %q", got)
 	}
 	lim := Get(v, "resources.limits").(map[string]any)
@@ -341,73 +341,6 @@ func TestMarshalParsePropertyRoundTrip(t *testing.T) {
 	}
 }
 
-type vllmValues struct {
-	Image struct {
-		Repository string   `yaml:"repository"`
-		Tag        string   `yaml:"tag"`
-		Command    []string `yaml:"command"`
-	} `yaml:"image"`
-	Env []struct {
-		Name  string `yaml:"name"`
-		Value string `yaml:"value"`
-	} `yaml:"env"`
-	Replicas int            `yaml:"replicas"`
-	Extra    map[string]any `yaml:"extra"`
-	Ratio    float64        `yaml:"ratio"`
-	Debug    bool           `yaml:"debug"`
-}
-
-func TestDecodeStruct(t *testing.T) {
-	src := `
-image:
-  repository: "vllm/vllm-openai"
-  tag: "v0.9.1"
-  command: ["vllm", "serve", "/data/"]
-env:
-  - name: HOME
-    value: "/data"
-  - name: PORT
-    value: "8000"
-replicas: 2
-ratio: 0.5
-debug: true
-extra:
-  anything: [1, 2]
-ignored_key: whatever
-`
-	var v vllmValues
-	if err := Decode(mustParse(t, src), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Image.Repository != "vllm/vllm-openai" || v.Image.Tag != "v0.9.1" {
-		t.Fatalf("image = %+v", v.Image)
-	}
-	if len(v.Image.Command) != 3 || v.Image.Command[0] != "vllm" {
-		t.Fatalf("command = %v", v.Image.Command)
-	}
-	if len(v.Env) != 2 || v.Env[1].Name != "PORT" || v.Env[1].Value != "8000" {
-		t.Fatalf("env = %+v", v.Env)
-	}
-	if v.Replicas != 2 || v.Ratio != 0.5 || !v.Debug {
-		t.Fatalf("scalars = %d %v %v", v.Replicas, v.Ratio, v.Debug)
-	}
-	if _, ok := v.Extra["anything"]; !ok {
-		t.Fatalf("extra = %v", v.Extra)
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	var s struct {
-		N int `yaml:"n"`
-	}
-	if err := Decode(mustParse(t, "n: notanumber"), &s); err == nil {
-		t.Fatal("string into int should error")
-	}
-	if err := Decode(map[string]any{}, s); err == nil {
-		t.Fatal("non-pointer target should error")
-	}
-}
-
 func TestMerge(t *testing.T) {
 	base := map[string]any{
 		"image": map[string]any{"repository": "vllm/vllm-openai", "tag": "v0.9.0"},
@@ -433,23 +366,24 @@ func TestMerge(t *testing.T) {
 
 func TestGetHelpers(t *testing.T) {
 	v := mustParse(t, "a:\n  b:\n    - x\n    - name: deep\nflag: true\nnum: 7\n")
-	if GetString(v, "a.b.0", "") != "x" {
+	if Get(v, "a.b.0") != "x" {
 		t.Fatalf("a.b.0 = %v", Get(v, "a.b.0"))
 	}
-	if GetString(v, "a.b.1.name", "") != "deep" {
+	if Get(v, "a.b.1.name") != "deep" {
 		t.Fatal("a.b.1.name")
 	}
 	if Get(v, "flag") != true || Get(v, "num") != int64(7) {
 		t.Fatal("scalar paths")
 	}
-	if Get(v, "a.missing.path") != nil || GetString(v, "nope", "def") != "def" {
-		t.Fatal("missing path defaults")
+	if Get(v, "a.missing.path") != nil || Get(v, "nope") != nil || Get(v, "a.b.2") != nil {
+		t.Fatal("missing paths")
 	}
 }
 
 // FuzzParse: whatever Parse accepts, Marshal writes back in a form Parse
-// reads as the same value: core's Helm values go through Marshal and the
-// simulated chart reads them back with Parse.
+// reads as the same value. Marshal writes the Helm values file a plan
+// shows (Fig 6), and core's FuzzServeArgs reads the engine flags back out
+// of it with Parse.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"str: hello world\nnum: 42\nhex: 0x10\noct: 0o17\nfl: 3.14\nexp: 1e3\nyes: true\nnul: ~\n",
