@@ -20,7 +20,6 @@ import (
 	"repro/internal/sharegpt"
 	"repro/internal/sim"
 	"repro/internal/vllm"
-	"repro/internal/yamlite"
 )
 
 // benchExperiment runs one experiment per iteration and reports the headline
@@ -187,31 +186,6 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ResetTimer()
 	eng.Schedule(0, tick)
 	eng.Run()
-}
-
-// BenchmarkYAMLParse measures yamlite.Parse reading a vLLM chart values
-// file, the Fig 6 artifact a Kubernetes plan writes.
-func BenchmarkYAMLParse(b *testing.B) {
-	b.ReportAllocs()
-	doc := []byte(`
-image:
-  repository: "vllm/vllm-openai"
-  tag: "v0.9.1"
-  command: ["vllm", "serve", "/data/", "--port", "8000"]
-env:
-  - name: HOME
-    value: "/data"
-  - name: HF_HUB_DISABLE_TELEMETRY
-    value: "1"
-resources:
-  limits:
-    nvidia.com/gpu: 4
-`)
-	for i := 0; i < b.N; i++ {
-		if _, err := yamlite.Parse(doc); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPerfModel measures step-time evaluation (hot path of the engine).

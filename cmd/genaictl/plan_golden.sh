@@ -4,8 +4,9 @@
 # SLO and priority class, a multi-node (Ray) plan, a Helm plan with the
 # engine's prefix caching off, and a host KV tier with a pinned GPU cache
 # (-cpu-offload-blocks, -kv-transfer-micros, -gpu-blocks-override) in the
-# Podman, Apptainer and Helm artifacts. A plan the tool refuses prints its
-# error and exit status, so a refusal is pinned like an artifact. The
+# Podman, Apptainer and Helm artifacts, and a Kubernetes replica set given
+# the gateway's settings, which it refuses. A plan the tool refuses prints
+# its error and exit status, so a refusal is pinned like an artifact. The
 # output is committed as cmd/genaictl/plan.golden, and CI diffs a fresh
 # run against it:
 #
@@ -36,4 +37,5 @@ done <<'CASES'
 -platform hops -model meta-llama/Llama-3.1-8B-Instruct -tp 1 -max-model-len 8192 -replicas 2 -route-policy prefix -cpu-offload-blocks 4096 -kv-transfer-micros 30 -gpu-blocks-override 2048
 -platform eldorado -cpu-offload-blocks 8192 -kv-transfer-micros 25 -gpu-blocks-override 4096
 -platform cee -cpu-offload-blocks 8192 -kv-transfer-micros 25 -gpu-blocks-override 4096
+-platform cee -replicas 2 -route-policy session -slo-p95 1s -priority batch -ttft-target 200ms
 CASES

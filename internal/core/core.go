@@ -163,25 +163,26 @@ type DeployConfig struct {
 	// affine replica saturates), or "prefix" (session affinity plus
 	// cache-aware placement: requests land on the replica whose published
 	// prefix-membership sketch already holds their leading prompt block).
-	// On Kubernetes the cluster Service round-robins across pods
-	// regardless of this setting.
+	// Kubernetes platforms run no gateway and accept only round-robin,
+	// which is what the cluster's Ingress does.
 	RoutePolicy string
 	// SLOTargetP95 sets a per-model p95 latency objective on the replica
 	// set's gateway: while the rolling p95 breaches it, batch-class
 	// requests are shed with 503 (interactive traffic is never SLO-shed).
-	// 0 disables. HPC replica sets only.
+	// 0 disables. HPC replica sets only; refused on Kubernetes.
 	SLOTargetP95 time.Duration
 	// PriorityClass is the default scheduling class for requests that
 	// carry no explicit class (X-Priority header or body priority field):
 	// "interactive" (default) or "batch". Batch-class requests are shed
 	// first under an SLO breach and dequeued last from the gateway's
-	// cold-start hold queue.
+	// cold-start hold queue. Refused on Kubernetes, which runs no gateway.
 	PriorityClass string
 	// TTFTTarget sets the per-class time-to-first-token objective the
 	// gateway stamps onto requests for the engine's deadline-aware
 	// scheduler (batch-class requests get a relaxed multiple). 0 falls
 	// back to SLOTargetP95; with both unset no deadline is propagated
-	// and engines admit in arrival order. HPC replica sets only.
+	// and engines admit in arrival order. HPC replica sets only; refused on
+	// Kubernetes.
 	TTFTTarget time.Duration
 	// Autoscale, when non-nil, runs an elastic control loop that resizes
 	// the replica set between the policy's MinReplicas and MaxReplicas from

@@ -128,8 +128,8 @@ func TestHelmValuesEnvSorted(t *testing.T) {
 		Model: llm.ScoutW4A16, TensorParallel: 2, Offline: true, Port: 8000,
 	})
 	var names []string
-	for _, e := range values["env"].([]any) {
-		names = append(names, e.(map[string]any)["name"].(string))
+	for _, e := range values.Env {
+		names = append(names, e.Name)
 	}
 	if len(names) < 3 || !slices.IsSorted(names) {
 		t.Fatalf("env names not sorted: %v", names)
@@ -450,6 +450,18 @@ func TestPlanAndDeployRefuseAlike(t *testing.T) {
 		{"tensor parallel wider than a kubernetes node", PlatformGoodall, edit(func(c *DeployConfig) {
 			c.TensorParallel = 4
 		}), "goodall nodes hold 2"},
+		{"gateway route policy on kubernetes", PlatformCEE, edit(func(c *DeployConfig) {
+			c.Replicas, c.RoutePolicy = 2, "session"
+		}), `RoutePolicy "session" is a setting of the replica-set gateway, and Kubernetes platforms run no gateway`},
+		{"slo objective on kubernetes", PlatformCEE, edit(func(c *DeployConfig) {
+			c.SLOTargetP95 = time.Second
+		}), "SLOTargetP95 is a setting of the replica-set gateway, and Kubernetes platforms run no gateway"},
+		{"ttft target on kubernetes", PlatformGoodall, edit(func(c *DeployConfig) {
+			c.TTFTTarget = 200 * time.Millisecond
+		}), "TTFTTarget is a setting of the replica-set gateway, and Kubernetes platforms run no gateway"},
+		{"priority class on kubernetes", PlatformCEE, edit(func(c *DeployConfig) {
+			c.PriorityClass = "batch"
+		}), "PriorityClass is a setting of the replica-set gateway, and Kubernetes platforms run no gateway"},
 		{"nil model", PlatformHops, edit(func(c *DeployConfig) { c.Model = nil }), "Model is required"},
 		{"unknown platform", Platform{Name: "frontier", Kind: "slurm"}, base, "unknown platform"},
 	}

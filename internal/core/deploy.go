@@ -333,7 +333,7 @@ func serverOf(c *cruntime.Container) *vllm.ServerProgram {
 // deployK8s installs the bundled Helm chart and waits for readiness.
 func (d *Deployer) deployK8s(p *sim.Proc, pkg *ContainerPackage, t *target, cfg DeployConfig) (*Deployment, error) {
 	cluster := t.cluster
-	rel, err := helm.Install(cluster, helm.VLLMChart(), pkg.Name, "ai", d.helmValues(pkg, t.image, cfg))
+	rel, err := helm.Install(cluster, pkg.Name, "ai", d.helmValues(pkg, t.image, cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/slurm"
 	"repro/internal/vhttp"
 	"repro/internal/vllm"
-	"repro/internal/yamlite"
 )
 
 // Platform identifies a deployment target on the site.
@@ -157,7 +156,8 @@ func (d *Deployer) check(pkg *ContainerPackage, pf Platform, cfg *DeployConfig) 
 	if cfg.Port == 0 {
 		cfg.Port = pkg.Needs.Port
 	}
-	if _, err := ingress.ParsePolicy(cfg.RoutePolicy); err != nil {
+	policy, err := ingress.ParsePolicy(cfg.RoutePolicy)
+	if err != nil {
 		return nil, err
 	}
 	if _, err := sched.ParseClass(cfg.PriorityClass); err != nil {
@@ -169,6 +169,9 @@ func (d *Deployer) check(pkg *ContainerPackage, pf Platform, cfg *DeployConfig) 
 		}
 	}
 	if pf.Kind == "k8s" {
+		noGateway := func(setting string) error {
+			return fmt.Errorf("core: %s is a setting of the replica-set gateway, and Kubernetes platforms run no gateway", setting)
+		}
 		switch {
 		case cfg.Autoscale != nil:
 			return nil, fmt.Errorf("core: Autoscale is not supported on Kubernetes platforms (use the cluster's HPA)")
@@ -177,6 +180,14 @@ func (d *Deployer) check(pkg *ContainerPackage, pf Platform, cfg *DeployConfig) 
 		case cfg.TensorParallel > t.gpusPerNode:
 			return nil, fmt.Errorf("core: TensorParallel=%d needs %d GPUs in one pod, but %s nodes hold %d; lower the tensor-parallel width or deploy on an HPC platform",
 				cfg.TensorParallel, cfg.TensorParallel, pf.Name, t.gpusPerNode)
+		case policy != ingress.PolicyRoundRobin:
+			return nil, noGateway(fmt.Sprintf("RoutePolicy %q", cfg.RoutePolicy))
+		case cfg.SLOTargetP95 != 0:
+			return nil, noGateway("SLOTargetP95")
+		case cfg.TTFTTarget != 0:
+			return nil, noGateway("TTFTTarget")
+		case cfg.PriorityClass != "":
+			return nil, noGateway("PriorityClass")
 		}
 		return t, nil
 	}
@@ -232,7 +243,7 @@ func (d *Deployer) Plan(pkg *ContainerPackage, pf Platform, cfg DeployConfig) (*
 	plan := &Plan{Platform: pf, Image: t.image}
 	if pf.Kind == "k8s" {
 		plan.Runtime = "helm"
-		plan.Artifact = string(yamlite.Marshal(d.helmValues(pkg, t.image, cfg)))
+		plan.Artifact = string(d.helmValues(pkg, t.image, cfg).YAML())
 		plan.Notes = append(plan.Notes, "helm install "+pkg.Name+" ./charts/vllm -f values.yaml")
 		return plan, nil
 	}
@@ -297,49 +308,29 @@ func (d *Deployer) hpcSpec(pkg *ContainerPackage, image string, fs *fsim.FS, cfg
 // The command's head is the chart's: the PVC path as the model argument,
 // host and port, the served name and Fig 6's TP spelling; the engine flags
 // after it are the ones every platform gets.
-func (d *Deployer) helmValues(pkg *ContainerPackage, image string, cfg DeployConfig) map[string]any {
-	repo, tag := image, "latest"
+func (d *Deployer) helmValues(pkg *ContainerPackage, image string, cfg DeployConfig) *helm.Values {
+	v := &helm.Values{Replicas: max(cfg.Replicas, 1), Port: cfg.Port, IngressHost: cfg.IngressHost}
+	v.Image.Repository, v.Image.Tag = image, "latest"
 	if i := strings.LastIndex(image, ":"); i > strings.LastIndex(image, "/") {
-		repo, tag = image[:i], image[i+1:]
+		v.Image.Repository, v.Image.Tag = image[:i], image[i+1:]
 	}
-	command := []any{"vllm", "serve", "/data/", "--host", "0.0.0.0",
+	v.Image.Command = append([]string{"vllm", "serve", "/data/", "--host", "0.0.0.0",
 		"--port", fmt.Sprint(cfg.Port),
 		"--served-model-name", cfg.RouteName(),
 		fmt.Sprintf("--tensor-parallel-size=%d", cfg.TensorParallel),
-	}
-	for _, f := range cfg.engineFlags() {
-		command = append(command, f)
-	}
+	}, cfg.engineFlags()...)
 	env := EnvFor(pkg, cfg.Offline)
 	env["HOME"] = "/data"
 	env["HF_HOME"] = "/data"
-	var envList []any
 	for _, k := range slices.Sorted(maps.Keys(env)) {
-		envList = append(envList, map[string]any{"name": k, "value": env[k]})
+		v.Env = append(v.Env, k8s.EnvVar{Name: k, Value: env[k]})
 	}
+	v.Resources.GPUResource, v.Resources.GPUs = "nvidia.com/gpu", cfg.TensorParallel
 	storage := cfg.Model.WeightBytes()*3/2>>30 + 64
-	values := map[string]any{
-		"image": map[string]any{
-			"repository": repo, "tag": tag,
-			"command": command,
-		},
-		"replicas": int64(max(cfg.Replicas, 1)),
-		"port":     int64(cfg.Port),
-		"env":      envList,
-		"resources": map[string]any{
-			"gpuResource": "nvidia.com/gpu",
-			"gpus":        int64(cfg.TensorParallel),
-		},
-		"storage": map[string]any{"size": fmt.Sprintf("%dGi", storage), "class": "standard"},
-		"model":   map[string]any{"bucket": d.Profile.ModelBucket, "path": cfg.Model.Name},
-		"s3": map[string]any{
-			"endpoint": d.Profile.S3Endpoint, "accessKey": d.Profile.AccessKey, "secretKey": d.Profile.SecretKey,
-		},
-	}
-	if cfg.IngressHost != "" {
-		values["ingress"] = map[string]any{"enabled": true, "host": cfg.IngressHost}
-	}
-	return values
+	v.Storage.Size, v.Storage.Class = fmt.Sprintf("%dGi", storage), "standard"
+	v.Model.Bucket, v.Model.Path = d.Profile.ModelBucket, cfg.Model.Name
+	v.S3.Endpoint, v.S3.AccessKey, v.S3.SecretKey = d.Profile.S3Endpoint, d.Profile.AccessKey, d.Profile.SecretKey
+	return v
 }
 
 // Deployment is a live deployed service.

@@ -10,14 +10,14 @@ import (
 	"repro/internal/sched"
 	"repro/internal/site"
 	"repro/internal/vllm"
-	"repro/internal/yamlite"
 )
 
 // FuzzServeArgs: for any DeployConfig, the Podman (Hops), Apptainer (El
 // Dorado) and Helm (Goodall) artifacts Plan renders configure the same
-// engine, the one the config asks for. Each artifact's vLLM command is read
-// back from the rendered text, as a user would copy it, and parsed by the
-// engine's own flag parser.
+// engine, the one the config asks for. Each vLLM command is parsed by the
+// engine's own flag parser: the Podman and Apptainer ones as read back from
+// the rendered text, as a user would copy them, and the Helm one from the
+// chart values Deploy installs, whose file the plan shows.
 func FuzzServeArgs(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint8(1), uint16(65535), false, uint16(0), uint16(0), uint16(0), uint16(0), "")
 	f.Add(uint8(3), uint8(1), uint8(1), uint16(8192), true, uint16(64), uint16(250), uint16(2000), uint16(9000), "chat")
@@ -48,7 +48,7 @@ func FuzzServeArgs(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: Plan: %v", pf.Name, err)
 			}
-			sa, err := vllm.ParseServeArgs(commandOf(t, plan))
+			sa, err := vllm.ParseServeArgs(commandOf(t, d, cfg, plan))
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", pf.Name, err, plan.Artifact)
 			}
@@ -84,21 +84,22 @@ func servedName(s string) string {
 	return s
 }
 
-// commandOf reads the vLLM command back out of a plan's artifact: the
-// indented argument lines after the image on a Podman or Apptainer command
-// line, or the chart's image.command list in Helm values.
-func commandOf(t *testing.T, plan *Plan) []string {
+// commandOf reads the vLLM command back out of a plan: the indented
+// argument lines after the image on a Podman or Apptainer command line, or,
+// for a Helm plan, the image command of the chart values Deploy installs
+// for cfg, once the plan's artifact is checked to be those values' file.
+func commandOf(t *testing.T, d *Deployer, cfg DeployConfig, plan *Plan) []string {
 	t.Helper()
 	if plan.Runtime == "helm" {
-		tree, err := yamlite.Parse([]byte(plan.Artifact))
+		tg, err := d.check(VLLMPackage(), plan.Platform, &cfg)
 		if err != nil {
-			t.Fatalf("helm values do not parse: %v\n%s", err, plan.Artifact)
+			t.Fatal(err)
 		}
-		var cmd []string
-		for _, a := range yamlite.Get(tree, "image.command").([]any) {
-			cmd = append(cmd, fmt.Sprint(a))
+		values := d.helmValues(VLLMPackage(), tg.image, cfg)
+		if file := string(values.YAML()); plan.Artifact != file {
+			t.Fatalf("%s: plan shows\n%s\nbut Deploy installs\n%s", plan.Platform.Name, plan.Artifact, file)
 		}
-		return cmd
+		return values.Image.Command
 	}
 	cmd := []string{"vllm"}
 	for _, line := range strings.Split(plan.Artifact, "\n") {

@@ -22,7 +22,7 @@ type appliedObject struct {
 // values a Goodall plan of cfg passes it, after edit has changed them,
 // and returns the release, the objects the store saw added, in the order
 // they were applied, and the install error.
-func installGoodallPlan(t *testing.T, cfg DeployConfig, edit func(values map[string]any)) (*helm.Release, []appliedObject, error) {
+func installGoodallPlan(t *testing.T, cfg DeployConfig, edit func(values *helm.Values)) (*helm.Release, []appliedObject, error) {
 	t.Helper()
 	s, d := newSite(t)
 	pkg := VLLMPackage()
@@ -50,7 +50,7 @@ func installGoodallPlan(t *testing.T, cfg DeployConfig, edit func(values map[str
 	}
 	values := d.helmValues(pkg, tg.image, cfg)
 	edit(values)
-	rel, err := helm.Install(tg.cluster, helm.VLLMChart(), pkg.Name, "ai", values)
+	rel, err := helm.Install(tg.cluster, pkg.Name, "ai", values)
 	s.Eng.RunFor(time.Second) // deliver the store's watch events
 	return rel, added, err
 }
@@ -138,7 +138,7 @@ func TestHelmInstallGoodallPlan(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := cfg
 			cfg.IngressHost = tc.host
-			rel, added, err := installGoodallPlan(t, cfg, func(map[string]any) {})
+			rel, added, err := installGoodallPlan(t, cfg, func(*helm.Values) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,8 +159,8 @@ func TestHelmInstallGoodallPlan(t *testing.T) {
 	}
 
 	t.Run("no-model-path", func(t *testing.T) {
-		rel, added, err := installGoodallPlan(t, cfg, func(values map[string]any) {
-			values["model"].(map[string]any)["path"] = ""
+		rel, added, err := installGoodallPlan(t, cfg, func(values *helm.Values) {
+			values.Model.Path = ""
 		})
 		if err == nil || !strings.Contains(err.Error(), "model.path") {
 			t.Fatalf("err = %v, want a refusal naming model.path", err)

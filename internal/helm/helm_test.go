@@ -16,41 +16,41 @@ import (
 	"repro/internal/vhttp"
 )
 
-func scoutOverrides() map[string]any {
-	return map[string]any{
-		"image": map[string]any{
-			"command": []any{
-				"vllm", "serve", "/data/",
-				"--host", "0.0.0.0", "--port", "8000",
-				"--served-model-name", "meta-llama/Llama-4-Scout-17B-16E-Instruct",
-				"--tensor-parallel-size=4",
-				"--disable-log-requests",
-				"--max-model-len=65536",
-			},
-		},
-		"model": map[string]any{"path": "meta-llama/Llama-4-Scout-17B-16E-Instruct"},
-		"s3": map[string]any{
-			"endpoint": "http://s3.example.gov:9000", "accessKey": "AK", "secretKey": "SK",
-		},
-		"ingress": map[string]any{"enabled": true, "host": "scout.apps.goodall.example.gov"},
+// scoutValues are the values of a Scout TP4 release with an ingress.
+func scoutValues() *Values {
+	v := &Values{Replicas: 1, Port: 8000, IngressHost: "scout.apps.goodall.example.gov"}
+	v.Image.Repository, v.Image.Tag = "vllm/vllm-openai", "v0.9.1"
+	v.Image.Command = []string{
+		"vllm", "serve", "/data/",
+		"--host", "0.0.0.0", "--port", "8000",
+		"--served-model-name", "meta-llama/Llama-4-Scout-17B-16E-Instruct",
+		"--tensor-parallel-size=4",
+		"--disable-log-requests",
+		"--max-model-len=65536",
 	}
+	v.Env = []k8s.EnvVar{{Name: "HF_HOME", Value: "/data"}, {Name: "HOME", Value: "/data"}}
+	v.Resources.GPUResource, v.Resources.GPUs = "nvidia.com/gpu", 4
+	v.Storage.Size, v.Storage.Class = "500Gi", "standard"
+	v.Model.Bucket, v.Model.Path = "huggingface.co", "meta-llama/Llama-4-Scout-17B-16E-Instruct"
+	v.S3.Endpoint, v.S3.AccessKey, v.S3.SecretKey = "http://s3.example.gov:9000", "AK", "SK"
+	return v
 }
 
 // TestRenderValidation: the chart refuses an empty model.path and applies
 // nothing, and with the ingress off it builds no Ingress.
 func TestRenderValidation(t *testing.T) {
 	_, cluster, _ := newK8sFixture(t)
-	over := scoutOverrides()
-	over["model"].(map[string]any)["path"] = ""
-	if _, err := Install(cluster, VLLMChart(), "x", "ai", over); err == nil || !strings.Contains(err.Error(), "model.path") {
+	v := scoutValues()
+	v.Model.Path = ""
+	if _, err := Install(cluster, "x", "ai", v); err == nil || !strings.Contains(err.Error(), "model.path") {
 		t.Fatalf("err = %v, want required-value failure", err)
 	}
 	if got := cluster.Store().List(k8s.KindDeployment); len(got) != 0 {
 		t.Fatalf("refused install applied %v", got)
 	}
-	over = scoutOverrides()
-	over["ingress"] = map[string]any{"enabled": false}
-	rel, err := Install(cluster, VLLMChart(), "x", "ai", over)
+	v = scoutValues()
+	v.IngressHost = ""
+	rel, err := Install(cluster, "x", "ai", v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,9 @@ func TestInstallCreatesObjects(t *testing.T) {
 			return nil
 		})
 	})
-	over := scoutOverrides()
-	over["resources"] = map[string]any{"gpuResource": "nvidia.com/gpu", "gpus": int64(2)}
-	rel, err := Install(cluster, VLLMChart(), "scout", "ai", over)
+	v := scoutValues()
+	v.Resources.GPUs = 2
+	rel, err := Install(cluster, "scout", "ai", v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,9 +273,6 @@ func (c *Cluster) startScheduler() {
 			if !n.Up() {
 				continue
 			}
-			if !nodeSelectorMatches(pod.Spec.NodeSelector, n) {
-				continue
-			}
 			if want > 0 {
 				if len(n.GPUs) == 0 || n.GPUs[0].Model.Vendor.DeviceResource() != res {
 					continue
@@ -294,7 +291,7 @@ func (c *Cluster) startScheduler() {
 			}
 		}
 		if best == nil {
-			pod.Status.Message = "0/" + fmt.Sprint(len(c.nodes)) + " nodes available: insufficient GPU or selector mismatch"
+			pod.Status.Message = "0/" + fmt.Sprint(len(c.nodes)) + " nodes available: insufficient GPU"
 			c.store.Update(KindPod, pod.Meta.NamespacedName(), pod)
 			// Retry while the pod still exists; a periodic nudge suffices.
 			c.eng.Schedule(5*time.Second, func() {
@@ -317,15 +314,6 @@ func (c *Cluster) startScheduler() {
 			schedule(pod)
 		}
 	})
-}
-
-func nodeSelectorMatches(sel map[string]string, n *hw.Node) bool {
-	for k, v := range sel {
-		if n.Labels[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // --- Endpoints controller --------------------------------------------------

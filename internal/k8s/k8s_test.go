@@ -363,29 +363,6 @@ func TestScaleUpDown(t *testing.T) {
 	}
 }
 
-func TestRestartPolicyNever(t *testing.T) {
-	f := newFixture(t, 1)
-	f.host.Programs.Register("apps/web", func() cruntime.Program {
-		return &webApp{Body: "x", CrashAfter: time.Minute}
-	})
-	pod := &Pod{
-		Meta: ObjectMeta{Name: "oneshot", Namespace: "ai"},
-		Spec: PodSpec{
-			RestartPolicy: "Never",
-			Containers:    []Container{{Name: "c", Image: "apps/web:v1"}},
-		},
-		Status: PodStatus{Phase: PodPending},
-	}
-	f.cluster.Store().Create(KindPod, pod.Meta.NamespacedName(), pod)
-	f.eng.RunFor(10 * time.Minute)
-	if pod.Status.Phase != PodFailed {
-		t.Fatalf("phase = %s, want Failed", pod.Status.Phase)
-	}
-	if pod.Status.Restarts != 0 {
-		t.Fatal("Never policy must not restart")
-	}
-}
-
 func TestDeleteDeploymentRemovesPods(t *testing.T) {
 	f := newFixture(t, 2)
 	f.host.Programs.Register("apps/web", func() cruntime.Program { return &webApp{Body: "x"} })

@@ -116,7 +116,7 @@ func (kl *kubelet) resolveMounts(p *sim.Proc, pod *Pod, ctr Container) ([]crunti
 				return nil, fmt.Errorf("volume %s: %w", vol.Name, err)
 			}
 			byName[vol.Name] = fs
-		default: // emptyDir
+		default: // scratch space (emptyDir)
 			byName[vol.Name] = fsim.New(kl.cluster.fabric, fsim.Config{
 				Name:   fmt.Sprintf("%s:%s:%s", kl.cluster.Name, pod.Meta.Name, vol.Name),
 				ReadBW: 3e9, WriteBW: 2e9,
@@ -129,7 +129,7 @@ func (kl *kubelet) resolveMounts(p *sim.Proc, pod *Pod, ctr Container) ([]crunti
 		if fs == nil {
 			return nil, fmt.Errorf("container %s references unknown volume %q", ctr.Name, vm.Name)
 		}
-		mounts = append(mounts, cruntime.Mount{FS: fs, HostPath: "/", CtrPath: vm.MountPath, ReadOnly: vm.ReadOnly})
+		mounts = append(mounts, cruntime.Mount{FS: fs, HostPath: "/", CtrPath: vm.MountPath})
 	}
 	return mounts, nil
 }
@@ -263,10 +263,6 @@ func (kl *kubelet) runPod(p *sim.Proc, w *podWorker) {
 		msg := "container exited"
 		if c.ExitErr != nil {
 			msg = c.ExitErr.Error()
-		}
-		if pod.Spec.RestartPolicy == "Never" {
-			kl.failPod(pod, msg)
-			return
 		}
 		// CrashLoopBackOff: exponential, reset after 10 minutes of health.
 		if ranFor > 10*time.Minute {

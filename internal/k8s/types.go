@@ -64,7 +64,6 @@ func (r ResourceRequirements) GPURequest() (resource string, count int) {
 type VolumeMount struct {
 	Name      string
 	MountPath string
-	ReadOnly  bool
 }
 
 // Container is one container in a pod.
@@ -88,10 +87,10 @@ func (c Container) EnvMap() map[string]string {
 	return m
 }
 
-// Volume declares a pod volume source.
+// Volume declares a pod volume: a claim's volume, or scratch space that
+// lives with the pod when PersistentVolumeClaim is nil.
 type Volume struct {
 	Name                  string
-	EmptyDir              *struct{}
 	PersistentVolumeClaim *PVCSource
 }
 
@@ -104,9 +103,7 @@ type PVCSource struct {
 type PodSpec struct {
 	Containers     []Container
 	InitContainers []Container
-	NodeSelector   map[string]string
 	Volumes        []Volume
-	RestartPolicy  string // Always (default) | Never
 }
 
 // PodPhase is the pod lifecycle phase.

@@ -341,29 +341,6 @@ func TestMarshalParsePropertyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	base := map[string]any{
-		"image": map[string]any{"repository": "vllm/vllm-openai", "tag": "v0.9.0"},
-		"port":  int64(8000),
-	}
-	over := map[string]any{
-		"image": map[string]any{"tag": "v0.9.1"},
-		"extra": true,
-	}
-	got := Merge(base, over).(map[string]any)
-	img := got["image"].(map[string]any)
-	if img["repository"] != "vllm/vllm-openai" || img["tag"] != "v0.9.1" {
-		t.Fatalf("merged image = %v", img)
-	}
-	if got["port"] != int64(8000) || got["extra"] != true {
-		t.Fatalf("merged = %v", got)
-	}
-	// base must not be mutated
-	if base["image"].(map[string]any)["tag"] != "v0.9.0" {
-		t.Fatal("Merge mutated base")
-	}
-}
-
 func TestGetHelpers(t *testing.T) {
 	v := mustParse(t, "a:\n  b:\n    - x\n    - name: deep\nflag: true\nnum: 7\n")
 	if Get(v, "a.b.0") != "x" {
@@ -382,8 +359,8 @@ func TestGetHelpers(t *testing.T) {
 
 // FuzzParse: whatever Parse accepts, Marshal writes back in a form Parse
 // reads as the same value. Marshal writes the Helm values file a plan
-// shows (Fig 6), and core's FuzzServeArgs reads the engine flags back out
-// of it with Parse.
+// shows (Fig 6); Parse, the test reader, is the oracle it is checked
+// against.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"str: hello world\nnum: 42\nhex: 0x10\noct: 0o17\nfl: 3.14\nexp: 1e3\nyes: true\nnul: ~\n",
