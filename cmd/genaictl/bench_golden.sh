@@ -3,9 +3,10 @@
 # instance; a streamed replica set with traces and both artifacts; CI's
 # two open-loop workload sweeps; a traced fleet; a pooled autoscaled
 # fleet; autoscale with an SLO and a default class; El Dorado; CEE; CEE
-# with -replicas 2, -trace and -observe-artifact, which has no gateway to
-# trace at or snapshot, so it notes both and writes no file; and a
-# refused -replicas 0. A last case pins `genaictl deploy -models ...
+# with -replicas 2, which measures two pods behind the chart's Service
+# (its name picks a ready pod per request), with -trace and
+# -observe-artifact, which have no gateway to trace at or snapshot, so it
+# notes both and writes no file; and a refused -replicas 0. A last case pins `genaictl deploy -models ...
 # -query -stream`, whose every model streams its answer. Each case runs
 # in a fresh temporary directory, writes its artifacts under fixed
 # relative names, and is followed by a sha256 of every file it wrote, so

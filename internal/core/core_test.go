@@ -278,6 +278,75 @@ func TestDeployGoodallHelmEndToEnd(t *testing.T) {
 	})
 }
 
+// TestDeployK8sReplicasShareTheService: on Kubernetes a deployment's BaseURL
+// is the chart Service's cluster name, which resolves to a ready pod per
+// request, so two replicas serve ten requests five and five.
+func TestDeployK8sReplicasShareTheService(t *testing.T) {
+	s, d := newSite(t)
+	model := llm.Scout
+	run(t, s, func(p *sim.Proc) {
+		if err := SeedModelToS3(p, d, model); err != nil {
+			t.Fatal(err)
+		}
+		dp, err := d.Deploy(p, VLLMPackage(), PlatformCEE, DeployConfig{
+			Model: model, TensorParallel: 4, MaxModelLen: 65536, Offline: true, Replicas: 2,
+		})
+		if err != nil {
+			t.Fatalf("Deploy: %v", err)
+		}
+		defer dp.Stop()
+		if dp.BaseURL != "http://vllm.ai.svc.cee:8000" {
+			t.Fatalf("BaseURL = %s, want the Service's cluster name", dp.BaseURL)
+		}
+		client := &vhttp.Client{Net: s.Net, From: site.LoginHops}
+		body, _ := json.Marshal(vllm.ChatRequest{MaxTokens: 16,
+			Messages: []vllm.ChatMessage{{Role: "user", Content: "hello"}}})
+		for i := 0; i < 10; i++ {
+			resp, err := client.Do(p, &vhttp.Request{Method: "POST",
+				URL: dp.BaseURL + "/v1/chat/completions", Body: body})
+			if err != nil || resp.Status != 200 {
+				t.Fatalf("request %d: %v %v", i, err, resp)
+			}
+		}
+		served := map[string]int{}
+		for _, pod := range s.CEE.ReadyPods(map[string]string{"app": "vllm"}) {
+			ctr := s.CEE.PodContainer(pod.Meta.Namespace, pod.Meta.Name)
+			served[pod.Meta.Name] = serverOf(ctr).Engine.Stats().Completed
+		}
+		if len(served) != 2 {
+			t.Fatalf("ready pods served %v, want two pods", served)
+		}
+		for name, n := range served {
+			if n != 5 {
+				t.Fatalf("pods served %v; %s served %d of 10, want 5", served, name, n)
+			}
+		}
+	})
+}
+
+// TestDeployK8sStopsAtFirstPodFailure: when the chart's pods cannot start
+// (the model is not in S3, so the init container's s3 sync fails), Deploy
+// returns the failed pod's status at its next readiness poll rather than
+// at its four-hour deadline, and uninstalls the release.
+func TestDeployK8sStopsAtFirstPodFailure(t *testing.T) {
+	s, d := newSite(t)
+	run(t, s, func(p *sim.Proc) {
+		start := p.Now()
+		_, err := d.Deploy(p, VLLMPackage(), PlatformCEE, DeployConfig{
+			Model: llm.Scout, TensorParallel: 4, MaxModelLen: 65536, Offline: true,
+		})
+		if err == nil || !strings.Contains(err.Error(), "init container fetch-model failed: s3: NoSuchBucket") {
+			t.Fatalf("Deploy err = %v, want the init container's failure", err)
+		}
+		if took := p.Now().Sub(start); took != 30*time.Second {
+			t.Fatalf("Deploy failed after %s, want 30s (one readiness poll)", took)
+		}
+		if pods := s.CEE.Pods(nil); len(pods) != 0 {
+			t.Fatalf("%d pods left after the failed deploy, want the release uninstalled", len(pods))
+		}
+	})
+}
+
 func TestMultiNodeRayDeployment(t *testing.T) {
 	// §3.5 with the 405B model across 4 Hops nodes (TP4×PP4).
 	s, d := newSite(t)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/helm"
 	"repro/internal/hw"
 	"repro/internal/ingress"
+	"repro/internal/k8s"
 	"repro/internal/ray"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -330,24 +331,33 @@ func serverOf(c *cruntime.Container) *vllm.ServerProgram {
 	return nil
 }
 
-// deployK8s installs the bundled Helm chart and waits for readiness.
+// deployK8s installs the bundled Helm chart and waits for readiness. The
+// deployment's BaseURL is the chart Service's cluster name, which spreads
+// requests over the ready pods.
 func (d *Deployer) deployK8s(p *sim.Proc, pkg *ContainerPackage, t *target, cfg DeployConfig) (*Deployment, error) {
+	const namespace = "ai"
 	cluster := t.cluster
-	rel, err := helm.Install(cluster, pkg.Name, "ai", d.helmValues(pkg, t.image, cfg))
+	rel, err := helm.Install(cluster, pkg.Name, namespace, d.helmValues(pkg, t.image, cfg))
 	if err != nil {
 		return nil, err
 	}
 	dp := &Deployment{Name: pkg.Name, Platform: t.Platform, dep: d, release: rel, cluster: cluster}
+	key := (k8s.ObjectMeta{Namespace: namespace, Name: pkg.Name}).NamespacedName()
 	// Wait for at least one ready pod (model download + load can take
-	// tens of minutes).
+	// tens of minutes), or stop at the first pod the Deployment replaced
+	// because it failed.
 	deadline := p.Now().Add(4 * time.Hour)
 	for {
-		if pods := cluster.ReadyPods(map[string]string{"app": pkg.Name}); len(pods) > 0 {
-			dp.BaseURL = fmt.Sprintf("http://%s:%d", pods[0].Status.PodIP, cfg.Port)
+		if len(cluster.ReadyPods(map[string]string{"app": pkg.Name})) > 0 {
+			dp.BaseURL = fmt.Sprintf("http://%s:%d", cluster.ServiceHost(namespace, pkg.Name), cfg.Port)
 			if cfg.IngressHost != "" {
 				dp.ExternalURL = fmt.Sprintf("http://%s:%d", cfg.IngressHost, cfg.Port)
 			}
 			return dp, nil
+		}
+		if dep, _ := cluster.Store().Get(k8s.KindDeployment, key).(*k8s.Deployment); dep != nil && dep.Status.ReplicaFailure != "" {
+			dp.Stop()
+			return nil, fmt.Errorf("core: %s on %s: %s", pkg.Name, t.Name, dep.Status.ReplicaFailure)
 		}
 		if p.Now().After(deadline) {
 			dp.Stop()

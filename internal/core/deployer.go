@@ -539,15 +539,10 @@ func (dp *Deployment) Engine() *vllm.Engine {
 	}
 	if dp.cluster != nil {
 		for _, pod := range dp.cluster.ReadyPods(map[string]string{"app": dp.Name}) {
-			ctr := dp.cluster.PodContainer(pod.Meta.Namespace, pod.Meta.Name)
-			if ctr == nil {
-				continue
-			}
-			if bp, ok := ctr.Program.(*ray.BootstrapProgram); ok && bp.Serve != nil && bp.Serve.Engine != nil {
-				return bp.Serve.Engine
-			}
-			if sp, ok := ctr.Program.(*vllm.ServerProgram); ok {
-				return sp.Engine
+			if ctr := dp.cluster.PodContainer(pod.Meta.Namespace, pod.Meta.Name); ctr != nil {
+				if sp := serverOf(ctr); sp != nil {
+					return sp.Engine
+				}
 			}
 		}
 	}

@@ -113,7 +113,6 @@ func TestHelmInstallGoodallPlan(t *testing.T) {
 			}},
 		},
 	}}
-	deployment.Selector.MatchLabels = app
 	pvc := k8s.PVCSpec{StorageClassName: "standard"}
 	pvc.Resources.Requests = map[string]string{"storage": "160Gi"}
 	metaWithApp := meta
@@ -127,12 +126,12 @@ func TestHelmInstallGoodallPlan(t *testing.T) {
 			{k8s.KindDeployment, metaWithApp, deployment},
 			{k8s.KindIngress, meta, k8s.IngressSpec{Host: host, ServiceName: name, ServicePort: 8000}},
 			{k8s.KindPVC, k8s.ObjectMeta{Name: name + "-storage", Namespace: "ai"}, pvc},
-			{k8s.KindService, meta, k8s.ServiceSpec{Selector: app, Ports: []k8s.ServicePort{{Port: 8000, TargetPort: 8000}}}},
+			{k8s.KindService, meta, k8s.ServiceSpec{Selector: app, Ports: []k8s.ServicePort{{Port: 8000}}}},
 		}},
 		{"no-ingress", "", []appliedObject{
 			{k8s.KindDeployment, metaWithApp, deployment},
 			{k8s.KindPVC, k8s.ObjectMeta{Name: name + "-storage", Namespace: "ai"}, pvc},
-			{k8s.KindService, meta, k8s.ServiceSpec{Selector: app, Ports: []k8s.ServicePort{{Port: 8000, TargetPort: 8000}}}},
+			{k8s.KindService, meta, k8s.ServiceSpec{Selector: app, Ports: []k8s.ServicePort{{Port: 8000}}}},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

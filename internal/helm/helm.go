@@ -120,7 +120,6 @@ func Install(cluster *k8s.Cluster, release, namespace string, v *Values) (*Relea
 		}},
 	}}
 	dep.Meta.Labels = app
-	dep.Spec.Selector.MatchLabels = app
 	pvc := &k8s.PersistentVolumeClaim{
 		Meta: k8s.ObjectMeta{Name: claim, Namespace: namespace},
 		Spec: k8s.PVCSpec{StorageClassName: v.Storage.Class},
@@ -128,7 +127,7 @@ func Install(cluster *k8s.Cluster, release, namespace string, v *Values) (*Relea
 	pvc.Spec.Resources.Requests = map[string]string{"storage": v.Storage.Size}
 	svc := &k8s.Service{Meta: meta, Spec: k8s.ServiceSpec{
 		Selector: app,
-		Ports:    []k8s.ServicePort{{Port: v.Port, TargetPort: v.Port}},
+		Ports:    []k8s.ServicePort{{Port: v.Port}},
 	}}
 
 	rel := &Release{Name: release, Namespace: namespace}

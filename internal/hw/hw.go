@@ -87,9 +87,6 @@ type Node struct {
 	// IB is the high-speed fabric interface (InfiniBand), nil if absent.
 	IB *netsim.Link
 
-	// Labels carries scheduling metadata (gpu model, rack, CaL eligibility).
-	Labels map[string]string
-
 	up bool
 }
 
@@ -104,7 +101,6 @@ type NodeSpec struct {
 	NICBW    float64 // bytes/second Ethernet
 	IBBW     float64 // bytes/second InfiniBand, 0 = none
 	Latency  time.Duration
-	Labels   map[string]string
 }
 
 // NewNode creates a node and registers its NIC links on the fabric.
@@ -123,18 +119,10 @@ func NewNode(fabric *netsim.Fabric, spec NodeSpec) *Node {
 		Cluster:  spec.Cluster,
 		CPUs:     spec.CPUs,
 		MemBytes: spec.MemBytes,
-		Labels:   map[string]string{},
 		up:       true,
-	}
-	for k, v := range spec.Labels {
-		n.Labels[k] = v
 	}
 	for i := 0; i < spec.GPUCount; i++ {
 		n.GPUs = append(n.GPUs, &GPU{Index: i, Model: spec.GPUModel})
-	}
-	if spec.GPUCount > 0 {
-		n.Labels["gpu.model"] = spec.GPUModel.Name
-		n.Labels["gpu.vendor"] = string(spec.GPUModel.Vendor)
 	}
 	n.NIC = fabric.AddLink(fmt.Sprintf("nic:%s", spec.Name), spec.NICBW, spec.Latency)
 	if spec.IBBW > 0 {

@@ -22,9 +22,6 @@ func TestNodeDefaults(t *testing.T) {
 	if len(n.GPUs) != 4 {
 		t.Fatalf("gpus = %d, want 4", len(n.GPUs))
 	}
-	if n.Labels["gpu.model"] != "H100-SXM-80GB" || n.Labels["gpu.vendor"] != "nvidia" {
-		t.Fatalf("labels = %v", n.Labels)
-	}
 	if n.NIC == nil {
 		t.Fatal("no NIC link")
 	}

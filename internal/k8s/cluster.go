@@ -38,7 +38,7 @@ type Cluster struct {
 	ingressHost string
 	podSeq      int
 	volSeq      int
-	rrIndex     map[string]int // ingress round-robin state
+	cursor      map[string]int // each Service's round-robin position, by key
 
 	// ExtraProps is injected into every container's ExecContext (simulation
 	// seams such as the upstream hub handle).
@@ -57,12 +57,12 @@ func NewCluster(eng *sim.Engine, net *vhttp.Net, fabric *netsim.Fabric, host *cr
 		kubelets:    make(map[string]*kubelet),
 		classes:     map[string]StorageClass{"standard": {Name: "standard", ReadBW: netsim.GBps(2), WriteBW: netsim.GBps(1.5)}},
 		ingressHost: "ingress." + name,
-		rrIndex:     make(map[string]int),
+		cursor:      make(map[string]int),
 		ExtraProps:  map[string]any{},
 	}
 	c.startDeploymentController()
 	c.startScheduler()
-	c.startEndpointsController()
+	c.startServiceProxy()
 	c.startIngressController()
 	c.startPVController()
 	c.startNodeController()
@@ -174,17 +174,16 @@ func (c *Cluster) startDeploymentController() {
 			return
 		}
 		d := obj.(*Deployment)
-		selector := d.Spec.Selector.MatchLabels
-		if len(selector) == 0 {
-			selector = d.Spec.Template.Meta.Labels
-		}
 		var live []*Pod
 		for _, p := range c.Pods(nil) {
 			if p.Meta.Labels["k8s.deployment"] != d.Meta.Name {
 				continue
 			}
 			switch p.Status.Phase {
-			case PodFailed, PodSucceeded:
+			case PodFailed:
+				d.Status.ReplicaFailure = "pod " + p.Meta.Name + ": " + p.Status.Message
+				fallthrough
+			case PodSucceeded:
 				// Replace terminal pods: delete and let the next pass recreate.
 				c.store.Delete(KindPod, p.Meta.NamespacedName())
 			default:
@@ -316,45 +315,56 @@ func (c *Cluster) startScheduler() {
 	})
 }
 
-// --- Endpoints controller --------------------------------------------------
+// --- Service proxy -------------------------------------------------------------
 
-func (c *Cluster) startEndpointsController() {
-	recompute := func() {
-		for _, obj := range c.store.List(KindService) {
-			svc := obj.(*Service)
-			var addrs []string
-			for _, p := range c.ReadyPods(svc.Spec.Selector) {
-				addrs = append(addrs, p.Status.PodIP)
-			}
-			port := 0
-			if len(svc.Spec.Ports) > 0 {
-				port = svc.Spec.Ports[0].TargetPort
-				if port == 0 {
-					port = svc.Spec.Ports[0].Port
-				}
-			}
-			c.store.Apply(KindEndpoints, svc.Meta.NamespacedName(), &Endpoints{
-				Meta: svc.Meta, Addresses: addrs, Port: port,
-			})
-		}
+// ServiceHost is a Service's cluster name, <name>.<namespace>.svc.<cluster>
+// (vllm.ai.svc.cee). A request to it reaches one of the Service's ready
+// pods on the request's port.
+func (c *Cluster) ServiceHost(namespace, name string) string {
+	if namespace == "" {
+		namespace = "default"
 	}
-	c.store.Watch(KindService, func(ev Event) { recompute() })
-	c.store.Watch(KindPod, func(ev Event) { recompute() })
+	return name + "." + namespace + ".svc." + c.Name
 }
 
-// Endpoints returns the current backend list for a service.
-func (c *Cluster) Endpoints(namespace, name string) *Endpoints {
-	obj := c.store.Get(KindEndpoints, (ObjectMeta{Namespace: namespace, Name: name}).NamespacedName())
-	if obj == nil {
-		return nil
+// startServiceProxy resolves each Service's cluster name through pick on
+// every request, as kube-proxy's DNAT does, so no proxy hop is added.
+func (c *Cluster) startServiceProxy() {
+	c.store.Watch(KindService, func(ev Event) {
+		svc := ev.Obj.(*Service)
+		host := c.ServiceHost(svc.Meta.Namespace, svc.Meta.Name)
+		if ev.Type == Deleted {
+			c.net.RemoveAlias(host)
+			delete(c.cursor, ev.Key)
+			return
+		}
+		c.net.Alias(host, func() string { return c.pick(ev.Key) })
+	})
+}
+
+// pick chooses the pod that serves one request to the Service stored at
+// key: of the pods its selector matches that are running and ready when the
+// request arrives, the next on the Service's cursor. It returns the pod's
+// address, or "" when the Service is gone or has no ready pod.
+func (c *Cluster) pick(key string) string {
+	svc, ok := c.store.Get(KindService, key).(*Service)
+	if !ok {
+		return ""
 	}
-	return obj.(*Endpoints)
+	pods := c.ReadyPods(svc.Spec.Selector)
+	if len(pods) == 0 {
+		return ""
+	}
+	i := c.cursor[key] % len(pods)
+	c.cursor[key]++
+	return pods[i].Status.PodIP
 }
 
 // --- Ingress controller ------------------------------------------------------
 
 func (c *Cluster) startIngressController() {
-	// The ingress router terminates every aliased external host.
+	// The ingress router terminates every Ingress host and forwards to the
+	// pod its Service's pick returns.
 	router := vhttp.ServiceFunc(func(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 		var match *Ingress
 		for _, obj := range c.store.List(KindIngress) {
@@ -367,16 +377,13 @@ func (c *Cluster) startIngressController() {
 		if match == nil {
 			return vhttp.Text(404, "default backend - 404 (no ingress for host "+req.Host+")")
 		}
-		eps := c.Endpoints(match.Meta.Namespace, match.Spec.ServiceName)
-		if eps == nil || len(eps.Addresses) == 0 {
+		backend := c.pick((ObjectMeta{Namespace: match.Meta.Namespace, Name: match.Spec.ServiceName}).NamespacedName())
+		if backend == "" {
 			return vhttp.Text(503, "no endpoints available for service "+match.Spec.ServiceName)
 		}
-		idx := c.rrIndex[match.Spec.Host] % len(eps.Addresses)
-		c.rrIndex[match.Spec.Host]++
-		backend := eps.Addresses[idx]
 		inner := &vhttp.Request{
 			Method: req.Method,
-			URL:    fmt.Sprintf("http://%s:%d%s", backend, eps.Port, req.Path),
+			URL:    fmt.Sprintf("http://%s:%d%s", backend, match.Spec.ServicePort, req.Path),
 			Header: req.Header,
 			Body:   req.Body,
 			Size:   req.Size,
@@ -391,11 +398,12 @@ func (c *Cluster) startIngressController() {
 	for _, port := range []int{80, 443, 8000} {
 		c.net.Listen(c.ingressHost, port, router, vhttp.ListenOptions{})
 	}
+	toRouter := func() string { return c.ingressHost }
 	c.store.Watch(KindIngress, func(ev Event) {
 		ing := ev.Obj.(*Ingress)
 		switch ev.Type {
 		case Added, Modified:
-			c.net.Alias(ing.Spec.Host, c.ingressHost)
+			c.net.Alias(ing.Spec.Host, toRouter)
 		case Deleted:
 			c.net.RemoveAlias(ing.Spec.Host)
 		}

@@ -101,7 +101,7 @@ func newFixture(t *testing.T, nodes int) *fixture {
 }
 
 func webDeployment(name string, replicas int) *Deployment {
-	d := &Deployment{
+	return &Deployment{
 		Meta: ObjectMeta{Name: name, Namespace: "ai"},
 		Spec: DeploymentSpec{
 			Replicas: replicas,
@@ -116,17 +116,20 @@ func webDeployment(name string, replicas int) *Deployment {
 			},
 		},
 	}
-	d.Spec.Selector.MatchLabels = map[string]string{"app": name}
-	return d
 }
 
+// TestDeploymentEndToEnd: a two-pod Deployment serves through its Service's
+// cluster name and through its Ingress host, and both go through the one
+// pick, so consecutive requests alternate over the two pods whichever name
+// they use. With no ready pod the Service name is refused and the Ingress
+// answers 503.
 func TestDeploymentEndToEnd(t *testing.T) {
 	f := newFixture(t, 2)
 	f.host.Programs.Register("apps/web", func() cruntime.Program { return &webApp{Body: "hello"} })
 	f.cluster.ApplyDeployment(webDeployment("web", 2))
 	f.cluster.ApplyService(&Service{
 		Meta: ObjectMeta{Name: "web", Namespace: "ai"},
-		Spec: ServiceSpec{Selector: map[string]string{"app": "web"}, Ports: []ServicePort{{Port: 8000, TargetPort: 8000}}},
+		Spec: ServiceSpec{Selector: map[string]string{"app": "web"}, Ports: []ServicePort{{Port: 8000}}},
 	})
 	f.cluster.ApplyIngress(&Ingress{
 		Meta: ObjectMeta{Name: "web", Namespace: "ai"},
@@ -141,24 +144,46 @@ func TestDeploymentEndToEnd(t *testing.T) {
 		}
 		t.Fatalf("ready pods = %d, want 2", len(pods))
 	}
-	eps := f.cluster.Endpoints("ai", "web")
-	if eps == nil || len(eps.Addresses) != 2 {
-		t.Fatalf("endpoints = %+v", eps)
+	svcURL := "http://" + f.cluster.ServiceHost("ai", "web") + ":8000/query"
+	if svcURL != "http://web.ai.svc.goodall:8000/query" {
+		t.Fatalf("service URL = %s", svcURL)
 	}
-	// External access through the ingress URL.
-	var body string
+	ingURL := "http://web.apps.example.gov/query"
+	c := &vhttp.Client{Net: f.net, From: "laptop"}
+	var bodies []string
 	f.eng.Go("client", func(p *sim.Proc) {
-		c := &vhttp.Client{Net: f.net, From: "laptop"}
-		resp, err := c.Get(p, "http://web.apps.example.gov/query")
-		if err != nil {
-			t.Errorf("ingress: %v", err)
-			return
+		for _, url := range []string{svcURL, ingURL, svcURL, ingURL} {
+			resp, err := c.Get(p, url)
+			if err != nil || resp.Status != 200 {
+				t.Errorf("GET %s: %v %v", url, err, resp)
+				return
+			}
+			bodies = append(bodies, string(resp.Body))
 		}
-		body = string(resp.Body)
 	})
 	f.eng.RunFor(time.Second)
-	if !strings.HasPrefix(body, "hello from pod-web-") {
-		t.Fatalf("ingress body = %q", body)
+	one, two := "hello from pod-web-00001.goodall", "hello from pod-web-00002.goodall"
+	if got, want := strings.Join(bodies, ","), strings.Join([]string{one, two, one, two}, ","); got != want {
+		t.Fatalf("served %q, want %q", got, want)
+	}
+
+	// No ready pod: the Service name refuses, the Ingress answers 503.
+	f.cluster.DeleteDeployment("ai", "web")
+	f.eng.RunFor(time.Second)
+	var svcErr error
+	ingStatus := 0
+	f.eng.Go("client", func(p *sim.Proc) {
+		_, svcErr = c.Get(p, svcURL)
+		if resp, err := c.Get(p, ingURL); err == nil {
+			ingStatus = resp.Status
+		}
+	})
+	f.eng.RunFor(time.Second)
+	if ce, ok := svcErr.(*vhttp.ConnError); !ok || ce.Reason != "connection refused" {
+		t.Fatalf("service name with no ready pod: err = %v, want connection refused", svcErr)
+	}
+	if ingStatus != 503 {
+		t.Fatalf("ingress with no ready pod = %d, want 503", ingStatus)
 	}
 }
 

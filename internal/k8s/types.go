@@ -1,13 +1,15 @@
 // Package k8s simulates a Kubernetes cluster in the style of the paper's
 // OpenShift platforms (Goodall, CEE): a declarative object store with
 // watches, a Deployment controller, a GPU-aware scheduler, per-node kubelets
-// that pull images and run containers with CRI semantics, services with
-// endpoint tracking, ingress routing with automatic re-targeting, and
-// dynamically provisioned persistent volumes.
+// that pull images and run containers with CRI semantics, Services, ingress
+// routing, and dynamically provisioned persistent volumes.
 //
-// The control loop behaviours the paper relies on are first-class: when a
-// vLLM container crashes or a node drains, the pod is restarted or replaced
-// and ingress routes update without operator action (§3.3).
+// A Service's cluster name, <name>.<namespace>.svc.<cluster>, resolves per
+// request to one of its ready pods, round-robin and with no proxy hop, as
+// kube-proxy's DNAT does; the Ingress forwards through the same pick. So
+// when a vLLM container crashes or a node drains, the pod is restarted or
+// replaced and requests reach whichever pods are ready, without operator
+// action (§3.3).
 package k8s
 
 import (
@@ -139,25 +141,30 @@ type PodTemplate struct {
 	Spec PodSpec
 }
 
-// DeploymentSpec declares replicas of a template.
+// DeploymentSpec declares replicas of a template. The controller finds its
+// pods by the k8s.deployment label it stamps on each.
 type DeploymentSpec struct {
 	Replicas int
-	Selector struct {
-		MatchLabels map[string]string
-	}
 	Template PodTemplate
 }
 
 // Deployment manages identical pods.
 type Deployment struct {
-	Meta ObjectMeta
-	Spec DeploymentSpec
+	Meta   ObjectMeta
+	Spec   DeploymentSpec
+	Status struct {
+		// ReplicaFailure names the last pod the controller replaced because
+		// it failed, with that pod's status message; "" while none has.
+		// Kubernetes reports this kind of status in its ReplicaFailure
+		// condition.
+		ReplicaFailure string
+	}
 }
 
-// ServicePort maps a service port to pod targets.
+// ServicePort is a port the Service serves; a request to the Service's
+// name reaches a pod on the same port.
 type ServicePort struct {
-	Port       int
-	TargetPort int
+	Port int
 }
 
 // ServiceSpec selects backend pods.
@@ -166,17 +173,10 @@ type ServiceSpec struct {
 	Ports    []ServicePort
 }
 
-// Service is a stable virtual endpoint over ready pods.
+// Service is a stable name over ready pods (Cluster.ServiceHost).
 type Service struct {
 	Meta ObjectMeta
 	Spec ServiceSpec
-}
-
-// Endpoints is the controller-maintained ready-backend list.
-type Endpoints struct {
-	Meta      ObjectMeta
-	Addresses []string // pod IPs
-	Port      int
 }
 
 // IngressSpec routes an external host to a service.
@@ -232,7 +232,6 @@ const (
 	KindPod        = "Pod"
 	KindDeployment = "Deployment"
 	KindService    = "Service"
-	KindEndpoints  = "Endpoints"
 	KindIngress    = "Ingress"
 	KindPVC        = "PersistentVolumeClaim"
 	KindPV         = "PersistentVolume"

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cruntime"
+	"repro/internal/flux"
 	"repro/internal/fsim"
 	"repro/internal/hub"
 	"repro/internal/hw"
@@ -75,7 +76,7 @@ type Site struct {
 	HopsNodes  []*hw.Node
 	HopsLustre *fsim.FS
 
-	Eldorado       *flux2
+	Eldorado       *flux.Instance
 	EldoradoNodes  []*hw.Node
 	EldoradoLustre *fsim.FS
 
@@ -100,10 +101,6 @@ type Site struct {
 
 // hostPair is a route's (from, to) key.
 type hostPair struct{ from, to string }
-
-// flux2 aliases the flux instance type without a package-name clash in
-// struct fields.
-type flux2 = fluxInstance
 
 // New builds the whole site.
 func New(opts Options) *Site {
@@ -182,7 +179,7 @@ func New(opts Options) *Site {
 		s.EldoradoNodes = append(s.EldoradoNodes, n)
 		s.hostNodes[n.Name] = n
 	}
-	s.Eldorado = newFluxInstance(eng, "eldorado", s.EldoradoNodes)
+	s.Eldorado = flux.NewInstance(eng, "eldorado", s.EldoradoNodes)
 
 	// --- Kubernetes platforms ---------------------------------------------
 	s.Goodall = k8s.NewCluster(eng, net, fabric, s.Host, "goodall")

@@ -127,7 +127,7 @@ type addr struct {
 type Net struct {
 	fabric    *netsim.Fabric
 	endpoints map[addr]*endpoint
-	aliases   map[string]string
+	aliases   map[string]func() string
 	// RouteFn returns the netsim links between client and server hosts.
 	// nil or empty results mean an un-metered (instant) path.
 	RouteFn func(from, to string) []*netsim.Link
@@ -149,7 +149,7 @@ func NewNet(fabric *netsim.Fabric) *Net {
 	return &Net{
 		fabric:      fabric,
 		endpoints:   make(map[addr]*endpoint),
-		aliases:     make(map[string]string),
+		aliases:     make(map[string]func() string),
 		BaseLatency: 200 * time.Microsecond,
 	}
 }
@@ -175,24 +175,23 @@ func (n *Net) Listen(host string, port int, svc Service, opts ListenOptions) err
 // Unlisten removes the endpoint at host:port.
 func (n *Net) Unlisten(host string, port int) { delete(n.endpoints, addr{host, port}) }
 
-// Alias maps a virtual hostname (an ingress URL host, a service DNS name) to
-// the real host that terminates it. Port numbers carry through unchanged.
-func (n *Net) Alias(name, host string) { n.aliases[name] = host }
+// Alias makes a virtual hostname resolve, per request, to the host pick
+// returns: a Kubernetes Ingress host to the cluster's ingress router, a
+// Service name to one of the Service's ready pods. pick returns a concrete
+// host, never another alias, or "" when nothing serves the name, which
+// refuses the connection. Port numbers carry through unchanged.
+func (n *Net) Alias(name string, pick func() string) { n.aliases[name] = pick }
 
 // RemoveAlias deletes a hostname mapping.
 func (n *Net) RemoveAlias(name string) { delete(n.aliases, name) }
 
-// Resolve follows alias chains to a concrete host.
+// Resolve returns the host that serves host: an alias's pick, or host
+// itself.
 func (n *Net) Resolve(host string) string {
-	seen := 0
-	for {
-		next, ok := n.aliases[host]
-		if !ok || seen > 8 {
-			return host
-		}
-		host = next
-		seen++
+	if pick, ok := n.aliases[host]; ok {
+		return pick()
 	}
+	return host
 }
 
 // SplitHostPort parses an absolute base URL ("http://hops03:8000") into its
@@ -248,10 +247,10 @@ func (c *Client) Do(p *sim.Proc, req *Request) (*Response, error) {
 	target := c.Net.Resolve(host)
 	ep := c.Net.endpoints[addr{target, port}]
 	if ep == nil {
-		return nil, &ConnError{Addr: key(target, port), Reason: "connection refused"}
+		return nil, &ConnError{Addr: key(host, port), Reason: "connection refused"}
 	}
 	if ep.up != nil && !ep.up() {
-		return nil, &ConnError{Addr: key(target, port), Reason: "no route to host"}
+		return nil, &ConnError{Addr: key(host, port), Reason: "no route to host"}
 	}
 	req.Host = host
 	req.Path = u.Path

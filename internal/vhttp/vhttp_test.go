@@ -110,26 +110,52 @@ func TestUpGate(t *testing.T) {
 	}
 }
 
-func TestAliasChainAndRemoval(t *testing.T) {
+// TestAliasPicksPerRequestAndRemoval: an alias resolves on every request to
+// the host its pick returns, so a name can alternate over two hosts; a pick
+// of "" and a removed alias both refuse the connection, naming the alias.
+func TestAliasPicksPerRequestAndRemoval(t *testing.T) {
 	e, n := newTestNet(t)
-	n.Listen("node7", 8000, echo(), ListenOptions{})
-	n.Alias("llama.apps.example.gov", "ingress")
-	n.Alias("ingress", "node7")
-	var ok, okAfter bool
+	hosts := []string{"node7", "node8"}
+	for _, h := range hosts {
+		n.Listen(h, 8000, ServiceFunc(func(p *sim.Proc, req *Request) *Response {
+			return Text(200, h+" "+req.Host)
+		}), ListenOptions{})
+	}
+	next := 0
+	n.Alias("llama.ai.svc.cee", func() string {
+		if hosts == nil {
+			return ""
+		}
+		h := hosts[next%len(hosts)]
+		next++
+		return h
+	})
+	var got []string
+	var noPick, removed error
 	e.Go("client", func(p *sim.Proc) {
 		c := &Client{Net: n}
-		resp, err := c.Get(p, "http://llama.apps.example.gov:8000/x")
-		ok = err == nil && resp.Status == 200
-		n.RemoveAlias("llama.apps.example.gov")
-		_, err = c.Get(p, "http://llama.apps.example.gov:8000/x")
-		okAfter = err == nil
+		for i := 0; i < 4; i++ {
+			resp, err := c.Get(p, "http://llama.ai.svc.cee:8000/x")
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			got = append(got, string(resp.Body))
+		}
+		hosts = nil
+		_, noPick = c.Get(p, "http://llama.ai.svc.cee:8000/x")
+		n.RemoveAlias("llama.ai.svc.cee")
+		_, removed = c.Get(p, "http://llama.ai.svc.cee:8000/x")
 	})
 	e.Run()
-	if !ok {
-		t.Fatal("aliased request failed")
+	want := "node7 llama.ai.svc.cee,node8 llama.ai.svc.cee,node7 llama.ai.svc.cee,node8 llama.ai.svc.cee"
+	if strings.Join(got, ",") != want {
+		t.Fatalf("served by %q, want %q", got, want)
 	}
-	if okAfter {
-		t.Fatal("request should fail after alias removal")
+	for _, err := range []error{noPick, removed} {
+		if ce, ok := err.(*ConnError); !ok || ce.Addr != "llama.ai.svc.cee:8000" || ce.Reason != "connection refused" {
+			t.Fatalf("err = %v, want llama.ai.svc.cee:8000 refused", err)
+		}
 	}
 }
 
