@@ -77,8 +77,7 @@ func main() {
 	// Bridge: the real HTTP server forwards into the virtual service.
 	fwd := vhttp.ServiceFunc(func(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 		client := &vhttp.Client{Net: s.Net, From: site.LoginHops}
-		inner := *req
-		inner.URL = dep.dp.BaseURL + req.Path
+		inner := req.ProxyTo(req.ProxyURL(dep.dp.BaseURL))
 		resp, err := client.Do(p, &inner)
 		if err != nil {
 			return vhttp.Text(502, err.Error())

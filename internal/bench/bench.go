@@ -52,7 +52,6 @@ type HTTPTarget struct {
 	Client  *vhttp.Client
 	BaseURL string // e.g. "http://hops15:8000"
 	Model   string
-	APIKey  string
 	// Stream requests SSE delivery (`stream: true`) and measures TTFT at
 	// the first delta's arrival — the client-observed number, not the
 	// server-reported header — plus per-gap inter-token latencies.
@@ -120,9 +119,6 @@ func (t *HTTPTarget) exchange(p *sim.Proc, msgs []vllm.ChatMessage, maxNew int, 
 		URL:    strings.TrimSuffix(t.BaseURL, "/") + "/v1/chat/completions",
 		Header: map[string]string{"Content-Type": "application/json"},
 		Body:   body,
-	}
-	if t.APIKey != "" {
-		req.Header["Authorization"] = "Bearer " + t.APIKey
 	}
 	for k, v := range extraHeader {
 		req.Header[k] = v

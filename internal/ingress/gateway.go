@@ -615,9 +615,9 @@ func (g *Gateway) admit(p *sim.Proc, sreq *sched.Request, cands []sched.Candidat
 func (g *Gateway) forward(p *sim.Proc, b *Backend, req, inner *vhttp.Request) (*vhttp.Response, error) {
 	url := b.chatURL
 	if req.Path != chatPath || len(req.Query) != 0 {
-		url = proxyURL(req, b.url)
+		url = req.ProxyURL(b.url)
 	}
-	*inner = proxyTo(req, url)
+	*inner = req.ProxyTo(url)
 	b.inflight++
 	b.requests++
 	resp, err := g.client.Do(p, inner)

@@ -17,36 +17,6 @@ import (
 	"repro/internal/vhttp"
 )
 
-// proxyRequest clones req for forwarding to a new target base URL,
-// preserving method, headers, body, and the query string. Shared by every
-// proxy in this package (SSH tunnel, CaL, gateway) so they cannot diverge.
-func proxyRequest(req *vhttp.Request, base string) *vhttp.Request {
-	inner := proxyTo(req, proxyURL(req, base))
-	return &inner
-}
-
-// proxyURL is req's path and query string on a new target base URL.
-func proxyURL(req *vhttp.Request, base string) string {
-	u := base + req.Path
-	if q := req.Query.Encode(); q != "" {
-		u += "?" + q
-	}
-	return u
-}
-
-// proxyTo is proxyRequest with the target URL, path and query included,
-// already built. It returns the clone by value, so a proxy that keeps a
-// per-request record holds it there.
-func proxyTo(req *vhttp.Request, url string) vhttp.Request {
-	return vhttp.Request{
-		Method: req.Method,
-		URL:    url,
-		Header: req.Header,
-		Body:   req.Body,
-		Size:   req.Size,
-	}
-}
-
 // SSHTunnel forwards a local port on the user's system to a compute-node
 // port via a login node: `ssh -L 8000:compute-node:8000 -N -f login-node`.
 type SSHTunnel struct {
@@ -67,8 +37,8 @@ func (t *SSHTunnel) Open() error {
 	client := &vhttp.Client{Net: t.Net, From: t.LoginHost}
 	fwd := vhttp.ServiceFunc(func(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 		// Two hops: user → login node → compute node.
-		inner := proxyRequest(req, fmt.Sprintf("http://%s:%d", t.TargetHost, t.TargetPort))
-		resp, err := client.Do(p, inner)
+		inner := req.ProxyTo(req.ProxyURL(fmt.Sprintf("http://%s:%d", t.TargetHost, t.TargetPort)))
+		resp, err := client.Do(p, &inner)
 		if err != nil {
 			return vhttp.Text(502, "channel 2: open failed: connect failed: "+err.Error())
 		}
@@ -127,8 +97,8 @@ func (c *CaL) AddRoute(r Route) error {
 	// Pooled: one client per route, not one per proxied request.
 	client := &vhttp.Client{Net: c.Net, From: c.GatewayHost}
 	proxy := vhttp.ServiceFunc(func(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
-		inner := proxyRequest(req, fmt.Sprintf("http://%s:%d", rr.TargetHost, rr.TargetPort))
-		resp, err := client.Do(p, inner)
+		inner := req.ProxyTo(req.ProxyURL(fmt.Sprintf("http://%s:%d", rr.TargetHost, rr.TargetPort)))
+		resp, err := client.Do(p, &inner)
 		if err != nil {
 			// NGINX behaviour when the upstream is down.
 			return vhttp.Text(502, "502 Bad Gateway (nginx): upstream "+rr.TargetHost+" unavailable")

@@ -97,11 +97,10 @@ func (c *Cluster) ApplyDeployment(d *Deployment) {
 
 // DeleteDeployment removes a deployment and its pods.
 func (c *Cluster) DeleteDeployment(namespace, name string) {
-	key := (ObjectMeta{Namespace: namespace, Name: name}).NamespacedName()
-	c.store.Delete(KindDeployment, key)
+	d := ObjectMeta{Namespace: namespace, Name: name}
+	c.store.Delete(KindDeployment, d.NamespacedName())
 	for _, obj := range c.store.List(KindPod) {
-		pod := obj.(*Pod)
-		if pod.Meta.Labels["k8s.deployment"] == name {
+		if pod := obj.(*Pod); pod.ownedBy(d) {
 			c.store.Delete(KindPod, pod.Meta.NamespacedName())
 		}
 	}
@@ -176,7 +175,7 @@ func (c *Cluster) startDeploymentController() {
 		d := obj.(*Deployment)
 		var live []*Pod
 		for _, p := range c.Pods(nil) {
-			if p.Meta.Labels["k8s.deployment"] != d.Meta.Name {
+			if !p.ownedBy(d.Meta) {
 				continue
 			}
 			switch p.Status.Phase {
@@ -321,10 +320,7 @@ func (c *Cluster) startScheduler() {
 // (vllm.ai.svc.cee). A request to it reaches one of the Service's ready
 // pods on the request's port.
 func (c *Cluster) ServiceHost(namespace, name string) string {
-	if namespace == "" {
-		namespace = "default"
-	}
-	return name + "." + namespace + ".svc." + c.Name
+	return name + "." + (ObjectMeta{Namespace: namespace}).namespace() + ".svc." + c.Name
 }
 
 // startServiceProxy resolves each Service's cluster name through pick on
@@ -381,15 +377,9 @@ func (c *Cluster) startIngressController() {
 		if backend == "" {
 			return vhttp.Text(503, "no endpoints available for service "+match.Spec.ServiceName)
 		}
-		inner := &vhttp.Request{
-			Method: req.Method,
-			URL:    fmt.Sprintf("http://%s:%d%s", backend, match.Spec.ServicePort, req.Path),
-			Header: req.Header,
-			Body:   req.Body,
-			Size:   req.Size,
-		}
+		inner := req.ProxyTo(req.ProxyURL(fmt.Sprintf("http://%s:%d", backend, match.Spec.ServicePort)))
 		client := &vhttp.Client{Net: c.net, From: c.ingressHost}
-		resp, err := client.Do(p, inner)
+		resp, err := client.Do(p, &inner)
 		if err != nil {
 			return vhttp.Text(502, "bad gateway: "+err.Error())
 		}

@@ -51,7 +51,11 @@ func (a *webApp) Run(ctx *cruntime.ExecContext) error {
 		}
 	}
 	svc := vhttp.ServiceFunc(func(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
-		return vhttp.Text(200, body+" from "+ctx.Hostname)
+		text := body + " from " + ctx.Hostname
+		if len(req.Query) > 0 {
+			text += " ?" + req.Query.Encode()
+		}
+		return vhttp.Text(200, text)
 	})
 	if err := ctx.Net.Listen(ctx.Hostname, port, svc, vhttp.ListenOptions{}); err != nil {
 		return err
@@ -121,8 +125,8 @@ func webDeployment(name string, replicas int) *Deployment {
 // TestDeploymentEndToEnd: a two-pod Deployment serves through its Service's
 // cluster name and through its Ingress host, and both go through the one
 // pick, so consecutive requests alternate over the two pods whichever name
-// they use. With no ready pod the Service name is refused and the Ingress
-// answers 503.
+// they use, and reach them with their query string. With no ready pod the
+// Service name is refused and the Ingress answers 503.
 func TestDeploymentEndToEnd(t *testing.T) {
 	f := newFixture(t, 2)
 	f.host.Programs.Register("apps/web", func() cruntime.Program { return &webApp{Body: "hello"} })
@@ -153,7 +157,7 @@ func TestDeploymentEndToEnd(t *testing.T) {
 	var bodies []string
 	f.eng.Go("client", func(p *sim.Proc) {
 		for _, url := range []string{svcURL, ingURL, svcURL, ingURL} {
-			resp, err := c.Get(p, url)
+			resp, err := c.Get(p, url+"?id=abc")
 			if err != nil || resp.Status != 200 {
 				t.Errorf("GET %s: %v %v", url, err, resp)
 				return
@@ -162,7 +166,7 @@ func TestDeploymentEndToEnd(t *testing.T) {
 		}
 	})
 	f.eng.RunFor(time.Second)
-	one, two := "hello from pod-web-00001.goodall", "hello from pod-web-00002.goodall"
+	one, two := "hello from pod-web-00001.goodall ?id=abc", "hello from pod-web-00002.goodall ?id=abc"
 	if got, want := strings.Join(bodies, ","), strings.Join([]string{one, two, one, two}, ","); got != want {
 		t.Fatalf("served %q, want %q", got, want)
 	}
@@ -403,6 +407,34 @@ func TestDeleteDeploymentRemovesPods(t *testing.T) {
 		if len(n.FreeGPUs()) != len(n.GPUs) {
 			t.Fatalf("GPUs leaked on %s", n.Name)
 		}
+	}
+}
+
+// TestSameNameDeploymentsInTwoNamespaces: Deployments with one name in two
+// namespaces each get a pod of their own, and deleting one leaves the
+// other's pod.
+func TestSameNameDeploymentsInTwoNamespaces(t *testing.T) {
+	f := newFixture(t, 2)
+	f.host.Programs.Register("apps/web", func() cruntime.Program { return &webApp{Body: "x"} })
+	other := webDeployment("web", 1)
+	other.Meta.Namespace = "other"
+	f.cluster.ApplyDeployment(webDeployment("web", 1))
+	f.cluster.ApplyDeployment(other)
+	pods := func() string {
+		var keys []string
+		for _, p := range f.cluster.Pods(nil) {
+			keys = append(keys, p.Meta.NamespacedName())
+		}
+		return strings.Join(keys, ",")
+	}
+	f.eng.RunFor(time.Minute)
+	if got, want := pods(), "ai/web-00001,other/web-00002"; got != want {
+		t.Fatalf("pods = %q, want %q", got, want)
+	}
+	f.cluster.DeleteDeployment("other", "web")
+	f.eng.RunFor(time.Minute)
+	if got, want := pods(), "ai/web-00001"; got != want {
+		t.Fatalf("pods after deleting other/web = %q, want %q", got, want)
 	}
 }
 

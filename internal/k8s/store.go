@@ -25,24 +25,24 @@ type Event struct {
 	Obj  any
 }
 
+// watchLatency is the delay before watchers observe a change.
+const watchLatency = 10 * time.Millisecond
+
 // Store is the API server's object database: kind → namespaced name →
 // object, with asynchronous watch delivery mimicking the control plane's
-// eventual consistency (watchers observe changes after a short delay).
+// eventual consistency (watchers observe changes after watchLatency).
 type Store struct {
 	eng      *sim.Engine
 	objects  map[string]map[string]any
 	watchers map[string][]func(Event)
-	// WatchLatency is the delay before watchers observe a change.
-	WatchLatency time.Duration
 }
 
 // NewStore builds an empty store.
 func NewStore(eng *sim.Engine) *Store {
 	return &Store{
-		eng:          eng,
-		objects:      make(map[string]map[string]any),
-		watchers:     make(map[string][]func(Event)),
-		WatchLatency: 10 * time.Millisecond,
+		eng:      eng,
+		objects:  make(map[string]map[string]any),
+		watchers: make(map[string][]func(Event)),
 	}
 }
 
@@ -123,7 +123,7 @@ func (s *Store) List(kind string) []any {
 }
 
 // Watch registers fn for events on kind. Events are delivered as fresh
-// engine events after WatchLatency; handlers therefore see settled state.
+// engine events after watchLatency; handlers therefore see settled state.
 func (s *Store) Watch(kind string, fn func(Event)) {
 	s.watchers[kind] = append(s.watchers[kind], fn)
 }
@@ -131,7 +131,7 @@ func (s *Store) Watch(kind string, fn func(Event)) {
 func (s *Store) notify(ev Event) {
 	for _, fn := range s.watchers[ev.Kind] {
 		fn := fn
-		s.eng.Schedule(s.WatchLatency, func() { fn(ev) })
+		s.eng.Schedule(watchLatency, func() { fn(ev) })
 	}
 }
 

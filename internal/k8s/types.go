@@ -26,12 +26,14 @@ type ObjectMeta struct {
 }
 
 // NamespacedName keys an object within a kind.
-func (m ObjectMeta) NamespacedName() string {
-	ns := m.Namespace
-	if ns == "" {
-		ns = "default"
+func (m ObjectMeta) NamespacedName() string { return m.namespace() + "/" + m.Name }
+
+// namespace is m's namespace, "default" when unset.
+func (m ObjectMeta) namespace() string {
+	if m.Namespace == "" {
+		return "default"
 	}
-	return ns + "/" + m.Name
+	return m.Namespace
 }
 
 // EnvVar is one container environment entry.
@@ -133,6 +135,12 @@ type Pod struct {
 	Meta   ObjectMeta
 	Spec   PodSpec
 	Status PodStatus
+}
+
+// ownedBy reports whether the Deployment d owns the pod: the pod's
+// k8s.deployment label names d, and the pod is in d's namespace.
+func (p *Pod) ownedBy(d ObjectMeta) bool {
+	return p.Meta.Labels["k8s.deployment"] == d.Name && p.Meta.namespace() == d.namespace()
 }
 
 // PodTemplate is a pod stamped out by a controller.

@@ -11,7 +11,12 @@
 // The engine can run in two modes: Run drains events as fast as possible in
 // virtual time (used by tests and benchmark harnesses), while RunRealtime maps
 // virtual durations onto scaled wall-clock time so the simulated services can
-// be exposed over real sockets (used by cmd/sitesim and the examples).
+// be exposed over real sockets (used by cmd/sitesim).
+//
+// One goroutine owns an engine, the one that runs it, and every event
+// handler and process runs there, so the engine takes no lock. Inject is
+// the only method another goroutine may call: it hands a function to
+// RunRealtime, which runs it as an event.
 //
 // Events are queued by value. Only Schedule and At allocate a handle (a
 // stoppable *Timer); Sleep, Signal.Fire and OnFire, Inject, Go, Kill and
@@ -25,7 +30,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -145,17 +149,21 @@ func (ev *event) stopped() bool { return ev.tm != nil && ev.tm.stopped }
 
 // Engine is a discrete-event simulator with a virtual clock.
 // The zero value is not usable; call NewEngine.
+//
+// One goroutine owns an engine: the one that runs it (Step, Run, RunUntil,
+// RunFor or RunRealtime), on which every event handler and process runs.
+// Every method but Inject must be called on that goroutine (before the
+// engine first runs, on the one that built it). Inject is the only method
+// another goroutine may call.
 type Engine struct {
-	mu      sync.Mutex
 	now     time.Time
 	queue   eventQueue
 	seq     uint64
 	rng     *rand.Rand
 	running bool
 	stopped bool
-	idle    []*coro // finished processes' coroutines, at most maxIdle
-
-	injectCh chan struct{} // wakes the realtime runner
+	idle    []*coro     // finished processes' coroutines, at most maxIdle
+	inject  chan func() // Inject's functions, taken by RunRealtime
 
 	// Trace, when non-nil, receives a line for every event executed.
 	// Intended for debugging; nil in normal operation.
@@ -166,21 +174,18 @@ type Engine struct {
 // random source derived from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		now:      Epoch,
-		rng:      rand.New(rand.NewSource(seed)),
-		injectCh: make(chan struct{}, 1),
+		now:    Epoch,
+		rng:    rand.New(rand.NewSource(seed)),
+		inject: make(chan func()),
 	}
 }
 
-// Now returns the current virtual time.
-func (e *Engine) Now() time.Time {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+// Now returns the current virtual time. Like every method but Inject, it
+// must be called on the engine's goroutine.
+func (e *Engine) Now() time.Time { return e.now }
 
 // Since returns the virtual duration elapsed since t.
-func (e *Engine) Since(t time.Time) time.Duration { return e.Now().Sub(t) }
+func (e *Engine) Since(t time.Time) time.Duration { return e.now.Sub(t) }
 
 // Rand returns the engine's deterministic random source. It must only be
 // used from event handlers and processes (the engine goroutine).
@@ -190,69 +195,47 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // to zero. fn executes on the engine's event loop. The returned Timer can
 // cancel the event.
 func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	tm := new(Timer)
-	e.pushLocked(e.now.Add(d), action{fn: fn}, tm)
+	e.push(e.now.Add(max(d, 0)), action{fn: fn}, tm)
 	return tm
 }
 
 // At runs fn at virtual time t (clamped to now if t is in the past).
 func (e *Engine) At(t time.Time, fn func()) *Timer {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if t.Before(e.now) {
 		t = e.now
 	}
 	tm := new(Timer)
-	e.pushLocked(t, action{fn: fn}, tm)
+	e.push(t, action{fn: fn}, tm)
 	return tm
 }
 
 // post runs a after d of virtual time, like Schedule, but returns no
 // handle, so queueing it allocates nothing.
-func (e *Engine) post(d time.Duration, a action) {
-	if d < 0 {
-		d = 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.pushLocked(e.now.Add(d), a, nil)
-}
+func (e *Engine) post(d time.Duration, a action) { e.push(e.now.Add(max(d, 0)), a, nil) }
 
-func (e *Engine) pushLocked(t time.Time, a action, tm *Timer) {
+func (e *Engine) push(t time.Time, a action, tm *Timer) {
 	e.seq++
 	e.queue.push(event{at: t, seq: e.seq, action: a, tm: tm})
-	select {
-	case e.injectCh <- struct{}{}:
-	default:
-	}
 }
 
-// Inject schedules fn at the current virtual time from any goroutine.
-// It is the only safe way for code outside the engine loop (for example a
-// real HTTP handler in realtime mode) to interact with simulated state.
-func (e *Engine) Inject(fn func()) { e.post(0, action{fn: fn}) }
+// Inject runs fn on the engine's goroutine at the current virtual time. It
+// is the only method another goroutine may call, and so the one way for
+// code outside the simulation (a real HTTP handler, say) to reach
+// simulated state. It blocks until RunRealtime takes fn, so fn runs only
+// while RunRealtime does, and a call with no RunRealtime to come never
+// returns. Code on the engine's goroutine calls Schedule instead.
+func (e *Engine) Inject(fn func()) { e.inject <- fn }
 
-// Stop makes Run and RunRealtime return after the current event completes.
-func (e *Engine) Stop() {
-	e.mu.Lock()
-	e.stopped = true
-	e.mu.Unlock()
-	select {
-	case e.injectCh <- struct{}{}:
-	default:
-	}
-}
+// Stop makes Run, RunUntil and RunRealtime return after the current event
+// completes. It must be called on the engine's goroutine, from an event
+// handler or a process; RunRealtime also returns when its context is
+// cancelled.
+func (e *Engine) Stop() { e.stopped = true }
 
 // pop removes and returns the next runnable event, skipping stopped timers.
 // It reports false when the queue is empty.
 func (e *Engine) pop() (event, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for len(e.queue) > 0 {
 		ev := e.queue.pop()
 		if ev.stopped() {
@@ -266,8 +249,6 @@ func (e *Engine) pop() (event, bool) {
 
 // peekTime returns the time of the next pending event.
 func (e *Engine) peekTime() (time.Time, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for len(e.queue) > 0 {
 		if e.queue[0].stopped() {
 			e.queue.pop()
@@ -292,29 +273,21 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// begin marks the engine running under the runner name, which must not
+// already be running, and clears an earlier Stop.
+func (e *Engine) begin(name string) {
+	if e.running {
+		panic("sim: Engine." + name + " called re-entrantly")
+	}
+	e.running, e.stopped = true, false
+}
+
 // Run drains the event queue in virtual time. It returns when no events
 // remain or Stop was called.
 func (e *Engine) Run() {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		panic("sim: Engine.Run called re-entrantly")
-	}
-	e.running = true
-	e.stopped = false
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.running = false
-		e.mu.Unlock()
-	}()
-	for {
-		e.mu.Lock()
-		stop := e.stopped
-		e.mu.Unlock()
-		if stop || !e.Step() {
-			return
-		}
+	e.begin("Run")
+	defer func() { e.running = false }()
+	for !e.stopped && e.Step() {
 	}
 }
 
@@ -326,30 +299,19 @@ func (e *Engine) RunUntil(deadline time.Time) {
 		if !ok || t.After(deadline) {
 			break
 		}
-		if !e.Step() {
-			break
-		}
-		e.mu.Lock()
-		stop := e.stopped
-		e.mu.Unlock()
-		if stop {
+		e.Step()
+		if e.stopped {
 			return
 		}
 	}
-	e.mu.Lock()
 	if e.now.Before(deadline) {
 		e.now = deadline
 	}
-	e.mu.Unlock()
 }
 
 // RunFor drains events within d of the current virtual time.
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.Now().Add(d)) }
+func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Pending reports how many events are queued (including stopped timers that
 // have not been collected yet). Intended for tests.
-func (e *Engine) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
-}
+func (e *Engine) Pending() int { return len(e.queue) }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -353,5 +355,106 @@ func TestRealtimeInjection(t *testing.T) {
 	cancel()
 	if !ran.Load() {
 		t.Fatal("event not run")
+	}
+}
+
+// goid returns the calling goroutine's ID, read from its stack header.
+func goid() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// TestInjectFromManyGoroutines: functions injected at once from many
+// goroutines, while a ticking event keeps the engine's own events due, each
+// run exactly once, on the engine's goroutine.
+func TestInjectFromManyGoroutines(t *testing.T) {
+	const n = 64
+	e := NewEngine(1)
+	var tick func()
+	tick = func() { e.Schedule(time.Millisecond, tick) }
+	e.Schedule(0, tick)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	owner := make(chan string, 1)
+	ended := make(chan struct{})
+	go func() {
+		owner <- goid()
+		e.RunRealtime(ctx, 1e6) // a virtual millisecond is a wall nanosecond
+		close(ended)
+	}()
+
+	runs := make([]int, n)
+	ranOn := make([]string, n)
+	ran := make(chan struct{}, n)
+	start := make(chan struct{})
+	for i := range n {
+		go func() {
+			<-start
+			e.Inject(func() {
+				runs[i]++
+				ranOn[i] = goid()
+				ran <- struct{}{}
+			})
+		}()
+	}
+	close(start)
+	for range n {
+		select {
+		case <-ran:
+		case <-time.After(5 * time.Second):
+			t.Fatal("injected functions starved while events were due")
+		}
+	}
+	cancel()
+	<-ended
+	engine := <-owner
+	for i := range n {
+		if runs[i] != 1 || ranOn[i] != engine {
+			t.Fatalf("function %d ran %d times on goroutine %q; want once on the engine's, %q", i, runs[i], ranOn[i], engine)
+		}
+	}
+}
+
+// TestInjectBeforeRealtimeStarts: a function injected before RunRealtime
+// starts waits for it and runs once it does, at the current virtual time,
+// as cmd/sitesim's deploy does.
+func TestInjectBeforeRealtimeStarts(t *testing.T) {
+	e := NewEngine(1)
+	ran := make(chan time.Time, 1)
+	taken := make(chan struct{})
+	go func() {
+		e.Inject(func() { ran <- e.Now() })
+		close(taken)
+	}()
+	select {
+	case <-taken:
+		t.Fatal("Inject returned with no runner to take its function")
+	case <-time.After(10 * time.Millisecond):
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go e.RunRealtime(ctx, 1e6)
+	select {
+	case at := <-ran:
+		if !at.Equal(Epoch) {
+			t.Fatalf("injected function ran at %v, want the epoch", at)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("injected function did not run once RunRealtime started")
+	}
+}
+
+// BenchmarkStep measures the kernel's cost per event: one Schedule(0, …)
+// event, popped and run by Step, with no process.
+func BenchmarkStep(b *testing.B) {
+	e := NewEngine(1)
+	fn := func() {}
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Schedule(0, fn)
+		e.Step()
 	}
 }

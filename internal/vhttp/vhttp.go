@@ -50,6 +50,25 @@ func (r *Request) BodyBytes() int64 {
 	return r.Size
 }
 
+// ProxyURL is r's path and query string on a new target base URL
+// (http://host:port), the URL a proxy forwards r to.
+func (r *Request) ProxyURL(base string) string {
+	u := base + r.Path
+	if q := r.Query.Encode(); q != "" {
+		u += "?" + q
+	}
+	return u
+}
+
+// ProxyTo is the copy of r a proxy sends to target, which carries the path
+// and query (ProxyURL builds it): r's method, headers, body and size. Every
+// proxy forwards through it, so none can drop a part of the request. It
+// returns the copy by value, so a proxy that keeps a per-request record
+// holds it there.
+func (r *Request) ProxyTo(target string) Request {
+	return Request{Method: r.Method, URL: target, Header: r.Header, Body: r.Body, Size: r.Size}
+}
+
 // Response is a virtual HTTP response.
 type Response struct {
 	Status int

@@ -199,9 +199,10 @@ type APIServer struct {
 	ServedName string // --served-model-name
 	Replica    string // instance identity stamped into telemetry snapshots
 	APIKey     string // optional bearer token
-	// DefaultMaxTokens bounds generation when the request omits max_tokens.
-	DefaultMaxTokens int
 }
+
+// defaultMaxTokens bounds generation when a request omits max_tokens.
+const defaultMaxTokens = 256
 
 func jsonErr(status int, msg string) *vhttp.Response {
 	var er ErrorResponse
@@ -269,7 +270,7 @@ func (a *APIServer) chat(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 	}
 	maxNew := cr.maxTokens
 	if maxNew <= 0 {
-		maxNew = a.defaultMax()
+		maxNew = defaultMaxTokens
 	}
 	if req.Header[sched.WarmupHeader] != "" {
 		// Prefix warm-up: the gateway pre-positions a migrated session's
@@ -637,7 +638,7 @@ func (a *APIServer) completions(p *sim.Proc, req *vhttp.Request) *vhttp.Response
 	prompt := EstimateTokens(cr.Prompt)
 	maxNew := cr.MaxTokens
 	if maxNew <= 0 {
-		maxNew = a.defaultMax()
+		maxNew = defaultMaxTokens
 	}
 	et := a.startTrace(p, req)
 	opts := SubmitOptions{
@@ -662,13 +663,6 @@ func (a *APIServer) completions(p *sim.Proc, req *vhttp.Request) *vhttp.Response
 		out.Trace = et
 	}
 	return out
-}
-
-func (a *APIServer) defaultMax() int {
-	if a.DefaultMaxTokens > 0 {
-		return a.DefaultMaxTokens
-	}
-	return 256
 }
 
 // renderMetrics emits a Prometheus-flavored snapshot like vLLM's /metrics.
